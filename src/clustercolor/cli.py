@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict
 
 from . import pace
-from .errors import InvalidDecomposition, InvalidLayering, PaceParseError
+from .errors import GroupBudgetError, PaceParseError
 from .generators import add_apex, gen_grid, gen_kst_instance, gen_path
 from .graph import LayeredTreeDecomposition, TreeDecomposition
 from .threecolor import three_color
@@ -120,7 +120,6 @@ def cmd_color3(args) -> int:
         for v in sorted(result.coloring):
             fh.write(f"{v} {result.coloring[v]}\n")
 
-    detail = monochromatic_components(g, result.coloring)
     report = {
         "command": "color3",
         "seed": args.seed,
@@ -133,7 +132,7 @@ def cmd_color3(args) -> int:
         "clustering": result.clustering,
         "bound": result.constants.g,
         "constants": asdict(result.constants),
-        "per_color_max": {str(c): m for c, m in sorted(detail.per_color_max.items())},
+        "per_color_max": {str(c): m for c, m in sorted(result.per_color_max.items())},
         "stages": {
             "stage2_fake_edges": len(result.stage2_pairs),
             "stage3_fake_edges": len(result.stage3_pairs),
@@ -326,18 +325,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PaceParseError, InvalidDecomposition, InvalidLayering) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (GroupBudgetError, RuntimeError) as exc:
+        # A pipeline that missed its certificate. GroupBudgetError is also a
+        # ValueError, so it must be caught before the input-error branch.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,24 +1,25 @@
 """Clustered 3-coloring of graphs with a layered tree decomposition.
 
-Layers are split round-robin into three classes. Each class is two-colored
-layer by layer over a restricted tree decomposition, with the second and
-third classes first augmented by fake edges: for every small monochromatic
-component of an earlier stage, all pairs of its neighbors in the target
-layer become one edge group, so the later coloring cannot cut through such
-a component's neighborhood. The class palettes {1,2}, {2,3}, {1,3} overlap
-so that each color appears in only two classes, which caps the size of
-every monochromatic component by a function of the layered width and the
-maximum degree alone.
+Layers are split round-robin into three classes with the palettes {1,2},
+{2,3} and {1,3}, and colored class by class. Every layer follows one rule:
+it is two-colored over its restricted tree decomposition in its class's
+palette, after being guarded against the monochromatic components of the
+already colored neighbor layers i-1 and i+1 in the one color their palettes
+share. Guarding a component makes all pairs of its neighbors in the layer
+one edge group of fake edges, so the layer's coloring cannot cut through
+that component's neighborhood. Each color appears in only two classes,
+which caps the size of every monochromatic component by a function of the
+layered width and the maximum degree alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ClusteringBoundError, GroupBudgetError
 from .graph import Graph, Layering, LayeredTreeDecomposition, TreeDecomposition, layered_width
 from .twocolor import (
+    DEFAULT_CLUSTER_FACTOR,
     EdgeGroup,
     GroupBudget,
     cluster_bound,
@@ -68,7 +69,7 @@ def compute_constants(
     w3 = w + 4 * (w2 + 1) * f2 * f2 * d * d
     f3 = cluster_bound(w3, delta3, cluster_factor)
     g = (1 + f2 * d) * f3
-    factor = cluster_bound(0, 1, cluster_factor)
+    factor = DEFAULT_CLUSTER_FACTOR if cluster_factor is None else cluster_factor
     return ThreeColorConstants(
         width=w,
         degree=d,
@@ -108,11 +109,13 @@ def split_layer_classes(ly: Layering) -> LayerClassSplit:
 
 @dataclass(frozen=True)
 class ThreeColorResult:
-    """Coloring with its measured clustering, the constants used, and the
-    fake edges the later stages were forced to respect."""
+    """Coloring with its measured clustering (overall and per color), the
+    constants used, and the fake edges the later stages were forced to
+    respect."""
 
     coloring: dict[int, int]
     clustering: int
+    per_color_max: dict[int, int]
     constants: ThreeColorConstants
     split: LayerClassSplit
     stage2_pairs: frozenset[tuple[int, int]]
@@ -126,18 +129,6 @@ def _restricted_td(
         frozenset(index[v] for v in bag if v in keep) for bag in td.bags
     ]
     return TreeDecomposition(bags, td.edges, td.root)
-
-
-def _color_components(
-    g: Graph, ids: tuple[int, ...], coloring: dict[int, int], color: int
-) -> list[frozenset[int]]:
-    """Components of the given color in an induced subgraph, as original ids."""
-    report = monochromatic_components(g, coloring)
-    return [
-        frozenset(ids[v] for v in verts)
-        for comp_color, verts in report.components
-        if comp_color == color
-    ]
 
 
 def _cover_nodes(
@@ -172,42 +163,33 @@ def _cover_nodes(
 def _groups_for_layer(
     g: Graph,
     td: TreeDecomposition,
-    comps: list[tuple[frozenset[int], list[set[int]]]],
+    bags: list[set[int]],
+    guards: list[frozenset[int]],
     target: frozenset[int],
     index: dict[int, int],
-) -> tuple[list[EdgeGroup], set[tuple[int, int]]]:
-    """Edge groups forcing the target layer to respect earlier components.
+) -> list[EdgeGroup]:
+    """Edge groups forcing the target layer to respect the guard components.
 
     Each component contributes all pairs of its neighbors in the target
     layer, a greedy cover of the connecting edges, and the subtree of nodes
-    whose (possibly rebased) bags meet it.
+    whose (possibly enlarged) bags meet it.
     """
     groups: list[EdgeGroup] = []
-    fake: set[tuple[int, int]] = set()
-    for comp, node_bags in sorted(comps, key=lambda item: min(item[0])):
+    for comp in sorted(guards, key=min):
         nbrs = frozenset(
             u for c in comp for u in g.neighbors(c) if u in target
         )
         if len(nbrs) < 2:
             continue
         pairs = frozenset(
-            (index[a], index[b])
-            for a in nbrs
-            for b in nbrs
-            if a < b
+            (index[a], index[b]) for a in nbrs for b in nbrs if a < b
         )
         subtree = frozenset(
-            t for t in range(td.node_count) if node_bags[t] & comp
+            t for t in range(td.node_count) if not bags[t].isdisjoint(comp)
         )
         cover = _cover_nodes(td, comp, nbrs, g)
         groups.append(EdgeGroup(nodes=cover, subtree=subtree, pairs=pairs))
-        fake.update(
-            (min(a, b), max(a, b))
-            for a in nbrs
-            for b in nbrs
-            if a < b
-        )
-    return groups, fake
+    return groups
 
 
 def three_color(
@@ -237,16 +219,6 @@ def three_color(
     ly = ltd.layering
     td = ltd.td
     split = split_layer_classes(ly)
-    if g.n == 0:
-        return ThreeColorResult(
-            coloring={},
-            clustering=0,
-            constants=constants,
-            split=split,
-            stage2_pairs=frozenset(),
-            stage3_pairs=frozenset(),
-        )
-
     budget2 = GroupBudget(
         max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
         max_pair_uses_per_vertex=constants.f1 * d_eff ** 2,
@@ -257,111 +229,60 @@ def three_color(
         max_pair_uses_per_vertex=constants.f2 * d_eff ** 2,
         max_groups_per_node=2 * (constants.w2 + 1),
     )
+    # Per class: palette (local colors 1 and 2 map to its entries), degree
+    # bound of the guarded layer, and budget for its edge groups. Class 1
+    # is colored first, so it has no colored neighbors and no groups.
+    stages = (
+        (1, (1, 2), d_eff, None),
+        (2, (2, 3), constants.delta2, budget2),
+        (3, (1, 3), constants.delta3, budget3),
+    )
 
     coloring: dict[int, int] = {}
-    # Small color-2 components of stage 1, keyed by their layer index.
-    stage1_comps: dict[int, list[frozenset[int]]] = {}
-    # Small color-3 components of stage 2 (over fake edges), by layer index.
-    stage2_comps: dict[int, list[frozenset[int]]] = {}
-    # Per-node bag contents after stage-2 enlargement, rebased to the
-    # original ids; starts from the first-class part of each original bag.
-    rebased: list[set[int]] = [set(bag & split.u1) for bag in td.bags]
-    stage2_pairs: set[tuple[int, int]] = set()
-    stage3_pairs: set[tuple[int, int]] = set()
+    # Monochromatic components of each colored layer, as original ids,
+    # keyed by (layer index, final color).
+    comps: dict[tuple[int, int], list[frozenset[int]]] = {}
+    # Original bags plus the endpoints each enlargement poured into them.
+    bags: list[set[int]] = [set(bag) for bag in td.bags]
+    fake: dict[int, set[tuple[int, int]]] = {cls: set() for cls in (1, 2, 3)}
 
-    def relabel(colors: dict[int, int], ids: tuple[int, ...], shift) -> None:
-        for local, color in colors.items():
-            coloring[ids[local]] = shift(color)
-
-    # Stage 1: first-class layers, palette {1, 2}.
-    for li in range(1, ly.m + 1, 3):
-        verts = frozenset(ly.layer(li))
-        if not verts:
-            continue
-        sub, ids = g.induced(verts)
-        index = {old: new for new, old in enumerate(ids)}
-        sub_td = _restricted_td(td, verts, index)
-        try:
-            colors, _ = two_color_bounded_treewidth(
-                sub, sub_td, d_eff, cluster_factor
-            )
-        except ClusteringBoundError as exc:
-            raise ClusteringBoundError(
-                f"stage-1 layer {li}", exc.measured, exc.bound
-            ) from exc
-        relabel(colors, ids, lambda c: c)
-        stage1_comps[li] = _color_components(sub, ids, colors, 2)
-
-    # Stage 2: second-class layers, palette {2, 3}, guarding the stage-1
-    # color-2 components of the layer below.
-    original_bags = [set(bag) for bag in td.bags]
-    for li in range(2, ly.m + 1, 3):
-        verts = frozenset(ly.layer(li))
-        if not verts:
-            continue
-        sub, ids = g.induced(verts)
-        index = {old: new for new, old in enumerate(ids)}
-        sub_td = _restricted_td(td, verts, index)
-        comps = [(c, original_bags) for c in stage1_comps.get(li - 1, [])]
-        groups, fake = _groups_for_layer(g, td, comps, verts, index)
-        try:
-            sub2, td2 = enlarge_decomposition(sub, sub_td, groups, budget2)
-        except GroupBudgetError as exc:
-            raise GroupBudgetError(
-                exc.budget, f"stage-2 layer {li}: {exc}"
-            ) from exc
-        try:
-            colors, _ = two_color_bounded_treewidth(
-                sub2, td2, constants.delta2, cluster_factor
-            )
-        except ClusteringBoundError as exc:
-            raise ClusteringBoundError(
-                f"stage-2 layer {li}", exc.measured, exc.bound
-            ) from exc
-        relabel(colors, ids, lambda c: c + 1)
-        stage2_pairs.update(fake)
-        stage2_comps[li] = _color_components(sub2, ids, colors, 2)
-        for t in range(td2.node_count):
-            rebased[t].update(ids[v] for v in td2.bags[t])
-
-    # Stage 3: third-class layers, palette {1, 3}, guarding the stage-1
-    # color-1 components of the layer above and the stage-2 color-3
-    # components of the layer below.
-    for li in range(3, ly.m + 1, 3):
-        verts = frozenset(ly.layer(li))
-        if not verts:
-            continue
-        sub, ids = g.induced(verts)
-        index = {old: new for new, old in enumerate(ids)}
-        sub_td = _restricted_td(td, verts, index)
-        comps: list[tuple[frozenset[int], list[set[int]]]] = []
-        if li + 1 <= ly.m and ly.layer(li + 1):
-            above_sub, above_ids = g.induced(frozenset(ly.layer(li + 1)))
-            above_colors = {
-                v: coloring[above_ids[v]] for v in range(above_sub.n)
-            }
-            comps.extend(
-                (c, rebased)
-                for c in _color_components(above_sub, above_ids, above_colors, 1)
-            )
-        comps.extend((c, rebased) for c in stage2_comps.get(li - 1, []))
-        groups, fake = _groups_for_layer(g, td, comps, verts, index)
-        try:
-            sub3, td3 = enlarge_decomposition(sub, sub_td, groups, budget3)
-        except GroupBudgetError as exc:
-            raise GroupBudgetError(
-                exc.budget, f"stage-3 layer {li}: {exc}"
-            ) from exc
-        try:
-            colors, _ = two_color_bounded_treewidth(
-                sub3, td3, constants.delta3, cluster_factor
-            )
-        except ClusteringBoundError as exc:
-            raise ClusteringBoundError(
-                f"stage-3 layer {li}", exc.measured, exc.bound
-            ) from exc
-        relabel(colors, ids, lambda c: 1 if c == 1 else 3)
-        stage3_pairs.update(fake)
+    for cls, palette, degree, budget in stages:
+        for li in range(cls, ly.m + 1, 3):
+            verts = frozenset(ly.layer(li))
+            if not verts:
+                continue
+            sub, ids = g.induced(verts)
+            index = {old: new for new, old in enumerate(ids)}
+            sub_td = _restricted_td(td, verts, index)
+            guards = [
+                comp
+                for lj in (li - 1, li + 1)
+                for color in palette
+                for comp in comps.get((lj, color), ())
+            ]
+            groups = _groups_for_layer(g, td, bags, guards, verts, index)
+            stage = f"stage-{cls} layer {li}"
+            try:
+                if groups:
+                    sub, sub_td = enlarge_decomposition(sub, sub_td, groups, budget)
+                colors, _ = two_color_bounded_treewidth(
+                    sub, sub_td, degree, cluster_factor
+                )
+            except GroupBudgetError as exc:
+                raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
+            except ClusteringBoundError as exc:
+                raise ClusteringBoundError(stage, exc.measured, exc.bound) from exc
+            for local, color in colors.items():
+                coloring[ids[local]] = palette[color - 1]
+            for color, local_comp in monochromatic_components(sub, colors).components:
+                comps.setdefault((li, palette[color - 1]), []).append(
+                    frozenset(ids[v] for v in local_comp)
+                )
+            for grp in groups:
+                ends = {ids[v] for pair in grp.pairs for v in pair}
+                fake[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
+                for t in grp.subtree:
+                    bags[t] |= ends
 
     report = monochromatic_components(g, coloring)
     if report.max_size > constants.g:
@@ -369,8 +290,9 @@ def three_color(
     return ThreeColorResult(
         coloring=coloring,
         clustering=report.max_size,
+        per_color_max=report.per_color_max,
         constants=constants,
         split=split,
-        stage2_pairs=frozenset(stage2_pairs),
-        stage3_pairs=frozenset(stage3_pairs),
+        stage2_pairs=frozenset(fake[2]),
+        stage3_pairs=frozenset(fake[3]),
     )

@@ -8,6 +8,7 @@ from clustercolor import (
     EdgeGroup,
     Graph,
     GroupBudget,
+    LayeredTreeDecomposition,
     Layering,
     StandardPair,
     TreeDecomposition,
@@ -177,3 +178,14 @@ def shared_core_parade(w, length, extra=0):
         bags.append(frozenset({length + w + j}) | core)
         edges.append((0, base + j))
     return TreeDecomposition(bags, edges), tuple(range(length))
+
+
+def spine_path(n=40):
+    """Path 0-1-...-(n-1) with the valid width-2 decomposition {0, i, i+1}
+    along a path of nodes, all vertices in one layer. Vertex 0 spans every
+    bag, which defeats the banded two-colorer. Returns (graph, layered
+    decomposition)."""
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    bags = [frozenset({0, i, i + 1}) for i in range(1, n - 1)]
+    td = TreeDecomposition(bags, [(t, t + 1) for t in range(len(bags) - 1)])
+    return g, LayeredTreeDecomposition(td, Layering([tuple(range(n))]))

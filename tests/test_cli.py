@@ -9,6 +9,7 @@ import pytest
 
 from clustercolor import (
     Graph,
+    GroupBudgetError,
     LayeredTreeDecomposition,
     gen_grid,
     layered_width,
@@ -16,8 +17,9 @@ from clustercolor import (
     validate_layering,
     validate_tree_decomposition,
 )
-from clustercolor import pace
+from clustercolor import cli, pace
 from clustercolor.cli import GEN_FAMILIES, main
+from helpers import spine_path
 
 
 def read_instance(prefix):
@@ -140,6 +142,33 @@ def test_color3_rejects_degree_above_declared_bound(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_color3_group_budget_overrun_exits_1(tmp_path, monkeypatch, capsys):
+    def overrun(*args, **kwargs):
+        raise GroupBudgetError("max_pairs_per_group", "stage-2 layer 2: group 0")
+
+    monkeypatch.setattr(cli, "three_color", overrun)
+    code = main(
+        ["color3", "--family", "grid", "--n", "3", "--out", str(tmp_path / "run")]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_color3_refusal_exits_1_and_names_the_stage(tmp_path, capsys):
+    g, ltd = spine_path(40)
+    prefix = tmp_path / "spine"
+    pace.write_graph(g, f"{prefix}.gr")
+    pace.write_td(ltd.td, g.n, f"{prefix}.td")
+    pace.write_layering(ltd.layering, f"{prefix}.layers")
+    code = main(
+        ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
+         "--layers", f"{prefix}.layers", "--out", str(tmp_path / "run")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "stage-1 layer 1" in err
 
 
 def test_color3_json_stdout_matches_report_file(tmp_path, capsys):

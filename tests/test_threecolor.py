@@ -1,8 +1,11 @@
+import hashlib
+import random
 from collections import deque
 
 import pytest
 
 from clustercolor import (
+    ClusteringBoundError,
     Graph,
     InvalidDecomposition,
     LayeredTreeDecomposition,
@@ -12,9 +15,12 @@ from clustercolor import (
     gen_grid,
     gen_kst_instance,
     gen_path,
+    gen_rect_grid,
+    monochromatic_components,
     split_layer_classes,
     three_color,
 )
+from helpers import spine_path
 
 
 def test_constants_chain_small_case():
@@ -167,3 +173,77 @@ def test_three_color_fake_edges_stay_inside_their_classes():
         assert a in result.split.u2 and b in result.split.u2
     for a, b in result.stage3_pairs:
         assert a in result.split.u3 and b in result.split.u3
+
+
+def _permuted(g, ltd, delta, seed):
+    """The same instance with its vertex ids shuffled by a seeded permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    pg = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    td = TreeDecomposition(
+        [frozenset(perm[v] for v in bag) for bag in ltd.td.bags],
+        ltd.td.edges,
+        ltd.td.root,
+    )
+    ly = ltd.layering
+    ly = Layering([tuple(perm[v] for v in ly.layer(i)) for i in range(1, ly.m + 1)])
+    return pg, LayeredTreeDecomposition(td, ly), delta
+
+
+# SHA-256 of the .coloring text, clustering, and fake-edge counts of stages
+# 2 and 3. Any change to a coloring shows up here.
+GOLDEN = {
+    "trigrid-20": (
+        lambda: gen_grid(20, triangulated=True),
+        "33db2977afce3c1e93a8b16d721524eb668f37fc6adee4953d298ad8fee97d16",
+        18, 84, 174,
+    ),
+    "grid-30": (
+        lambda: gen_grid(30),
+        "cee2b8b05dce9763dac887c1adfc90ec04ed693695ff3f2871ddec3355b7f794",
+        12, 70, 143,
+    ),
+    "rect-6x60": (
+        lambda: gen_rect_grid(6, 60),
+        "c46f40b5eb4326233865b718e3d8167ffea544663a8f67d7a20c28278e135ce6",
+        12, 87, 229,
+    ),
+    "path-300": (
+        lambda: gen_path(300),
+        "19aa37a47efbb5cc5bd6040440eabbab74136657f1c8e10383644e3fadc49789",
+        2, 0, 0,
+    ),
+    "kst-2-3": (
+        lambda: gen_kst_instance(2, 3),
+        "d0f0283bfe07c56824a58dfe1d8fcfeb1918346075cba50e85de1d9e47a2bc70",
+        1, 0, 0,
+    ),
+    "trigrid-20-permuted": (
+        lambda: _permuted(*gen_grid(20, triangulated=True), seed=7),
+        "a467a15b7960e153104a7d7f3cf7ce2d4b955df02f07d3289af77742d17ec85d",
+        18, 84, 174,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_three_color_golden_outputs(name):
+    build, digest, clustering, stage2, stage3 = GOLDEN[name]
+    g, ltd, delta = build()
+    result = three_color(g, ltd, delta)
+    text = "".join(f"{v} {result.coloring[v]}\n" for v in sorted(result.coloring))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert result.clustering == clustering
+    assert len(result.stage2_pairs) == stage2
+    assert len(result.stage3_pairs) == stage3
+    measured = monochromatic_components(g, result.coloring)
+    assert result.per_color_max == measured.per_color_max
+
+
+def test_three_color_refuses_spine_path_in_stage_one():
+    g, ltd = spine_path(40)
+    with pytest.raises(ClusteringBoundError) as err:
+        three_color(g, ltd, 2)
+    assert err.value.stage == "stage-1 layer 1"
+    assert err.value.measured == 40
+    assert err.value.bound == 24
