@@ -116,9 +116,11 @@ class Graph:
         old = tuple(sorted(set(keep)))
         index = {v: i for i, v in enumerate(old)}
         sub_edges = [
-            (index[u], index[v])
-            for u, v in self._edges
-            if u in index and v in index
+            (i, index[u])
+            for i, v in enumerate(old)
+            if 0 <= v < self.n
+            for u in self._adj[v]
+            if u > v and u in index
         ]
         return Graph(len(old), sub_edges), old
 
@@ -250,6 +252,14 @@ class TreeDecomposition:
     def nodes_containing(self, v: int) -> tuple[int, ...]:
         return tuple(t for t, bag in enumerate(self.bags) if v in bag)
 
+    def holders(self) -> dict[int, list[int]]:
+        """Every vertex in some bag, mapped to its nodes in ascending order."""
+        holders: dict[int, list[int]] = {}
+        for t, bag in enumerate(self.bags):
+            for v in bag:
+                holders.setdefault(v, []).append(t)
+        return holders
+
     def depths(self, root: int | None = None) -> list[int]:
         """BFS depth of every node from ``root`` (default: stored root)."""
         r = self.root if root is None else root
@@ -337,25 +347,24 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationRe
             break
     checks.append(AxiomCheck("bag-contents", stray is None, stray))
 
-    covered = set()
-    for bag in td.bags:
-        covered.update(bag)
-    missing = next((v for v in g.vertices() if v not in covered), None)
+    holders = td.holders()
+    missing = next((v for v in g.vertices() if v not in holders), None)
     checks.append(AxiomCheck("vertex-coverage", missing is None, missing))
 
+    # An edge is covered when a bag holding the endpoint with fewer nodes
+    # also holds the other endpoint.
     bad_edge = None
-    for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in td.bags):
-            bad_edge = (u, v)
+    for edge in sorted(g.edges):
+        u, v = edge
+        if len(holders.get(u, ())) > len(holders.get(v, ())):
+            u, v = v, u
+        if not any(v in td.bags[t] for t in holders.get(u, ())):
+            bad_edge = edge
             break
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
     # Each vertex's node set must induce a connected subtree.
     bad_vertex = None
-    holders: dict[int, list[int]] = {}
-    for t, bag in enumerate(td.bags):
-        for v in bag:
-            holders.setdefault(v, []).append(t)
     for v in sorted(holders):
         nodes = holders[v]
         if len(nodes) <= 1:

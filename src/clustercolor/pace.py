@@ -2,9 +2,9 @@
 
 Graphs use the ``p tw`` header with one edge per line; decompositions use the
 ``s td`` header, ``b`` bag lines, and one tree edge per line. Vertices and
-node ids are 1-based on disk and 0-based in memory. The layering sidecar is
-one line per layer holding 1-based vertex ids; an empty line is an empty
-layer.
+node ids are 1-based on disk and 0-based in memory, and the counts in a
+header must match the lines that follow it. The layering sidecar is one line
+per layer holding 1-based vertex ids; an empty line is an empty layer.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ def graph_to_pace(g: Graph) -> str:
 
 
 def pace_to_graph(text: str) -> Graph:
+    """Parse a ``p tw n m`` graph; the number of edge lines must be m."""
     n = None
     m = None
+    header_line = 1
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -40,6 +42,7 @@ def pace_to_graph(text: str) -> Graph:
                 raise PaceParseError("non-integer counts in header", lineno) from None
             if n < 0 or m < 0:
                 raise PaceParseError("negative counts in header", lineno)
+            header_line = lineno
             continue
         if len(fields) != 2:
             raise PaceParseError("expected edge line '<u> <v>'", lineno)
@@ -54,6 +57,11 @@ def pace_to_graph(text: str) -> Graph:
         edges.append((u - 1, v - 1))
     if n is None:
         raise PaceParseError("missing 'p tw' header", 1)
+    if len(edges) != m:
+        raise PaceParseError(
+            f"header declares {m} edges but {len(edges)} edge lines follow",
+            header_line,
+        )
     return Graph(n, edges)
 
 
@@ -69,7 +77,10 @@ def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
 
 
 def pace_to_td(text: str) -> TreeDecomposition:
+    """Parse an ``s td N w+1 n`` decomposition; every bag id 1..N must be
+    given, and the largest bag must have exactly w+1 vertices."""
     header = None
+    header_line = 1
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,6 +97,7 @@ def pace_to_td(text: str) -> TreeDecomposition:
                 raise PaceParseError("non-integer counts in header", lineno) from None
             if any(x < 0 for x in header):
                 raise PaceParseError("negative counts in header", lineno)
+            header_line = lineno
             continue
         num_nodes, _, n = header
         if fields[0] == "b":
@@ -118,11 +130,21 @@ def pace_to_td(text: str) -> TreeDecomposition:
             tree_edges.append((a - 1, b - 1))
     if header is None:
         raise PaceParseError("missing 's td' header", 1)
-    num_nodes = header[0]
+    num_nodes, width_plus, _ = header
     if num_nodes == 0:
         raise PaceParseError("decomposition must have at least one node", 1)
-    all_bags = [bags.get(i, frozenset()) for i in range(1, num_nodes + 1)]
-    return TreeDecomposition(all_bags, tree_edges)
+    missing = next((i for i in range(1, num_nodes + 1) if i not in bags), None)
+    if missing is not None:
+        raise PaceParseError(
+            f"bag {missing} of 1..{num_nodes} is never given", header_line
+        )
+    largest = max(len(bag) for bag in bags.values())
+    if largest != width_plus:
+        raise PaceParseError(
+            f"header declares w+1 = {width_plus} but the largest bag has {largest}",
+            header_line,
+        )
+    return TreeDecomposition([bags[i] for i in range(1, num_nodes + 1)], tree_edges)
 
 
 def layering_to_text(ly: Layering) -> str:

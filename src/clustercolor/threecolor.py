@@ -122,17 +122,12 @@ class ThreeColorResult:
     stage3_pairs: frozenset[tuple[int, int]]
 
 
-def _restricted_td(
-    td: TreeDecomposition, keep: frozenset[int], index: dict[int, int]
-) -> TreeDecomposition:
-    bags = [
-        frozenset(index[v] for v in bag if v in keep) for bag in td.bags
-    ]
-    return TreeDecomposition(bags, td.edges, td.root)
-
-
 def _cover_nodes(
-    td: TreeDecomposition, comp: frozenset[int], nbrs: frozenset[int], g: Graph
+    td: TreeDecomposition,
+    holders: dict[int, list[int]],
+    comp: frozenset[int],
+    nbrs: frozenset[int],
+    g: Graph,
 ) -> frozenset[int]:
     """Greedy node cover of the edges between a component and its target-layer
     neighbors: scan edges in sorted order, take the smallest node whose bag
@@ -145,34 +140,31 @@ def _cover_nodes(
     )
     cover: set[int] = set()
     covered: set[tuple[int, int]] = set()
-    for e in edges:
-        if e in covered:
+    for a, b in edges:
+        if (a, b) in covered:
             continue
-        node = next(
-            t
-            for t in range(td.node_count)
-            if e[0] in td.bags[t] and e[1] in td.bags[t]
-        )
+        node = next(t for t in holders[a] if b in td.bags[t])
         cover.add(node)
-        for e2 in edges:
-            if e2[0] in td.bags[node] and e2[1] in td.bags[node]:
-                covered.add(e2)
+        bag = td.bags[node]
+        covered.update(e for e in edges if e[0] in bag and e[1] in bag)
     return frozenset(cover)
 
 
 def _groups_for_layer(
     g: Graph,
     td: TreeDecomposition,
-    bags: list[set[int]],
+    holders: dict[int, list[int]],
+    poured: dict[int, list[frozenset[int]]],
     guards: list[frozenset[int]],
     target: frozenset[int],
-    index: dict[int, int],
 ) -> list[EdgeGroup]:
-    """Edge groups forcing the target layer to respect the guard components.
+    """Edge groups forcing the target layer to respect the guard components,
+    in original vertex and node ids.
 
     Each component contributes all pairs of its neighbors in the target
     layer, a greedy cover of the connecting edges, and the subtree of nodes
-    whose (possibly enlarged) bags meet it.
+    whose (possibly enlarged) bags meet it: the nodes holding one of its
+    vertices plus the subtrees its vertices were poured into.
     """
     groups: list[EdgeGroup] = []
     for comp in sorted(guards, key=min):
@@ -181,15 +173,56 @@ def _groups_for_layer(
         )
         if len(nbrs) < 2:
             continue
-        pairs = frozenset(
-            (index[a], index[b]) for a in nbrs for b in nbrs if a < b
+        pairs = frozenset((a, b) for a in nbrs for b in nbrs if a < b)
+        subtree = frozenset(t for c in comp for t in holders[c]).union(
+            *{sub for c in comp for sub in poured.get(c, ())}
         )
-        subtree = frozenset(
-            t for t in range(td.node_count) if not bags[t].isdisjoint(comp)
-        )
-        cover = _cover_nodes(td, comp, nbrs, g)
+        cover = _cover_nodes(td, holders, comp, nbrs, g)
         groups.append(EdgeGroup(nodes=cover, subtree=subtree, pairs=pairs))
     return groups
+
+
+def _layer_view(
+    td: TreeDecomposition,
+    holders: dict[int, list[int]],
+    parent: list[int],
+    depth: list[int],
+    ids: tuple[int, ...],
+    groups: list[EdgeGroup],
+) -> tuple[TreeDecomposition, list[int], list[EdgeGroup]]:
+    """The layer's sparse sub-decomposition, the original depths of its
+    nodes, and the groups in its local ids.
+
+    It keeps the nodes that hold a layer vertex and the nodes of every
+    group subtree, in ascending original id, with the layer's vertices
+    (local ids = positions in ``ids``) as bags and the original tree edges
+    among them. Every vertex's node set, original and poured, is kept whole
+    and is connected, so chaining the forest's component tops (kept nodes
+    whose parent is not kept) in ascending order yields a valid
+    decomposition of the layer.
+    """
+    kept = {t for v in ids for t in holders[v]}
+    for grp in groups:
+        kept |= grp.subtree
+    nodes = sorted(kept)
+    local = {t: i for i, t in enumerate(nodes)}
+    bags: list[list[int]] = [[] for _ in nodes]
+    for i, v in enumerate(ids):
+        for t in holders[v]:
+            bags[local[t]].append(i)
+    edges = [(local[t], local[parent[t]]) for t in nodes if parent[t] in local]
+    tops = [local[t] for t in nodes if parent[t] not in local]
+    edges += zip(tops, tops[1:])
+    index = {v: i for i, v in enumerate(ids)}
+    local_groups = [
+        EdgeGroup(
+            nodes=frozenset(local[t] for t in grp.nodes),
+            subtree=frozenset(local[t] for t in grp.subtree),
+            pairs=frozenset((index[a], index[b]) for a, b in grp.pairs),
+        )
+        for grp in groups
+    ]
+    return TreeDecomposition(bags, edges), [depth[t] for t in nodes], local_groups
 
 
 def three_color(
@@ -238,12 +271,25 @@ def three_color(
         (3, (1, 3), constants.delta3, budget3),
     )
 
+    # Built once: each vertex's nodes in ascending order, and each node's
+    # depth and parent from the original root. Every layer's view keeps
+    # these original depths, so its bands match the whole tree's.
+    holders = td.holders()
+    depth = td.depths()
+    parent = [-1] * td.node_count
+    for a, b in td.edges:
+        if depth[a] < depth[b]:
+            parent[b] = a
+        else:
+            parent[a] = b
+
     coloring: dict[int, int] = {}
     # Monochromatic components of each colored layer, as original ids,
     # keyed by (layer index, final color).
     comps: dict[tuple[int, int], list[frozenset[int]]] = {}
-    # Original bags plus the endpoints each enlargement poured into them.
-    bags: list[set[int]] = [set(bag) for bag in td.bags]
+    # For each vertex an enlargement poured into bags, the group subtrees it
+    # was poured into (shared, not copied).
+    poured: dict[int, list[frozenset[int]]] = {}
     fake: dict[int, set[tuple[int, int]]] = {cls: set() for cls in (1, 2, 3)}
 
     for cls, palette, degree, budget in stages:
@@ -252,21 +298,24 @@ def three_color(
             if not verts:
                 continue
             sub, ids = g.induced(verts)
-            index = {old: new for new, old in enumerate(ids)}
-            sub_td = _restricted_td(td, verts, index)
             guards = [
                 comp
                 for lj in (li - 1, li + 1)
                 for color in palette
                 for comp in comps.get((lj, color), ())
             ]
-            groups = _groups_for_layer(g, td, bags, guards, verts, index)
+            groups = _groups_for_layer(g, td, holders, poured, guards, verts)
+            sub_td, sub_depth, local_groups = _layer_view(
+                td, holders, parent, depth, ids, groups
+            )
             stage = f"stage-{cls} layer {li}"
             try:
                 if groups:
-                    sub, sub_td = enlarge_decomposition(sub, sub_td, groups, budget)
+                    sub, sub_td = enlarge_decomposition(
+                        sub, sub_td, local_groups, budget
+                    )
                 colors, _ = two_color_bounded_treewidth(
-                    sub, sub_td, degree, cluster_factor
+                    sub, sub_td, degree, cluster_factor, sub_depth
                 )
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
@@ -279,10 +328,9 @@ def three_color(
                     frozenset(ids[v] for v in local_comp)
                 )
             for grp in groups:
-                ends = {ids[v] for pair in grp.pairs for v in pair}
-                fake[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
-                for t in grp.subtree:
-                    bags[t] |= ends
+                fake[cls].update(grp.pairs)
+                for v in {v for pair in grp.pairs for v in pair}:
+                    poured.setdefault(v, []).append(grp.subtree)
 
     report = monochromatic_components(g, coloring)
     if report.max_size > constants.g:

@@ -42,13 +42,17 @@ def two_color_bounded_treewidth(
     td: TreeDecomposition,
     delta: int,
     cluster_factor: int | None = None,
+    depth: list[int] | None = None,
 ) -> tuple[dict[int, int], int]:
     """Color ``g`` with colors {1, 2} so monochromatic components are small.
 
     Requires a valid decomposition of ``g`` and max degree at most ``delta``.
-    Returns (coloring, measured clustering); the measured value is checked
-    against cluster_bound(width, delta) and a violation raises
-    ClusteringBoundError instead of returning an unbounded coloring.
+    ``depth`` gives each node's depth to band by (default: ``td.depths()``);
+    a caller coloring a piece of a larger decomposition passes the depths
+    the nodes have there. Returns (coloring, measured clustering); the
+    measured value is checked against cluster_bound(width, delta) and a
+    violation raises ClusteringBoundError instead of returning an unbounded
+    coloring.
     """
     if g.max_degree() > delta:
         raise ValueError(
@@ -60,7 +64,12 @@ def two_color_bounded_treewidth(
     if g.n == 0:
         return {}, 0
 
-    depth = td.depths()
+    if depth is None:
+        depth = td.depths()
+    elif len(depth) != td.node_count:
+        raise ValueError(
+            f"{len(depth)} node depths given for {td.node_count} nodes"
+        )
     lo = [None] * g.n
     hi = [None] * g.n
     for t, bag in enumerate(td.bags):

@@ -84,6 +84,7 @@ def test_tree_decomposition_accessors():
     assert td.width() == 1
     assert td.node_neighbors(1) == (0, 2)
     assert td.nodes_containing(2) == (1, 2)
+    assert td.holders() == {0: [0], 1: [0, 1], 2: [1, 2]}
     assert td.is_tree()
     assert td.depths() == [0, 1, 2]
     assert TreeDecomposition([frozenset()]).width() == -1
@@ -165,3 +166,110 @@ def test_random_decompositions_validate():
     for _ in range(50):
         g, td = random_decomposition(rng)
         assert validate_tree_decomposition(g, td).ok
+
+
+def _reference_checks(g, td):
+    """The decomposition axioms stated by brute force, in the validator's
+    order and with its witnesses: the first stray (node, vertex), uncovered
+    vertex, uncovered edge in sorted order, and vertex whose nodes are
+    disconnected."""
+
+    def connected(nodes):
+        seen = {min(nodes)}
+        grew = True
+        while grew:
+            grew = False
+            for a, b in td.edges:
+                if a in nodes and b in nodes and (a in seen) != (b in seen):
+                    seen |= {a, b}
+                    grew = True
+        return seen == nodes
+
+    nodes = set(range(td.node_count))
+    tree = len(td.edges) == td.node_count - 1 and connected(nodes)
+    stray = next(
+        (
+            (t, v)
+            for t, bag in enumerate(td.bags)
+            for v in sorted(bag)
+            if not 0 <= v < g.n
+        ),
+        None,
+    )
+    missing = next(
+        (v for v in range(g.n) if not any(v in bag for bag in td.bags)), None
+    )
+    bad_edge = next(
+        (
+            (u, v)
+            for u, v in sorted(g.edges)
+            if not any(u in bag and v in bag for bag in td.bags)
+        ),
+        None,
+    )
+    bad_vertex = next(
+        (
+            v
+            for v in sorted(set().union(*td.bags))
+            if not connected({t for t in nodes if v in td.bags[t]})
+        ),
+        None,
+    )
+    return [
+        ("tree", tree, None),
+        ("bag-contents", stray is None, stray),
+        ("vertex-coverage", missing is None, missing),
+        ("edge-coverage", bad_edge is None, bad_edge),
+        ("connectivity", bad_vertex is None, bad_vertex),
+    ]
+
+
+def _drop_shared_bag(rng, g, bags, edges):
+    if g.edges:
+        u, v = rng.choice(sorted(g.edges))
+        drop = rng.choice((u, v))
+        for bag in bags:
+            if u in bag and v in bag:
+                bag.discard(drop)
+
+
+def _split_subtree(rng, g, bags, edges):
+    if g.n:
+        v = rng.randrange(g.n)
+        bags[rng.randrange(len(bags))].add(v)
+
+
+def _add_cycle_edge(rng, g, bags, edges):
+    if len(bags) >= 2:
+        edges.append(tuple(rng.sample(range(len(bags)), 2)))
+
+
+def _add_stray_vertex(rng, g, bags, edges):
+    bags[rng.randrange(len(bags))].add(rng.choice((-1, g.n, g.n + 3)))
+
+
+BREAKERS = {
+    "edge-coverage": _drop_shared_bag,
+    "connectivity": _split_subtree,
+    "tree": _add_cycle_edge,
+    "bag-contents": _add_stray_vertex,
+}
+
+
+def test_validator_matches_brute_force_on_broken_decompositions():
+    rng = random.Random(23)
+    caught = dict.fromkeys(BREAKERS, 0)
+    for _ in range(150):
+        g, td = random_decomposition(rng, max_nodes=12, max_bag=5)
+        for axiom, breaker in BREAKERS.items():
+            bags = [set(bag) for bag in td.bags]
+            edges = list(td.edges)
+            breaker(rng, g, bags, edges)
+            broken = TreeDecomposition(bags, edges, td.root)
+            got = [
+                (c.axiom, c.passed, c.witness)
+                for c in validate_tree_decomposition(g, broken).checks
+            ]
+            assert got == _reference_checks(g, broken)
+            caught[axiom] += not dict((a, p) for a, p, _ in got)[axiom]
+    assert all(caught.values()), caught

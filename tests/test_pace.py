@@ -54,6 +54,30 @@ def test_graph_parse_errors_carry_line_numbers():
     assert "self-loop" in str(err.value)
 
 
+def test_graph_rejects_edge_count_other_than_header():
+    with pytest.raises(PaceParseError) as err:
+        pace_to_graph("c lead\np tw 3 5\n1 2\n")
+    assert err.value.line == 2
+    assert "5 edges" in str(err.value)
+    with pytest.raises(PaceParseError) as err:
+        pace_to_graph("p tw 3 1\n1 2\n2 3\n")
+    assert err.value.line == 1
+
+
+def test_td_rejects_bag_id_never_given():
+    with pytest.raises(PaceParseError) as err:
+        pace_to_td("s td 3 2 3\nb 1 1 2\nb 3 2 3\n1 2\n2 3\n")
+    assert err.value.line == 1
+    assert "bag 2" in str(err.value)
+
+
+def test_td_rejects_width_other_than_largest_bag():
+    with pytest.raises(PaceParseError) as err:
+        pace_to_td("c lead\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    assert err.value.line == 2
+    assert "w+1 = 3" in str(err.value)
+
+
 def test_td_round_trip_preserves_empty_bags():
     td = TreeDecomposition(
         [frozenset({0, 1}), frozenset(), frozenset({1, 2})],

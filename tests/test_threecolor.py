@@ -11,6 +11,7 @@ from clustercolor import (
     LayeredTreeDecomposition,
     Layering,
     TreeDecomposition,
+    bfs_layering,
     compute_constants,
     gen_grid,
     gen_kst_instance,
@@ -190,8 +191,60 @@ def _permuted(g, ltd, delta, seed):
     return pg, LayeredTreeDecomposition(td, ly), delta
 
 
+def _rerooted(g, ltd, delta):
+    """The same decomposition rooted at its middle node."""
+    td = ltd.td
+    td = TreeDecomposition(td.bags, td.edges, td.node_count // 2)
+    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+
+
+def _branching(g, ltd, delta):
+    """Hang leaves off the nodes: every fourth node gets a leaf holding its
+    bag minus the smallest vertex, every ninth node from node 2 a leaf
+    holding the lower half of its bag, and one node an empty leaf."""
+    td = ltd.td
+    bags = list(td.bags)
+    edges = list(td.edges)
+    leaves = [(t, sorted(td.bags[t])[1:]) for t in range(0, td.node_count, 4)]
+    leaves += [
+        (t, sorted(td.bags[t])[: len(td.bags[t]) // 2])
+        for t in range(2, td.node_count, 9)
+    ]
+    leaves.append((td.node_count // 3, []))
+    for t, bag in leaves:
+        edges.append((t, len(bags)))
+        bags.append(frozenset(bag))
+    td = TreeDecomposition(bags, edges, td.root)
+    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+
+
+def _folded_path(n):
+    """A path layered by distance from its middle vertex: each layer's two
+    vertices sit at opposite ends of the path decomposition."""
+    g, ltd, delta = gen_path(n)
+    ly = bfs_layering(g, [n // 2])
+    return g, LayeredTreeDecomposition(ltd.td, ly), delta
+
+
+def _nodes_permuted(g, ltd, delta, seed):
+    """The same decomposition with its node ids shuffled by a seeded
+    permutation; the root moves with its node."""
+    td = ltd.td
+    perm = list(range(td.node_count))
+    random.Random(seed).shuffle(perm)
+    bags = [frozenset()] * td.node_count
+    for t, bag in enumerate(td.bags):
+        bags[perm[t]] = bag
+    edges = [(perm[a], perm[b]) for a, b in td.edges]
+    td = TreeDecomposition(bags, edges, perm[td.root])
+    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+
+
 # SHA-256 of the .coloring text, clustering, and fake-edge counts of stages
-# 2 and 3. Any change to a coloring shows up here.
+# 2 and 3. Any change to a coloring shows up here. The rerooted, branching,
+# node-permuted and folded shapes give the per-layer sparse views a root in
+# the middle, empty bags, node ids out of depth order, and restrictions
+# that are forests.
 GOLDEN = {
     "trigrid-20": (
         lambda: gen_grid(20, triangulated=True),
@@ -218,6 +271,28 @@ GOLDEN = {
         "d0f0283bfe07c56824a58dfe1d8fcfeb1918346075cba50e85de1d9e47a2bc70",
         1, 0, 0,
     ),
+    "rect-6x60-rerooted": (
+        lambda: _rerooted(*gen_rect_grid(6, 60)),
+        "de0da5c9224e30a47588390af1811251e760c1577438406d2e3c008ea4d50ac1",
+        12, 88, 227,
+    ),
+    "rect-6x60-branching": (
+        lambda: _branching(*_rerooted(*gen_rect_grid(6, 60))),
+        "afa9c96868adf5a61b24690ef7ca3a4191d45a309aac1f00b6d6381d3325905c",
+        12, 103, 207,
+    ),
+    "rect-6x60-nodes-permuted": (
+        lambda: _nodes_permuted(
+            *_branching(*_rerooted(*gen_rect_grid(6, 60))), seed=5
+        ),
+        "afa9c96868adf5a61b24690ef7ca3a4191d45a309aac1f00b6d6381d3325905c",
+        12, 103, 207,
+    ),
+    "path-200-folded": (
+        lambda: _folded_path(200),
+        "545afb15a9cef73319db6e6f43d0607c570c1bccc1485132c7a0045c246d8686",
+        2, 1, 0,
+    ),
     "trigrid-20-permuted": (
         lambda: _permuted(*gen_grid(20, triangulated=True), seed=7),
         "a467a15b7960e153104a7d7f3cf7ce2d4b955df02f07d3289af77742d17ec85d",
@@ -238,6 +313,26 @@ def test_three_color_golden_outputs(name):
     assert len(result.stage3_pairs) == stage3
     measured = monochromatic_components(g, result.coloring)
     assert result.per_color_max == measured.per_color_max
+
+
+def test_three_color_two_colors_sparse_layer_views(monkeypatch):
+    """Each layer is two-colored over its own sparse view, so the nodes
+    handed to the two-colorer in one call sum to at most twice the total bag
+    size; a whole tree per layer would give about n^2 on a path."""
+    from clustercolor import threecolor
+
+    node_counts = []
+    two_color = threecolor.two_color_bounded_treewidth
+
+    def counting(g, td, *args, **kwargs):
+        node_counts.append(td.node_count)
+        return two_color(g, td, *args, **kwargs)
+
+    monkeypatch.setattr(threecolor, "two_color_bounded_treewidth", counting)
+    g, ltd, delta = gen_path(2000)
+    three_color(g, ltd, delta)
+    assert len(node_counts) == 2000
+    assert sum(node_counts) <= 2 * sum(len(bag) for bag in ltd.td.bags)
 
 
 def test_three_color_refuses_spine_path_in_stage_one():
