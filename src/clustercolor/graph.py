@@ -48,6 +48,12 @@ class ValidationReport:
     def failures(self) -> tuple[AxiomCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
+    def require(self, error: type[Exception]) -> None:
+        """Raise ``error`` carrying the first failed check, if any failed."""
+        failures = self.failures()
+        if failures:
+            raise error(failures[0])
+
     def to_json(self) -> str:
         payload = [
             {"axiom": c.axiom, "pass": c.passed, "witness": _jsonable(c.witness)}
@@ -70,19 +76,22 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
+        add = seen.add
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add(_norm_edge(u, v))
+            add((u, v) if u < v else (v, u))
         adj = [[] for _ in range(n)]
         for u, v in seen:
             adj[u].append(v)
             adj[v].append(u)
+        for a in adj:
+            a.sort()
         self.n = n
         self._edges = frozenset(seen)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -311,39 +320,73 @@ class LayeredTreeDecomposition:
 
 
 def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
-    """Check the partition and consecutive-layer axioms of a layering."""
-    checks = []
+    """Check the partition and consecutive-layer axioms of a layering.
 
-    missing = next((v for v in g.vertices() if v not in ly._index), None)
-    stray = next((v for v in sorted(ly._index) if not 0 <= v < g.n), None)
+    Each witness is the smallest failing item (vertex, or edge as a sorted
+    pair): the checks scan in any order and keep the minimum failure.
+    """
+    checks = []
+    index = ly._index
+
+    missing = next((v for v in g.vertices() if v not in index), None)
+    stray = min((v for v in index if not 0 <= v < g.n), default=None)
     partition_ok = missing is None and stray is None
     checks.append(
         AxiomCheck("partition", partition_ok, missing if missing is not None else stray)
     )
 
-    bad_edge = None
-    for u, v in sorted(g.edges):
-        lu = ly._index.get(u)
-        lv = ly._index.get(v)
-        if lu is None or lv is None:
-            continue
-        if abs(lu - lv) > 1:
-            bad_edge = (u, v)
-            break
+    spanning = []
+    for edge in g.edges:
+        lu = index.get(edge[0])
+        lv = index.get(edge[1])
+        if lu is not None and lv is not None and abs(lu - lv) > 1:
+            spanning.append(edge)
+    bad_edge = min(spanning, default=None)
     checks.append(AxiomCheck("edge-span", bad_edge is None, bad_edge))
     return ValidationReport(tuple(checks))
 
 
-def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check tree shape, coverage, and connectivity axioms against ``g``."""
-    checks = []
-    checks.append(AxiomCheck("tree", td.is_tree(), None))
+def _connected_over(
+    nodes: list[int], edges: list[tuple[int, int]], forest: bool
+) -> bool:
+    """Whether ``edges`` (all between members of ``nodes``) connect ``nodes``.
 
+    When ``forest`` says the edges hold no cycle, counting them decides.
+    """
+    if len(edges) < len(nodes) - 1:
+        return False
+    if forest:
+        return True
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for u in adj.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(nodes)
+
+
+def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
+    """Check tree shape, coverage, and connectivity axioms against ``g``.
+
+    Each witness is the smallest failing item (node, vertex, or edge as a
+    sorted pair): the checks scan in any order and keep the minimum failure.
+    """
+    checks = []
+    tree = td.is_tree()
+    checks.append(AxiomCheck("tree", tree, None))
+
+    n = g.n
+    bags = td.bags
     stray = None
-    for t, bag in enumerate(td.bags):
-        bad = next((v for v in sorted(bag) if not 0 <= v < g.n), None)
-        if bad is not None:
-            stray = (t, bad)
+    for t, bag in enumerate(bags):
+        if bag and (min(bag) < 0 or max(bag) >= n):
+            stray = (t, min(v for v in bag if not 0 <= v < n))
             break
     checks.append(AxiomCheck("bag-contents", stray is None, stray))
 
@@ -353,34 +396,41 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationRe
 
     # An edge is covered when a bag holding the endpoint with fewer nodes
     # also holds the other endpoint.
-    bad_edge = None
-    for edge in sorted(g.edges):
+    uncovered = []
+    for edge in g.edges:
         u, v = edge
-        if len(holders.get(u, ())) > len(holders.get(v, ())):
-            u, v = v, u
-        if not any(v in td.bags[t] for t in holders.get(u, ())):
-            bad_edge = edge
-            break
+        hu = holders.get(u, ())
+        hv = holders.get(v, ())
+        if len(hu) > len(hv):
+            hu, v = hv, u
+        for t in hu:
+            if v in bags[t]:
+                break
+        else:
+            uncovered.append(edge)
+    bad_edge = min(uncovered, default=None)
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
-    # Each vertex's node set must induce a connected subtree.
-    bad_vertex = None
-    for v in sorted(holders):
-        nodes = holders[v]
-        if len(nodes) <= 1:
-            continue
-        node_set = set(nodes)
-        seen = {nodes[0]}
-        queue = deque([nodes[0]])
-        while queue:
-            t = queue.popleft()
-            for u in td.node_neighbors(t):
-                if u in node_set and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        if len(seen) != len(node_set):
-            bad_vertex = v
-            break
+    # Each vertex's node set must induce a connected subtree. Scanning the
+    # smaller bag of every tree edge finds, per vertex, the edges whose two
+    # bags both hold it; on a tree that costs O(sum of bag sizes), and a
+    # vertex's k nodes are connected exactly when k - 1 such edges hold it.
+    shared: dict[int, list[tuple[int, int]]] = {}
+    for a, b in td.edges:
+        small, large = bags[a], bags[b]
+        if len(small) > len(large):
+            small, large = large, small
+        for v in small:
+            if v in large:
+                shared.setdefault(v, []).append((a, b))
+    bad_vertex = min(
+        (
+            v
+            for v, nodes in holders.items()
+            if len(nodes) > 1 and not _connected_over(nodes, shared.get(v, []), tree)
+        ),
+        default=None,
+    )
     checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
     return ValidationReport(tuple(checks))
 
@@ -392,12 +442,8 @@ def layered_width(ltd: LayeredTreeDecomposition, g: Graph | None = None) -> int:
     input raises instead of producing a meaningless number.
     """
     if g is not None:
-        rep = validate_tree_decomposition(g, ltd.td)
-        if not rep.ok:
-            raise InvalidDecomposition(rep.failures()[0])
-        rep = validate_layering(g, ltd.layering)
-        if not rep.ok:
-            raise InvalidLayering(rep.failures()[0])
+        validate_tree_decomposition(g, ltd.td).require(InvalidDecomposition)
+        validate_layering(g, ltd.layering).require(InvalidLayering)
     return ltd.layered_width_raw()
 
 

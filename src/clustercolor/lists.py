@@ -251,9 +251,7 @@ def segment_local_clustering_check(
     segment of its color's level, this is equivalent to global clustering
     at most k; the equivalence is cross-checked on every call.
     """
-    rep = validate_layering(g, ly)
-    if not rep.ok:
-        raise InvalidLayering(rep.failures()[0])
+    validate_layering(g, ly).require(InvalidLayering)
     ok, witness = is_compatible(ly, lists, s)
     if not ok:
         raise ValueError(f"lists are not layer-compatible at vertex {witness}")

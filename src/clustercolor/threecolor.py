@@ -16,15 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClusteringBoundError, GroupBudgetError
-from .graph import Graph, Layering, LayeredTreeDecomposition, TreeDecomposition, layered_width
+from .errors import ClusteringBoundError, GroupBudgetError, InvalidDecomposition
+from .graph import (
+    Graph,
+    Layering,
+    LayeredTreeDecomposition,
+    TreeDecomposition,
+    layered_width,
+    validate_tree_decomposition,
+)
 from .twocolor import (
     DEFAULT_CLUSTER_FACTOR,
     EdgeGroup,
     GroupBudget,
+    band_two_color,
     cluster_bound,
     enlarge_decomposition,
-    two_color_bounded_treewidth,
 )
 from .verify import monochromatic_components
 
@@ -309,12 +316,19 @@ def three_color(
                 td, holders, parent, depth, ids, groups
             )
             stage = f"stage-{cls} layer {li}"
+            # Each layer's view is validated once: by the output check of
+            # its enlargement (every group carries pairs), or here when it
+            # has no groups.
             try:
                 if groups:
                     sub, sub_td = enlarge_decomposition(
                         sub, sub_td, local_groups, budget
                     )
-                colors, _ = two_color_bounded_treewidth(
+                else:
+                    validate_tree_decomposition(sub, sub_td).require(
+                        InvalidDecomposition
+                    )
+                colors, clusters = band_two_color(
                     sub, sub_td, degree, cluster_factor, sub_depth
                 )
             except GroupBudgetError as exc:
@@ -323,7 +337,7 @@ def three_color(
                 raise ClusteringBoundError(stage, exc.measured, exc.bound) from exc
             for local, color in colors.items():
                 coloring[ids[local]] = palette[color - 1]
-            for color, local_comp in monochromatic_components(sub, colors).components:
+            for color, local_comp in clusters.components:
                 comps.setdefault((li, palette[color - 1]), []).append(
                     frozenset(ids[v] for v in local_comp)
                 )

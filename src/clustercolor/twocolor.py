@@ -23,7 +23,7 @@ from .errors import (
     InvalidDecomposition,
 )
 from .graph import Graph, TreeDecomposition, validate_tree_decomposition
-from .verify import monochromatic_components
+from .verify import ClusterReport, monochromatic_components
 
 # Multiplier on (w+1)*delta in the guaranteed clustering bound. Kept as a
 # module constant so callers can see and override the slack applied on top
@@ -37,33 +37,27 @@ def cluster_bound(width: int, degree: int, cluster_factor: int | None = None) ->
     return cb * (max(width, 0) + 1) * max(degree, 1)
 
 
-def two_color_bounded_treewidth(
+def band_two_color(
     g: Graph,
     td: TreeDecomposition,
     delta: int,
     cluster_factor: int | None = None,
     depth: list[int] | None = None,
-) -> tuple[dict[int, int], int]:
-    """Color ``g`` with colors {1, 2} so monochromatic components are small.
+) -> tuple[dict[int, int], ClusterReport]:
+    """Band-color ``g`` with colors {1, 2} over ``td``, which the caller has
+    validated as a decomposition of ``g``.
 
-    Requires a valid decomposition of ``g`` and max degree at most ``delta``.
     ``depth`` gives each node's depth to band by (default: ``td.depths()``);
     a caller coloring a piece of a larger decomposition passes the depths
-    the nodes have there. Returns (coloring, measured clustering); the
-    measured value is checked against cluster_bound(width, delta) and a
-    violation raises ClusteringBoundError instead of returning an unbounded
-    coloring.
+    the nodes have there. Returns the coloring and its monochromatic
+    components; the largest is checked against cluster_bound(width, delta)
+    and a violation raises ClusteringBoundError instead of returning an
+    unbounded coloring.
     """
     if g.max_degree() > delta:
         raise ValueError(
             f"graph max degree {g.max_degree()} exceeds declared {delta}"
         )
-    report = validate_tree_decomposition(g, td)
-    if not report.ok:
-        raise InvalidDecomposition(report.failures()[0])
-    if g.n == 0:
-        return {}, 0
-
     if depth is None:
         depth = td.depths()
     elif len(depth) != td.node_count:
@@ -82,11 +76,30 @@ def two_color_bounded_treewidth(
     band_len = max((hi[v] - lo[v] + 1 for v in range(g.n)), default=1)
     coloring = {v: 1 + (lo[v] // band_len) % 2 for v in range(g.n)}
 
-    measured = monochromatic_components(g, coloring).max_size
+    report = monochromatic_components(g, coloring)
     bound = cluster_bound(td.width(), delta, cluster_factor)
-    if measured > bound:
-        raise ClusteringBoundError("two-color", measured, bound)
-    return coloring, measured
+    if report.max_size > bound:
+        raise ClusteringBoundError("two-color", report.max_size, bound)
+    return coloring, report
+
+
+def two_color_bounded_treewidth(
+    g: Graph,
+    td: TreeDecomposition,
+    delta: int,
+    cluster_factor: int | None = None,
+    depth: list[int] | None = None,
+) -> tuple[dict[int, int], int]:
+    """Color ``g`` with colors {1, 2} so monochromatic components are small.
+
+    Requires a valid decomposition of ``g`` (an invalid one raises
+    InvalidDecomposition) and max degree at most ``delta``; see
+    ``band_two_color`` for ``depth`` and the bound check. Returns
+    (coloring, measured clustering).
+    """
+    validate_tree_decomposition(g, td).require(InvalidDecomposition)
+    coloring, report = band_two_color(g, td, delta, cluster_factor, depth)
+    return coloring, report.max_size
 
 
 @dataclass(frozen=True)

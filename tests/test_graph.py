@@ -273,3 +273,164 @@ def test_validator_matches_brute_force_on_broken_decompositions():
             assert got == _reference_checks(g, broken)
             caught[axiom] += not dict((a, p) for a, p, _ in got)[axiom]
     assert all(caught.values()), caught
+
+
+def test_validator_witnesses_are_smallest_among_several_failures():
+    """Two to four breaks per decomposition, so an axiom can fail at several
+    items and the witness must be the smallest of them."""
+    rng = random.Random(31)
+    for _ in range(150):
+        g, td = random_decomposition(rng, max_nodes=12, max_bag=5)
+        bags = [set(bag) for bag in td.bags]
+        edges = list(td.edges)
+        for _ in range(rng.randint(2, 4)):
+            rng.choice(list(BREAKERS.values()))(rng, g, bags, edges)
+        broken = TreeDecomposition(bags, edges, td.root)
+        got = [
+            (c.axiom, c.passed, c.witness)
+            for c in validate_tree_decomposition(g, broken).checks
+        ]
+        assert got == _reference_checks(g, broken)
+
+
+def test_connectivity_on_a_cyclic_decomposition():
+    """Off a tree, counting the edges among a vertex's nodes does not decide
+    connectivity: vertex 0 sits on a triangle of nodes, which has as many
+    edges as its four nodes need, and on a node reached only through a
+    node that lacks it."""
+    g = Graph(2, [(0, 1)])
+    td = TreeDecomposition(
+        [{0, 1}, {0}, {0}, {1}, {0}], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
+    )
+    report = validate_tree_decomposition(g, td)
+    got = [(c.axiom, c.passed, c.witness) for c in report.checks]
+    assert got == _reference_checks(g, td)
+    assert [(c.axiom, c.witness) for c in report.failures()] == [
+        ("tree", None),
+        ("connectivity", 0),
+    ]
+
+
+def test_connectivity_check_is_linear_on_a_star(monkeypatch):
+    """A star decomposition (center bag {0..k-1}, leaf i holding {i}) costs a
+    neighbor scan of the whole center per vertex when each vertex's nodes
+    are searched through the tree's adjacency. Count the work instead of
+    timing it: tree neighbors returned plus bag elements visited must stay
+    linear in the total bag size."""
+    work = [0]
+
+    class CountingBag(frozenset):
+        def __contains__(self, v):
+            work[0] += 1
+            return frozenset.__contains__(self, v)
+
+        def __iter__(self):
+            for v in frozenset.__iter__(self):
+                work[0] += 1
+                yield v
+
+    node_neighbors = TreeDecomposition.node_neighbors
+
+    def counting(self, t):
+        found = node_neighbors(self, t)
+        work[0] += len(found)
+        return found
+
+    k = 1000
+    g = Graph(k, [(i, i + 1) for i in range(k - 1)])
+    td = TreeDecomposition(
+        [range(k)] + [[i] for i in range(k)], [(0, i + 1) for i in range(k)]
+    )
+    td.bags = tuple(CountingBag(bag) for bag in td.bags)
+    monkeypatch.setattr(TreeDecomposition, "node_neighbors", counting)
+    assert validate_tree_decomposition(g, td).ok
+    bag_sum = sum(len(bag) for bag in td.bags)
+    assert work[0] <= 8 * bag_sum
+
+
+def _reference_layering_checks(g, ly):
+    """The layering axioms stated directly, with the validator's witnesses:
+    the first uncovered vertex, else the first stray id, and the first
+    edge in sorted order whose endpoints lie two or more layers apart."""
+    layer_of = {v: i for i in range(1, ly.m + 1) for v in ly.layer(i)}
+    missing = next((v for v in range(g.n) if v not in layer_of), None)
+    stray = next((v for v in sorted(layer_of) if not 0 <= v < g.n), None)
+    bad_edge = next(
+        (
+            (u, v)
+            for u, v in sorted(g.edges)
+            if u in layer_of
+            and v in layer_of
+            and abs(layer_of[u] - layer_of[v]) > 1
+        ),
+        None,
+    )
+    return [
+        (
+            "partition",
+            missing is None and stray is None,
+            missing if missing is not None else stray,
+        ),
+        ("edge-span", bad_edge is None, bad_edge),
+    ]
+
+
+def _drop_vertex(rng, g, layers):
+    row = rng.choice([row for row in layers if row] or [[]])
+    if row:
+        row.remove(rng.choice(row))
+
+
+def _add_stray_id(rng, g, layers):
+    stray = rng.choice((-2, -1, g.n, g.n + 3))
+    row = rng.choice(layers)
+    if stray not in {v for row in layers for v in row}:
+        row.append(stray)
+
+
+def _stretch_edge(rng, g, layers):
+    if not g.edges:
+        return
+    u, v = rng.choice(sorted(g.edges))
+    home = next((i for i, row in enumerate(layers) if u in row), None)
+    for row in layers:
+        if v in row:
+            row.remove(v)
+    target = home + rng.choice((-3, -2, 2, 3)) if home is not None else 0
+    while target >= len(layers):
+        layers.append([])
+    if target < 0:
+        layers[:0] = [[] for _ in range(-target)]
+        target = 0
+    layers[target].append(v)
+
+
+LAYERING_BREAKERS = {
+    "partition": (_drop_vertex, _add_stray_id),
+    "edge-span": (_stretch_edge,),
+}
+
+
+def test_layering_validator_matches_reference_on_broken_layerings():
+    rng = random.Random(29)
+    caught = dict.fromkeys(LAYERING_BREAKERS, 0)
+    for _ in range(200):
+        g, _ = random_decomposition(rng, max_nodes=12, max_bag=5, edge_prob=0.7)
+        if not g.n:
+            continue
+        ly = bfs_layering(g, [rng.randrange(g.n)])
+        layers = [list(row) for row in ly.layers]
+        # One to three breaks, so several items can fail at once and the
+        # witness must be the smallest of them.
+        for _ in range(rng.randint(1, 3)):
+            breakers = rng.choice(list(LAYERING_BREAKERS.values()))
+            rng.choice(breakers)(rng, g, layers)
+        broken = Layering(layers)
+        got = [
+            (c.axiom, c.passed, c.witness)
+            for c in validate_layering(g, broken).checks
+        ]
+        assert got == _reference_layering_checks(g, broken)
+        for axiom, passed, _ in got:
+            caught[axiom] += not passed
+    assert all(count >= 20 for count in caught.values()), caught

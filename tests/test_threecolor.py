@@ -322,17 +322,50 @@ def test_three_color_two_colors_sparse_layer_views(monkeypatch):
     from clustercolor import threecolor
 
     node_counts = []
-    two_color = threecolor.two_color_bounded_treewidth
+    two_color = threecolor.band_two_color
 
     def counting(g, td, *args, **kwargs):
         node_counts.append(td.node_count)
         return two_color(g, td, *args, **kwargs)
 
-    monkeypatch.setattr(threecolor, "two_color_bounded_treewidth", counting)
+    monkeypatch.setattr(threecolor, "band_two_color", counting)
     g, ltd, delta = gen_path(2000)
     three_color(g, ltd, delta)
     assert len(node_counts) == 2000
     assert sum(node_counts) <= 2 * sum(len(bag) for bag in ltd.td.bags)
+
+
+def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
+    """One validation of the input, then one per nonempty layer's view
+    (enlarged or not); one component pass per layer plus the final check."""
+    from clustercolor import graph, threecolor, twocolor
+
+    calls = {"validate": 0, "components": 0, "enlarge": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    validate = counted("validate", graph.validate_tree_decomposition)
+    components = counted("components", threecolor.monochromatic_components)
+    for module in (graph, twocolor, threecolor):
+        monkeypatch.setattr(module, "validate_tree_decomposition", validate)
+    for module in (twocolor, threecolor):
+        monkeypatch.setattr(module, "monochromatic_components", components)
+    monkeypatch.setattr(
+        threecolor,
+        "enlarge_decomposition",
+        counted("enlarge", threecolor.enlarge_decomposition),
+    )
+    g, ltd, delta = gen_grid(20, triangulated=True)
+    three_color(g, ltd, delta)
+    nonempty = sum(1 for layer in ltd.layering.layers if layer)
+    assert calls["enlarge"] > 0
+    assert calls["validate"] == 1 + nonempty
+    assert calls["components"] == nonempty + 1
 
 
 def test_three_color_refuses_spine_path_in_stage_one():
