@@ -335,13 +335,11 @@ def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
         AxiomCheck("partition", partition_ok, missing if missing is not None else stray)
     )
 
-    spanning = []
-    for edge in g.edges:
-        lu = index.get(edge[0])
-        lv = index.get(edge[1])
-        if lu is not None and lv is not None and abs(lu - lv) > 1:
-            spanning.append(edge)
-    bad_edge = min(spanning, default=None)
+    def spans(u, v):
+        lu, lv = index.get(u), index.get(v)
+        return lu is not None and lv is not None and abs(lu - lv) > 1
+
+    bad_edge = min((e for e in g.edges if spans(*e)), default=None)
     checks.append(AxiomCheck("edge-span", bad_edge is None, bad_edge))
     return ValidationReport(tuple(checks))
 
@@ -352,6 +350,8 @@ def _connected_over(
     """Whether ``edges`` (all between members of ``nodes``) connect ``nodes``.
 
     When ``forest`` says the edges hold no cycle, counting them decides.
+    That covers every valid decomposition and costs far less than the
+    search, which only a decomposition that is not a tree needs.
     """
     if len(edges) < len(nodes) - 1:
         return False
@@ -396,25 +396,24 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationRe
 
     # An edge is covered when a bag holding the endpoint with fewer nodes
     # also holds the other endpoint.
-    uncovered = []
-    for edge in g.edges:
-        u, v = edge
-        hu = holders.get(u, ())
-        hv = holders.get(v, ())
+    def covered(u, v):
+        hu, hv = holders.get(u, ()), holders.get(v, ())
         if len(hu) > len(hv):
             hu, v = hv, u
         for t in hu:
             if v in bags[t]:
-                break
-        else:
-            uncovered.append(edge)
-    bad_edge = min(uncovered, default=None)
+                return True
+        return False
+
+    bad_edge = min((e for e in g.edges if not covered(*e)), default=None)
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
     # Each vertex's node set must induce a connected subtree. Scanning the
     # smaller bag of every tree edge finds, per vertex, the edges whose two
-    # bags both hold it; on a tree that costs O(sum of bag sizes), and a
-    # vertex's k nodes are connected exactly when k - 1 such edges hold it.
+    # bags both hold it. The lists hold at most sum-of-bag-sizes entries in
+    # all, so deciding every vertex over its own list costs
+    # O(sum of bag sizes + nodes); on a tree a vertex's k nodes are
+    # connected exactly when k - 1 such edges hold it.
     shared: dict[int, list[tuple[int, int]]] = {}
     for a, b in td.edges:
         small, large = bags[a], bags[b]

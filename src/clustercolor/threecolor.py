@@ -317,10 +317,10 @@ def three_color(
             )
             stage = f"stage-{cls} layer {li}"
             # Each layer's view is validated once: by the output check of
-            # its enlargement (every group carries pairs), or here when it
-            # has no groups.
+            # its enlargement when some group carries pairs, or here when
+            # there is nothing to enlarge.
             try:
-                if groups:
+                if any(grp.pairs for grp in local_groups):
                     sub, sub_td = enlarge_decomposition(
                         sub, sub_td, local_groups, budget
                     )

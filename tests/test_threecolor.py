@@ -6,6 +6,7 @@ import pytest
 
 from clustercolor import (
     ClusteringBoundError,
+    EdgeGroup,
     Graph,
     InvalidDecomposition,
     LayeredTreeDecomposition,
@@ -366,6 +367,37 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     assert calls["enlarge"] > 0
     assert calls["validate"] == 1 + nonempty
     assert calls["components"] == nonempty + 1
+
+
+def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
+    """A group without pairs enlarges nothing, so the layer it lands on must
+    have its view validated directly rather than left to an enlargement
+    that returns its input unchecked."""
+    from clustercolor import graph, threecolor, twocolor
+
+    g, ltd, delta = gen_grid(20, triangulated=True)
+    expected = three_color(g, ltd, delta).coloring
+    calls = [0]
+    validate_once = graph.validate_tree_decomposition
+
+    def validate(*args):
+        calls[0] += 1
+        return validate_once(*args)
+
+    for module in (graph, twocolor, threecolor):
+        monkeypatch.setattr(module, "validate_tree_decomposition", validate)
+    groups_for_layer = threecolor._groups_for_layer
+
+    def with_idle_group(g, td, holders, poured, guards, target):
+        nodes = frozenset(holders[min(target)][:1])
+        idle = EdgeGroup(nodes=nodes, subtree=nodes, pairs=frozenset())
+        return groups_for_layer(g, td, holders, poured, guards, target) + [idle]
+
+    monkeypatch.setattr(threecolor, "_groups_for_layer", with_idle_group)
+    result = three_color(g, ltd, delta)
+    nonempty = sum(1 for layer in ltd.layering.layers if layer)
+    assert calls[0] == 1 + nonempty
+    assert result.coloring == expected
 
 
 def test_three_color_refuses_spine_path_in_stage_one():
