@@ -25,7 +25,7 @@ from .errors import GroupBudgetError, PaceParseError
 from .generators import add_apex, gen_grid, gen_kst_instance, gen_path
 from .graph import LayeredTreeDecomposition, TreeDecomposition
 from .threecolor import three_color
-from .verify import check_list_coloring, monochromatic_components
+from .verify import check_list_coloring, edge_components
 
 GEN_FAMILIES = ("grid", "trigrid", "kst", "apexed-grid", "path")
 COLOR_FAMILIES = ("grid", "trigrid", "kst", "path")
@@ -231,18 +231,18 @@ def _read_lists(path: str, n: int) -> dict[int, frozenset[int]]:
 
 
 def cmd_verify(args) -> int:
-    g = pace.read_graph(args.gr)
-    coloring = _read_coloring(args.coloring, g.n)
-    report = monochromatic_components(g, coloring)
+    n, edges = pace.read_edges(args.gr)
+    coloring = _read_coloring(args.coloring, n)
+    report = edge_components(n, edges, coloring)
     clustering_ok = report.max_size <= args.k
     lists_ok = True
     list_witness = None
     if args.lists:
-        lists = _read_lists(args.lists, g.n)
+        lists = _read_lists(args.lists, n)
         lists_ok, list_witness = check_list_coloring(coloring, lists)
     detail = {
         "command": "verify",
-        "vertices": g.n,
+        "vertices": n,
         "clustering": report.max_size,
         "k": args.k,
         "clustering_ok": clustering_ok,

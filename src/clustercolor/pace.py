@@ -22,47 +22,60 @@ def graph_to_pace(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pace_to_graph(text: str) -> Graph:
-    """Parse a ``p tw n m`` graph; the number of edge lines must be m."""
-    n = None
-    m = None
-    header_line = 1
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse a ``p tw n m`` graph into n and its 0-based edge lines, in file
+    order; the number of edge lines must be m."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "tw":
-                raise PaceParseError("expected header 'p tw <n> <m>'", lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise PaceParseError("non-integer counts in header", lineno) from None
-            if n < 0 or m < 0:
-                raise PaceParseError("negative counts in header", lineno)
-            header_line = lineno
-            continue
-        if len(fields) != 2:
-            raise PaceParseError("expected edge line '<u> <v>'", lineno)
+        if len(fields) != 4 or fields[0] != "p" or fields[1] != "tw":
+            raise PaceParseError("expected header 'p tw <n> <m>'", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            n, m = int(fields[2]), int(fields[3])
         except ValueError:
+            raise PaceParseError("non-integer counts in header", lineno) from None
+        if n < 0 or m < 0:
+            raise PaceParseError("negative counts in header", lineno)
+        header_line = lineno
+        break
+    else:
+        raise PaceParseError("missing 'p tw' header", 1)
+    edges: list[tuple[int, int]] = []
+    append = edges.append
+    # A blank or comment line is told apart only when a line fails to parse
+    # as an edge: a first field starting with "c" is never an integer.
+    for lineno, raw in lines:
+        fields = raw.split()
+        if len(fields) != 2:
+            if not fields or fields[0][0] == "c":
+                continue
+            raise PaceParseError("expected edge line '<u> <v>'", lineno)
+        a, b = fields
+        try:
+            u, v = int(a), int(b)
+        except ValueError:
+            if a[0] == "c":
+                continue
             raise PaceParseError("non-integer edge endpoint", lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
+        # Both endpoints in 1..n.
+        if not 0 < u <= n >= v > 0:
             raise PaceParseError(f"edge endpoint out of range 1..{n}", lineno)
         if u == v:
             raise PaceParseError("self-loop", lineno)
-        edges.append((u - 1, v - 1))
-    if n is None:
-        raise PaceParseError("missing 'p tw' header", 1)
+        append((u - 1, v - 1))
     if len(edges) != m:
         raise PaceParseError(
             f"header declares {m} edges but {len(edges)} edge lines follow",
             header_line,
         )
-    return Graph(n, edges)
+    return n, edges
+
+
+def pace_to_graph(text: str) -> Graph:
+    """Parse a ``p tw n m`` graph; the number of edge lines must be m."""
+    return Graph(*pace_to_edges(text))
 
 
 def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
@@ -172,7 +185,14 @@ def text_to_layering(text: str) -> Layering:
     try:
         return Layering(rows)
     except ValueError as exc:
-        raise PaceParseError(str(exc), len(rows)) from None
+        # A vertex repeats; Layering names the later of its two layers, which
+        # is the first line to repeat a vertex, since layer i is line i.
+        seen: set[int] = set()
+        for lineno, row in enumerate(rows, start=1):
+            if not seen.isdisjoint(row):
+                break
+            seen.update(row)
+        raise PaceParseError(str(exc), lineno) from None
 
 
 def _read(path: str | os.PathLike) -> str:
@@ -187,6 +207,10 @@ def _write(path: str | os.PathLike, text: str) -> None:
 
 def read_graph(path: str | os.PathLike) -> Graph:
     return pace_to_graph(_read(path))
+
+
+def read_edges(path: str | os.PathLike) -> tuple[int, list[tuple[int, int]]]:
+    return pace_to_edges(_read(path))
 
 
 def write_graph(g: Graph, path: str | os.PathLike) -> None:

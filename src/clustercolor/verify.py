@@ -4,6 +4,7 @@ exhaustive two-coloring path oracle on small triangulated grids."""
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -11,29 +12,6 @@ from .graph import Graph
 
 DEFAULT_PATH_BUDGET = 10_000_000
 ORACLE_MAX_SIZE = 4
-
-
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass
@@ -57,30 +35,58 @@ class ClusterReport:
         return json.dumps(payload, indent=2)
 
 
-def monochromatic_components(g: Graph, coloring: dict[int, int]) -> ClusterReport:
-    """Partition the vertex set into maximal connected same-color pieces.
+def edge_components(
+    n: int, edges: Iterable[tuple[int, int]], coloring: Mapping[int, int]
+) -> ClusterReport:
+    """Partition the vertices 0..n-1 into maximal connected same-color pieces.
 
-    The coloring must assign a color to every vertex of ``g``.
+    ``edges`` may repeat an edge or give it in either orientation; the
+    coloring must assign a color to every vertex. A root always links under
+    the smaller root, so every root is the smallest vertex of its set and
+    parents point to smaller vertices; one ascending scan then yields the
+    components by smallest vertex, each with its vertices in ascending order.
     """
-    for v in g.vertices():
-        if v not in coloring:
-            raise ValueError(f"coloring missing vertex {v}")
-    ds = _DisjointSets(g.n)
-    for u, v in g.edges:
-        if coloring[u] == coloring[v]:
-            ds.union(u, v)
+    try:
+        color = [coloring[v] for v in range(n)]
+    except KeyError as exc:
+        raise ValueError(f"coloring missing vertex {exc.args[0]}") from None
+    parent = list(range(n))
+    for u, v in edges:
+        if color[u] != color[v]:
+            continue
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    # Scanning upward, the parent of v is smaller and already points at its
+    # root, so one lookup finds v's root.
     groups: dict[int, list[int]] = {}
-    for v in g.vertices():
-        groups.setdefault(ds.find(v), []).append(v)
-    components = sorted(
-        (coloring[min(verts)], tuple(sorted(verts))) for verts in groups.values()
-    )
-    components.sort(key=lambda item: item[1][0])
-    max_size = max((len(verts) for _, verts in components), default=0)
+    for v in range(n):
+        root = parent[v] = parent[parent[v]]
+        if root == v:
+            groups[v] = [v]
+        else:
+            groups[root].append(v)
+    components = []
+    max_size = 0
     per_color: dict[int, int] = {}
-    for color, verts in components:
-        per_color[color] = max(per_color.get(color, 0), len(verts))
+    for root, verts in groups.items():
+        c, size = color[root], len(verts)
+        components.append((c, tuple(verts)))
+        if size > max_size:
+            max_size = size
+        if size > per_color.get(c, 0):
+            per_color[c] = size
     return ClusterReport(tuple(components), max_size, per_color)
+
+
+def monochromatic_components(g: Graph, coloring: dict[int, int]) -> ClusterReport:
+    """``edge_components`` of ``g``'s vertices and edges."""
+    return edge_components(g.n, g.edges, coloring)
 
 
 def check_list_coloring(

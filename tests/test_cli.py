@@ -11,6 +11,7 @@ from clustercolor import (
     Graph,
     GroupBudgetError,
     LayeredTreeDecomposition,
+    PaceParseError,
     gen_grid,
     layered_width,
     monochromatic_components,
@@ -245,6 +246,46 @@ def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
     assert run("0 1\n0 2\n1 1\n") == 2
     assert run("0 1\n7 1\n") == 2
     assert capsys.readouterr().err.count("error:") == 5
+
+
+def test_verify_rejects_malformed_graph_files_like_read_graph(tmp_path, capsys):
+    coloring = tmp_path / "c.coloring"
+    coloring.write_text("0 1\n1 2\n2 1\n")
+    malformed = {
+        "header": "p td 3 2\n1 2\n2 3\n",
+        "endpoint": "p tw 3 2\n1 2\n2 x\n",
+        "range": "c lead\np tw 3 2\n1 2\n2 4\n",
+        "loop": "p tw 3 2\n1 2\n3 3\n",
+        "count": "p tw 3 3\n1 2\n\n2 3\n",
+    }
+    for name, text in malformed.items():
+        gr = tmp_path / f"{name}.gr"
+        gr.write_text(text)
+        with pytest.raises(PaceParseError) as err:
+            pace.read_graph(gr)
+        argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "3"]
+        assert main(argv) == 2, name
+        assert capsys.readouterr().err == f"error: {err.value}\n", name
+
+
+def test_verify_ignores_duplicate_edge_lines(tmp_path, capsys):
+    coloring = tmp_path / "c.coloring"
+    coloring.write_text("0 1\n1 1\n2 2\n3 1\n")
+    lists = tmp_path / "c.lists"
+    lists.write_text("0 1\n1 1 2\n2 2\n3 1 3\n")
+    details = []
+    for name, text in (
+        ("plain", "p tw 4 2\n1 2\n2 3\n"),
+        ("repeated", "p tw 4 4\n1 2\n2 3\n2 1\n1 2\n"),
+    ):
+        gr = tmp_path / f"{name}.gr"
+        gr.write_text(text)
+        argv = ["verify", "--gr", str(gr), "--coloring", str(coloring),
+                "--lists", str(lists), "--k", "2"]
+        assert main(argv) == 0, name
+        details.append(json.loads(capsys.readouterr().out))
+    assert details[0] == details[1]
+    assert details[0]["clustering"] == 2 and details[0]["lists_ok"]
 
 
 def test_unknown_family_is_an_argparse_error(tmp_path):

@@ -6,6 +6,7 @@ from clustercolor import Graph, Layering, PaceParseError, TreeDecomposition
 from clustercolor.pace import (
     graph_to_pace,
     layering_to_text,
+    pace_to_edges,
     pace_to_graph,
     pace_to_td,
     read_graph,
@@ -32,9 +33,11 @@ def test_graph_text_shape():
 
 
 def test_graph_parses_comments_and_blanks():
-    g = pace_to_graph("c comment\n\np tw 3 2\n1 2\nc mid\n2 3\n")
+    text = "c comment\n\np tw 3 2\n1 2\nc mid\n  \nc 1\n2 3\n"
+    g = pace_to_graph(text)
     assert g.n == 3
     assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert pace_to_edges(text) == (3, [(0, 1), (1, 2)])
 
 
 def test_graph_parse_errors_carry_line_numbers():
@@ -121,6 +124,18 @@ def test_layering_parse_errors():
     assert err.value.line == 2
     with pytest.raises(PaceParseError):
         text_to_layering("1 2\n2\n")
+
+
+def test_layering_repeat_names_the_line_of_the_later_layer():
+    with pytest.raises(PaceParseError) as err:
+        text_to_layering("1 2\n2 3\n4\n5\n6\n")
+    assert err.value.line == 2
+    assert "layers 1 and 2" in str(err.value)
+    # Empty lines are layers too, so they count towards the line number.
+    with pytest.raises(PaceParseError) as err:
+        text_to_layering("1\n\n2\n1\n\n3\n")
+    assert err.value.line == 4
+    assert "layers 1 and 4" in str(err.value)
 
 
 def test_file_io_round_trip(tmp_path):

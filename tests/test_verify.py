@@ -7,6 +7,7 @@ from clustercolor import (
     BudgetExceeded,
     Graph,
     check_list_coloring,
+    edge_components,
     longest_monochromatic_path,
     monochromatic_components,
     trigrid_path_oracle,
@@ -49,6 +50,66 @@ def test_components_require_total_coloring():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
         monochromatic_components(g, {0: 1})
+
+
+def test_missing_vertex_message_names_the_smallest():
+    coloring = {0: 1, 2: 1, 4: 2}
+    for run in (
+        lambda: edge_components(6, [(0, 5)], coloring),
+        lambda: monochromatic_components(Graph(6, [(0, 5)]), coloring),
+    ):
+        with pytest.raises(ValueError, match=r"^coloring missing vertex 1$"):
+            run()
+
+
+def bfs_components(n, edges, coloring):
+    """Reference: breadth-first search from each unvisited vertex in order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        piece, queue = [start], [start]
+        for v in queue:
+            for u in adj[v]:
+                if not seen[u] and coloring[u] == coloring[v]:
+                    seen[u] = True
+                    piece.append(u)
+                    queue.append(u)
+        components.append((coloring[start], tuple(sorted(piece))))
+    per_color = {}
+    for color, verts in components:
+        per_color[color] = max(per_color.get(color, 0), len(verts))
+    max_size = max((len(verts) for _, verts in components), default=0)
+    return tuple(components), max_size, per_color
+
+
+def test_edge_components_match_the_graph_wrapper_and_a_bfs():
+    rng = random.Random(29)
+    for trial in range(300):
+        n = 0 if trial < 3 else rng.randint(1, 40)
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if u != v:
+                edges.append((u, v))
+        # Repeat some edges, in both orientations.
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+        edges += rng.sample(edges, len(edges) // 4)
+        rng.shuffle(edges)
+        palette = rng.choice([(1, 2, 3), (0, 7), (-1, 4, 5, 9), ("a", "b")])
+        coloring = {v: rng.choice(palette) for v in range(n)}
+        report = edge_components(n, edges, coloring)
+        assert report == monochromatic_components(Graph(n, edges), coloring)
+        components, max_size, per_color = bfs_components(n, edges, coloring)
+        assert report.components == components
+        assert report.max_size == max_size
+        assert report.per_color_max == per_color
 
 
 def test_refining_colors_never_grows_components():
