@@ -3,8 +3,9 @@
 Subcommands: ``gen`` writes graph/decomposition/layering files for the
 built-in instance families, ``color3`` runs the clustered 3-coloring and
 emits a JSON report plus a coloring file, ``bench`` times the pipeline
-over a size sweep into a CSV table, and ``verify`` independently rechecks
-a coloring file against a clustering limit and optional lists.
+over a size sweep into a CSV table (a JSON array with ``--format json``),
+and ``verify`` independently rechecks a coloring file against a clustering
+limit and optional lists.
 
 Coloring files hold one ``vertex color`` pair per line and list files one
 ``vertex color...`` row per vertex, both with the library's 0-based ids;
@@ -168,14 +169,18 @@ def cmd_bench(args) -> int:
                 "size": size,
                 "clustering": result.clustering,
                 "bound": result.constants.g,
-                "runtime": f"{elapsed:.3f}",
+                "runtime": round(elapsed, 3),
             }
         )
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=["size", "clustering", "bound", "runtime"])
-        writer.writeheader()
-        writer.writerows(rows)
+        if args.format == "json":
+            json.dump(rows, out, indent=2)
+            out.write("\n")
+        else:
+            writer = csv.DictWriter(out, fieldnames=["size", "clustering", "bound", "runtime"])
+            writer.writeheader()
+            writer.writerows(rows)
     finally:
         if args.out:
             out.close()
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--s", type=int, default=2)
     p_bench.add_argument("--t", type=int, default=3)
     p_bench.add_argument("--cluster-factor", type=int)
-    p_bench.add_argument("--out", help="CSV path (default stdout)")
+    p_bench.add_argument("--out", help="output path (default stdout)")
     common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

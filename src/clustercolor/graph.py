@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidDecomposition, InvalidLayering
 
@@ -28,8 +29,7 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """Outcome of a single structural axiom check."""
 
     axiom: str
@@ -50,9 +50,9 @@ class ValidationReport:
 
     def require(self, error: type[Exception]) -> None:
         """Raise ``error`` carrying the first failed check, if any failed."""
-        failures = self.failures()
-        if failures:
-            raise error(failures[0])
+        for c in self.checks:
+            if not c.passed:
+                raise error(c)
 
     def to_json(self) -> str:
         payload = [
@@ -258,9 +258,6 @@ class TreeDecomposition:
                     queue.append(u)
         return len(seen) == nn
 
-    def nodes_containing(self, v: int) -> tuple[int, ...]:
-        return tuple(t for t, bag in enumerate(self.bags) if v in bag)
-
     def holders(self) -> dict[int, list[int]]:
         """Every vertex in some bag, mapped to its nodes in ascending order."""
         holders: dict[int, list[int]] = {}
@@ -371,41 +368,90 @@ def _connected_over(
     return len(seen) == len(nodes)
 
 
-def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check tree shape, coverage, and connectivity axioms against ``g``.
+@dataclass(frozen=True)
+class DecompositionReport(ValidationReport):
+    """A decomposition's validation report together with the index its
+    checks built: each vertex's nodes in ascending order, and each node's
+    depth and parent (-1 for the root and for nodes it cannot reach) in a
+    breadth-first search from the root."""
 
-    Each witness is the smallest failing item (node, vertex, or edge as a
-    sorted pair): the checks scan in any order and keep the minimum failure.
+    holders: dict[int, list[int]] = field(compare=False, repr=False)
+    depth: list[int] = field(compare=False, repr=False)
+    parent: list[int] = field(compare=False, repr=False)
+
+
+def check_decomposition(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    bags: Sequence[AbstractSet[int]],
+    tree_edges: Collection[tuple[int, int]],
+    root: int = 0,
+) -> DecompositionReport:
+    """Check tree shape, coverage, and connectivity axioms of a decomposition
+    given as plain lists: the graph on 0..n-1 by its distinct edges (u, v)
+    with u < v, one bag per node, and the tree by its distinct node pairs
+    (no self-loops, both ends below ``len(bags)``, which is at least 1).
+
+    Each witness is the smallest failing item (node, vertex, or edge): the
+    checks scan in any order and keep the minimum failure.
     """
     checks = []
-    tree = td.is_tree()
+    nn = len(bags)
+    tree_adj: list[list[int]] = [[] for _ in range(nn)]
+    for a, b in tree_edges:
+        tree_adj[a].append(b)
+        tree_adj[b].append(a)
+    depth = [-1] * nn
+    parent = [-1] * nn
+    depth[root] = 0
+    queue = [root]
+    for t in queue:
+        below = depth[t] + 1
+        for u in tree_adj[t]:
+            if depth[u] < 0:
+                depth[u] = below
+                parent[u] = t
+                queue.append(u)
+    tree = len(tree_edges) == nn - 1 and len(queue) == nn
     checks.append(AxiomCheck("tree", tree, None))
 
-    n = g.n
-    bags = td.bags
-    stray = None
+    holders: dict[int, list[int]] = {}
     for t, bag in enumerate(bags):
-        if bag and (min(bag) < 0 or max(bag) >= n):
-            stray = (t, min(v for v in bag if not 0 <= v < n))
-            break
+        for v in bag:
+            if v in holders:
+                holders[v].append(t)
+            else:
+                holders[v] = [t]
+    stray = None
+    if holders and (min(holders) < 0 or max(holders) >= n):
+        for t, bag in enumerate(bags):
+            if bag and (min(bag) < 0 or max(bag) >= n):
+                stray = (t, min(v for v in bag if not 0 <= v < n))
+                break
     checks.append(AxiomCheck("bag-contents", stray is None, stray))
 
-    holders = td.holders()
-    missing = next((v for v in g.vertices() if v not in holders), None)
+    # With no stray vertex, every vertex is covered when n of them are.
+    missing = (
+        None
+        if stray is None and len(holders) == n
+        else next((v for v in range(n) if v not in holders), None)
+    )
     checks.append(AxiomCheck("vertex-coverage", missing is None, missing))
 
     # An edge is covered when a bag holding the endpoint with fewer nodes
     # also holds the other endpoint.
-    def covered(u, v):
+    bad_edge = None
+    for edge in edges:
+        u, v = edge
         hu, hv = holders.get(u, ()), holders.get(v, ())
         if len(hu) > len(hv):
             hu, v = hv, u
         for t in hu:
             if v in bags[t]:
-                return True
-        return False
-
-    bad_edge = min((e for e in g.edges if not covered(*e)), default=None)
+                break
+        else:
+            if bad_edge is None or edge < bad_edge:
+                bad_edge = edge
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
     # Each vertex's node set must induce a connected subtree. Scanning the
@@ -415,23 +461,29 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationRe
     # O(sum of bag sizes + nodes); on a tree a vertex's k nodes are
     # connected exactly when k - 1 such edges hold it.
     shared: dict[int, list[tuple[int, int]]] = {}
-    for a, b in td.edges:
+    for a, b in tree_edges:
         small, large = bags[a], bags[b]
         if len(small) > len(large):
             small, large = large, small
         for v in small:
             if v in large:
                 shared.setdefault(v, []).append((a, b))
-    bad_vertex = min(
-        (
-            v
-            for v, nodes in holders.items()
-            if len(nodes) > 1 and not _connected_over(nodes, shared.get(v, []), tree)
-        ),
-        default=None,
-    )
+    bad_vertex = None
+    for v, nodes in holders.items():
+        if (
+            len(nodes) > 1
+            and (bad_vertex is None or v < bad_vertex)
+            and not _connected_over(nodes, shared.get(v, []), tree)
+        ):
+            bad_vertex = v
     checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
-    return ValidationReport(tuple(checks))
+    return DecompositionReport(tuple(checks), holders, depth, parent)
+
+
+def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionReport:
+    """``check_decomposition`` of ``g``'s edges and ``td``'s bags and tree,
+    searched from ``td.root``."""
+    return check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
 
 
 def layered_width(ltd: LayeredTreeDecomposition, g: Graph | None = None) -> int:

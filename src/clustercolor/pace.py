@@ -184,15 +184,20 @@ def text_to_layering(text: str) -> Layering:
         rows.append(tuple(v - 1 for v in verts))
     try:
         return Layering(rows)
-    except ValueError as exc:
-        # A vertex repeats; Layering names the later of its two layers, which
-        # is the first line to repeat a vertex, since layer i is line i.
-        seen: set[int] = set()
+    except ValueError:
+        # A vertex repeats. Name the first line to repeat one (layer i is
+        # line i) and the smallest vertex it repeats, by its id in the file.
+        first: dict[int, int] = {}
         for lineno, row in enumerate(rows, start=1):
-            if not seen.isdisjoint(row):
-                break
-            seen.update(row)
-        raise PaceParseError(str(exc), lineno) from None
+            again = [v for v in row if v in first]
+            if again:
+                v = min(again)
+                raise PaceParseError(
+                    f"vertex {v + 1} appears in layers {first[v]} and {lineno}",
+                    lineno,
+                ) from None
+            first.update(dict.fromkeys(row, lineno))
+        raise
 
 
 def _read(path: str | os.PathLike) -> str:

@@ -16,22 +16,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClusteringBoundError, GroupBudgetError, InvalidDecomposition
+from .errors import (
+    ClusteringBoundError,
+    GroupBudgetError,
+    InvalidDecomposition,
+    InvalidLayering,
+)
 from .graph import (
     Graph,
     Layering,
     LayeredTreeDecomposition,
     TreeDecomposition,
+    check_decomposition,
     layered_width,
+    validate_layering,
     validate_tree_decomposition,
 )
 from .twocolor import (
     DEFAULT_CLUSTER_FACTOR,
     EdgeGroup,
     GroupBudget,
-    band_two_color,
+    band_color,
     cluster_bound,
-    enlarge_decomposition,
+    enlarge_lists,
 )
 from .verify import monochromatic_components
 
@@ -137,23 +144,20 @@ def _cover_nodes(
     g: Graph,
 ) -> frozenset[int]:
     """Greedy node cover of the edges between a component and its target-layer
-    neighbors: scan edges in sorted order, take the smallest node whose bag
-    holds both ends, skip edges already covered."""
+    neighbors: scan edges in sorted order, skip an edge that a chosen bag
+    already holds, else take the smallest node whose bag holds both ends."""
     edges = sorted(
         (min(c, u), max(c, u))
         for c in comp
         for u in g.neighbors(c)
         if u in nbrs
     )
-    cover: set[int] = set()
-    covered: set[tuple[int, int]] = set()
+    bags = td.bags
+    cover: list[int] = []
     for a, b in edges:
-        if (a, b) in covered:
+        if any(a in bags[t] and b in bags[t] for t in cover):
             continue
-        node = next(t for t in holders[a] if b in td.bags[t])
-        cover.add(node)
-        bag = td.bags[node]
-        covered.update(e for e in edges if e[0] in bag and e[1] in bag)
+        cover.append(next(t for t in holders[a] if b in bags[t]))
     return frozenset(cover)
 
 
@@ -190,37 +194,56 @@ def _groups_for_layer(
 
 
 def _layer_view(
-    td: TreeDecomposition,
+    g: Graph,
     holders: dict[int, list[int]],
     parent: list[int],
     depth: list[int],
     ids: tuple[int, ...],
     groups: list[EdgeGroup],
-) -> tuple[TreeDecomposition, list[int], list[EdgeGroup]]:
-    """The layer's sparse sub-decomposition, the original depths of its
-    nodes, and the groups in its local ids.
+) -> tuple[
+    list[tuple[int, int]],
+    list[set[int]],
+    list[tuple[int, int]],
+    list[int],
+    list[EdgeGroup],
+]:
+    """The layer and its sparse sub-decomposition as plain lists in local
+    ids: the layer's edges, the view's bags and tree edges, the original
+    depths of its nodes, and the groups.
 
-    It keeps the nodes that hold a layer vertex and the nodes of every
-    group subtree, in ascending original id, with the layer's vertices
-    (local ids = positions in ``ids``) as bags and the original tree edges
+    Local vertex ids are positions in ``ids``, the layer's sorted vertices.
+    The view keeps the nodes that hold a layer vertex and the nodes of every
+    group subtree, in ascending original id, with the original tree edges
     among them. Every vertex's node set, original and poured, is kept whole
     and is connected, so chaining the forest's component tops (kept nodes
     whose parent is not kept) in ascending order yields a valid
     decomposition of the layer.
     """
+    index = {v: i for i, v in enumerate(ids)}
+    edges = [
+        (i, index[u])
+        for i, v in enumerate(ids)
+        for u in g.neighbors(v)
+        if u > v and u in index
+    ]
     kept = {t for v in ids for t in holders[v]}
     for grp in groups:
         kept |= grp.subtree
     nodes = sorted(kept)
     local = {t: i for i, t in enumerate(nodes)}
-    bags: list[list[int]] = [[] for _ in nodes]
+    bags: list[set[int]] = [set() for _ in nodes]
     for i, v in enumerate(ids):
         for t in holders[v]:
-            bags[local[t]].append(i)
-    edges = [(local[t], local[parent[t]]) for t in nodes if parent[t] in local]
-    tops = [local[t] for t in nodes if parent[t] not in local]
-    edges += zip(tops, tops[1:])
-    index = {v: i for i, v in enumerate(ids)}
+            bags[local[t]].add(i)
+    tree_edges: list[tuple[int, int]] = []
+    tops: list[int] = []
+    for i, t in enumerate(nodes):
+        up = local.get(parent[t])
+        if up is None:
+            tops.append(i)
+        else:
+            tree_edges.append((i, up))
+    tree_edges += zip(tops, tops[1:])
     local_groups = [
         EdgeGroup(
             nodes=frozenset(local[t] for t in grp.nodes),
@@ -229,7 +252,7 @@ def _layer_view(
         )
         for grp in groups
     ]
-    return TreeDecomposition(bags, edges), [depth[t] for t in nodes], local_groups
+    return edges, bags, tree_edges, [depth[t] for t in nodes], local_groups
 
 
 def three_color(
@@ -248,7 +271,17 @@ def three_color(
     and layer; the final clustering is measured and checked before
     returning.
     """
-    measured_width = layered_width(ltd, g)
+    ly = ltd.layering
+    td = ltd.td
+    # The whole input is validated once; the index that check builds (each
+    # vertex's nodes, each node's depth and parent from the root) serves
+    # every layer. The views keep these original depths, so their bands
+    # match the whole tree's.
+    checked = validate_tree_decomposition(g, td)
+    checked.require(InvalidDecomposition)
+    validate_layering(g, ly).require(InvalidLayering)
+    measured_width = layered_width(ltd)
+    holders, depth, parent = checked.holders, checked.depth, checked.parent
     if g.max_degree() > delta:
         raise ValueError(
             f"graph degree {g.max_degree()} exceeds declared bound {delta}"
@@ -256,8 +289,6 @@ def three_color(
     w_eff = max(1, measured_width, width or 0)
     d_eff = max(1, delta)
     constants = compute_constants(w_eff, d_eff, cluster_factor)
-    ly = ltd.layering
-    td = ltd.td
     split = split_layer_classes(ly)
     budget2 = GroupBudget(
         max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
@@ -278,18 +309,6 @@ def three_color(
         (3, (1, 3), constants.delta3, budget3),
     )
 
-    # Built once: each vertex's nodes in ascending order, and each node's
-    # depth and parent from the original root. Every layer's view keeps
-    # these original depths, so its bands match the whole tree's.
-    holders = td.holders()
-    depth = td.depths()
-    parent = [-1] * td.node_count
-    for a, b in td.edges:
-        if depth[a] < depth[b]:
-            parent[b] = a
-        else:
-            parent[a] = b
-
     coloring: dict[int, int] = {}
     # Monochromatic components of each colored layer, as original ids,
     # keyed by (layer index, final color).
@@ -301,42 +320,44 @@ def three_color(
 
     for cls, palette, degree, budget in stages:
         for li in range(cls, ly.m + 1, 3):
-            verts = frozenset(ly.layer(li))
-            if not verts:
+            ids = ly.layer(li)
+            if not ids:
                 continue
-            sub, ids = g.induced(verts)
             guards = [
                 comp
                 for lj in (li - 1, li + 1)
                 for color in palette
                 for comp in comps.get((lj, color), ())
             ]
-            groups = _groups_for_layer(g, td, holders, poured, guards, verts)
-            sub_td, sub_depth, local_groups = _layer_view(
-                td, holders, parent, depth, ids, groups
+            groups = _groups_for_layer(
+                g, td, holders, poured, guards, frozenset(ids)
             )
+            edges, bags, tree_edges, view_depth, local_groups = _layer_view(
+                g, holders, parent, depth, ids, groups
+            )
+            n = len(ids)
             stage = f"stage-{cls} layer {li}"
             # Each layer's view is validated once: by the output check of
             # its enlargement when some group carries pairs, or here when
             # there is nothing to enlarge.
             try:
                 if any(grp.pairs for grp in local_groups):
-                    sub, sub_td = enlarge_decomposition(
-                        sub, sub_td, local_groups, budget
+                    edges, bags = enlarge_lists(
+                        n, edges, bags, tree_edges, local_groups, budget
                     )
                 else:
-                    validate_tree_decomposition(sub, sub_td).require(
+                    check_decomposition(n, edges, bags, tree_edges).require(
                         InvalidDecomposition
                     )
-                colors, clusters = band_two_color(
-                    sub, sub_td, degree, cluster_factor, sub_depth
+                colors, clusters = band_color(
+                    n, edges, bags, view_depth, degree, cluster_factor
                 )
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
             except ClusteringBoundError as exc:
                 raise ClusteringBoundError(stage, exc.measured, exc.bound) from exc
-            for local, color in colors.items():
-                coloring[ids[local]] = palette[color - 1]
+            for v, color in zip(ids, colors):
+                coloring[v] = palette[color - 1]
             for color, local_comp in clusters.components:
                 comps.setdefault((li, palette[color - 1]), []).append(
                     frozenset(ids[v] for v in local_comp)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable
+from operator import sub
+from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 
 from .errors import (
     ClusteringBoundError,
@@ -22,8 +23,13 @@ from .errors import (
     InternalInvariantError,
     InvalidDecomposition,
 )
-from .graph import Graph, TreeDecomposition, validate_tree_decomposition
-from .verify import ClusterReport, monochromatic_components
+from .graph import (
+    Graph,
+    TreeDecomposition,
+    check_decomposition,
+    validate_tree_decomposition,
+)
+from .verify import ClusterReport, edge_components
 
 # Multiplier on (w+1)*delta in the guaranteed clustering bound. Kept as a
 # module constant so callers can see and override the slack applied on top
@@ -37,6 +43,54 @@ def cluster_bound(width: int, degree: int, cluster_factor: int | None = None) ->
     return cb * (max(width, 0) + 1) * max(degree, 1)
 
 
+def _max_degree(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Largest degree of the graph on 0..n-1 with these distinct edges."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return max(degree, default=0)
+
+
+def band_color(
+    n: int,
+    edges: Collection[tuple[int, int]],
+    bags: Sequence[AbstractSet[int]],
+    depth: Sequence[int],
+    delta: int,
+    cluster_factor: int | None = None,
+) -> tuple[list[int], ClusterReport]:
+    """Band-color the graph on 0..n-1 with these distinct edges using colors
+    {1, 2}, over a decomposition with these bags that the caller has
+    validated; ``depth`` gives each node's depth to band by.
+
+    Returns each vertex's color and the monochromatic components; the largest is
+    checked against cluster_bound(width, delta) and a violation raises
+    ClusteringBoundError instead of returning an unbounded coloring.
+    """
+    degree = _max_degree(n, edges)
+    if degree > delta:
+        raise ValueError(f"graph max degree {degree} exceeds declared {delta}")
+    lo = [None] * n
+    hi = [None] * n
+    for t, bag in enumerate(bags):
+        d = depth[t]
+        for v in bag:
+            if lo[v] is None or d < lo[v]:
+                lo[v] = d
+            if hi[v] is None or d > hi[v]:
+                hi[v] = d
+    band_len = max(map(sub, hi, lo), default=0) + 1
+    coloring = [1 + (d // band_len) % 2 for d in lo]
+
+    report = edge_components(n, edges, coloring)
+    width = max(map(len, bags), default=0) - 1
+    bound = cluster_bound(width, delta, cluster_factor)
+    if report.max_size > bound:
+        raise ClusteringBoundError("two-color", report.max_size, bound)
+    return coloring, report
+
+
 def band_two_color(
     g: Graph,
     td: TreeDecomposition,
@@ -44,43 +98,21 @@ def band_two_color(
     cluster_factor: int | None = None,
     depth: list[int] | None = None,
 ) -> tuple[dict[int, int], ClusterReport]:
-    """Band-color ``g`` with colors {1, 2} over ``td``, which the caller has
-    validated as a decomposition of ``g``.
+    """``band_color`` of ``g`` over ``td``, which the caller has validated as
+    a decomposition of ``g``.
 
     ``depth`` gives each node's depth to band by (default: ``td.depths()``);
     a caller coloring a piece of a larger decomposition passes the depths
-    the nodes have there. Returns the coloring and its monochromatic
-    components; the largest is checked against cluster_bound(width, delta)
-    and a violation raises ClusteringBoundError instead of returning an
-    unbounded coloring.
+    the nodes have there.
     """
-    if g.max_degree() > delta:
-        raise ValueError(
-            f"graph max degree {g.max_degree()} exceeds declared {delta}"
-        )
     if depth is None:
         depth = td.depths()
     elif len(depth) != td.node_count:
         raise ValueError(
             f"{len(depth)} node depths given for {td.node_count} nodes"
         )
-    lo = [None] * g.n
-    hi = [None] * g.n
-    for t, bag in enumerate(td.bags):
-        d = depth[t]
-        for v in bag:
-            if lo[v] is None or d < lo[v]:
-                lo[v] = d
-            if hi[v] is None or d > hi[v]:
-                hi[v] = d
-    band_len = max((hi[v] - lo[v] + 1 for v in range(g.n)), default=1)
-    coloring = {v: 1 + (lo[v] // band_len) % 2 for v in range(g.n)}
-
-    report = monochromatic_components(g, coloring)
-    bound = cluster_bound(td.width(), delta, cluster_factor)
-    if report.max_size > bound:
-        raise ClusteringBoundError("two-color", report.max_size, bound)
-    return coloring, report
+    colors, report = band_color(g.n, g.edges, td.bags, depth, delta, cluster_factor)
+    return dict(enumerate(colors)), report
 
 
 def two_color_bounded_treewidth(
@@ -126,7 +158,7 @@ class GroupBudget:
     max_groups_per_node: int
 
 
-def _connected_in_tree(td: TreeDecomposition, nodes: frozenset[int]) -> bool:
+def _connected_in_tree(tree_adj: list[list[int]], nodes: frozenset[int]) -> bool:
     if not nodes:
         return False
     start = min(nodes)
@@ -134,28 +166,38 @@ def _connected_in_tree(td: TreeDecomposition, nodes: frozenset[int]) -> bool:
     queue = deque([start])
     while queue:
         t = queue.popleft()
-        for u in td.node_neighbors(t):
+        for u in tree_adj[t]:
             if u in nodes and u not in seen:
                 seen.add(u)
                 queue.append(u)
     return len(seen) == len(nodes)
 
 
-def enlarge_decomposition(
-    g: Graph,
-    td: TreeDecomposition,
-    groups: Iterable[EdgeGroup],
+def enlarge_lists(
+    n: int,
+    edges: Collection[tuple[int, int]],
+    bags: Sequence[AbstractSet[int]],
+    tree_edges: Collection[tuple[int, int]],
+    groups: Sequence[EdgeGroup],
     budget: GroupBudget,
-) -> tuple[Graph, TreeDecomposition]:
-    """Add the groups' pairs as edges and widen the decomposition to match.
+) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]]]:
+    """Add the groups' pairs as edges and widen the decomposition to match,
+    over plain lists: the graph on 0..n-1 by its distinct edges (u, v) with
+    u < v, one bag per node, and the tree by its node pairs.
 
     Every group's endpoints are poured into each bag of its subtree, which
     preserves all decomposition axioms. Under the budget (k pairs per group,
     d pair uses per vertex, h group subtrees per node) the width grows by at
-    most 2*h*k and the max degree by at most d; both are re-checked on the
-    output. Budget violations raise GroupBudgetError naming the field.
+    most 2*h*k and the max degree by at most d; the output is validated and
+    both bounds are re-checked on it. Budget violations raise
+    GroupBudgetError naming the field. Returns the new edges and bags; when
+    no group carries pairs, the input's, unchecked.
     """
-    groups = list(groups)
+    nn = len(bags)
+    tree_adj: list[list[int]] = [[] for _ in range(nn)]
+    for a, b in tree_edges:
+        tree_adj[a].append(b)
+        tree_adj[b].append(a)
     use_count: dict[int, int] = {}
     cover_count: dict[int, int] = {}
     for idx, group in enumerate(groups):
@@ -171,19 +213,19 @@ def enlarge_decomposition(
                 "group-structure", f"group {idx} cover nodes must lie in its subtree"
             )
         for t in group.subtree:
-            if not 0 <= t < td.node_count:
+            if not 0 <= t < nn:
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} node {t} out of range"
                 )
-        if not _connected_in_tree(td, group.subtree):
+        if not _connected_in_tree(tree_adj, group.subtree):
             raise GroupBudgetError(
                 "group-structure", f"group {idx} subtree is not connected"
             )
         allowed = set()
         for t in group.nodes:
-            allowed |= td.bags[t]
+            allowed |= bags[t]
         for u, v in group.pairs:
-            if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+            if u == v or not (0 <= u < n and 0 <= v < n):
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} has invalid pair ({u}, {v})"
                 )
@@ -210,26 +252,43 @@ def enlarge_decomposition(
 
     live = [grp for grp in groups if grp.pairs]
     if not live:
-        return g, td
+        return edges, bags
 
-    all_pairs = [pair for grp in live for pair in grp.pairs]
-    g2 = g.with_edges(all_pairs)
-    new_bags = [set(bag) for bag in td.bags]
+    new_edges = set(edges)
+    new_bags = list(bags)
     for grp in live:
+        new_edges.update((u, v) if u < v else (v, u) for u, v in grp.pairs)
         endpoints = {v for pair in grp.pairs for v in pair}
         for t in grp.subtree:
-            new_bags[t] |= endpoints
-    td2 = TreeDecomposition(new_bags, td.edges, td.root)
+            new_bags[t] = new_bags[t] | endpoints
+    new_edges = list(new_edges)
 
-    report = validate_tree_decomposition(g2, td2)
+    report = check_decomposition(n, new_edges, new_bags, tree_edges)
     if not report.ok:
         raise InternalInvariantError(
             f"enlarged decomposition invalid: {report.failures()[0]}"
         )
     h = budget.max_groups_per_node
     k = budget.max_pairs_per_group
-    if td2.width() > td.width() + 2 * h * k:
+    width = max(len(bag) for bag in bags) - 1
+    if max(len(bag) for bag in new_bags) - 1 > width + 2 * h * k:
         raise InternalInvariantError("enlarged width exceeds w + 2hk")
-    if g2.max_degree() > g.max_degree() + budget.max_pair_uses_per_vertex:
+    if _max_degree(n, new_edges) > _max_degree(n, edges) + budget.max_pair_uses_per_vertex:
         raise InternalInvariantError("enlarged degree exceeds delta + d")
-    return g2, td2
+    return new_edges, new_bags
+
+
+def enlarge_decomposition(
+    g: Graph,
+    td: TreeDecomposition,
+    groups: Iterable[EdgeGroup],
+    budget: GroupBudget,
+) -> tuple[Graph, TreeDecomposition]:
+    """``enlarge_lists`` of ``g`` and ``td``, as a new graph and
+    decomposition; when no group carries pairs, ``g`` and ``td`` themselves.
+    """
+    groups = list(groups)
+    edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, groups, budget)
+    if not any(grp.pairs for grp in groups):
+        return g, td
+    return Graph(g.n, edges), TreeDecomposition(bags, td.edges, td.root)

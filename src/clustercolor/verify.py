@@ -4,7 +4,7 @@ exhaustive two-coloring path oracle on small triangulated grids."""
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -36,12 +36,15 @@ class ClusterReport:
 
 
 def edge_components(
-    n: int, edges: Iterable[tuple[int, int]], coloring: Mapping[int, int]
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    coloring: Mapping[int, int] | Sequence[int],
 ) -> ClusterReport:
     """Partition the vertices 0..n-1 into maximal connected same-color pieces.
 
     ``edges`` may repeat an edge or give it in either orientation; the
-    coloring must assign a color to every vertex. A root always links under
+    coloring, a mapping or a list indexed by vertex, must assign a color to
+    every vertex. A root always links under
     the smaller root, so every root is the smallest vertex of its set and
     parents point to smaller vertices; one ascending scan then yields the
     components by smallest vertex, each with its vertices in ascending order.

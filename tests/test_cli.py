@@ -205,6 +205,19 @@ def test_bench_defaults_to_stdout(capsys):
     assert out.splitlines()[0] == "size,clustering,bound,runtime"
 
 
+def test_bench_json_format_prints_the_rows_as_a_json_array(capsys):
+    code = main(
+        ["bench", "--family", "path", "--sizes", "5,9", "--format", "json"]
+    )
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["size"] for row in rows] == [5, 9]
+    for row in rows:
+        assert set(row) == {"size", "clustering", "bound", "runtime"}
+        assert row["clustering"] <= row["bound"]
+        assert row["runtime"] >= 0.0
+
+
 def test_verify_exit_codes_and_detail(tmp_path, capsys):
     gr = tmp_path / "p3.gr"
     pace.write_graph(Graph(3, [(0, 1), (1, 2)]), gr)

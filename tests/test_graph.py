@@ -83,7 +83,6 @@ def test_tree_decomposition_accessors():
     assert td.node_count == 3
     assert td.width() == 1
     assert td.node_neighbors(1) == (0, 2)
-    assert td.nodes_containing(2) == (1, 2)
     assert td.holders() == {0: [0], 1: [0, 1], 2: [1, 2]}
     assert td.is_tree()
     assert td.depths() == [0, 1, 2]

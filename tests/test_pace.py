@@ -131,11 +131,15 @@ def test_layering_repeat_names_the_line_of_the_later_layer():
         text_to_layering("1 2\n2 3\n4\n5\n6\n")
     assert err.value.line == 2
     assert "layers 1 and 2" in str(err.value)
+    # The repeated vertex is named by its 1-based id in the file.
+    with pytest.raises(PaceParseError) as err:
+        text_to_layering("1 2\n2 3\n")
+    assert str(err.value) == "line 2: vertex 2 appears in layers 1 and 2"
     # Empty lines are layers too, so they count towards the line number.
     with pytest.raises(PaceParseError) as err:
         text_to_layering("1\n\n2\n1\n\n3\n")
     assert err.value.line == 4
-    assert "layers 1 and 4" in str(err.value)
+    assert str(err.value) == "line 4: vertex 1 appears in layers 1 and 4"
 
 
 def test_file_io_round_trip(tmp_path):

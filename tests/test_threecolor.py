@@ -8,6 +8,7 @@ from clustercolor import (
     ClusteringBoundError,
     EdgeGroup,
     Graph,
+    GroupBudgetError,
     InvalidDecomposition,
     LayeredTreeDecomposition,
     Layering,
@@ -323,13 +324,13 @@ def test_three_color_two_colors_sparse_layer_views(monkeypatch):
     from clustercolor import threecolor
 
     node_counts = []
-    two_color = threecolor.band_two_color
+    band_color = threecolor.band_color
 
-    def counting(g, td, *args, **kwargs):
-        node_counts.append(td.node_count)
-        return two_color(g, td, *args, **kwargs)
+    def counting(n, edges, bags, *args, **kwargs):
+        node_counts.append(len(bags))
+        return band_color(n, edges, bags, *args, **kwargs)
 
-    monkeypatch.setattr(threecolor, "band_two_color", counting)
+    monkeypatch.setattr(threecolor, "band_color", counting)
     g, ltd, delta = gen_path(2000)
     three_color(g, ltd, delta)
     assert len(node_counts) == 2000
@@ -338,10 +339,11 @@ def test_three_color_two_colors_sparse_layer_views(monkeypatch):
 
 def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     """One validation of the input, then one per nonempty layer's view
-    (enlarged or not); one component pass per layer plus the final check."""
-    from clustercolor import graph, threecolor, twocolor
+    (enlarged or not); one component pass per layer plus the final check;
+    and no Graph or TreeDecomposition built along the way."""
+    from clustercolor import graph, threecolor, twocolor, verify
 
-    calls = {"validate": 0, "components": 0, "enlarge": 0}
+    calls = {"validate": 0, "components": 0, "enlarge": 0, "objects": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -350,23 +352,24 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
 
         return wrapper
 
-    validate = counted("validate", graph.validate_tree_decomposition)
-    components = counted("components", threecolor.monochromatic_components)
-    for module in (graph, twocolor, threecolor):
-        monkeypatch.setattr(module, "validate_tree_decomposition", validate)
-    for module in (twocolor, threecolor):
-        monkeypatch.setattr(module, "monochromatic_components", components)
-    monkeypatch.setattr(
-        threecolor,
-        "enlarge_decomposition",
-        counted("enlarge", threecolor.enlarge_decomposition),
-    )
     g, ltd, delta = gen_grid(20, triangulated=True)
+    validate = counted("validate", graph.check_decomposition)
+    components = counted("components", verify.edge_components)
+    for module in (graph, twocolor, threecolor):
+        monkeypatch.setattr(module, "check_decomposition", validate)
+    for module in (verify, twocolor):
+        monkeypatch.setattr(module, "edge_components", components)
+    monkeypatch.setattr(
+        threecolor, "enlarge_lists", counted("enlarge", threecolor.enlarge_lists)
+    )
+    for cls in (graph.Graph, graph.TreeDecomposition):
+        monkeypatch.setattr(cls, "__init__", counted("objects", cls.__init__))
     three_color(g, ltd, delta)
     nonempty = sum(1 for layer in ltd.layering.layers if layer)
     assert calls["enlarge"] > 0
     assert calls["validate"] == 1 + nonempty
     assert calls["components"] == nonempty + 1
+    assert calls["objects"] == 0
 
 
 def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
@@ -378,14 +381,14 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
     g, ltd, delta = gen_grid(20, triangulated=True)
     expected = three_color(g, ltd, delta).coloring
     calls = [0]
-    validate_once = graph.validate_tree_decomposition
+    check_once = graph.check_decomposition
 
     def validate(*args):
         calls[0] += 1
-        return validate_once(*args)
+        return check_once(*args)
 
     for module in (graph, twocolor, threecolor):
-        monkeypatch.setattr(module, "validate_tree_decomposition", validate)
+        monkeypatch.setattr(module, "check_decomposition", validate)
     groups_for_layer = threecolor._groups_for_layer
 
     def with_idle_group(g, td, holders, poured, guards, target):
@@ -398,6 +401,38 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
     nonempty = sum(1 for layer in ltd.layering.layers if layer)
     assert calls[0] == 1 + nonempty
     assert result.coloring == expected
+
+
+def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
+    """An over-budget group on a stage-2 layer stops the run with the
+    violated budget field and the stage and layer in the message."""
+    from clustercolor import threecolor
+
+    g, ltd, delta = gen_grid(6, triangulated=True)
+    ly = ltd.layering
+    groups_for_layer = threecolor._groups_for_layer
+    hit = []
+
+    def over_budget(g, td, holders, poured, guards, target):
+        groups = groups_for_layer(g, td, holders, poured, guards, target)
+        li = ly.layer_of(min(target))
+        if li % 3 != 2 or hit:
+            return groups
+        # One more group on the same node than a stage-2 budget allows:
+        # w + 1 = 3 subtrees per node, so four copies of a valid group.
+        t = next(t for t, bag in enumerate(td.bags) if len(bag & target) >= 2)
+        a, b = sorted(td.bags[t] & target)[:2]
+        node = frozenset({t})
+        extra = EdgeGroup(nodes=node, subtree=node, pairs=frozenset({(a, b)}))
+        hit.append(li)
+        return groups + [extra] * 4
+
+    monkeypatch.setattr(threecolor, "_groups_for_layer", over_budget)
+    with pytest.raises(GroupBudgetError) as err:
+        three_color(g, ltd, delta)
+    assert hit == [2]
+    assert err.value.budget == "max_groups_per_node"
+    assert str(err.value).startswith("max_groups_per_node: stage-2 layer 2: ")
 
 
 def test_three_color_refuses_spine_path_in_stage_one():
