@@ -178,7 +178,9 @@ def cmd_bench(args) -> int:
             json.dump(rows, out, indent=2)
             out.write("\n")
         else:
-            writer = csv.DictWriter(out, fieldnames=["size", "clustering", "bound", "runtime"])
+            writer = csv.DictWriter(
+                out, fieldnames=["size", "clustering", "bound", "runtime"]
+            )
             writer.writeheader()
             writer.writerows(rows)
     finally:

@@ -12,10 +12,10 @@ operation fails loudly when it does not hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
-from operator import sub
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
+from dataclasses import dataclass
+from operator import sub
 
 from .errors import (
     ClusteringBoundError,
@@ -64,9 +64,9 @@ def band_color(
     {1, 2}, over a decomposition with these bags that the caller has
     validated; ``depth`` gives each node's depth to band by.
 
-    Returns each vertex's color and the monochromatic components; the largest is
-    checked against cluster_bound(width, delta) and a violation raises
-    ClusteringBoundError instead of returning an unbounded coloring.
+    Returns each vertex's color and the monochromatic components; the
+    largest is checked against cluster_bound(width, delta) and a violation
+    raises ClusteringBoundError instead of returning an unbounded coloring.
     """
     degree = _max_degree(n, edges)
     if degree > delta:
@@ -261,7 +261,6 @@ def enlarge_lists(
         endpoints = {v for pair in grp.pairs for v in pair}
         for t in grp.subtree:
             new_bags[t] = new_bags[t] | endpoints
-    new_edges = list(new_edges)
 
     report = check_decomposition(n, new_edges, new_bags, tree_edges)
     if not report.ok:
@@ -270,10 +269,10 @@ def enlarge_lists(
         )
     h = budget.max_groups_per_node
     k = budget.max_pairs_per_group
-    width = max(len(bag) for bag in bags) - 1
-    if max(len(bag) for bag in new_bags) - 1 > width + 2 * h * k:
+    if max(map(len, new_bags)) > max(map(len, bags)) + 2 * h * k:
         raise InternalInvariantError("enlarged width exceeds w + 2hk")
-    if _max_degree(n, new_edges) > _max_degree(n, edges) + budget.max_pair_uses_per_vertex:
+    d = budget.max_pair_uses_per_vertex
+    if _max_degree(n, new_edges) > _max_degree(n, edges) + d:
         raise InternalInvariantError("enlarged degree exceeds delta + d")
     return new_edges, new_bags
 
