@@ -196,6 +196,38 @@ class Layering:
         return f"Layering(m={self.m}, n={len(self._index)})"
 
 
+def _holders(bags: Iterable[Iterable[int]]) -> dict[int, list[int]]:
+    """Every vertex in some bag, mapped to its nodes in ascending order."""
+    holders: dict[int, list[int]] = {}
+    for t, bag in enumerate(bags):
+        for v in bag:
+            if v in holders:
+                holders[v].append(t)
+            else:
+                holders[v] = [t]
+    return holders
+
+
+def _search(
+    adj: Sequence[Sequence[int]], root: int
+) -> tuple[list[int], list[int], int]:
+    """Breadth-first search over nodes 0..len(adj)-1 from ``root``: each
+    node's depth and parent (-1 for the root and for nodes it cannot reach),
+    and the number of nodes reached."""
+    depth = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    depth[root] = 0
+    queue = [root]
+    for t in queue:
+        below = depth[t] + 1
+        for u in adj[t]:
+            if depth[u] < 0:
+                depth[u] = below
+                parent[u] = t
+                queue.append(u)
+    return depth, parent, len(queue)
+
+
 class TreeDecomposition:
     """Tree of bags over a host graph's vertices.
 
@@ -246,39 +278,15 @@ class TreeDecomposition:
 
     def is_tree(self) -> bool:
         nn = self.node_count
-        if len(self.edges) != nn - 1:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            t = queue.popleft()
-            for u in self._adj[t]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == nn
+        return len(self.edges) == nn - 1 and _search(self._adj, 0)[2] == nn
 
     def holders(self) -> dict[int, list[int]]:
         """Every vertex in some bag, mapped to its nodes in ascending order."""
-        holders: dict[int, list[int]] = {}
-        for t, bag in enumerate(self.bags):
-            for v in bag:
-                holders.setdefault(v, []).append(t)
-        return holders
+        return _holders(self.bags)
 
     def depths(self, root: int | None = None) -> list[int]:
         """BFS depth of every node from ``root`` (default: stored root)."""
-        r = self.root if root is None else root
-        depth = [-1] * self.node_count
-        depth[r] = 0
-        queue = deque([r])
-        while queue:
-            t = queue.popleft()
-            for u in self._adj[t]:
-                if depth[u] < 0:
-                    depth[u] = depth[t] + 1
-                    queue.append(u)
-        return depth
+        return _search(self._adj, self.root if root is None else root)[0]
 
     def __eq__(self, other):
         return (
@@ -401,27 +409,11 @@ def check_decomposition(
     for a, b in tree_edges:
         tree_adj[a].append(b)
         tree_adj[b].append(a)
-    depth = [-1] * nn
-    parent = [-1] * nn
-    depth[root] = 0
-    queue = [root]
-    for t in queue:
-        below = depth[t] + 1
-        for u in tree_adj[t]:
-            if depth[u] < 0:
-                depth[u] = below
-                parent[u] = t
-                queue.append(u)
-    tree = len(tree_edges) == nn - 1 and len(queue) == nn
+    depth, parent, reached = _search(tree_adj, root)
+    tree = len(tree_edges) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))
 
-    holders: dict[int, list[int]] = {}
-    for t, bag in enumerate(bags):
-        for v in bag:
-            if v in holders:
-                holders[v].append(t)
-            else:
-                holders[v] = [t]
+    holders = _holders(bags)
     stray = None
     if holders and (min(holders) < 0 or max(holders) >= n):
         for t, bag in enumerate(bags):
