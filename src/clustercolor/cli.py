@@ -2,10 +2,9 @@
 
 Subcommands: ``gen`` writes graph/decomposition/layering files for the
 built-in instance families, ``color3`` runs the clustered 3-coloring and
-emits a JSON report plus a coloring file, ``bench`` times the pipeline
-over a size sweep into a CSV table (a JSON array with ``--format json``),
-and ``verify`` independently rechecks a coloring file against a clustering
-limit and optional lists.
+emits a JSON report plus a coloring file, and ``verify`` independently
+rechecks a coloring file against a clustering limit and optional lists,
+printing its verdict as JSON.
 
 Coloring files hold one ``vertex color`` pair per line and list files one
 ``vertex color...`` row per vertex, both with the library's 0-based ids;
@@ -15,10 +14,8 @@ the PACE formats keep their own 1-based convention.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import time
 from dataclasses import asdict
 
 from . import pace
@@ -30,7 +27,6 @@ from .verify import check_list_coloring, edge_components
 
 GEN_FAMILIES = ("grid", "trigrid", "kst", "apexed-grid", "path")
 COLOR_FAMILIES = ("grid", "trigrid", "kst", "path")
-BENCH_FAMILIES = ("grid", "trigrid", "path")
 
 
 def _build_instance(family, n, s, t):
@@ -73,7 +69,6 @@ def cmd_gen(args) -> int:
         "command": "gen",
         "family": args.family,
         "n": args.n,
-        "seed": args.seed,
         "vertices": g.n,
         "edges": len(g.edges),
         "layers": layering.m,
@@ -123,7 +118,6 @@ def cmd_color3(args) -> int:
 
     report = {
         "command": "color3",
-        "seed": args.seed,
         "vertices": g.n,
         "edges": len(g.edges),
         "layers": ltd.layering.m,
@@ -154,38 +148,6 @@ def cmd_color3(args) -> int:
         )
         print(f"  report: {report_path}")
         print(f"  coloring: {coloring_path}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    for size in args.sizes:
-        g, ltd, delta = _build_instance(args.family, size, args.s, args.t)
-        start = time.perf_counter()
-        result = three_color(g, ltd, delta, cluster_factor=args.cluster_factor)
-        elapsed = time.perf_counter() - start
-        rows.append(
-            {
-                "size": size,
-                "clustering": result.clustering,
-                "bound": result.constants.g,
-                "runtime": round(elapsed, 3),
-            }
-        )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        if args.format == "json":
-            json.dump(rows, out, indent=2)
-            out.write("\n")
-        else:
-            writer = csv.DictWriter(
-                out, fieldnames=["size", "clustering", "bound", "runtime"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -269,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="recorded RNG seed")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="stdout format"
-        )
-
     p_gen = sub.add_parser("gen", help="generate an instance family")
     p_gen.add_argument("family", choices=GEN_FAMILIES)
     p_gen.add_argument("--n", type=int, default=10, help="side length / path length")
@@ -282,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t", type=int, default=3, help="large side for kst")
     p_gen.add_argument("--apex-count", type=int, default=1)
     p_gen.add_argument("--out", required=True, help="output path prefix")
-    common(p_gen)
+    p_gen.add_argument(
+        "--format", choices=("text", "json"), default="text", help="stdout format"
+    )
     p_gen.set_defaults(func=cmd_gen)
 
     p_color = sub.add_parser("color3", help="run the clustered 3-coloring")
@@ -299,30 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-factor", type=int, help="override the per-stage clustering factor"
     )
     p_color.add_argument("--out", required=True, help="output path prefix")
-    common(p_color)
-    p_color.set_defaults(func=cmd_color3)
-
-    p_bench = sub.add_parser("bench", help="time the pipeline over a size sweep")
-    p_bench.add_argument("--family", choices=BENCH_FAMILIES, default="trigrid")
-    p_bench.add_argument(
-        "--sizes",
-        type=lambda text: [int(x) for x in text.split(",") if x],
-        default=[10, 20, 30, 40],
-        help="comma-separated sizes",
+    p_color.add_argument(
+        "--format", choices=("text", "json"), default="text", help="stdout format"
     )
-    p_bench.add_argument("--s", type=int, default=2)
-    p_bench.add_argument("--t", type=int, default=3)
-    p_bench.add_argument("--cluster-factor", type=int)
-    p_bench.add_argument("--out", help="output path (default stdout)")
-    common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    p_color.set_defaults(func=cmd_color3)
 
     p_verify = sub.add_parser("verify", help="recheck a coloring file")
     p_verify.add_argument("--gr", required=True, help="PACE graph file")
     p_verify.add_argument("--coloring", required=True, help="vertex color per line")
     p_verify.add_argument("--lists", help="optional vertex color... per line")
     p_verify.add_argument("--k", type=int, required=True, help="clustering limit")
-    common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

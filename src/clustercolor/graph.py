@@ -112,10 +112,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with the given additional edges."""
-        return Graph(self.n, list(self._edges) + list(extra))
-
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``keep``, relabeled to 0..k-1.
 
@@ -280,10 +276,6 @@ class TreeDecomposition:
         nn = self.node_count
         return len(self.edges) == nn - 1 and _search(self._adj, 0)[2] == nn
 
-    def holders(self) -> dict[int, list[int]]:
-        """Every vertex in some bag, mapped to its nodes in ascending order."""
-        return _holders(self.bags)
-
     def depths(self, root: int | None = None) -> list[int]:
         """BFS depth of every node from ``root`` (default: stored root)."""
         return _search(self._adj, self.root if root is None else root)[0]
@@ -310,19 +302,6 @@ class LayeredTreeDecomposition:
     td: TreeDecomposition
     layering: Layering
 
-    def layered_width_raw(self) -> int:
-        """max over (bag, layer) of the intersection size, without validation."""
-        best = 0
-        for bag in self.td.bags:
-            per_layer: dict[int, int] = {}
-            for v in bag:
-                i = self.layering._index.get(v)
-                if i is not None:
-                    per_layer[i] = per_layer.get(i, 0) + 1
-            if per_layer:
-                best = max(best, max(per_layer.values()))
-        return best
-
 
 def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
     """Check the partition and consecutive-layer axioms of a layering.
@@ -340,11 +319,13 @@ def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
         AxiomCheck("partition", partition_ok, missing if missing is not None else stray)
     )
 
-    def spans(u, v):
+    bad_edge = None
+    for u, v in g.edges:
         lu, lv = index.get(u), index.get(v)
-        return lu is not None and lv is not None and abs(lu - lv) > 1
-
-    bad_edge = min((e for e in g.edges if spans(*e)), default=None)
+        if lu is None or lv is None or -1 <= lu - lv <= 1:
+            continue
+        if bad_edge is None or (u, v) < bad_edge:
+            bad_edge = (u, v)
     checks.append(AxiomCheck("edge-span", bad_edge is None, bad_edge))
     return ValidationReport(tuple(checks))
 
@@ -479,7 +460,8 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Decompositio
 
 
 def layered_width(ltd: LayeredTreeDecomposition, g: Graph | None = None) -> int:
-    """Layered width of a layered tree-decomposition.
+    """Layered width of a layered tree-decomposition: the largest number of
+    vertices any bag shares with one layer.
 
     When ``g`` is supplied both components are validated first and an invalid
     input raises instead of producing a meaningless number.
@@ -487,7 +469,17 @@ def layered_width(ltd: LayeredTreeDecomposition, g: Graph | None = None) -> int:
     if g is not None:
         validate_tree_decomposition(g, ltd.td).require(InvalidDecomposition)
         validate_layering(g, ltd.layering).require(InvalidLayering)
-    return ltd.layered_width_raw()
+    index = ltd.layering._index
+    best = 0
+    for bag in ltd.td.bags:
+        per_layer: dict[int, int] = {}
+        for v in bag:
+            i = index.get(v)
+            if i is not None:
+                per_layer[i] = per_layer.get(i, 0) + 1
+        if per_layer:
+            best = max(best, max(per_layer.values()))
+    return best
 
 
 def bfs_layering(g: Graph, roots: Iterable[int]) -> Layering:
@@ -504,8 +496,11 @@ def bfs_layering(g: Graph, roots: Iterable[int]) -> Layering:
         if not 0 <= r < g.n:
             raise ValueError(f"root {r} out of range")
 
+    # Distance of every vertex reached so far from its search's sources.
+    dist: dict[int, int] = {}
+
     def bfs(sources):
-        dist = {v: 0 for v in sources}
+        dist.update((v, 0) for v in sources)
         queue = deque(sources)
         rows = [list(sources)]
         while queue:
@@ -517,14 +512,11 @@ def bfs_layering(g: Graph, roots: Iterable[int]) -> Layering:
                         rows.append([])
                     rows[dist[u]].append(u)
                     queue.append(u)
-        return rows, set(dist)
+        return rows
 
-    layers, seen = bfs(root_list)
-    remaining = [v for v in g.vertices() if v not in seen]
-    while remaining:
-        start = remaining[0]
-        rows, comp = bfs([start])
-        layers.append([])
-        layers.extend(rows)
-        remaining = [v for v in remaining if v not in comp]
+    layers = bfs(root_list)
+    for v in g.vertices():
+        if v not in dist:
+            layers.append([])
+            layers.extend(bfs([v]))
     return Layering(layers)

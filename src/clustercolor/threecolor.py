@@ -24,7 +24,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    Layering,
     LayeredTreeDecomposition,
     TreeDecomposition,
     check_decomposition,
@@ -75,15 +74,15 @@ def compute_constants(
     if degree < 1:
         raise ValueError("degree must be at least 1")
     w, d = width, degree
-    f1 = cluster_bound(w, d, cluster_factor)
+    factor = DEFAULT_CLUSTER_FACTOR if cluster_factor is None else cluster_factor
+    f1 = cluster_bound(w, d, factor)
     delta2 = d + f1 * d * d
     w2 = w + 2 * (w + 1) * f1 * f1 * d * d
-    f2 = cluster_bound(w2, delta2, cluster_factor)
+    f2 = cluster_bound(w2, delta2, factor)
     delta3 = d + f2 * d * d
     w3 = w + 4 * (w2 + 1) * f2 * f2 * d * d
-    f3 = cluster_bound(w3, delta3, cluster_factor)
+    f3 = cluster_bound(w3, delta3, factor)
     g = (1 + f2 * d) * f3
-    factor = DEFAULT_CLUSTER_FACTOR if cluster_factor is None else cluster_factor
     return ThreeColorConstants(
         width=w,
         degree=d,
@@ -100,28 +99,6 @@ def compute_constants(
 
 
 @dataclass(frozen=True)
-class LayerClassSplit:
-    """The three round-robin unions of layers: u1 = V1 u V4 u ..., etc."""
-
-    u1: frozenset[int]
-    u2: frozenset[int]
-    u3: frozenset[int]
-
-    def class_of(self, layer_index: int) -> int:
-        return ((layer_index - 1) % 3) + 1
-
-
-def split_layer_classes(ly: Layering) -> LayerClassSplit:
-    """Assign every layer to class 1, 2, or 3 by its index mod 3."""
-    parts: list[set[int]] = [set(), set(), set()]
-    for i in range(1, ly.m + 1):
-        parts[(i - 1) % 3].update(ly.layer(i))
-    return LayerClassSplit(
-        u1=frozenset(parts[0]), u2=frozenset(parts[1]), u3=frozenset(parts[2])
-    )
-
-
-@dataclass(frozen=True)
 class ThreeColorResult:
     """Coloring with its measured clustering (overall and per color), the
     constants used, and the fake edges the later stages were forced to
@@ -131,7 +108,6 @@ class ThreeColorResult:
     clustering: int
     per_color_max: dict[int, int]
     constants: ThreeColorConstants
-    split: LayerClassSplit
     stage2_pairs: frozenset[tuple[int, int]]
     stage3_pairs: frozenset[tuple[int, int]]
 
@@ -289,7 +265,6 @@ def three_color(
     w_eff = max(1, measured_width, width or 0)
     d_eff = max(1, delta)
     constants = compute_constants(w_eff, d_eff, cluster_factor)
-    split = split_layer_classes(ly)
     budget2 = GroupBudget(
         max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
         max_pair_uses_per_vertex=constants.f1 * d_eff ** 2,
@@ -350,7 +325,7 @@ def three_color(
                         InvalidDecomposition
                     )
                 colors, clusters = band_color(
-                    n, edges, bags, view_depth, degree, cluster_factor
+                    n, edges, bags, view_depth, degree, constants.cluster_factor
                 )
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
@@ -375,7 +350,6 @@ def three_color(
         clustering=report.max_size,
         per_color_max=report.per_color_max,
         constants=constants,
-        split=split,
         stage2_pairs=frozenset(fake[2]),
         stage3_pairs=frozenset(fake[3]),
     )

@@ -91,47 +91,24 @@ def band_color(
     return coloring, report
 
 
-def band_two_color(
-    g: Graph,
-    td: TreeDecomposition,
-    delta: int,
-    cluster_factor: int | None = None,
-    depth: list[int] | None = None,
-) -> tuple[dict[int, int], ClusterReport]:
-    """``band_color`` of ``g`` over ``td``, which the caller has validated as
-    a decomposition of ``g``.
-
-    ``depth`` gives each node's depth to band by (default: ``td.depths()``);
-    a caller coloring a piece of a larger decomposition passes the depths
-    the nodes have there.
-    """
-    if depth is None:
-        depth = td.depths()
-    elif len(depth) != td.node_count:
-        raise ValueError(
-            f"{len(depth)} node depths given for {td.node_count} nodes"
-        )
-    colors, report = band_color(g.n, g.edges, td.bags, depth, delta, cluster_factor)
-    return dict(enumerate(colors)), report
-
-
 def two_color_bounded_treewidth(
     g: Graph,
     td: TreeDecomposition,
     delta: int,
     cluster_factor: int | None = None,
-    depth: list[int] | None = None,
 ) -> tuple[dict[int, int], int]:
     """Color ``g`` with colors {1, 2} so monochromatic components are small.
 
     Requires a valid decomposition of ``g`` (an invalid one raises
-    InvalidDecomposition) and max degree at most ``delta``; see
-    ``band_two_color`` for ``depth`` and the bound check. Returns
-    (coloring, measured clustering).
+    InvalidDecomposition) and max degree at most ``delta``; bands by the
+    depths from ``td.root`` and checks the bound as ``band_color`` does.
+    Returns (coloring, measured clustering).
     """
     validate_tree_decomposition(g, td).require(InvalidDecomposition)
-    coloring, report = band_two_color(g, td, delta, cluster_factor, depth)
-    return coloring, report.max_size
+    colors, report = band_color(
+        g.n, g.edges, td.bags, td.depths(), delta, cluster_factor
+    )
+    return dict(enumerate(colors)), report.max_size
 
 
 @dataclass(frozen=True)

@@ -90,13 +90,11 @@ def test_criterion_02_palette_respects_layer_classes():
         violations = 0
         for g, ltd, delta in instances:
             result = three_color(g, ltd, delta)
-            split = result.split
-            classes = [(1, split.u1), (2, split.u2), (3, split.u3)]
-            assert split.u1 | split.u2 | split.u3 == set(g.vertices())
-            for cls, verts in classes:
-                for v in verts:
-                    if result.coloring[v] not in allowed[cls]:
-                        violations += 1
+            ly = ltd.layering
+            assert set().union(*ly.layers) == set(g.vertices())
+            for v in ly.vertices:
+                if result.coloring[v] not in allowed[(ly.layer_of(v) - 1) % 3 + 1]:
+                    violations += 1
     except Exception as exc:
         _report(2, False, f"raised {type(exc).__name__}: {exc}")
         raise

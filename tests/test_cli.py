@@ -1,6 +1,5 @@
 """End-to-end checks for the command-line frontend."""
 
-import csv
 import json
 import subprocess
 import sys
@@ -74,7 +73,6 @@ def test_gen_json_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["command"] == "gen"
     assert summary["vertices"] == 5
-    assert summary["seed"] == 0
     assert sorted(summary["files"]) == ["decomposition", "graph", "layering"]
 
 
@@ -183,39 +181,6 @@ def test_color3_json_stdout_matches_report_file(tmp_path, capsys):
     with open(f"{prefix}.report.json") as fh:
         stored = json.load(fh)
     assert printed == stored
-
-
-def test_bench_writes_csv_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(
-        ["bench", "--family", "path", "--sizes", "6,12", "--out", str(out)]
-    )
-    assert code == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["size"] for row in rows] == ["6", "12"]
-    for row in rows:
-        assert int(row["clustering"]) <= int(row["bound"])
-        assert float(row["runtime"]) >= 0.0
-
-
-def test_bench_defaults_to_stdout(capsys):
-    assert main(["bench", "--family", "path", "--sizes", "5"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "size,clustering,bound,runtime"
-
-
-def test_bench_json_format_prints_the_rows_as_a_json_array(capsys):
-    code = main(
-        ["bench", "--family", "path", "--sizes", "5,9", "--format", "json"]
-    )
-    assert code == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [row["size"] for row in rows] == [5, 9]
-    for row in rows:
-        assert set(row) == {"size", "clustering", "bound", "runtime"}
-        assert row["clustering"] <= row["bound"]
-        assert row["runtime"] >= 0.0
 
 
 def test_verify_exit_codes_and_detail(tmp_path, capsys):

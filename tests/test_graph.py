@@ -39,11 +39,8 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(-1, 0)])
 
 
-def test_graph_with_edges_and_induced():
+def test_graph_induced():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    g2 = g.with_edges([(0, 2)])
-    assert g2.has_edge(0, 2) and g2.has_edge(0, 1)
-    assert not g.has_edge(0, 2)
     sub, ids = g.induced({1, 2, 4})
     assert ids == (1, 2, 4)
     assert sub.n == 3
@@ -83,7 +80,12 @@ def test_tree_decomposition_accessors():
     assert td.node_count == 3
     assert td.width() == 1
     assert td.node_neighbors(1) == (0, 2)
-    assert td.holders() == {0: [0], 1: [0, 1], 2: [1, 2]}
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert validate_tree_decomposition(g, td).holders == {
+        0: [0],
+        1: [0, 1],
+        2: [1, 2],
+    }
     assert td.is_tree()
     assert td.depths() == [0, 1, 2]
     assert TreeDecomposition([frozenset()]).width() == -1
@@ -140,7 +142,7 @@ def test_layered_width_measures_bag_layer_overlap():
     td = TreeDecomposition([frozenset({0, 1, 2, 3})])
     ly = Layering([(0, 1), (2, 3)])
     ltd = LayeredTreeDecomposition(td, ly)
-    assert ltd.layered_width_raw() == 2
+    assert layered_width(ltd) == 2
     assert layered_width(ltd, g) == 2
     bad = LayeredTreeDecomposition(td, Layering([(0, 1), (2,)]))
     with pytest.raises(InvalidLayering):
@@ -158,6 +160,25 @@ def test_bfs_layering_spans_edges_and_restarts():
     # vertex 5 is isolated and 3-4 form a separate component; a separating
     # empty layer keeps edge spans valid after the restart
     assert any(ly.layer(i) == () for i in range(1, ly.m + 1))
+
+
+def test_bfs_layering_restarts_each_component_from_its_smallest_vertex():
+    # Three components and two isolated vertices; each one left unreached
+    # is layered from its smallest vertex after an empty separator layer.
+    g = Graph(12, [(0, 4), (4, 8), (1, 5), (5, 9), (2, 5), (9, 10), (3, 7)])
+    assert bfs_layering(g, [5]).layers == (
+        (5,), (1, 2, 9), (10,),
+        (), (0,), (4,), (8,),
+        (), (3,), (7,),
+        (), (6,),
+        (), (11,),
+    )
+    assert bfs_layering(g, [9, 7]).layers == (
+        (7, 9), (3, 5, 10), (1, 2),
+        (), (0,), (4,), (8,),
+        (), (6,),
+        (), (11,),
+    )
 
 
 def test_random_decompositions_validate():

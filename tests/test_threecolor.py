@@ -20,7 +20,6 @@ from clustercolor import (
     gen_path,
     gen_rect_grid,
     monochromatic_components,
-    split_layer_classes,
     three_color,
 )
 from helpers import spine_path
@@ -53,25 +52,17 @@ def test_constants_reject_degenerate_inputs():
         compute_constants(1, 0)
 
 
-def test_split_layer_classes_round_robin():
-    ly = Layering([(0,), (1,), (2,), (3,), (4,), (5,), (6,)])
-    split = split_layer_classes(ly)
-    assert split.u1 == frozenset({0, 3, 6})
-    assert split.u2 == frozenset({1, 4})
-    assert split.u3 == frozenset({2, 5})
-    assert split.class_of(1) == 1
-    assert split.class_of(5) == 2
-    assert split.class_of(6) == 3
+def _layer_class(ly, v):
+    """The class of v's layer: layers 1, 4, 7, ... are class 1, and so on."""
+    return (ly.layer_of(v) - 1) % 3 + 1
 
 
-def _palette_violations(result):
+def _palette_violations(result, ly):
     palettes = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
-    classes = [(1, result.split.u1), (2, result.split.u2), (3, result.split.u3)]
     return [
         (v, result.coloring[v])
-        for cls, verts in classes
-        for v in sorted(verts)
-        if result.coloring[v] not in palettes[cls]
+        for v in sorted(ly.vertices)
+        if result.coloring[v] not in palettes[_layer_class(ly, v)]
     ]
 
 
@@ -91,10 +82,10 @@ def _connected_within(g: Graph, verts) -> bool:
     return seen == verts
 
 
-def _stage2_comps_are_respected(g, result):
+def _stage2_comps_are_respected(g, ly, result):
     """Every final color-2 component meets the second layer class in a set
     that the fake edges keep connected."""
-    keep = result.split.u2
+    keep = {v for v in ly.vertices if _layer_class(ly, v) == 2}
     edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
     g2 = Graph(g.n, edges + sorted(result.stage2_pairs))
     from clustercolor import monochromatic_components
@@ -111,8 +102,8 @@ def test_three_color_trigrid():
     assert set(result.coloring) == set(range(g.n))
     assert set(result.coloring.values()) <= {1, 2, 3}
     assert result.clustering <= result.constants.g
-    assert _palette_violations(result) == []
-    assert _stage2_comps_are_respected(g, result)
+    assert _palette_violations(result, ltd.layering) == []
+    assert _stage2_comps_are_respected(g, ltd.layering, result)
     assert result.constants.width == 2 and result.constants.degree == 6
 
 
@@ -128,11 +119,11 @@ def test_three_color_path_and_kst():
     g, ltd, delta = gen_path(30)
     result = three_color(g, ltd, delta)
     assert result.clustering <= result.constants.g
-    assert _palette_violations(result) == []
+    assert _palette_violations(result, ltd.layering) == []
 
     g, ltd, delta = gen_kst_instance(2, 3)
     result = three_color(g, ltd, delta)
-    assert _palette_violations(result) == []
+    assert _palette_violations(result, ltd.layering) == []
     assert result.clustering <= result.constants.g
 
 
@@ -172,10 +163,11 @@ def test_three_color_rejects_bad_inputs():
 def test_three_color_fake_edges_stay_inside_their_classes():
     g, ltd, delta = gen_grid(9, triangulated=True)
     result = three_color(g, ltd, delta)
+    ly = ltd.layering
     for a, b in result.stage2_pairs:
-        assert a in result.split.u2 and b in result.split.u2
+        assert _layer_class(ly, a) == 2 and _layer_class(ly, b) == 2
     for a, b in result.stage3_pairs:
-        assert a in result.split.u3 and b in result.split.u3
+        assert _layer_class(ly, a) == 3 and _layer_class(ly, b) == 3
 
 
 def _permuted(g, ltd, delta, seed):
