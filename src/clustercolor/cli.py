@@ -129,8 +129,8 @@ def cmd_color3(args) -> int:
         "constants": asdict(result.constants),
         "per_color_max": {str(c): m for c, m in sorted(result.per_color_max.items())},
         "stages": {
-            "stage2_fake_edges": len(result.stage2_pairs),
-            "stage3_fake_edges": len(result.stage3_pairs),
+            "stage2_fake_edges": result.stage2_fake_edges,
+            "stage3_fake_edges": result.stage3_fake_edges,
         },
         "colors": {str(v): result.coloring[v] for v in sorted(result.coloring)},
         "coloring_file": coloring_path,

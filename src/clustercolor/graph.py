@@ -8,25 +8,14 @@ be shared freely between threads and reused across operations.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import InvalidDecomposition, InvalidLayering
-
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (frozenset, set)):
-        return sorted(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
-    return obj
 
 
 class AxiomCheck(NamedTuple):
@@ -53,13 +42,6 @@ class ValidationReport:
         for c in self.checks:
             if not c.passed:
                 raise error(c)
-
-    def to_json(self) -> str:
-        payload = [
-            {"axiom": c.axiom, "pass": c.passed, "witness": _jsonable(c.witness)}
-            for c in self.checks
-        ]
-        return json.dumps(payload, indent=2)
 
 
 class Graph:
@@ -459,16 +441,11 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Decompositio
     return check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
 
 
-def layered_width(ltd: LayeredTreeDecomposition, g: Graph | None = None) -> int:
+def layered_width(ltd: LayeredTreeDecomposition) -> int:
     """Layered width of a layered tree-decomposition: the largest number of
-    vertices any bag shares with one layer.
-
-    When ``g`` is supplied both components are validated first and an invalid
-    input raises instead of producing a meaningless number.
+    vertices any bag shares with one layer. The result means nothing unless
+    both parts are valid for the graph; the caller validates them.
     """
-    if g is not None:
-        validate_tree_decomposition(g, ltd.td).require(InvalidDecomposition)
-        validate_layering(g, ltd.layering).require(InvalidLayering)
     index = ltd.layering._index
     best = 0
     for bag in ltd.td.bags:

@@ -14,6 +14,7 @@ layered width and the maximum degree alone.
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,7 +26,6 @@ from .errors import (
 from .graph import (
     Graph,
     LayeredTreeDecomposition,
-    TreeDecomposition,
     check_decomposition,
     layered_width,
     validate_layering,
@@ -101,93 +101,45 @@ def compute_constants(
 @dataclass(frozen=True)
 class ThreeColorResult:
     """Coloring with its measured clustering (overall and per color), the
-    constants used, and the fake edges the later stages were forced to
-    respect."""
+    constants used, and the number of fake edges stages 2 and 3 added."""
 
     coloring: dict[int, int]
     clustering: int
     per_color_max: dict[int, int]
     constants: ThreeColorConstants
-    stage2_pairs: frozenset[tuple[int, int]]
-    stage3_pairs: frozenset[tuple[int, int]]
-
-
-def _cover_nodes(
-    td: TreeDecomposition,
-    holders: dict[int, list[int]],
-    comp: frozenset[int],
-    nbrs: frozenset[int],
-    g: Graph,
-) -> frozenset[int]:
-    """Greedy node cover of the edges between a component and its target-layer
-    neighbors: scan edges in sorted order, skip an edge that a chosen bag
-    already holds, else take the smallest node whose bag holds both ends."""
-    edges = sorted(
-        (min(c, u), max(c, u))
-        for c in comp
-        for u in g.neighbors(c)
-        if u in nbrs
-    )
-    bags = td.bags
-    cover: list[int] = []
-    for a, b in edges:
-        if any(a in bags[t] and b in bags[t] for t in cover):
-            continue
-        cover.append(next(t for t in holders[a] if b in bags[t]))
-    return frozenset(cover)
-
-
-def _groups_for_layer(
-    g: Graph,
-    td: TreeDecomposition,
-    holders: dict[int, list[int]],
-    poured: dict[int, list[frozenset[int]]],
-    guards: list[frozenset[int]],
-    target: frozenset[int],
-) -> list[EdgeGroup]:
-    """Edge groups forcing the target layer to respect the guard components,
-    in original vertex and node ids.
-
-    Each component contributes all pairs of its neighbors in the target
-    layer, a greedy cover of the connecting edges, and the subtree of nodes
-    whose (possibly enlarged) bags meet it: the nodes holding one of its
-    vertices plus the subtrees its vertices were poured into.
-    """
-    groups: list[EdgeGroup] = []
-    for comp in sorted(guards, key=min):
-        nbrs = frozenset(
-            u for c in comp for u in g.neighbors(c) if u in target
-        )
-        if len(nbrs) < 2:
-            continue
-        pairs = frozenset((a, b) for a in nbrs for b in nbrs if a < b)
-        subtree = frozenset(t for c in comp for t in holders[c]).union(
-            *{sub for c in comp for sub in poured.get(c, ())}
-        )
-        cover = _cover_nodes(td, holders, comp, nbrs, g)
-        groups.append(EdgeGroup(nodes=cover, subtree=subtree, pairs=pairs))
-    return groups
+    stage2_fake_edges: int
+    stage3_fake_edges: int
 
 
 def _layer_view(
     g: Graph,
+    bags: Sequence[AbstractSet[int]],
     holders: dict[int, list[int]],
     parent: list[int],
     depth: list[int],
+    poured: dict[int, list[frozenset[int]]],
     ids: tuple[int, ...],
-    groups: list[EdgeGroup],
+    guards: list[frozenset[int]],
 ) -> tuple[
     list[tuple[int, int]],
     list[set[int]],
     list[tuple[int, int]],
     list[int],
     list[EdgeGroup],
+    list[tuple[list[int], frozenset[int]]],
 ]:
-    """The layer and its sparse sub-decomposition as plain lists in local
-    ids: the layer's edges, the view's bags and tree edges, the original
-    depths of its nodes, and the groups.
+    """The layer, its sparse sub-decomposition and the edge groups that
+    guard it, as plain lists in local ids: the layer's edges, the view's
+    bags, tree edges and original node depths, and the groups; last, each
+    group's endpoints and subtree in original ids.
 
     Local vertex ids are positions in ``ids``, the layer's sorted vertices.
+    Each guard component with at least two neighbors in the layer gives one
+    group: all pairs of those neighbors; as cover, per connecting edge the
+    first node holding both ends; and as subtree, the nodes whose (possibly
+    enlarged) bags meet the component: those holding one of its vertices
+    plus the subtrees its vertices were poured into.
+
     The view keeps the nodes that hold a layer vertex and the nodes of every
     group subtree, in ascending original id, with the original tree edges
     among them. Every vertex's node set, original and poured, is kept whole
@@ -203,14 +155,24 @@ def _layer_view(
         if u > v and u in index
     ]
     kept = {t for v in ids for t in holders[v]}
-    for grp in groups:
-        kept |= grp.subtree
+    found = []
+    for comp in sorted(guards, key=min):
+        links = [(c, u) for c in comp for u in g.neighbors(c) if u in index]
+        ends = sorted({index[u] for _, u in links})
+        if len(ends) < 2:
+            continue
+        cover = {next(t for t in holders[c] if u in bags[t]) for c, u in links}
+        subtree = frozenset(t for c in comp for t in holders[c]).union(
+            *{sub for c in comp for sub in poured.get(c, ())}
+        )
+        kept |= subtree
+        found.append((ends, cover, subtree))
     nodes = sorted(kept)
     local = {t: i for i, t in enumerate(nodes)}
-    bags: list[set[int]] = [set() for _ in nodes]
+    view_bags: list[set[int]] = [set() for _ in nodes]
     for i, v in enumerate(ids):
         for t in holders[v]:
-            bags[local[t]].add(i)
+            view_bags[local[t]].add(i)
     tree_edges: list[tuple[int, int]] = []
     tops: list[int] = []
     for i, t in enumerate(nodes):
@@ -220,15 +182,18 @@ def _layer_view(
         else:
             tree_edges.append((i, up))
     tree_edges += zip(tops, tops[1:])
-    local_groups = [
+    groups = [
         EdgeGroup(
-            nodes=frozenset(local[t] for t in grp.nodes),
-            subtree=frozenset(local[t] for t in grp.subtree),
-            pairs=frozenset((index[a], index[b]) for a, b in grp.pairs),
+            nodes=frozenset(local[t] for t in cover),
+            subtree=frozenset(local[t] for t in subtree),
+            pairs=frozenset(
+                (a, b) for k, a in enumerate(ends) for b in ends[k + 1 :]
+            ),
         )
-        for grp in groups
+        for ends, cover, subtree in found
     ]
-    return edges, bags, tree_edges, [depth[t] for t in nodes], local_groups
+    pours = [([ids[i] for i in ends], subtree) for ends, _, subtree in found]
+    return edges, view_bags, tree_edges, [depth[t] for t in nodes], groups, pours
 
 
 def three_color(
@@ -291,7 +256,7 @@ def three_color(
     # For each vertex an enlargement poured into bags, the group subtrees it
     # was poured into (shared, not copied).
     poured: dict[int, list[frozenset[int]]] = {}
-    fake: dict[int, set[tuple[int, int]]] = {cls: set() for cls in (1, 2, 3)}
+    fake_edges = {cls: 0 for cls, *_ in stages}
 
     for cls, palette, degree, budget in stages:
         for li in range(cls, ly.m + 1, 3):
@@ -304,11 +269,8 @@ def three_color(
                 for color in palette
                 for comp in comps.get((lj, color), ())
             ]
-            groups = _groups_for_layer(
-                g, td, holders, poured, guards, frozenset(ids)
-            )
-            edges, bags, tree_edges, view_depth, local_groups = _layer_view(
-                g, holders, parent, depth, ids, groups
+            edges, bags, tree_edges, view_depth, groups, pours = _layer_view(
+                g, td.bags, holders, parent, depth, poured, ids, guards
             )
             n = len(ids)
             stage = f"stage-{cls} layer {li}"
@@ -316,9 +278,9 @@ def three_color(
             # its enlargement when some group carries pairs, or here when
             # there is nothing to enlarge.
             try:
-                if any(grp.pairs for grp in local_groups):
+                if any(grp.pairs for grp in groups):
                     edges, bags = enlarge_lists(
-                        n, edges, bags, tree_edges, local_groups, budget
+                        n, edges, bags, tree_edges, groups, budget
                     )
                 else:
                     check_decomposition(n, edges, bags, tree_edges).require(
@@ -337,10 +299,12 @@ def three_color(
                 comps.setdefault((li, palette[color - 1]), []).append(
                     frozenset(ids[v] for v in local_comp)
                 )
-            for grp in groups:
-                fake[cls].update(grp.pairs)
-                for v in {v for pair in grp.pairs for v in pair}:
-                    poured.setdefault(v, []).append(grp.subtree)
+            # Pairs repeat across the groups of one layer, never across layers.
+            if groups:
+                fake_edges[cls] += len(set().union(*(grp.pairs for grp in groups)))
+            for ends, subtree in pours:
+                for v in ends:
+                    poured.setdefault(v, []).append(subtree)
 
     report = monochromatic_components(g, coloring)
     if report.max_size > constants.g:
@@ -350,6 +314,6 @@ def three_color(
         clustering=report.max_size,
         per_color_max=report.per_color_max,
         constants=constants,
-        stage2_pairs=frozenset(fake[2]),
-        stage3_pairs=frozenset(fake[3]),
+        stage2_fake_edges=fake_edges[2],
+        stage3_fake_edges=fake_edges[3],
     )

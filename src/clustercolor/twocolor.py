@@ -104,9 +104,10 @@ def two_color_bounded_treewidth(
     depths from ``td.root`` and checks the bound as ``band_color`` does.
     Returns (coloring, measured clustering).
     """
-    validate_tree_decomposition(g, td).require(InvalidDecomposition)
+    checked = validate_tree_decomposition(g, td)
+    checked.require(InvalidDecomposition)
     colors, report = band_color(
-        g.n, g.edges, td.bags, td.depths(), delta, cluster_factor
+        g.n, g.edges, td.bags, checked.depth, delta, cluster_factor
     )
     return dict(enumerate(colors)), report.max_size
 

@@ -21,7 +21,7 @@ def test_plain_grid_shape():
     assert delta == 4
     assert validate_tree_decomposition(g, ltd.td).ok
     assert validate_layering(g, ltd.layering).ok
-    assert layered_width(ltd, g) == 2
+    assert layered_width(ltd) == 2
 
 
 def test_triangulated_grid_shape():
@@ -30,7 +30,9 @@ def test_triangulated_grid_shape():
     assert len(g.edges) == 16
     assert delta == 6
     assert g.has_edge(0, 4)
-    assert layered_width(ltd, g) == 2
+    assert validate_tree_decomposition(g, ltd.td).ok
+    assert validate_layering(g, ltd.layering).ok
+    assert layered_width(ltd) == 2
 
 
 def test_grid_single_vertex():
@@ -38,7 +40,9 @@ def test_grid_single_vertex():
     assert g.n == 1
     assert len(g.edges) == 0
     assert delta == 0
-    assert layered_width(ltd, g) == 1
+    assert validate_tree_decomposition(g, ltd.td).ok
+    assert validate_layering(g, ltd.layering).ok
+    assert layered_width(ltd) == 1
 
 
 def test_triangulated_grid_degrees():
@@ -63,7 +67,8 @@ def test_path_instance():
     assert len(g.edges) == 5
     assert delta == 2
     assert validate_tree_decomposition(g, ltd.td).ok
-    assert layered_width(ltd, g) == 1
+    assert validate_layering(g, ltd.layering).ok
+    assert layered_width(ltd) == 1
     g1, ltd1, delta1 = gen_path(1)
     assert g1.n == 1 and delta1 == 0
     assert validate_tree_decomposition(g1, ltd1.td).ok
@@ -83,7 +88,7 @@ def test_kst_graph_and_instance():
     assert delta == 3
     assert validate_tree_decomposition(gi, ltd.td).ok
     assert validate_layering(gi, ltd.layering).ok
-    assert layered_width(ltd, gi) == 3
+    assert layered_width(ltd) == 3
 
 
 def test_add_apex():

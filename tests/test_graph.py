@@ -11,6 +11,7 @@ from clustercolor import (
     TreeDecomposition,
     bfs_layering,
     layered_width,
+    three_color,
     validate_layering,
     validate_tree_decomposition,
 )
@@ -143,13 +144,12 @@ def test_layered_width_measures_bag_layer_overlap():
     ly = Layering([(0, 1), (2, 3)])
     ltd = LayeredTreeDecomposition(td, ly)
     assert layered_width(ltd) == 2
-    assert layered_width(ltd, g) == 2
     bad = LayeredTreeDecomposition(td, Layering([(0, 1), (2,)]))
     with pytest.raises(InvalidLayering):
-        layered_width(bad, g)
+        three_color(g, bad, 2)
     bad_td = LayeredTreeDecomposition(TreeDecomposition([frozenset({0})]), ly)
     with pytest.raises(InvalidDecomposition):
-        layered_width(bad_td, g)
+        three_color(g, bad_td, 2)
 
 
 def test_bfs_layering_spans_edges_and_restarts():

@@ -4,7 +4,6 @@ import pytest
 
 from clustercolor import (
     Graph,
-    InternalInvariantError,
     InvalidLayering,
     Layering,
     StandardPair,

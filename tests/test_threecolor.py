@@ -82,28 +82,48 @@ def _connected_within(g: Graph, verts) -> bool:
     return seen == verts
 
 
-def _stage2_comps_are_respected(g, ly, result):
+def _three_color_with_pairs(monkeypatch, g, ltd, delta):
+    """``three_color``'s result, and the distinct fake pairs of each layer
+    class in original ids, read from the groups ``_layer_view`` returns."""
+    from clustercolor import threecolor
+
+    layer_view = threecolor._layer_view
+    pairs = {1: set(), 2: set(), 3: set()}
+
+    def capturing(*args):
+        view = layer_view(*args)
+        ids = args[6]
+        cls = _layer_class(ltd.layering, ids[0])
+        for grp in view[4]:
+            pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
+        return view
+
+    monkeypatch.setattr(threecolor, "_layer_view", capturing)
+    return three_color(g, ltd, delta), pairs
+
+
+def _stage2_comps_are_respected(g, ly, result, stage2_pairs):
     """Every final color-2 component meets the second layer class in a set
     that the fake edges keep connected."""
     keep = {v for v in ly.vertices if _layer_class(ly, v) == 2}
     edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
-    g2 = Graph(g.n, edges + sorted(result.stage2_pairs))
-    from clustercolor import monochromatic_components
-
+    g2 = Graph(g.n, edges + sorted(stage2_pairs))
     for color, verts in monochromatic_components(g, result.coloring).components:
         if color == 2 and not _connected_within(g2, set(verts) & keep):
             return False
     return True
 
 
-def test_three_color_trigrid():
+def test_three_color_trigrid(monkeypatch):
     g, ltd, delta = gen_grid(10, triangulated=True)
-    result = three_color(g, ltd, delta)
+    result, pairs = _three_color_with_pairs(monkeypatch, g, ltd, delta)
+    assert len(pairs[2]) == result.stage2_fake_edges
+    assert len(pairs[3]) == result.stage3_fake_edges
     assert set(result.coloring) == set(range(g.n))
     assert set(result.coloring.values()) <= {1, 2, 3}
     assert result.clustering <= result.constants.g
     assert _palette_violations(result, ltd.layering) == []
-    assert _stage2_comps_are_respected(g, ltd.layering, result)
+    assert _stage2_comps_are_respected(g, ltd.layering, result, pairs[2])
     assert result.constants.width == 2 and result.constants.degree == 6
 
 
@@ -160,13 +180,15 @@ def test_three_color_rejects_bad_inputs():
         three_color(g, broken, delta)
 
 
-def test_three_color_fake_edges_stay_inside_their_classes():
+def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):
     g, ltd, delta = gen_grid(9, triangulated=True)
-    result = three_color(g, ltd, delta)
+    result, pairs = _three_color_with_pairs(monkeypatch, g, ltd, delta)
+    assert len(pairs[2]) == result.stage2_fake_edges
+    assert len(pairs[3]) == result.stage3_fake_edges
     ly = ltd.layering
-    for a, b in result.stage2_pairs:
+    for a, b in pairs[2]:
         assert _layer_class(ly, a) == 2 and _layer_class(ly, b) == 2
-    for a, b in result.stage3_pairs:
+    for a, b in pairs[3]:
         assert _layer_class(ly, a) == 3 and _layer_class(ly, b) == 3
 
 
@@ -303,8 +325,8 @@ def test_three_color_golden_outputs(name):
     text = "".join(f"{v} {result.coloring[v]}\n" for v in sorted(result.coloring))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert result.clustering == clustering
-    assert len(result.stage2_pairs) == stage2
-    assert len(result.stage3_pairs) == stage3
+    assert result.stage2_fake_edges == stage2
+    assert result.stage3_fake_edges == stage3
     measured = monochromatic_components(g, result.coloring)
     assert result.per_color_max == measured.per_color_max
 
@@ -381,14 +403,16 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
 
     for module in (graph, twocolor, threecolor):
         monkeypatch.setattr(module, "check_decomposition", validate)
-    groups_for_layer = threecolor._groups_for_layer
+    layer_view = threecolor._layer_view
 
-    def with_idle_group(g, td, holders, poured, guards, target):
-        nodes = frozenset(holders[min(target)][:1])
+    def with_idle_group(*args):
+        *view, groups, pours = layer_view(*args)
+        # The first view node holding the layer's smallest vertex.
+        nodes = frozenset({next(t for t, bag in enumerate(view[1]) if 0 in bag)})
         idle = EdgeGroup(nodes=nodes, subtree=nodes, pairs=frozenset())
-        return groups_for_layer(g, td, holders, poured, guards, target) + [idle]
+        return (*view, groups + [idle], pours)
 
-    monkeypatch.setattr(threecolor, "_groups_for_layer", with_idle_group)
+    monkeypatch.setattr(threecolor, "_layer_view", with_idle_group)
     result = three_color(g, ltd, delta)
     nonempty = sum(1 for layer in ltd.layering.layers if layer)
     assert calls[0] == 1 + nonempty
@@ -402,24 +426,25 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
 
     g, ltd, delta = gen_grid(6, triangulated=True)
     ly = ltd.layering
-    groups_for_layer = threecolor._groups_for_layer
+    layer_view = threecolor._layer_view
     hit = []
 
-    def over_budget(g, td, holders, poured, guards, target):
-        groups = groups_for_layer(g, td, holders, poured, guards, target)
-        li = ly.layer_of(min(target))
+    def over_budget(*args):
+        *view, groups, pours = layer_view(*args)
+        li = ly.layer_of(args[6][0])
         if li % 3 != 2 or hit:
-            return groups
+            return (*view, groups, pours)
         # One more group on the same node than a stage-2 budget allows:
         # w + 1 = 3 subtrees per node, so four copies of a valid group.
-        t = next(t for t, bag in enumerate(td.bags) if len(bag & target) >= 2)
-        a, b = sorted(td.bags[t] & target)[:2]
+        bags = view[1]
+        t = next(t for t, bag in enumerate(bags) if len(bag) >= 2)
+        a, b = sorted(bags[t])[:2]
         node = frozenset({t})
         extra = EdgeGroup(nodes=node, subtree=node, pairs=frozenset({(a, b)}))
         hit.append(li)
-        return groups + [extra] * 4
+        return (*view, groups + [extra] * 4, pours)
 
-    monkeypatch.setattr(threecolor, "_groups_for_layer", over_budget)
+    monkeypatch.setattr(threecolor, "_layer_view", over_budget)
     with pytest.raises(GroupBudgetError) as err:
         three_color(g, ltd, delta)
     assert hit == [2]

@@ -46,6 +46,24 @@ def test_two_color_is_deterministic():
     assert first == second
 
 
+def test_two_color_searches_the_tree_once(monkeypatch):
+    """The depths to band by come from the validation's own search."""
+    from clustercolor import graph
+
+    calls = [0]
+    search = graph._search
+
+    def counting(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(graph, "_search", counting)
+    g, ltd, delta = gen_rect_grid(3, 20)
+    td = TreeDecomposition(ltd.td.bags, ltd.td.edges, ltd.td.node_count // 2)
+    two_color_bounded_treewidth(g, td, delta)
+    assert calls[0] == 1
+
+
 def test_two_color_three_row_grids_plateau():
     results = {}
     for cols in (50, 200):
