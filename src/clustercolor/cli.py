@@ -26,7 +26,6 @@ from .threecolor import three_color
 from .verify import check_list_coloring, edge_components
 
 GEN_FAMILIES = ("grid", "trigrid", "kst", "apexed-grid", "path")
-COLOR_FAMILIES = ("grid", "trigrid", "kst", "path")
 
 
 def _build_instance(family, n, s, t):
@@ -38,8 +37,7 @@ def _build_instance(family, n, s, t):
     if family == "path":
         return gen_path(n)
     if family == "kst":
-        g, ltd, delta = gen_kst_instance(s, t)
-        return g, ltd, delta
+        return gen_kst_instance(s, t)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -86,30 +84,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_files(gr_path, td_path, layers_path):
-    g = pace.read_graph(gr_path)
-    td = pace.read_td(td_path)
-    layering = pace.read_layering(layers_path)
-    return g, LayeredTreeDecomposition(td, layering)
-
-
 def cmd_color3(args) -> int:
-    from_files = args.gr is not None or args.td is not None or args.layers is not None
-    if from_files and args.family is not None:
-        raise ValueError("give either input files or a generator family, not both")
-    if from_files:
-        if not (args.gr and args.td and args.layers):
-            raise ValueError("file input needs --gr, --td, and --layers together")
-        g, ltd = _load_files(args.gr, args.td, args.layers)
-    elif args.family is not None:
-        g, ltd, _ = _build_instance(args.family, args.n, args.s, args.t)
-    else:
-        raise ValueError("no input: give --gr/--td/--layers or --family")
-
-    delta = args.delta if args.delta is not None else max(g.max_degree(), 1)
-    result = three_color(
-        g, ltd, delta, width=args.width, cluster_factor=args.cluster_factor
+    g = pace.read_graph(args.gr)
+    ltd = LayeredTreeDecomposition(
+        pace.read_td(args.td), pace.read_layering(args.layers)
     )
+    delta = args.delta if args.delta is not None else max(g.max_degree(), 1)
+    result = three_color(g, ltd, delta)
 
     coloring_path = f"{args.out}.coloring"
     with open(coloring_path, "w") as fh:
@@ -244,18 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_color = sub.add_parser("color3", help="run the clustered 3-coloring")
-    p_color.add_argument("--gr", help="PACE graph file")
-    p_color.add_argument("--td", help="PACE tree-decomposition file")
-    p_color.add_argument("--layers", help="layering sidecar file")
-    p_color.add_argument("--family", choices=COLOR_FAMILIES)
-    p_color.add_argument("--n", type=int, default=10)
-    p_color.add_argument("--s", type=int, default=2)
-    p_color.add_argument("--t", type=int, default=3)
+    p_color.add_argument("--gr", required=True, help="PACE graph file")
+    p_color.add_argument("--td", required=True, help="PACE tree-decomposition file")
+    p_color.add_argument("--layers", required=True, help="layering sidecar file")
     p_color.add_argument("--delta", type=int, help="declared degree bound")
-    p_color.add_argument("--width", type=int, help="declared layered width")
-    p_color.add_argument(
-        "--cluster-factor", type=int, help="override the per-stage clustering factor"
-    )
     p_color.add_argument("--out", required=True, help="output path prefix")
     p_color.add_argument(
         "--format", choices=("text", "json"), default="text", help="stdout format"

@@ -32,7 +32,7 @@ from .graph import (
     validate_tree_decomposition,
 )
 from .twocolor import (
-    DEFAULT_CLUSTER_FACTOR,
+    CLUSTER_FACTOR,
     EdgeGroup,
     GroupBudget,
     band_color,
@@ -65,28 +65,25 @@ class ThreeColorConstants:
     g: int
 
 
-def compute_constants(
-    width: int, degree: int, cluster_factor: int | None = None
-) -> ThreeColorConstants:
+def compute_constants(width: int, degree: int) -> ThreeColorConstants:
     """Evaluate the pipeline's constant chain for the given width and degree."""
     if width < 1:
         raise ValueError("width must be at least 1")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     w, d = width, degree
-    factor = DEFAULT_CLUSTER_FACTOR if cluster_factor is None else cluster_factor
-    f1 = cluster_bound(w, d, factor)
+    f1 = cluster_bound(w, d)
     delta2 = d + f1 * d * d
     w2 = w + 2 * (w + 1) * f1 * f1 * d * d
-    f2 = cluster_bound(w2, delta2, factor)
+    f2 = cluster_bound(w2, delta2)
     delta3 = d + f2 * d * d
     w3 = w + 4 * (w2 + 1) * f2 * f2 * d * d
-    f3 = cluster_bound(w3, delta3, factor)
+    f3 = cluster_bound(w3, delta3)
     g = (1 + f2 * d) * f3
     return ThreeColorConstants(
         width=w,
         degree=d,
-        cluster_factor=factor,
+        cluster_factor=CLUSTER_FACTOR,
         f1=f1,
         delta2=delta2,
         w2=w2,
@@ -197,20 +194,15 @@ def _layer_view(
 
 
 def three_color(
-    g: Graph,
-    ltd: LayeredTreeDecomposition,
-    delta: int,
-    width: int | None = None,
-    cluster_factor: int | None = None,
+    g: Graph, ltd: LayeredTreeDecomposition, delta: int
 ) -> ThreeColorResult:
     """3-color g so that every monochromatic component has at most
     ``constants.g`` vertices.
 
-    ``delta`` must bound the maximum degree; ``width`` may raise the layered
-    width the constants are computed for (the measured width is always
-    honored). Stage failures keep their exception types but name the stage
-    and layer; the final clustering is measured and checked before
-    returning.
+    ``delta`` must bound the maximum degree; the constants are computed for
+    the measured layered width. Stage failures keep their exception types
+    but name the stage and layer; the final clustering is measured and
+    checked before returning.
     """
     ly = ltd.layering
     td = ltd.td
@@ -221,15 +213,14 @@ def three_color(
     checked = validate_tree_decomposition(g, td)
     checked.require(InvalidDecomposition)
     validate_layering(g, ly).require(InvalidLayering)
-    measured_width = layered_width(ltd)
+    w_eff = max(1, layered_width(ltd))
     holders, depth, parent = checked.holders, checked.depth, checked.parent
     if g.max_degree() > delta:
         raise ValueError(
             f"graph degree {g.max_degree()} exceeds declared bound {delta}"
         )
-    w_eff = max(1, measured_width, width or 0)
     d_eff = max(1, delta)
-    constants = compute_constants(w_eff, d_eff, cluster_factor)
+    constants = compute_constants(w_eff, d_eff)
     budget2 = GroupBudget(
         max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
         max_pair_uses_per_vertex=constants.f1 * d_eff ** 2,
@@ -286,9 +277,7 @@ def three_color(
                     check_decomposition(n, edges, bags, tree_edges).require(
                         InvalidDecomposition
                     )
-                colors, clusters = band_color(
-                    n, edges, bags, view_depth, degree, constants.cluster_factor
-                )
+                colors, clusters = band_color(n, edges, bags, view_depth, degree)
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
             except ClusteringBoundError as exc:

@@ -31,16 +31,14 @@ from .graph import (
 )
 from .verify import ClusterReport, edge_components
 
-# Multiplier on (w+1)*delta in the guaranteed clustering bound. Kept as a
-# module constant so callers can see and override the slack applied on top
-# of the band construction.
-DEFAULT_CLUSTER_FACTOR = 4
+# Multiplier on (w+1)*delta in the guaranteed clustering bound: the slack
+# applied on top of the band construction.
+CLUSTER_FACTOR = 4
 
 
-def cluster_bound(width: int, degree: int, cluster_factor: int | None = None) -> int:
+def cluster_bound(width: int, degree: int) -> int:
     """Guaranteed clustering bound for a width/degree pair."""
-    cb = DEFAULT_CLUSTER_FACTOR if cluster_factor is None else cluster_factor
-    return cb * (max(width, 0) + 1) * max(degree, 1)
+    return CLUSTER_FACTOR * (max(width, 0) + 1) * max(degree, 1)
 
 
 def _max_degree(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -58,7 +56,6 @@ def band_color(
     bags: Sequence[AbstractSet[int]],
     depth: Sequence[int],
     delta: int,
-    cluster_factor: int | None = None,
 ) -> tuple[list[int], ClusterReport]:
     """Band-color the graph on 0..n-1 with these distinct edges using colors
     {1, 2}, over a decomposition with these bags that the caller has
@@ -85,17 +82,14 @@ def band_color(
 
     report = edge_components(n, edges, coloring)
     width = max(map(len, bags), default=0) - 1
-    bound = cluster_bound(width, delta, cluster_factor)
+    bound = cluster_bound(width, delta)
     if report.max_size > bound:
         raise ClusteringBoundError("two-color", report.max_size, bound)
     return coloring, report
 
 
 def two_color_bounded_treewidth(
-    g: Graph,
-    td: TreeDecomposition,
-    delta: int,
-    cluster_factor: int | None = None,
+    g: Graph, td: TreeDecomposition, delta: int
 ) -> tuple[dict[int, int], int]:
     """Color ``g`` with colors {1, 2} so monochromatic components are small.
 
@@ -106,9 +100,7 @@ def two_color_bounded_treewidth(
     """
     checked = validate_tree_decomposition(g, td)
     checked.require(InvalidDecomposition)
-    colors, report = band_color(
-        g.n, g.edges, td.bags, checked.depth, delta, cluster_factor
-    )
+    colors, report = band_color(g.n, g.edges, td.bags, checked.depth, delta)
     return dict(enumerate(colors)), report.max_size
 
 

@@ -3,7 +3,6 @@ exhaustive two-coloring path oracle on small triangulated grids."""
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -22,17 +21,6 @@ class ClusterReport:
     components: tuple[tuple[int, tuple[int, ...]], ...]
     max_size: int
     per_color_max: dict[int, int]
-
-    def to_json(self) -> str:
-        payload = {
-            "components": [
-                {"color": color, "vertices": list(verts)}
-                for color, verts in self.components
-            ],
-            "max_size": self.max_size,
-            "per_color_max": {str(c): s for c, s in sorted(self.per_color_max.items())},
-        }
-        return json.dumps(payload, indent=2)
 
 
 def edge_components(
@@ -53,6 +41,9 @@ def edge_components(
         color = [coloring[v] for v in range(n)]
     except KeyError as exc:
         raise ValueError(f"coloring missing vertex {exc.args[0]}") from None
+    except IndexError:
+        # A list stops at its length, the first vertex it leaves out.
+        raise ValueError(f"coloring missing vertex {len(coloring)}") from None
     parent = list(range(n))
     for u, v in edges:
         if color[u] != color[v]:

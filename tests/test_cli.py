@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line frontend."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,15 @@ def read_instance(prefix):
     td = pace.read_td(f"{prefix}.td")
     ly = pace.read_layering(f"{prefix}.layers")
     return g, td, ly
+
+
+def gen_inputs(tmp_path, family, n):
+    """Write a ``gen`` instance and return ``color3``'s input options for it."""
+    prefix = tmp_path / f"{family}{n}"
+    assert main(["gen", family, "--n", str(n), "--out", str(prefix)]) == 0
+    return [
+        "--gr", f"{prefix}.gr", "--td", f"{prefix}.td", "--layers", f"{prefix}.layers"
+    ]
 
 
 def test_gen_grid_writes_parseable_files(tmp_path, capsys):
@@ -78,7 +88,9 @@ def test_gen_json_summary(tmp_path, capsys):
 
 def test_color3_family_report_matches_independent_recheck(tmp_path, capsys):
     prefix = tmp_path / "tri"
-    assert main(["color3", "--family", "trigrid", "--n", "6", "--out", str(prefix)]) == 0
+    inputs = gen_inputs(tmp_path, "trigrid", 6)
+    capsys.readouterr()
+    assert main(["color3", *inputs, "--out", str(prefix)]) == 0
     with open(f"{prefix}.report.json") as fh:
         report = json.load(fh)
     assert report["vertices"] == 36
@@ -123,22 +135,20 @@ def test_color3_input_mode_errors(tmp_path, capsys):
     prefix = tmp_path / "grid"
     main(["gen", "grid", "--n", "3", "--out", str(prefix)])
     out = str(tmp_path / "run")
-    both = [
-        "color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
-        "--layers", f"{prefix}.layers", "--family", "grid", "--out", out,
-    ]
-    assert main(both) == 2
-    assert main(["color3", "--gr", f"{prefix}.gr", "--out", out]) == 2
-    assert main(["color3", "--out", out]) == 2
+    for argv in (
+        ["color3", "--gr", f"{prefix}.gr", "--out", out],
+        ["color3", "--out", out],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 2
 
 
 def test_color3_rejects_degree_above_declared_bound(tmp_path, capsys):
-    code = main(
-        ["color3", "--family", "grid", "--n", "4", "--delta", "1",
-         "--out", str(tmp_path / "run")]
-    )
+    inputs = gen_inputs(tmp_path, "grid", 4)
+    code = main(["color3", *inputs, "--delta", "1", "--out", str(tmp_path / "run")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
@@ -148,9 +158,8 @@ def test_color3_group_budget_overrun_exits_1(tmp_path, monkeypatch, capsys):
         raise GroupBudgetError("max_pairs_per_group", "stage-2 layer 2: group 0")
 
     monkeypatch.setattr(cli, "three_color", overrun)
-    code = main(
-        ["color3", "--family", "grid", "--n", "3", "--out", str(tmp_path / "run")]
-    )
+    inputs = gen_inputs(tmp_path, "grid", 3)
+    code = main(["color3", *inputs, "--out", str(tmp_path / "run")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -172,15 +181,35 @@ def test_color3_refusal_exits_1_and_names_the_stage(tmp_path, capsys):
 
 def test_color3_json_stdout_matches_report_file(tmp_path, capsys):
     prefix = tmp_path / "p"
-    code = main(
-        ["color3", "--family", "path", "--n", "7", "--format", "json",
-         "--out", str(prefix)]
-    )
+    inputs = gen_inputs(tmp_path, "path", 7)
+    capsys.readouterr()
+    code = main(["color3", *inputs, "--format", "json", "--out", str(prefix)])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     with open(f"{prefix}.report.json") as fh:
         stored = json.load(fh)
     assert printed == stored
+
+
+# SHA-256 of color3's report.json, and of its --format json stdout, on the
+# triangulated 10x10 grid from gen, with the --out prefix replaced by "RUN".
+# Both hold the constants chain and "cluster_factor": 4.
+TRIGRID_10_REPORT_SHA256 = (
+    "e0331aa2c6357c8eda1e195071f73f1b7249a5ab6b6ec69ce2d843b1118119ba"
+)
+
+
+def test_color3_output_bytes_are_pinned(tmp_path, capsys):
+    inputs = gen_inputs(tmp_path, "trigrid", 10)
+    capsys.readouterr()
+    out = str(tmp_path / "run")
+    assert main(["color3", *inputs, "--format", "json", "--out", out]) == 0
+    with open(f"{out}.report.json", encoding="utf-8") as fh:
+        stored = fh.read()
+    printed = capsys.readouterr().out
+    for text in (stored, printed):
+        digest = hashlib.sha256(text.replace(out, "RUN").encode()).hexdigest()
+        assert digest == TRIGRID_10_REPORT_SHA256
 
 
 def test_verify_exit_codes_and_detail(tmp_path, capsys):

@@ -26,14 +26,14 @@ from helpers import spine_path
 
 
 def test_constants_chain_small_case():
-    c = compute_constants(1, 2, cluster_factor=1)
-    assert c.f1 == 4
-    assert c.delta2 == 18
-    assert c.w2 == 257
-    assert c.f2 == (c.w2 + 1) * c.delta2
+    c = compute_constants(1, 2)
+    assert c.f1 == 16
+    assert c.delta2 == 66
+    assert c.w2 == 4097
+    assert c.f2 == 4 * (c.w2 + 1) * c.delta2
     assert c.delta3 == 2 + c.f2 * 4
     assert c.w3 == 1 + 4 * (c.w2 + 1) * c.f2 * c.f2 * 4
-    assert c.f3 == (c.w3 + 1) * c.delta3
+    assert c.f3 == 4 * (c.w3 + 1) * c.delta3
     assert c.g == (1 + c.f2 * 2) * c.f3
 
 
@@ -159,14 +159,6 @@ def test_three_color_empty_graph():
     ltd = LayeredTreeDecomposition(TreeDecomposition([frozenset()]), Layering([]))
     result = three_color(g, ltd, 1)
     assert result.coloring == {} and result.clustering == 0
-
-
-def test_three_color_width_override_changes_constants():
-    g, ltd, delta = gen_path(12)
-    base = three_color(g, ltd, delta)
-    wide = three_color(g, ltd, delta, width=3)
-    assert wide.constants.width == 3
-    assert wide.constants.g > base.constants.g
 
 
 def test_three_color_rejects_bad_inputs():

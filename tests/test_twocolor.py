@@ -25,7 +25,6 @@ from helpers import random_decomposition, random_groups
 def test_cluster_bound_values():
     assert cluster_bound(1, 2) == 16
     assert cluster_bound(3, 4) == 64
-    assert cluster_bound(1, 2, cluster_factor=1) == 4
     assert cluster_bound(0, 0) == 4
     assert cluster_bound(-1, 5) == 20
 
