@@ -2,9 +2,10 @@
 
 Subcommands: ``gen`` writes graph/decomposition/layering files for the
 built-in instance families, ``color3`` runs the clustered 3-coloring and
-emits a JSON report plus a coloring file, and ``verify`` independently
+writes a coloring file plus a JSON report, and ``verify`` independently
 rechecks a coloring file against a clustering limit and optional lists,
-printing its verdict as JSON.
+printing its verdict as JSON. ``gen`` and ``color3`` print only a short
+text summary.
 
 Coloring files hold one ``vertex color`` pair per line and list files one
 ``vertex color...`` row per vertex, both with the library's 0-based ids;
@@ -15,17 +16,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
 from . import pace
 from .errors import GroupBudgetError, PaceParseError
-from .generators import add_apex, gen_grid, gen_kst_instance, gen_path
-from .graph import LayeredTreeDecomposition, TreeDecomposition
+from .generators import gen_grid, gen_kst_instance, gen_path
+from .graph import LayeredTreeDecomposition
 from .threecolor import three_color
 from .verify import check_list_coloring, edge_components
 
-GEN_FAMILIES = ("grid", "trigrid", "kst", "apexed-grid", "path")
+GEN_FAMILIES = ("grid", "trigrid", "kst", "path")
 
 
 def _build_instance(family, n, s, t):
@@ -42,45 +44,21 @@ def _build_instance(family, n, s, t):
 
 
 def cmd_gen(args) -> int:
-    if args.family == "apexed-grid":
-        base, ltd, _ = gen_grid(args.n, triangulated=False)
-        g, apexes = add_apex(base, args.apex_count)
-        # Apexes join every bag, which keeps the decomposition valid for
-        # the augmented graph; the layering covers only the grid part.
-        td = TreeDecomposition(
-            [bag | apexes for bag in ltd.td.bags], ltd.td.edges, ltd.td.root
-        )
-        layering = ltd.layering
-    else:
-        g, ltd, _ = _build_instance(args.family, args.n, args.s, args.t)
-        td = ltd.td
-        layering = ltd.layering
+    g, ltd, _ = _build_instance(args.family, args.n, args.s, args.t)
     paths = {
         "graph": f"{args.out}.gr",
         "decomposition": f"{args.out}.td",
         "layering": f"{args.out}.layers",
     }
     pace.write_graph(g, paths["graph"])
-    pace.write_td(td, g.n, paths["decomposition"])
-    pace.write_layering(layering, paths["layering"])
-    summary = {
-        "command": "gen",
-        "family": args.family,
-        "n": args.n,
-        "vertices": g.n,
-        "edges": len(g.edges),
-        "layers": layering.m,
-        "files": paths,
-    }
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(
-            f"wrote {args.family} instance: {g.n} vertices, "
-            f"{len(g.edges)} edges, {layering.m} layers"
-        )
-        for name in sorted(paths):
-            print(f"  {name}: {paths[name]}")
+    pace.write_td(ltd.td, g.n, paths["decomposition"])
+    pace.write_layering(ltd.layering, paths["layering"])
+    print(
+        f"wrote {args.family} instance: {g.n} vertices, "
+        f"{len(g.edges)} edges, {ltd.layering.m} layers"
+    )
+    for name in sorted(paths):
+        print(f"  {name}: {paths[name]}")
     return 0
 
 
@@ -102,9 +80,6 @@ def cmd_color3(args) -> int:
         "vertices": g.n,
         "edges": len(g.edges),
         "layers": ltd.layering.m,
-        "width": result.constants.width,
-        "delta": result.constants.degree,
-        "cluster_factor": result.constants.cluster_factor,
         "clustering": result.clustering,
         "bound": result.constants.g,
         "constants": asdict(result.constants),
@@ -113,22 +88,18 @@ def cmd_color3(args) -> int:
             "stage2_fake_edges": result.stage2_fake_edges,
             "stage3_fake_edges": result.stage3_fake_edges,
         },
-        "colors": {str(v): result.coloring[v] for v in sorted(result.coloring)},
         "coloring_file": coloring_path,
     }
     report_path = f"{args.out}.report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(
-            f"clustering {result.clustering} (bound {result.constants.g}) "
-            f"over {g.n} vertices"
-        )
-        print(f"  report: {report_path}")
-        print(f"  coloring: {coloring_path}")
+    print(
+        f"clustering {result.clustering} (bound {result.constants.g}) "
+        f"over {g.n} vertices"
+    )
+    print(f"  report: {report_path}")
+    print(f"  coloring: {coloring_path}")
     return 0
 
 
@@ -217,11 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=10, help="side length / path length")
     p_gen.add_argument("--s", type=int, default=2, help="small side for kst")
     p_gen.add_argument("--t", type=int, default=3, help="large side for kst")
-    p_gen.add_argument("--apex-count", type=int, default=1)
     p_gen.add_argument("--out", required=True, help="output path prefix")
-    p_gen.add_argument(
-        "--format", choices=("text", "json"), default="text", help="stdout format"
-    )
     p_gen.set_defaults(func=cmd_gen)
 
     p_color = sub.add_parser("color3", help="run the clustered 3-coloring")
@@ -230,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--layers", required=True, help="layering sidecar file")
     p_color.add_argument("--delta", type=int, help="declared degree bound")
     p_color.add_argument("--out", required=True, help="output path prefix")
-    p_color.add_argument(
-        "--format", choices=("text", "json"), default="text", help="stdout format"
-    )
     p_color.set_defaults(func=cmd_color3)
 
     p_verify = sub.add_parser("verify", help="recheck a coloring file")
@@ -248,7 +212,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A buffered stdout meets a closed reader here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: exit as SIGPIPE would, with no error
+        # line. Pointing stdout at devnull keeps the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GroupBudgetError, RuntimeError) as exc:
         # A pipeline that missed its certificate. GroupBudgetError is also a
         # ValueError, so it must be caught before the input-error branch.

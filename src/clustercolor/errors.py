@@ -4,9 +4,13 @@
 class InvalidDecomposition(ValueError):
     """A tree-decomposition failed validation where a valid one is required."""
 
+    subject = "decomposition"
+
 
 class InvalidLayering(ValueError):
     """A layering failed validation where a valid one is required."""
+
+    subject = "layering"
 
 
 class PaceParseError(ValueError):

@@ -13,9 +13,22 @@ from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .errors import InvalidDecomposition, InvalidLayering
+
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
+
+
+# What each axiom's witness names. The decomposition's "tree" axiom has none.
+_WITNESS = {
+    "partition": "vertex",
+    "edge-span": "edge",
+    "bag-contents": "node and vertex",
+    "vertex-coverage": "vertex",
+    "edge-coverage": "edge",
+    "connectivity": "vertex",
+}
 
 
 class AxiomCheck(NamedTuple):
@@ -37,11 +50,13 @@ class ValidationReport:
     def failures(self) -> tuple[AxiomCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def require(self, error: type[Exception]) -> None:
-        """Raise ``error`` carrying the first failed check, if any failed."""
+    def require(self, error: type[InvalidDecomposition | InvalidLayering]) -> None:
+        """Raise ``error`` naming its subject and the first failed check's
+        axiom and witness, if any check failed."""
         for c in self.checks:
             if not c.passed:
-                raise error(c)
+                at = "" if c.witness is None else f" at {_WITNESS[c.axiom]} {c.witness}"
+                raise error(f"invalid {error.subject}: {c.axiom} axiom fails{at}")
 
 
 class Graph:

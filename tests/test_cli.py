@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -58,32 +59,20 @@ def test_gen_every_family_round_trips(tmp_path):
         assert main(["gen", family, "--n", "4", "--out", str(prefix)]) == 0
         g, td, ly = read_instance(prefix)
         assert validate_tree_decomposition(g, td).ok
-        if family != "apexed-grid":
-            assert validate_layering(g, ly).ok
+        assert validate_layering(g, ly).ok
 
 
-def test_gen_apexed_grid_covers_apexes_in_every_bag(tmp_path):
-    prefix = tmp_path / "apexed"
-    code = main(
-        ["gen", "apexed-grid", "--n", "3", "--apex-count", "2", "--out", str(prefix)]
-    )
-    assert code == 0
-    g, td, ly = read_instance(prefix)
-    assert g.n == 11
-    assert validate_tree_decomposition(g, td).ok
-    # The layering covers only the grid part; both apexes sit outside it.
-    covered = {v for layer in ly.layers for v in layer}
-    assert covered == set(range(9))
-    assert all({9, 10} <= bag for bag in td.bags)
-
-
-def test_gen_json_summary(tmp_path, capsys):
-    prefix = tmp_path / "p"
-    assert main(["gen", "path", "--n", "5", "--format", "json", "--out", str(prefix)]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["command"] == "gen"
-    assert summary["vertices"] == 5
-    assert sorted(summary["files"]) == ["decomposition", "graph", "layering"]
+def test_every_gen_family_colors_and_verifies(tmp_path, capsys):
+    for family in GEN_FAMILIES:
+        inputs = gen_inputs(tmp_path, family, 4)
+        out = str(tmp_path / f"run-{family}")
+        assert main(["color3", *inputs, "--out", out]) == 0, family
+        with open(f"{out}.report.json") as fh:
+            k = json.load(fh)["clustering"]
+        argv = ["verify", "--gr", inputs[1], "--coloring", f"{out}.coloring",
+                "--k", str(k)]
+        assert main(argv) == 0, family
+        capsys.readouterr()
 
 
 def test_color3_family_report_matches_independent_recheck(tmp_path, capsys):
@@ -95,13 +84,13 @@ def test_color3_family_report_matches_independent_recheck(tmp_path, capsys):
         report = json.load(fh)
     assert report["vertices"] == 36
     assert report["clustering"] <= report["bound"]
-    assert set(report["colors"].values()) <= {1, 2, 3}
     coloring = {}
     with open(f"{prefix}.coloring") as fh:
         for line in fh:
             v, c = line.split()
             coloring[int(v)] = int(c)
     assert len(coloring) == 36
+    assert set(coloring.values()) <= {1, 2, 3}
     g, _, _ = gen_grid(6, triangulated=True)
     detail = monochromatic_components(g, coloring)
     assert detail.max_size == report["clustering"]
@@ -179,37 +168,52 @@ def test_color3_refusal_exits_1_and_names_the_stage(tmp_path, capsys):
     assert "error:" in err and "stage-1 layer 1" in err
 
 
-def test_color3_json_stdout_matches_report_file(tmp_path, capsys):
+def test_color3_names_the_failed_axiom(tmp_path, capsys):
     prefix = tmp_path / "p"
-    inputs = gen_inputs(tmp_path, "path", 7)
-    capsys.readouterr()
-    code = main(["color3", *inputs, "--format", "json", "--out", str(prefix)])
-    assert code == 0
-    printed = json.loads(capsys.readouterr().out)
-    with open(f"{prefix}.report.json") as fh:
-        stored = json.load(fh)
-    assert printed == stored
+    assert main(["gen", "path", "--n", "5", "--out", str(prefix)]) == 0
+    gr, td, layers = f"{prefix}.gr", f"{prefix}.td", f"{prefix}.layers"
+    with open(layers) as fh:
+        lines = fh.readlines()
+    short = tmp_path / "short.layers"
+    short.write_text("".join(lines[:-1]))
+    with open(gr) as fh:
+        header, *edges = fh.readlines()
+    assert header == "p tw 5 4\n"
+    chord = tmp_path / "chord.gr"
+    chord.write_text("p tw 5 5\n" + "".join(edges) + "1 5\n")
+    out = str(tmp_path / "run")
+    for graph, layering, line in (
+        (gr, short, "error: invalid layering: partition axiom fails at vertex 4\n"),
+        (chord, layers,
+         "error: invalid decomposition: edge-coverage axiom fails at edge (0, 4)\n"),
+    ):
+        argv = ["color3", "--gr", str(graph), "--td", td, "--layers", str(layering),
+                "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line
 
 
-# SHA-256 of color3's report.json, and of its --format json stdout, on the
-# triangulated 10x10 grid from gen, with the --out prefix replaced by "RUN".
-# Both hold the constants chain and "cluster_factor": 4.
+# SHA-256 of color3's outputs on the triangulated 10x10 grid from gen:
+# report.json with the --out prefix replaced by "RUN" (it holds the
+# constants chain, "cluster_factor": 4 among them), and the coloring file.
 TRIGRID_10_REPORT_SHA256 = (
-    "e0331aa2c6357c8eda1e195071f73f1b7249a5ab6b6ec69ce2d843b1118119ba"
+    "874b7513be087cd2f54b3a9ec1dc3714471b43c0d67156a099aff2a96fb2bea2"
+)
+TRIGRID_10_COLORING_SHA256 = (
+    "bfc2440f3c31a621af12e908b9731de19df6fcfb5c92a4ff526d5f74d15d8859"
 )
 
 
 def test_color3_output_bytes_are_pinned(tmp_path, capsys):
     inputs = gen_inputs(tmp_path, "trigrid", 10)
-    capsys.readouterr()
     out = str(tmp_path / "run")
-    assert main(["color3", *inputs, "--format", "json", "--out", out]) == 0
+    assert main(["color3", *inputs, "--out", out]) == 0
     with open(f"{out}.report.json", encoding="utf-8") as fh:
-        stored = fh.read()
-    printed = capsys.readouterr().out
-    for text in (stored, printed):
-        digest = hashlib.sha256(text.replace(out, "RUN").encode()).hexdigest()
-        assert digest == TRIGRID_10_REPORT_SHA256
+        report = fh.read().replace(out, "RUN").encode()
+    with open(f"{out}.coloring", "rb") as fh:
+        coloring = fh.read()
+    assert hashlib.sha256(report).hexdigest() == TRIGRID_10_REPORT_SHA256
+    assert hashlib.sha256(coloring).hexdigest() == TRIGRID_10_COLORING_SHA256
 
 
 def test_verify_exit_codes_and_detail(tmp_path, capsys):
@@ -312,3 +316,22 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     g, td, ly = read_instance(prefix)
     assert g.n == 3 and ly.m == 3
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_quietly(tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustercolor", "gen", "kst",
+             "--out", str(tmp_path / "kst")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

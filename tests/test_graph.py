@@ -145,11 +145,21 @@ def test_layered_width_measures_bag_layer_overlap():
     ltd = LayeredTreeDecomposition(td, ly)
     assert layered_width(ltd) == 2
     bad = LayeredTreeDecomposition(td, Layering([(0, 1), (2,)]))
-    with pytest.raises(InvalidLayering):
+    with pytest.raises(
+        InvalidLayering, match=r"^invalid layering: partition axiom fails at vertex 3$"
+    ):
         three_color(g, bad, 2)
     bad_td = LayeredTreeDecomposition(TreeDecomposition([frozenset({0})]), ly)
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(
+        InvalidDecomposition,
+        match=r"^invalid decomposition: vertex-coverage axiom fails at vertex 1$",
+    ):
         three_color(g, bad_td, 2)
+    forest = TreeDecomposition([frozenset({0, 1, 2}), frozenset({1, 2, 3})], [])
+    with pytest.raises(
+        InvalidDecomposition, match=r"^invalid decomposition: tree axiom fails$"
+    ):
+        three_color(g, LayeredTreeDecomposition(forest, ly), 2)
 
 
 def test_bfs_layering_spans_edges_and_restarts():

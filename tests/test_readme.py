@@ -1,11 +1,12 @@
 """The README's command-line examples run as written."""
 
+import argparse
 import json
 import re
 import shlex
 from pathlib import Path
 
-from clustercolor.cli import main
+from clustercolor.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +39,21 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
         prefix = option(argv, "--coloring").removesuffix(".coloring")
         with open(f"{prefix}.report.json") as fh:
             assert int(option(argv, "--k")) == json.load(fh)["clustering"]
+
+
+def test_readme_lists_exactly_color3s_options():
+    text = README.read_text(encoding="utf-8")
+    after = text.split("`color3` reads one instance", 1)[1]
+    bullets = re.match(r"[^\n]*\n\n((?:(?:- |  )[^\n]*\n)+)", after).group(1)
+    documented = set(re.findall(r"`(--[a-z-]+)", bullets))
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    offered = {
+        flag
+        for action in sub.choices["color3"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == offered
