@@ -38,6 +38,11 @@ class AxiomCheck(NamedTuple):
     passed: bool
     witness: object = None
 
+    def describe(self) -> str:
+        """This failure as in "vertex-coverage axiom fails at vertex 0"."""
+        at = "" if self.witness is None else f" at {_WITNESS[self.axiom]} {self.witness}"
+        return f"{self.axiom} axiom fails{at}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -55,8 +60,7 @@ class ValidationReport:
         axiom and witness, if any check failed."""
         for c in self.checks:
             if not c.passed:
-                at = "" if c.witness is None else f" at {_WITNESS[c.axiom]} {c.witness}"
-                raise error(f"invalid {error.subject}: {c.axiom} axiom fails{at}")
+                raise error(f"invalid {error.subject}: {c.describe()}")
 
 
 class Graph:

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from .errors import (
     ClusteringBoundError,
     GroupBudgetError,
+    InternalInvariantError,
     InvalidDecomposition,
     InvalidLayering,
 )
 from .graph import (
     Graph,
     LayeredTreeDecomposition,
-    check_decomposition,
     layered_width,
     validate_layering,
     validate_tree_decomposition,
@@ -233,9 +233,9 @@ def three_color(
     )
     # Per class: palette (local colors 1 and 2 map to its entries), degree
     # bound of the guarded layer, and budget for its edge groups. Class 1
-    # is colored first, so it has no colored neighbors and no groups.
+    # is colored first, so it has no colored neighbors and takes no groups.
     stages = (
-        (1, (1, 2), d_eff, None),
+        (1, (1, 2), d_eff, GroupBudget(0, 0, 0)),
         (2, (2, 3), constants.delta2, budget2),
         (3, (1, 3), constants.delta3, budget3),
     )
@@ -265,23 +265,16 @@ def three_color(
             )
             n = len(ids)
             stage = f"stage-{cls} layer {li}"
-            # Each layer's view is validated once: by the output check of
-            # its enlargement when some group carries pairs, or here when
-            # there is nothing to enlarge.
+            # enlarge_lists validates the view, with or without pairs to add.
             try:
-                if any(grp.pairs for grp in groups):
-                    edges, bags = enlarge_lists(
-                        n, edges, bags, tree_edges, groups, budget
-                    )
-                else:
-                    check_decomposition(n, edges, bags, tree_edges).require(
-                        InvalidDecomposition
-                    )
+                edges, bags = enlarge_lists(n, edges, bags, tree_edges, groups, budget)
                 colors, clusters = band_color(n, edges, bags, view_depth, degree)
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
             except ClusteringBoundError as exc:
                 raise ClusteringBoundError(stage, exc.measured, exc.bound) from exc
+            except InternalInvariantError as exc:
+                raise InternalInvariantError(f"{stage}: {exc}") from exc
             for v, color in zip(ids, colors):
                 coloring[v] = palette[color - 1]
             for color, local_comp in clusters.components:
@@ -289,8 +282,7 @@ def three_color(
                     frozenset(ids[v] for v in local_comp)
                 )
             # Pairs repeat across the groups of one layer, never across layers.
-            if groups:
-                fake_edges[cls] += len(set().union(*(grp.pairs for grp in groups)))
+            fake_edges[cls] += len(set().union(*(grp.pairs for grp in groups)))
             for ends, subtree in pours:
                 for v in ends:
                     poured.setdefault(v, []).append(subtree)

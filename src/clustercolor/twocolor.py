@@ -158,18 +158,22 @@ def enlarge_lists(
     Every group's endpoints are poured into each bag of its subtree, which
     preserves all decomposition axioms. Under the budget (k pairs per group,
     d pair uses per vertex, h group subtrees per node) the width grows by at
-    most 2*h*k and the max degree by at most d; the output is validated and
-    both bounds are re-checked on it. Budget violations raise
-    GroupBudgetError naming the field. Returns the new edges and bags; when
-    no group carries pairs, the input's, unchecked.
+    most 2*h*k and the max degree by at most d. Budget violations raise
+    GroupBudgetError naming the field. The output is validated and both
+    bounds are re-checked on it; a failure raises InternalInvariantError.
+    Returns the new edges and bags; when no group carries pairs, the
+    input's own, validated as they stand.
     """
     nn = len(bags)
-    tree_adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in tree_edges:
-        tree_adj[a].append(b)
-        tree_adj[b].append(a)
-    use_count: dict[int, int] = {}
-    cover_count: dict[int, int] = {}
+    tree_adj: list[list[int]] = []
+    if groups:
+        tree_adj = [[] for _ in range(nn)]
+        for a, b in tree_edges:
+            tree_adj[a].append(b)
+            tree_adj[b].append(a)
+    uses: dict[int, int] = {}
+    covers: dict[int, int] = {}
+    live = []
     for idx, group in enumerate(groups):
         if len(group.pairs) > budget.max_pairs_per_group:
             raise GroupBudgetError(
@@ -204,46 +208,43 @@ def enlarge_lists(
                     "group-structure",
                     f"group {idx} pair ({u}, {v}) outside its cover bags",
                 )
-            use_count[u] = use_count.get(u, 0) + 1
-            use_count[v] = use_count.get(v, 0) + 1
+            uses[u] = uses.get(u, 0) + 1
+            uses[v] = uses.get(v, 0) + 1
         for t in group.subtree:
-            cover_count[t] = cover_count.get(t, 0) + 1
+            covers[t] = covers.get(t, 0) + 1
+        live.append(group)
 
-    for v, c in sorted(use_count.items()):
-        if c > budget.max_pair_uses_per_vertex:
-            raise GroupBudgetError(
-                "max_pair_uses_per_vertex", f"vertex {v} used by {c} pairs"
-            )
-    for t, c in sorted(cover_count.items()):
-        if c > budget.max_groups_per_node:
-            raise GroupBudgetError(
-                "max_groups_per_node", f"node {t} covered by {c} group subtrees"
-            )
-
-    live = [grp for grp in groups if grp.pairs]
-    if not live:
-        return edges, bags
-
-    new_edges = set(edges)
-    new_bags = list(bags)
-    for grp in live:
-        new_edges.update((u, v) if u < v else (v, u) for u, v in grp.pairs)
-        endpoints = {v for pair in grp.pairs for v in pair}
-        for t in grp.subtree:
-            new_bags[t] = new_bags[t] | endpoints
+    new_edges, new_bags = edges, bags
+    if live:
+        # Each per-item budget names its smallest violator.
+        for field, count, what in (
+            ("max_pair_uses_per_vertex", uses, "vertex {} used by {} pairs"),
+            ("max_groups_per_node", covers, "node {} covered by {} group subtrees"),
+        ):
+            limit = getattr(budget, field)
+            x = min((x for x, c in count.items() if c > limit), default=None)
+            if x is not None:
+                raise GroupBudgetError(field, what.format(x, count[x]))
+        new_edges = set(edges)
+        new_bags = list(bags)
+        for grp in live:
+            new_edges.update((u, v) if u < v else (v, u) for u, v in grp.pairs)
+            endpoints = {v for pair in grp.pairs for v in pair}
+            for t in grp.subtree:
+                new_bags[t] = new_bags[t] | endpoints
+        h = budget.max_groups_per_node
+        k = budget.max_pairs_per_group
+        if max(map(len, new_bags)) > max(map(len, bags)) + 2 * h * k:
+            raise InternalInvariantError("enlarged width exceeds w + 2hk")
+        d = budget.max_pair_uses_per_vertex
+        if _max_degree(n, new_edges) > _max_degree(n, edges) + d:
+            raise InternalInvariantError("enlarged degree exceeds delta + d")
 
     report = check_decomposition(n, new_edges, new_bags, tree_edges)
     if not report.ok:
         raise InternalInvariantError(
-            f"enlarged decomposition invalid: {report.failures()[0]}"
+            f"enlarged decomposition invalid: {report.failures()[0].describe()}"
         )
-    h = budget.max_groups_per_node
-    k = budget.max_pairs_per_group
-    if max(map(len, new_bags)) > max(map(len, bags)) + 2 * h * k:
-        raise InternalInvariantError("enlarged width exceeds w + 2hk")
-    d = budget.max_pair_uses_per_vertex
-    if _max_degree(n, new_edges) > _max_degree(n, edges) + d:
-        raise InternalInvariantError("enlarged degree exceeds delta + d")
     return new_edges, new_bags
 
 
@@ -258,6 +259,6 @@ def enlarge_decomposition(
     """
     groups = list(groups)
     edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, groups, budget)
-    if not any(grp.pairs for grp in groups):
+    if edges is g.edges:
         return g, td
     return Graph(g.n, edges), TreeDecomposition(bags, td.edges, td.root)

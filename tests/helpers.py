@@ -189,3 +189,14 @@ def spine_path(n=40):
     bags = [frozenset({0, i, i + 1}) for i in range(1, n - 1)]
     td = TreeDecomposition(bags, [(t, t + 1) for t in range(len(bags) - 1)])
     return g, LayeredTreeDecomposition(td, Layering([tuple(range(n))]))
+
+
+def without_vertex_zero(layer_view):
+    """``threecolor._layer_view`` with local vertex 0 dropped from every bag
+    of each view: a view that no longer covers its layer."""
+
+    def corrupt(*args):
+        edges, bags, *rest = layer_view(*args)
+        return (edges, [bag - {0} for bag in bags], *rest)
+
+    return corrupt

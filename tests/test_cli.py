@@ -21,7 +21,7 @@ from clustercolor import (
 )
 from clustercolor import cli, pace
 from clustercolor.cli import GEN_FAMILIES, main
-from helpers import spine_path
+from helpers import spine_path, without_vertex_zero
 
 
 def read_instance(prefix):
@@ -151,6 +151,21 @@ def test_color3_group_budget_overrun_exits_1(tmp_path, monkeypatch, capsys):
     code = main(["color3", *inputs, "--out", str(tmp_path / "run")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_color3_corrupted_view_exits_1(tmp_path, monkeypatch, capsys):
+    """A layer view that fails validation is an internal fault (exit 1),
+    not an input error (exit 2), and the error line names where it failed."""
+    from clustercolor import threecolor
+
+    monkeypatch.setattr(
+        threecolor, "_layer_view", without_vertex_zero(threecolor._layer_view)
+    )
+    inputs = gen_inputs(tmp_path, "trigrid", 6)
+    assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "stage-1 layer 1: " in err
+    assert "vertex-coverage axiom fails at vertex 0" in err
 
 
 def test_color3_refusal_exits_1_and_names_the_stage(tmp_path, capsys):

@@ -22,7 +22,7 @@ from clustercolor import (
     monochromatic_components,
     three_color,
 )
-from helpers import spine_path
+from helpers import spine_path, without_vertex_zero
 
 
 def test_constants_chain_small_case():
@@ -361,7 +361,7 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     g, ltd, delta = gen_grid(20, triangulated=True)
     validate = counted("validate", graph.check_decomposition)
     components = counted("components", verify.edge_components)
-    for module in (graph, twocolor, threecolor):
+    for module in (graph, twocolor):
         monkeypatch.setattr(module, "check_decomposition", validate)
     for module in (verify, twocolor):
         monkeypatch.setattr(module, "edge_components", components)
@@ -379,9 +379,9 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
 
 
 def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
-    """A group without pairs enlarges nothing, so the layer it lands on must
-    have its view validated directly rather than left to an enlargement
-    that returns its input unchecked."""
+    """A group without pairs enlarges nothing, and the layer it lands on
+    still has its view validated once, by the enlargement that returns its
+    input as it stands."""
     from clustercolor import graph, threecolor, twocolor
 
     g, ltd, delta = gen_grid(20, triangulated=True)
@@ -393,7 +393,7 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
         calls[0] += 1
         return check_once(*args)
 
-    for module in (graph, twocolor, threecolor):
+    for module in (graph, twocolor):
         monkeypatch.setattr(module, "check_decomposition", validate)
     layer_view = threecolor._layer_view
 
@@ -444,6 +444,29 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
     assert str(err.value).startswith("max_groups_per_node: stage-2 layer 2: ")
 
 
+def test_stage_one_takes_no_groups(monkeypatch):
+    """Class-1 layers have no colored neighbors, so their budget allows no
+    pairs: a stray group there is a named budget error."""
+    from clustercolor import threecolor
+
+    g, ltd, delta = gen_grid(6, triangulated=True)
+    layer_view = threecolor._layer_view
+
+    def stray(*args):
+        *view, groups, pours = layer_view(*args)
+        node = frozenset({0})
+        a, b = sorted(view[1][0])[:2]
+        extra = EdgeGroup(nodes=node, subtree=node, pairs=frozenset({(a, b)}))
+        return (*view, groups + [extra], pours)
+
+    monkeypatch.setattr(threecolor, "_layer_view", stray)
+    with pytest.raises(GroupBudgetError) as err:
+        three_color(g, ltd, delta)
+    assert err.value.budget == "max_pairs_per_group"
+    assert str(err.value).startswith("max_pairs_per_group: stage-1 layer 1: ")
+    assert str(err.value).endswith("group 0 has 1 pairs")
+
+
 def test_three_color_refuses_spine_path_in_stage_one():
     g, ltd = spine_path(40)
     with pytest.raises(ClusteringBoundError) as err:
@@ -451,3 +474,119 @@ def test_three_color_refuses_spine_path_in_stage_one():
     assert err.value.stage == "stage-1 layer 1"
     assert err.value.measured == 40
     assert err.value.bound == 24
+
+
+def test_corrupted_view_is_an_internal_fault(monkeypatch):
+    """A view that the input's validation cannot explain is the pipeline's
+    fault, not the input's: the error names the stage, the layer, the axiom
+    and its witness."""
+    from clustercolor import InternalInvariantError, threecolor
+
+    g, ltd, delta = gen_grid(6, triangulated=True)
+    monkeypatch.setattr(
+        threecolor, "_layer_view", without_vertex_zero(threecolor._layer_view)
+    )
+    with pytest.raises(InternalInvariantError) as err:
+        three_color(g, ltd, delta)
+    assert str(err.value) == (
+        "stage-1 layer 1: enlarged decomposition invalid: "
+        "vertex-coverage axiom fails at vertex 0"
+    )
+
+
+def _certified(g, ltd, delta):
+    """``three_color``'s coloring, after checking it independently: every
+    vertex colored from its class's palette, and the clustering measured
+    again and within the bound."""
+    result = three_color(g, ltd, delta)
+    assert set(result.coloring) == set(range(g.n))
+    assert _palette_violations(result, ltd.layering) == []
+    measured = monochromatic_components(g, result.coloring)
+    assert measured.max_size == result.clustering <= result.constants.g
+    return result.coloring
+
+
+def _rooted(g, ltd, delta, root):
+    td = TreeDecomposition(ltd.td.bags, ltd.td.edges, root=root)
+    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+
+
+def _end_roots(g, ltd, delta):
+    last = ltd.td.node_count - 1
+    return (0, last // 2, last)
+
+
+ROOTED = {
+    "trigrid-12": (lambda: gen_grid(12, triangulated=True), None),
+    "rect-4x40": (lambda: gen_rect_grid(4, 40), _end_roots),
+    "path-60": (lambda: gen_path(60), _end_roots),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTED))
+def test_three_color_certifies_any_root(name):
+    """Any node may be the root: each root tried gives a certified
+    coloring. The triangulated grid tries all its nodes; the others their
+    first, middle and last."""
+    build, pick = ROOTED[name]
+    instance = build()
+    td = instance[1].td
+    roots = range(td.node_count) if pick is None else pick(*instance)
+    for root in roots:
+        _certified(*_rooted(*instance, root))
+
+
+def test_three_color_ignores_node_ids_when_the_root_moves_along():
+    """Renumbering the nodes at random, with the root mapped along, leaves
+    the coloring as it was."""
+    instance = _rooted(*gen_grid(12, triangulated=True), root=5)
+    expected = _certified(*instance)
+    for seed in (1, 2, 3):
+        assert _certified(*_nodes_permuted(*instance, seed=seed)) == expected
+
+
+def test_three_color_ignores_empty_leaf_bags():
+    """Three empty bags hung as leaves off the first, middle and last node
+    change no color."""
+    g, ltd, delta = gen_grid(10, triangulated=True)
+    td = ltd.td
+    nn = td.node_count
+    hangs = (0, nn // 2, nn - 1)
+    grown = TreeDecomposition(
+        list(td.bags) + [frozenset()] * 3,
+        list(td.edges) + [(t, nn + k) for k, t in enumerate(hangs)],
+        root=td.root,
+    )
+    padded = LayeredTreeDecomposition(grown, ltd.layering)
+    assert _certified(g, padded, delta) == _certified(g, ltd, delta)
+
+
+def test_three_color_chains_forest_shaped_views(monkeypatch):
+    """On the 40-cycle with bags {0, i, i+1}, layered from vertex 0, each
+    layer {i, 40-i} meets two far-apart stretches of the path, so its view
+    is a forest whose tops are chained; the coloring is still certified."""
+    from clustercolor import threecolor
+
+    n = 40
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    td = TreeDecomposition(
+        [frozenset({0, i, i + 1}) for i in range(1, n - 1)],
+        [(t, t + 1) for t in range(n - 3)],
+    )
+    ly = bfs_layering(g, [0])
+    assert [set(ly.layer(i + 1)) for i in range(n // 2 + 1)] == [
+        {i, (n - i) % n} for i in range(n // 2 + 1)
+    ]
+    layer_view = threecolor._layer_view
+    tops = []
+
+    def capturing(g, bags, holders, parent, depth, poured, ids, guards):
+        view = layer_view(g, bags, holders, parent, depth, poured, ids, guards)
+        kept = {t for v in ids for t in holders[v]}
+        kept = kept.union(*(subtree for _, subtree in view[5]))
+        tops.append(sum(1 for t in kept if parent[t] not in kept))
+        return view
+
+    monkeypatch.setattr(threecolor, "_layer_view", capturing)
+    _certified(g, LayeredTreeDecomposition(td, ly), 2)
+    assert max(tops) >= 2

@@ -7,10 +7,12 @@ from clustercolor import (
     Graph,
     GroupBudget,
     GroupBudgetError,
+    InternalInvariantError,
     InvalidDecomposition,
     TreeDecomposition,
     cluster_bound,
     enlarge_decomposition,
+    enlarge_lists,
     gen_grid,
     gen_path,
     gen_rect_grid,
@@ -125,6 +127,47 @@ def test_enlarge_without_live_groups_is_identity():
     assert g2 is g and td2 is td
     g3, td3 = enlarge_decomposition(g, td, [], GroupBudget(1, 1, 1))
     assert g3 is g and td3 is td
+
+
+def test_enlarge_validates_an_input_with_nothing_to_add():
+    """With no pairs to add, the input comes back as the same objects, but
+    only after it is validated: an invalid one is an internal fault that
+    names the failed axiom and its witness."""
+    edges, bags, tree = [(0, 1)], [{0, 1}, {1}], [(0, 1)]
+    idle = EdgeGroup(nodes=frozenset(), subtree=frozenset(), pairs=frozenset())
+    none = GroupBudget(0, 0, 0)
+    for groups in ([], [idle]):
+        out_edges, out_bags = enlarge_lists(2, edges, bags, tree, groups, none)
+        assert out_edges is edges and out_bags is bags
+        with pytest.raises(InternalInvariantError) as err:
+            enlarge_lists(2, edges, [{0}, {1}], tree, groups, none)
+        assert str(err.value) == (
+            "enlarged decomposition invalid: edge-coverage axiom fails at edge (0, 1)"
+        )
+    g, td = _two_bag_instance()
+    broken = TreeDecomposition(td.bags, ())
+    with pytest.raises(InternalInvariantError, match="tree axiom fails$"):
+        enlarge_decomposition(g, broken, [], GroupBudget(1, 1, 1))
+
+
+def test_enlarge_budget_errors_name_the_smallest_violator():
+    """Two vertices over their pair uses and two nodes over their group
+    count, each first met at the larger id: the smaller one is named."""
+    bags = [set(range(6))] * 3
+    tree = [(0, 1), (1, 2)]
+
+    def group(node, *pairs):
+        nodes = frozenset({node})
+        return EdgeGroup(nodes=nodes, subtree=nodes, pairs=frozenset(pairs))
+
+    uses = [group(0, (4, 5), (3, 4)), group(0, (1, 2), (0, 2))]
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(6, [], bags, tree, uses, GroupBudget(9, 1, 9))
+    assert str(err.value) == "max_pair_uses_per_vertex: vertex 2 used by 2 pairs"
+    covers = [group(2, (0, 1)), group(2, (2, 3)), group(1, (4, 5)), group(1, (0, 5))]
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(6, [], bags, tree, covers, GroupBudget(9, 9, 1))
+    assert str(err.value) == "max_groups_per_node: node 1 covered by 2 group subtrees"
 
 
 def test_enlarge_budget_violations():
