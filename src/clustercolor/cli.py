@@ -67,8 +67,7 @@ def cmd_color3(args) -> int:
     ltd = LayeredTreeDecomposition(
         pace.read_td(args.td), pace.read_layering(args.layers)
     )
-    delta = args.delta if args.delta is not None else max(g.max_degree(), 1)
-    result = three_color(g, ltd, delta)
+    result = three_color(g, ltd)
 
     coloring_path = f"{args.out}.coloring"
     with open(coloring_path, "w") as fh:
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--gr", required=True, help="PACE graph file")
     p_color.add_argument("--td", required=True, help="PACE tree-decomposition file")
     p_color.add_argument("--layers", required=True, help="layering sidecar file")
-    p_color.add_argument("--delta", type=int, help="declared degree bound")
     p_color.add_argument("--out", required=True, help="output path prefix")
     p_color.set_defaults(func=cmd_color3)
 

@@ -29,12 +29,13 @@ class GroupBudgetError(ValueError):
     """An edge-group input violated its declared budget.
 
     ``budget`` names the violated field so callers can tell which
-    precondition failed.
+    precondition failed; ``detail`` is the message without that name.
     """
 
-    def __init__(self, budget: str, message: str):
-        super().__init__(f"{budget}: {message}")
+    def __init__(self, budget: str, detail: str):
+        super().__init__(f"{budget}: {detail}")
         self.budget = budget
+        self.detail = detail
 
 
 class ClusteringBoundError(RuntimeError):

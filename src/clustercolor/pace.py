@@ -140,12 +140,14 @@ def pace_to_td(text: str) -> TreeDecomposition:
                 raise PaceParseError("non-integer tree edge", lineno) from None
             if not (1 <= a <= num_nodes and 1 <= b <= num_nodes):
                 raise PaceParseError(f"tree edge out of range 1..{num_nodes}", lineno)
+            if a == b:
+                raise PaceParseError(f"tree edge is a self-loop at node {a}", lineno)
             tree_edges.append((a - 1, b - 1))
     if header is None:
         raise PaceParseError("missing 's td' header", 1)
     num_nodes, width_plus, _ = header
     if num_nodes == 0:
-        raise PaceParseError("decomposition must have at least one node", 1)
+        raise PaceParseError("decomposition must have at least one node", header_line)
     missing = next((i for i in range(1, num_nodes + 1) if i not in bags), None)
     if missing is not None:
         raise PaceParseError(

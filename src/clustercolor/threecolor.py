@@ -193,16 +193,14 @@ def _layer_view(
     return edges, view_bags, tree_edges, [depth[t] for t in nodes], groups, pours
 
 
-def three_color(
-    g: Graph, ltd: LayeredTreeDecomposition, delta: int
-) -> ThreeColorResult:
+def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
     """3-color g so that every monochromatic component has at most
     ``constants.g`` vertices.
 
-    ``delta`` must bound the maximum degree; the constants are computed for
-    the measured layered width. Stage failures keep their exception types
-    but name the stage and layer; the final clustering is measured and
-    checked before returning.
+    The constants are computed for the measured layered width and maximum
+    degree. Stage failures keep their exception types but name the stage
+    and layer; the final clustering is measured and checked before
+    returning.
     """
     ly = ltd.layering
     td = ltd.td
@@ -215,11 +213,7 @@ def three_color(
     validate_layering(g, ly).require(InvalidLayering)
     w_eff = max(1, layered_width(ltd))
     holders, depth, parent = checked.holders, checked.depth, checked.parent
-    if g.max_degree() > delta:
-        raise ValueError(
-            f"graph degree {g.max_degree()} exceeds declared bound {delta}"
-        )
-    d_eff = max(1, delta)
+    d_eff = max(1, g.max_degree())
     constants = compute_constants(w_eff, d_eff)
     budget2 = GroupBudget(
         max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
@@ -270,7 +264,7 @@ def three_color(
                 edges, bags = enlarge_lists(n, edges, bags, tree_edges, groups, budget)
                 colors, clusters = band_color(n, edges, bags, view_depth, degree)
             except GroupBudgetError as exc:
-                raise GroupBudgetError(exc.budget, f"{stage}: {exc}") from exc
+                raise GroupBudgetError(exc.budget, f"{stage}: {exc.detail}") from exc
             except ClusteringBoundError as exc:
                 raise ClusteringBoundError(stage, exc.measured, exc.bound) from exc
             except InternalInvariantError as exc:

@@ -89,18 +89,18 @@ def band_color(
 
 
 def two_color_bounded_treewidth(
-    g: Graph, td: TreeDecomposition, delta: int
+    g: Graph, td: TreeDecomposition
 ) -> tuple[dict[int, int], int]:
     """Color ``g`` with colors {1, 2} so monochromatic components are small.
 
     Requires a valid decomposition of ``g`` (an invalid one raises
-    InvalidDecomposition) and max degree at most ``delta``; bands by the
-    depths from ``td.root`` and checks the bound as ``band_color`` does.
+    InvalidDecomposition); bands by the depths from ``td.root`` and checks
+    the bound for the graph's maximum degree as ``band_color`` does.
     Returns (coloring, measured clustering).
     """
     checked = validate_tree_decomposition(g, td)
     checked.require(InvalidDecomposition)
-    colors, report = band_color(g.n, g.edges, td.bags, checked.depth, delta)
+    colors, report = band_color(g.n, g.edges, td.bags, checked.depth, g.max_degree())
     return dict(enumerate(colors)), report.max_size
 
 

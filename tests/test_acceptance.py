@@ -58,8 +58,8 @@ def test_criterion_01_trigrid_clustering_plateau():
     try:
         values = {}
         for n in (10, 20, 30, 40):
-            g, ltd, delta = gen_grid(n, triangulated=True)
-            values[n] = three_color(g, ltd, delta).clustering
+            g, ltd, _ = gen_grid(n, triangulated=True)
+            values[n] = three_color(g, ltd).clustering
     except Exception as exc:
         _report(1, False, f"raised {type(exc).__name__}: {exc}")
         raise
@@ -88,8 +88,8 @@ def test_criterion_02_palette_respects_layer_classes():
     ]
     try:
         violations = 0
-        for g, ltd, delta in instances:
-            result = three_color(g, ltd, delta)
+        for g, ltd, _ in instances:
+            result = three_color(g, ltd)
             ly = ltd.layering
             assert set().union(*ly.layers) == set(g.vertices())
             for v in ly.vertices:
@@ -264,8 +264,8 @@ def test_criterion_10_two_coloring_of_wide_strips():
         values = {}
         colors = set()
         for cols in (50, 200):
-            g, ltd, delta = gen_rect_grid(3, cols)
-            coloring, measured = two_color_bounded_treewidth(g, ltd.td, delta)
+            g, ltd, _ = gen_rect_grid(3, cols)
+            coloring, measured = two_color_bounded_treewidth(g, ltd.td)
             values[cols] = measured
             colors |= set(coloring.values())
         bound = cluster_bound(3, 4)

@@ -135,11 +135,13 @@ def test_color3_input_mode_errors(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
-def test_color3_rejects_degree_above_declared_bound(tmp_path, capsys):
+def test_color3_delta_is_an_argparse_error(tmp_path, capsys):
+    """The degree is measured from the graph, so there is none to declare."""
     inputs = gen_inputs(tmp_path, "grid", 4)
-    code = main(["color3", *inputs, "--delta", "1", "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["color3", *inputs, "--delta", "4", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --delta 4" in capsys.readouterr().err
 
 
 def test_color3_group_budget_overrun_exits_1(tmp_path, monkeypatch, capsys):

@@ -148,18 +148,18 @@ def test_layered_width_measures_bag_layer_overlap():
     with pytest.raises(
         InvalidLayering, match=r"^invalid layering: partition axiom fails at vertex 3$"
     ):
-        three_color(g, bad, 2)
+        three_color(g, bad)
     bad_td = LayeredTreeDecomposition(TreeDecomposition([frozenset({0})]), ly)
     with pytest.raises(
         InvalidDecomposition,
         match=r"^invalid decomposition: vertex-coverage axiom fails at vertex 1$",
     ):
-        three_color(g, bad_td, 2)
+        three_color(g, bad_td)
     forest = TreeDecomposition([frozenset({0, 1, 2}), frozenset({1, 2, 3})], [])
     with pytest.raises(
         InvalidDecomposition, match=r"^invalid decomposition: tree axiom fails$"
     ):
-        three_color(g, LayeredTreeDecomposition(forest, ly), 2)
+        three_color(g, LayeredTreeDecomposition(forest, ly))
 
 
 def test_bfs_layering_spans_edges_and_restarts():

@@ -81,6 +81,18 @@ def test_td_rejects_width_other_than_largest_bag():
     assert "w+1 = 3" in str(err.value)
 
 
+def test_td_rejects_self_loop_tree_edge_on_its_line():
+    with pytest.raises(PaceParseError) as err:
+        pace_to_td("s td 2 1 2\nb 1 1\nb 2 2\n2 2\n")
+    assert str(err.value) == "line 4: tree edge is a self-loop at node 2"
+
+
+def test_td_without_nodes_names_the_header_line():
+    with pytest.raises(PaceParseError) as err:
+        pace_to_td("c note\ns td 0 0 0\n")
+    assert str(err.value) == "line 2: decomposition must have at least one node"
+
+
 def test_td_round_trip_preserves_empty_bags():
     td = TreeDecomposition(
         [frozenset({0, 1}), frozenset(), frozenset({1, 2})],

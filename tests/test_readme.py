@@ -1,4 +1,4 @@
-"""The README's command-line examples run as written."""
+"""The README's examples run as written."""
 
 import argparse
 import json
@@ -41,19 +41,35 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
             assert int(option(argv, "--k")) == json.load(fh)["clustering"]
 
 
-def test_readme_lists_exactly_color3s_options():
+def test_readme_python_example_runs():
+    """The library example runs and gives the values its comments state."""
+    section = README.read_text(encoding="utf-8").split("```python\n", 1)[1]
+    namespace = {}
+    exec(section.split("```", 1)[0], namespace)
+    result = namespace["result"]
+    assert result.clustering == 18
+    assert sorted(set(result.coloring.values())) == [1, 2, 3]
+
+
+def test_readme_lists_exactly_each_commands_options():
     text = README.read_text(encoding="utf-8")
-    after = text.split("`color3` reads one instance", 1)[1]
-    bullets = re.match(r"[^\n]*\n\n((?:(?:- |  )[^\n]*\n)+)", after).group(1)
-    documented = set(re.findall(r"`(--[a-z-]+)", bullets))
+    listed = dict(
+        re.findall(
+            r"^`(\w+)` [^\n]*takes these options:\n\n((?:(?:- |  )[^\n]*\n)+)",
+            text,
+            re.M,
+        )
+    )
     sub = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
-    offered = {
-        flag
-        for action in sub.choices["color3"]._actions
-        for flag in action.option_strings
-        if flag.startswith("--") and flag != "--help"
-    }
-    assert documented == offered
+    assert sorted(listed) == sorted(sub.choices)
+    for command, parser in sub.choices.items():
+        offered = {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert set(re.findall(r"`(--[a-z-]+)", listed[command])) == offered, command

@@ -82,7 +82,7 @@ def _connected_within(g: Graph, verts) -> bool:
     return seen == verts
 
 
-def _three_color_with_pairs(monkeypatch, g, ltd, delta):
+def _three_color_with_pairs(monkeypatch, g, ltd):
     """``three_color``'s result, and the distinct fake pairs of each layer
     class in original ids, read from the groups ``_layer_view`` returns."""
     from clustercolor import threecolor
@@ -99,7 +99,7 @@ def _three_color_with_pairs(monkeypatch, g, ltd, delta):
         return view
 
     monkeypatch.setattr(threecolor, "_layer_view", capturing)
-    return three_color(g, ltd, delta), pairs
+    return three_color(g, ltd), pairs
 
 
 def _stage2_comps_are_respected(g, ly, result, stage2_pairs):
@@ -115,8 +115,8 @@ def _stage2_comps_are_respected(g, ly, result, stage2_pairs):
 
 
 def test_three_color_trigrid(monkeypatch):
-    g, ltd, delta = gen_grid(10, triangulated=True)
-    result, pairs = _three_color_with_pairs(monkeypatch, g, ltd, delta)
+    g, ltd, _ = gen_grid(10, triangulated=True)
+    result, pairs = _three_color_with_pairs(monkeypatch, g, ltd)
     assert len(pairs[2]) == result.stage2_fake_edges
     assert len(pairs[3]) == result.stage3_fake_edges
     assert set(result.coloring) == set(range(g.n))
@@ -128,28 +128,28 @@ def test_three_color_trigrid(monkeypatch):
 
 
 def test_three_color_is_deterministic():
-    g, ltd, delta = gen_grid(7, triangulated=True)
-    first = three_color(g, ltd, delta)
-    second = three_color(g, ltd, delta)
+    g, ltd, _ = gen_grid(7, triangulated=True)
+    first = three_color(g, ltd)
+    second = three_color(g, ltd)
     assert first.coloring == second.coloring
     assert first.clustering == second.clustering
 
 
 def test_three_color_path_and_kst():
-    g, ltd, delta = gen_path(30)
-    result = three_color(g, ltd, delta)
+    g, ltd, _ = gen_path(30)
+    result = three_color(g, ltd)
     assert result.clustering <= result.constants.g
     assert _palette_violations(result, ltd.layering) == []
 
-    g, ltd, delta = gen_kst_instance(2, 3)
-    result = three_color(g, ltd, delta)
+    g, ltd, _ = gen_kst_instance(2, 3)
+    result = three_color(g, ltd)
     assert _palette_violations(result, ltd.layering) == []
     assert result.clustering <= result.constants.g
 
 
 def test_three_color_single_vertex():
-    g, ltd, delta = gen_grid(1)
-    result = three_color(g, ltd, delta)
+    g, ltd, _ = gen_grid(1)
+    result = three_color(g, ltd)
     assert result.coloring == {0: 1}
     assert result.clustering == 1
 
@@ -157,24 +157,22 @@ def test_three_color_single_vertex():
 def test_three_color_empty_graph():
     g = Graph(0, [])
     ltd = LayeredTreeDecomposition(TreeDecomposition([frozenset()]), Layering([]))
-    result = three_color(g, ltd, 1)
+    result = three_color(g, ltd)
     assert result.coloring == {} and result.clustering == 0
 
 
 def test_three_color_rejects_bad_inputs():
-    g, ltd, delta = gen_grid(4, triangulated=True)
-    with pytest.raises(ValueError):
-        three_color(g, ltd, delta - 1)
+    g, ltd, _ = gen_grid(4, triangulated=True)
     broken = LayeredTreeDecomposition(
         TreeDecomposition([frozenset({0})]), ltd.layering
     )
     with pytest.raises(InvalidDecomposition):
-        three_color(g, broken, delta)
+        three_color(g, broken)
 
 
 def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):
-    g, ltd, delta = gen_grid(9, triangulated=True)
-    result, pairs = _three_color_with_pairs(monkeypatch, g, ltd, delta)
+    g, ltd, _ = gen_grid(9, triangulated=True)
+    result, pairs = _three_color_with_pairs(monkeypatch, g, ltd)
     assert len(pairs[2]) == result.stage2_fake_edges
     assert len(pairs[3]) == result.stage3_fake_edges
     ly = ltd.layering
@@ -184,7 +182,7 @@ def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):
         assert _layer_class(ly, a) == 3 and _layer_class(ly, b) == 3
 
 
-def _permuted(g, ltd, delta, seed):
+def _permuted(g, ltd, seed):
     """The same instance with its vertex ids shuffled by a seeded permutation."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -196,17 +194,17 @@ def _permuted(g, ltd, delta, seed):
     )
     ly = ltd.layering
     ly = Layering([tuple(perm[v] for v in ly.layer(i)) for i in range(1, ly.m + 1)])
-    return pg, LayeredTreeDecomposition(td, ly), delta
+    return pg, LayeredTreeDecomposition(td, ly)
 
 
-def _rerooted(g, ltd, delta):
+def _rerooted(g, ltd):
     """The same decomposition rooted at its middle node."""
     td = ltd.td
     td = TreeDecomposition(td.bags, td.edges, td.node_count // 2)
-    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+    return g, LayeredTreeDecomposition(td, ltd.layering)
 
 
-def _branching(g, ltd, delta):
+def _branching(g, ltd):
     """Hang leaves off the nodes: every fourth node gets a leaf holding its
     bag minus the smallest vertex, every ninth node from node 2 a leaf
     holding the lower half of its bag, and one node an empty leaf."""
@@ -223,18 +221,18 @@ def _branching(g, ltd, delta):
         edges.append((t, len(bags)))
         bags.append(frozenset(bag))
     td = TreeDecomposition(bags, edges, td.root)
-    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+    return g, LayeredTreeDecomposition(td, ltd.layering)
 
 
 def _folded_path(n):
     """A path layered by distance from its middle vertex: each layer's two
     vertices sit at opposite ends of the path decomposition."""
-    g, ltd, delta = gen_path(n)
+    g, ltd, _ = gen_path(n)
     ly = bfs_layering(g, [n // 2])
-    return g, LayeredTreeDecomposition(ltd.td, ly), delta
+    return g, LayeredTreeDecomposition(ltd.td, ly)
 
 
-def _nodes_permuted(g, ltd, delta, seed):
+def _nodes_permuted(g, ltd, seed):
     """The same decomposition with its node ids shuffled by a seeded
     permutation; the root moves with its node."""
     td = ltd.td
@@ -245,7 +243,7 @@ def _nodes_permuted(g, ltd, delta, seed):
         bags[perm[t]] = bag
     edges = [(perm[a], perm[b]) for a, b in td.edges]
     td = TreeDecomposition(bags, edges, perm[td.root])
-    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+    return g, LayeredTreeDecomposition(td, ltd.layering)
 
 
 # SHA-256 of the .coloring text, clustering, and fake-edge counts of stages
@@ -280,18 +278,18 @@ GOLDEN = {
         1, 0, 0,
     ),
     "rect-6x60-rerooted": (
-        lambda: _rerooted(*gen_rect_grid(6, 60)),
+        lambda: _rerooted(*gen_rect_grid(6, 60)[:2]),
         "de0da5c9224e30a47588390af1811251e760c1577438406d2e3c008ea4d50ac1",
         12, 88, 227,
     ),
     "rect-6x60-branching": (
-        lambda: _branching(*_rerooted(*gen_rect_grid(6, 60))),
+        lambda: _branching(*_rerooted(*gen_rect_grid(6, 60)[:2])),
         "afa9c96868adf5a61b24690ef7ca3a4191d45a309aac1f00b6d6381d3325905c",
         12, 103, 207,
     ),
     "rect-6x60-nodes-permuted": (
         lambda: _nodes_permuted(
-            *_branching(*_rerooted(*gen_rect_grid(6, 60))), seed=5
+            *_branching(*_rerooted(*gen_rect_grid(6, 60)[:2])), seed=5
         ),
         "afa9c96868adf5a61b24690ef7ca3a4191d45a309aac1f00b6d6381d3325905c",
         12, 103, 207,
@@ -302,7 +300,7 @@ GOLDEN = {
         2, 1, 0,
     ),
     "trigrid-20-permuted": (
-        lambda: _permuted(*gen_grid(20, triangulated=True), seed=7),
+        lambda: _permuted(*gen_grid(20, triangulated=True)[:2], seed=7),
         "a467a15b7960e153104a7d7f3cf7ce2d4b955df02f07d3289af77742d17ec85d",
         18, 84, 174,
     ),
@@ -312,8 +310,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_three_color_golden_outputs(name):
     build, digest, clustering, stage2, stage3 = GOLDEN[name]
-    g, ltd, delta = build()
-    result = three_color(g, ltd, delta)
+    g, ltd = build()[:2]
+    result = three_color(g, ltd)
     text = "".join(f"{v} {result.coloring[v]}\n" for v in sorted(result.coloring))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert result.clustering == clustering
@@ -337,8 +335,8 @@ def test_three_color_two_colors_sparse_layer_views(monkeypatch):
         return band_color(n, edges, bags, *args, **kwargs)
 
     monkeypatch.setattr(threecolor, "band_color", counting)
-    g, ltd, delta = gen_path(2000)
-    three_color(g, ltd, delta)
+    g, ltd, _ = gen_path(2000)
+    three_color(g, ltd)
     assert len(node_counts) == 2000
     assert sum(node_counts) <= 2 * sum(len(bag) for bag in ltd.td.bags)
 
@@ -358,7 +356,7 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
 
         return wrapper
 
-    g, ltd, delta = gen_grid(20, triangulated=True)
+    g, ltd, _ = gen_grid(20, triangulated=True)
     validate = counted("validate", graph.check_decomposition)
     components = counted("components", verify.edge_components)
     for module in (graph, twocolor):
@@ -370,7 +368,7 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     )
     for cls in (graph.Graph, graph.TreeDecomposition):
         monkeypatch.setattr(cls, "__init__", counted("objects", cls.__init__))
-    three_color(g, ltd, delta)
+    three_color(g, ltd)
     nonempty = sum(1 for layer in ltd.layering.layers if layer)
     assert calls["enlarge"] > 0
     assert calls["validate"] == 1 + nonempty
@@ -384,8 +382,8 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
     input as it stands."""
     from clustercolor import graph, threecolor, twocolor
 
-    g, ltd, delta = gen_grid(20, triangulated=True)
-    expected = three_color(g, ltd, delta).coloring
+    g, ltd, _ = gen_grid(20, triangulated=True)
+    expected = three_color(g, ltd).coloring
     calls = [0]
     check_once = graph.check_decomposition
 
@@ -405,7 +403,7 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
         return (*view, groups + [idle], pours)
 
     monkeypatch.setattr(threecolor, "_layer_view", with_idle_group)
-    result = three_color(g, ltd, delta)
+    result = three_color(g, ltd)
     nonempty = sum(1 for layer in ltd.layering.layers if layer)
     assert calls[0] == 1 + nonempty
     assert result.coloring == expected
@@ -416,7 +414,7 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
     violated budget field and the stage and layer in the message."""
     from clustercolor import threecolor
 
-    g, ltd, delta = gen_grid(6, triangulated=True)
+    g, ltd, _ = gen_grid(6, triangulated=True)
     ly = ltd.layering
     layer_view = threecolor._layer_view
     hit = []
@@ -438,10 +436,12 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
 
     monkeypatch.setattr(threecolor, "_layer_view", over_budget)
     with pytest.raises(GroupBudgetError) as err:
-        three_color(g, ltd, delta)
+        three_color(g, ltd)
     assert hit == [2]
     assert err.value.budget == "max_groups_per_node"
-    assert str(err.value).startswith("max_groups_per_node: stage-2 layer 2: ")
+    assert str(err.value) == (
+        "max_groups_per_node: stage-2 layer 2: node 0 covered by 4 group subtrees"
+    )
 
 
 def test_stage_one_takes_no_groups(monkeypatch):
@@ -449,7 +449,7 @@ def test_stage_one_takes_no_groups(monkeypatch):
     pairs: a stray group there is a named budget error."""
     from clustercolor import threecolor
 
-    g, ltd, delta = gen_grid(6, triangulated=True)
+    g, ltd, _ = gen_grid(6, triangulated=True)
     layer_view = threecolor._layer_view
 
     def stray(*args):
@@ -461,16 +461,15 @@ def test_stage_one_takes_no_groups(monkeypatch):
 
     monkeypatch.setattr(threecolor, "_layer_view", stray)
     with pytest.raises(GroupBudgetError) as err:
-        three_color(g, ltd, delta)
+        three_color(g, ltd)
     assert err.value.budget == "max_pairs_per_group"
-    assert str(err.value).startswith("max_pairs_per_group: stage-1 layer 1: ")
-    assert str(err.value).endswith("group 0 has 1 pairs")
+    assert str(err.value) == "max_pairs_per_group: stage-1 layer 1: group 0 has 1 pairs"
 
 
 def test_three_color_refuses_spine_path_in_stage_one():
     g, ltd = spine_path(40)
     with pytest.raises(ClusteringBoundError) as err:
-        three_color(g, ltd, 2)
+        three_color(g, ltd)
     assert err.value.stage == "stage-1 layer 1"
     assert err.value.measured == 40
     assert err.value.bound == 24
@@ -482,23 +481,23 @@ def test_corrupted_view_is_an_internal_fault(monkeypatch):
     and its witness."""
     from clustercolor import InternalInvariantError, threecolor
 
-    g, ltd, delta = gen_grid(6, triangulated=True)
+    g, ltd, _ = gen_grid(6, triangulated=True)
     monkeypatch.setattr(
         threecolor, "_layer_view", without_vertex_zero(threecolor._layer_view)
     )
     with pytest.raises(InternalInvariantError) as err:
-        three_color(g, ltd, delta)
+        three_color(g, ltd)
     assert str(err.value) == (
         "stage-1 layer 1: enlarged decomposition invalid: "
         "vertex-coverage axiom fails at vertex 0"
     )
 
 
-def _certified(g, ltd, delta):
+def _certified(g, ltd):
     """``three_color``'s coloring, after checking it independently: every
     vertex colored from its class's palette, and the clustering measured
     again and within the bound."""
-    result = three_color(g, ltd, delta)
+    result = three_color(g, ltd)
     assert set(result.coloring) == set(range(g.n))
     assert _palette_violations(result, ltd.layering) == []
     measured = monochromatic_components(g, result.coloring)
@@ -506,12 +505,12 @@ def _certified(g, ltd, delta):
     return result.coloring
 
 
-def _rooted(g, ltd, delta, root):
+def _rooted(g, ltd, root):
     td = TreeDecomposition(ltd.td.bags, ltd.td.edges, root=root)
-    return g, LayeredTreeDecomposition(td, ltd.layering), delta
+    return g, LayeredTreeDecomposition(td, ltd.layering)
 
 
-def _end_roots(g, ltd, delta):
+def _end_roots(g, ltd):
     last = ltd.td.node_count - 1
     return (0, last // 2, last)
 
@@ -529,7 +528,7 @@ def test_three_color_certifies_any_root(name):
     coloring. The triangulated grid tries all its nodes; the others their
     first, middle and last."""
     build, pick = ROOTED[name]
-    instance = build()
+    instance = build()[:2]
     td = instance[1].td
     roots = range(td.node_count) if pick is None else pick(*instance)
     for root in roots:
@@ -539,7 +538,7 @@ def test_three_color_certifies_any_root(name):
 def test_three_color_ignores_node_ids_when_the_root_moves_along():
     """Renumbering the nodes at random, with the root mapped along, leaves
     the coloring as it was."""
-    instance = _rooted(*gen_grid(12, triangulated=True), root=5)
+    instance = _rooted(*gen_grid(12, triangulated=True)[:2], root=5)
     expected = _certified(*instance)
     for seed in (1, 2, 3):
         assert _certified(*_nodes_permuted(*instance, seed=seed)) == expected
@@ -548,7 +547,7 @@ def test_three_color_ignores_node_ids_when_the_root_moves_along():
 def test_three_color_ignores_empty_leaf_bags():
     """Three empty bags hung as leaves off the first, middle and last node
     change no color."""
-    g, ltd, delta = gen_grid(10, triangulated=True)
+    g, ltd, _ = gen_grid(10, triangulated=True)
     td = ltd.td
     nn = td.node_count
     hangs = (0, nn // 2, nn - 1)
@@ -558,7 +557,7 @@ def test_three_color_ignores_empty_leaf_bags():
         root=td.root,
     )
     padded = LayeredTreeDecomposition(grown, ltd.layering)
-    assert _certified(g, padded, delta) == _certified(g, ltd, delta)
+    assert _certified(g, padded) == _certified(g, ltd)
 
 
 def test_three_color_chains_forest_shaped_views(monkeypatch):
@@ -588,5 +587,5 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
         return view
 
     monkeypatch.setattr(threecolor, "_layer_view", capturing)
-    _certified(g, LayeredTreeDecomposition(td, ly), 2)
+    _certified(g, LayeredTreeDecomposition(td, ly))
     assert max(tops) >= 2

@@ -33,7 +33,7 @@ def test_cluster_bound_values():
 
 def test_two_color_path():
     g, ltd, delta = gen_path(100)
-    coloring, measured = two_color_bounded_treewidth(g, ltd.td, delta)
+    coloring, measured = two_color_bounded_treewidth(g, ltd.td)
     assert set(coloring) == set(range(100))
     assert set(coloring.values()) <= {1, 2}
     assert measured <= cluster_bound(ltd.td.width(), delta)
@@ -41,9 +41,9 @@ def test_two_color_path():
 
 
 def test_two_color_is_deterministic():
-    g, ltd, delta = gen_path(40)
-    first = two_color_bounded_treewidth(g, ltd.td, delta)
-    second = two_color_bounded_treewidth(g, ltd.td, delta)
+    g, ltd, _ = gen_path(40)
+    first = two_color_bounded_treewidth(g, ltd.td)
+    second = two_color_bounded_treewidth(g, ltd.td)
     assert first == second
 
 
@@ -59,9 +59,9 @@ def test_two_color_searches_the_tree_once(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(graph, "_search", counting)
-    g, ltd, delta = gen_rect_grid(3, 20)
+    g, ltd, _ = gen_rect_grid(3, 20)
     td = TreeDecomposition(ltd.td.bags, ltd.td.edges, ltd.td.node_count // 2)
-    two_color_bounded_treewidth(g, td, delta)
+    two_color_bounded_treewidth(g, td)
     assert calls[0] == 1
 
 
@@ -69,7 +69,7 @@ def test_two_color_three_row_grids_plateau():
     results = {}
     for cols in (50, 200):
         g, ltd, delta = gen_rect_grid(3, cols)
-        coloring, measured = two_color_bounded_treewidth(g, ltd.td, delta)
+        coloring, measured = two_color_bounded_treewidth(g, ltd.td)
         assert set(coloring.values()) <= {1, 2}
         assert measured <= cluster_bound(ltd.td.width(), delta)
         results[cols] = measured
@@ -78,20 +78,18 @@ def test_two_color_three_row_grids_plateau():
 
 def test_two_color_single_vertex_and_empty():
     g, ltd, _ = gen_path(1)
-    coloring, measured = two_color_bounded_treewidth(g, ltd.td, 0)
+    coloring, measured = two_color_bounded_treewidth(g, ltd.td)
     assert coloring == {0: 1} and measured == 1
     empty = Graph(0, [])
     td = TreeDecomposition([frozenset()])
-    assert two_color_bounded_treewidth(empty, td, 0) == ({}, 0)
+    assert two_color_bounded_treewidth(empty, td) == ({}, 0)
 
 
-def test_two_color_rejects_degree_and_bad_decomposition():
-    g, ltd, delta = gen_grid(4)
-    with pytest.raises(ValueError):
-        two_color_bounded_treewidth(g, ltd.td, delta - 1)
+def test_two_color_rejects_bad_decomposition():
+    g, _, _ = gen_grid(4)
     broken = TreeDecomposition([frozenset({0, 1})])
     with pytest.raises(InvalidDecomposition):
-        two_color_bounded_treewidth(g, broken, delta)
+        two_color_bounded_treewidth(g, broken)
 
 
 def _two_bag_instance():
