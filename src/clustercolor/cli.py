@@ -23,8 +23,7 @@ from dataclasses import asdict
 from . import pace
 from .errors import GroupBudgetError, PaceParseError
 from .generators import gen_grid, gen_kst_instance, gen_path
-from .graph import LayeredTreeDecomposition
-from .threecolor import three_color
+from .threecolor import three_color_lists
 from .verify import check_list_coloring, edge_components
 
 GEN_FAMILIES = ("grid", "trigrid", "kst", "path")
@@ -63,22 +62,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_color3(args) -> int:
-    g = pace.read_graph(args.gr)
-    ltd = LayeredTreeDecomposition(
-        pace.read_td(args.td), pace.read_layering(args.layers)
-    )
-    result = three_color(g, ltd)
+    n, edges = pace.read_edges(args.gr)
+    bags, tree_edges = pace.read_bags(args.td)
+    rows = pace.read_rows(args.layers)
+    result = three_color_lists(n, edges, bags, tree_edges, rows)
 
     coloring_path = f"{args.out}.coloring"
     with open(coloring_path, "w") as fh:
-        for v in sorted(result.coloring):
-            fh.write(f"{v} {result.coloring[v]}\n")
+        fh.writelines(f"{v} {color}\n" for v, color in result.coloring.items())
 
     report = {
         "command": "color3",
-        "vertices": g.n,
-        "edges": len(g.edges),
-        "layers": ltd.layering.m,
+        "vertices": n,
+        "edges": result.edge_count,
+        "layers": len(rows),
         "clustering": result.clustering,
         "bound": result.constants.g,
         "constants": asdict(result.constants),
@@ -95,7 +92,7 @@ def cmd_color3(args) -> int:
         fh.write("\n")
     print(
         f"clustering {result.clustering} (bound {result.constants.g}) "
-        f"over {g.n} vertices"
+        f"over {n} vertices"
     )
     print(f"  report: {report_path}")
     print(f"  coloring: {coloring_path}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import gt
 from typing import NamedTuple
 
 from .errors import InvalidDecomposition, InvalidLayering
@@ -193,18 +195,6 @@ class Layering:
         return f"Layering(m={self.m}, n={len(self._index)})"
 
 
-def _holders(bags: Iterable[Iterable[int]]) -> dict[int, list[int]]:
-    """Every vertex in some bag, mapped to its nodes in ascending order."""
-    holders: dict[int, list[int]] = {}
-    for t, bag in enumerate(bags):
-        for v in bag:
-            if v in holders:
-                holders[v].append(t)
-            else:
-                holders[v] = [t]
-    return holders
-
-
 def _search(
     adj: Sequence[Sequence[int]], root: int
 ) -> tuple[list[int], list[int], int]:
@@ -304,46 +294,79 @@ class LayeredTreeDecomposition:
     layering: Layering
 
 
+def layer_index(
+    n: int, rows: Sequence[Sequence[int]]
+) -> tuple[list[int], AxiomCheck]:
+    """Each vertex's layer, and the partition check of the layering whose
+    layer i is ``rows[i - 1]``: disjoint rows, each in ascending order.
+
+    ``layer_of[v]`` is 0 for a vertex of 0..n-1 in no row; an id outside
+    0..n-1 is left out of it. The witness is the smallest vertex in no row,
+    else the smallest id outside 0..n-1.
+    """
+    layer_of = [0] * n
+    stray = None
+    for i, row in enumerate(rows, start=1):
+        if row and (row[0] < 0 or row[-1] >= n):
+            out = min(v for v in row if not 0 <= v < n)
+            stray = out if stray is None else min(stray, out)
+            row = [v for v in row if 0 <= v < n]
+        for v in row:
+            layer_of[v] = i
+    missing = layer_of.index(0) if 0 in layer_of else None
+    witness = missing if missing is not None else stray
+    return layer_of, AxiomCheck("partition", witness is None, witness)
+
+
+def index_edges(
+    n: int, edges: Iterable[tuple[int, int]], layer_of: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[list[int]], AxiomCheck]:
+    """One pass over the edge lines of a graph on 0..n-1, in either
+    orientation and possibly repeated, with no self-loop: the distinct
+    edges as (u, v) with u < v and each vertex's neighbors, both in the
+    order first seen, and the edge-span check of a layering given by
+    ``layer_of`` (see ``layer_index``).
+
+    An edge with an end in no layer is not checked; the witness is the
+    smallest edge whose ends lie two or more layers apart.
+    """
+    seen: set[tuple[int, int]] = set()
+    distinct: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    bad_edge = None
+    for edge in edges:
+        u, v = edge
+        if u > v:
+            u, v = v, u
+            edge = (u, v)
+        if edge in seen:
+            continue
+        seen.add(edge)
+        distinct.append(edge)
+        adj[u].append(v)
+        adj[v].append(u)
+        lu, lv = layer_of[u], layer_of[v]
+        if not -1 <= lu - lv <= 1 and lu and lv:
+            if bad_edge is None or edge < bad_edge:
+                bad_edge = edge
+    return distinct, adj, AxiomCheck("edge-span", bad_edge is None, bad_edge)
+
+
 def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
-    """Check the partition and consecutive-layer axioms of a layering.
+    """Check the partition and consecutive-layer axioms of a layering, by
+    ``layer_index`` and ``index_edges``.
 
     Each witness is the smallest failing item (vertex, or edge as a sorted
-    pair): the checks scan in any order and keep the minimum failure.
+    pair).
     """
-    checks = []
-    index = ly._index
-
-    missing = next((v for v in g.vertices() if v not in index), None)
-    stray = min((v for v in index if not 0 <= v < g.n), default=None)
-    partition_ok = missing is None and stray is None
-    checks.append(
-        AxiomCheck("partition", partition_ok, missing if missing is not None else stray)
-    )
-
-    bad_edge = None
-    for u, v in g.edges:
-        lu, lv = index.get(u), index.get(v)
-        if lu is None or lv is None or -1 <= lu - lv <= 1:
-            continue
-        if bad_edge is None or (u, v) < bad_edge:
-            bad_edge = (u, v)
-    checks.append(AxiomCheck("edge-span", bad_edge is None, bad_edge))
-    return ValidationReport(tuple(checks))
+    layer_of, partition = layer_index(g.n, ly.layers)
+    return ValidationReport((partition, index_edges(g.n, g.edges, layer_of)[2]))
 
 
-def _connected_over(
-    nodes: list[int], edges: list[tuple[int, int]], forest: bool
-) -> bool:
-    """Whether ``edges`` (all between members of ``nodes``) connect ``nodes``.
-
-    When ``forest`` says the edges hold no cycle, counting them decides.
-    That covers every valid decomposition and costs far less than the
-    search, which only a decomposition that is not a tree needs.
-    """
+def _connected_over(nodes: list[int], edges: list[tuple[int, int]]) -> bool:
+    """Whether ``edges`` (all between members of ``nodes``) connect ``nodes``."""
     if len(edges) < len(nodes) - 1:
         return False
-    if forest:
-        return True
     adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
@@ -361,11 +384,12 @@ def _connected_over(
 @dataclass(frozen=True)
 class DecompositionReport(ValidationReport):
     """A decomposition's validation report together with the index its
-    checks built: each vertex's nodes in ascending order, and each node's
-    depth and parent (-1 for the root and for nodes it cannot reach) in a
-    breadth-first search from the root."""
+    checks built: for each vertex of 0..n-1, a list indexed by vertex, its
+    nodes in ascending order; and each node's depth and parent (-1 for the
+    root and for nodes it cannot reach) in a breadth-first search from the
+    root."""
 
-    holders: dict[int, list[int]] = field(compare=False, repr=False)
+    holders: list[list[int]] = field(compare=False, repr=False)
     depth: list[int] = field(compare=False, repr=False)
     parent: list[int] = field(compare=False, repr=False)
 
@@ -395,21 +419,26 @@ def check_decomposition(
     tree = len(tree_edges) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))
 
-    holders = _holders(bags)
+    # Each vertex's nodes in ascending order. Ids outside 0..n-1 are kept
+    # apart with theirs, so that connectivity still covers them.
+    holders: list[list[int]] = [[] for _ in range(n)]
+    strays: dict[int, list[int]] = {}
     stray = None
-    if holders and (min(holders) < 0 or max(holders) >= n):
+    ids = set().union(*bags)
+    if ids and (min(ids) < 0 or max(ids) >= n):
         for t, bag in enumerate(bags):
-            if bag and (min(bag) < 0 or max(bag) >= n):
-                stray = (t, min(v for v in bag if not 0 <= v < n))
-                break
+            for v in bag:
+                (holders[v] if 0 <= v < n else strays.setdefault(v, [])).append(t)
+        # The first bag to hold a stray id is the smallest first node of one.
+        first = min(nodes[0] for nodes in strays.values())
+        stray = (first, min(v for v, nodes in strays.items() if nodes[0] == first))
+    else:
+        for t, bag in enumerate(bags):
+            for v in bag:
+                holders[v].append(t)
     checks.append(AxiomCheck("bag-contents", stray is None, stray))
 
-    # With no stray vertex, every vertex is covered when n of them are.
-    missing = (
-        None
-        if stray is None and len(holders) == n
-        else next((v for v in range(n) if v not in holders), None)
-    )
+    missing = holders.index([]) if [] in holders else None
     checks.append(AxiomCheck("vertex-coverage", missing is None, missing))
 
     # An edge is covered when a bag holding the endpoint with fewer nodes
@@ -417,7 +446,7 @@ def check_decomposition(
     bad_edge = None
     for edge in edges:
         u, v = edge
-        hu, hv = holders.get(u, ()), holders.get(v, ())
+        hu, hv = holders[u], holders[v]
         if len(hu) > len(hv):
             hu, v = hv, u
         for t in hu:
@@ -428,28 +457,33 @@ def check_decomposition(
                 bad_edge = edge
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
-    # Each vertex's node set must induce a connected subtree. Scanning the
-    # smaller bag of every tree edge finds, per vertex, the edges whose two
-    # bags both hold it. The lists hold at most sum-of-bag-sizes entries in
-    # all, so deciding every vertex over its own list costs
-    # O(sum of bag sizes + nodes); on a tree a vertex's k nodes are
-    # connected exactly when k - 1 such edges hold it.
-    shared: dict[int, list[tuple[int, int]]] = {}
-    for a, b in tree_edges:
-        small, large = bags[a], bags[b]
-        if len(small) > len(large):
-            small, large = large, small
-        for v in small:
-            if v in large:
-                shared.setdefault(v, []).append((a, b))
-    bad_vertex = None
-    for v, nodes in holders.items():
-        if (
-            len(nodes) > 1
-            and (bad_vertex is None or v < bad_vertex)
-            and not _connected_over(nodes, shared.get(v, []), tree)
-        ):
-            bad_vertex = v
+    # Each vertex's node set must induce a connected subtree. Summed over the
+    # vertices, the tree edges whose two bags both hold the vertex number at
+    # most the sum of bag sizes. On a tree a vertex's k nodes are connected
+    # exactly when k - 1 such edges hold it, so one count per vertex
+    # decides; off a tree, or for a stray id, a search over the vertex's own
+    # edges does.
+    if tree and not strays:
+        # One more than the count: a vertex fails when it has more nodes.
+        shared = [1] * n
+        for a, b in tree_edges:
+            for v in bags[a] & bags[b]:
+                shared[v] += 1
+        failing = compress(range(n), map(gt, map(len, holders), shared))
+        bad_vertex = next(failing, None)
+    else:
+        joins: dict[int, list[tuple[int, int]]] = {}
+        for a, b in tree_edges:
+            for v in bags[a] & bags[b]:
+                joins.setdefault(v, []).append((a, b))
+        bad_vertex = min(
+            (
+                v
+                for v, nodes in chain(enumerate(holders), strays.items())
+                if len(nodes) > 1 and not _connected_over(nodes, joins.get(v, []))
+            ),
+            default=None,
+        )
     checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
     return DecompositionReport(tuple(checks), holders, depth, parent)
 
@@ -460,22 +494,32 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Decompositio
     return check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
 
 
-def layered_width(ltd: LayeredTreeDecomposition) -> int:
-    """Layered width of a layered tree-decomposition: the largest number of
-    vertices any bag shares with one layer. The result means nothing unless
-    both parts are valid for the graph; the caller validates them.
-    """
-    index = ltd.layering._index
+def bags_layered_width(
+    bags: Iterable[Iterable[int]], layer_of: Sequence[int]
+) -> int:
+    """The largest number of vertices any bag shares with one layer of the
+    layering given by ``layer_of`` (see ``layer_index``); every bag vertex
+    must index it, and a vertex in no layer counts for none."""
     best = 0
-    for bag in ltd.td.bags:
+    for bag in bags:
         per_layer: dict[int, int] = {}
         for v in bag:
-            i = index.get(v)
-            if i is not None:
-                per_layer[i] = per_layer.get(i, 0) + 1
+            i = layer_of[v]
+            per_layer[i] = per_layer.get(i, 0) + 1
+        per_layer.pop(0, None)
         if per_layer:
             best = max(best, max(per_layer.values()))
     return best
+
+
+def layered_width(ltd: LayeredTreeDecomposition) -> int:
+    """Layered width of a layered tree-decomposition: ``bags_layered_width``
+    of its bags and layering. The result means nothing unless both parts
+    are valid for the graph; the caller validates them.
+    """
+    bags, rows = ltd.td.bags, ltd.layering.layers
+    n = max(set().union(*bags, *rows), default=-1) + 1
+    return bags_layered_width(bags, layer_index(n, rows)[0])
 
 
 def bfs_layering(g: Graph, roots: Iterable[int]) -> Layering:

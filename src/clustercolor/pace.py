@@ -10,6 +10,7 @@ per layer holding 1-based vertex ids; an empty line is an empty layer.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from .errors import PaceParseError
 from .graph import Graph, Layering, TreeDecomposition
@@ -89,13 +90,15 @@ def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pace_to_td(text: str) -> TreeDecomposition:
-    """Parse an ``s td N w+1 n`` decomposition; every bag id 1..N must be
-    given, and the largest bag must have exactly w+1 vertices."""
+def pace_to_bags(text: str) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    """Parse an ``s td N w+1 n`` decomposition into its bags in node order
+    and its distinct tree edges (a, b), a < b, in the order first given.
+    Every bag id 1..N must be given, no bag line may repeat a vertex, and
+    the largest bag must have exactly w+1 vertices."""
     header = None
     header_line = 1
     bags: dict[int, frozenset[int]] = {}
-    tree_edges = []
+    tree_edges: dict[tuple[int, int], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -130,7 +133,11 @@ def pace_to_td(text: str) -> TreeDecomposition:
                     raise PaceParseError(
                         f"bag vertex {v} out of range 1..{n}", lineno
                     )
-            bags[bag_id] = frozenset(v - 1 for v in verts)
+            bag = frozenset(v - 1 for v in verts)
+            if len(bag) < len(verts):
+                again = min(v for v, count in Counter(verts).items() if count > 1)
+                raise PaceParseError(f"vertex {again} repeats in bag {bag_id}", lineno)
+            bags[bag_id] = bag
         else:
             if len(fields) != 2:
                 raise PaceParseError("expected tree edge line '<a> <b>'", lineno)
@@ -142,7 +149,7 @@ def pace_to_td(text: str) -> TreeDecomposition:
                 raise PaceParseError(f"tree edge out of range 1..{num_nodes}", lineno)
             if a == b:
                 raise PaceParseError(f"tree edge is a self-loop at node {a}", lineno)
-            tree_edges.append((a - 1, b - 1))
+            tree_edges[(a - 1, b - 1) if a < b else (b - 1, a - 1)] = None
     if header is None:
         raise PaceParseError("missing 's td' header", 1)
     num_nodes, width_plus, _ = header
@@ -159,7 +166,12 @@ def pace_to_td(text: str) -> TreeDecomposition:
             f"header declares w+1 = {width_plus} but the largest bag has {largest}",
             header_line,
         )
-    return TreeDecomposition([bags[i] for i in range(1, num_nodes + 1)], tree_edges)
+    return [bags[i] for i in range(1, num_nodes + 1)], list(tree_edges)
+
+
+def pace_to_td(text: str) -> TreeDecomposition:
+    """Parse an ``s td N w+1 n`` decomposition as ``pace_to_bags`` does."""
+    return TreeDecomposition(*pace_to_bags(text))
 
 
 def layering_to_text(ly: Layering) -> str:
@@ -169,37 +181,44 @@ def layering_to_text(ly: Layering) -> str:
     return "\n".join(lines) + "\n"
 
 
-def text_to_layering(text: str) -> Layering:
-    rows = []
+def text_to_rows(text: str) -> list[tuple[int, ...]]:
+    """Parse a layering sidecar into its layers, line i being layer i, each
+    as its 0-based vertex ids in ascending order. No vertex may appear
+    twice, on one line or on two; a line that repeats one is reported once
+    every line has parsed."""
+    rows: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    repeat = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            rows.append(())
-            continue
         try:
-            verts = [int(f) for f in line.split()]
+            verts = [int(f) for f in raw.split()]
         except ValueError:
             raise PaceParseError("non-integer vertex id", lineno) from None
-        for v in verts:
-            if v < 1:
-                raise PaceParseError(f"vertex id {v} must be positive", lineno)
-        rows.append(tuple(v - 1 for v in verts))
-    try:
-        return Layering(rows)
-    except ValueError:
-        # A vertex repeats. Name the first line to repeat one (layer i is
-        # line i) and the smallest vertex it repeats, by its id in the file.
-        first: dict[int, int] = {}
-        for lineno, row in enumerate(rows, start=1):
-            again = [v for v in row if v in first]
-            if again:
-                v = min(again)
-                raise PaceParseError(
-                    f"vertex {v + 1} appears in layers {first[v]} and {lineno}",
-                    lineno,
-                ) from None
-            first.update(dict.fromkeys(row, lineno))
-        raise
+        if verts and min(verts) < 1:
+            v = next(v for v in verts if v < 1)
+            raise PaceParseError(f"vertex id {v} must be positive", lineno)
+        row = set(verts)
+        if repeat is None and not seen.isdisjoint(row):
+            # Name the smallest vertex this line repeats, by its id in the
+            # file, and the line (layer) it first appeared on.
+            v = min(seen & row)
+            first = next(i for i, r in enumerate(rows, start=1) if v - 1 in r)
+            repeat = PaceParseError(
+                f"vertex {v} appears in layers {first} and {lineno}", lineno
+            )
+        elif repeat is None and len(row) < len(verts):
+            again = min(v for v, count in Counter(verts).items() if count > 1)
+            repeat = PaceParseError(f"vertex {again} repeats in layer {lineno}", lineno)
+        seen |= row
+        rows.append(tuple(v - 1 for v in sorted(row)))
+    if repeat is not None:
+        raise repeat
+    return rows
+
+
+def text_to_layering(text: str) -> Layering:
+    """Parse a layering sidecar as ``text_to_rows`` does."""
+    return Layering(text_to_rows(text))
 
 
 def _read(path: str | os.PathLike) -> str:
@@ -228,12 +247,22 @@ def read_td(path: str | os.PathLike) -> TreeDecomposition:
     return pace_to_td(_read(path))
 
 
+def read_bags(
+    path: str | os.PathLike,
+) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    return pace_to_bags(_read(path))
+
+
 def write_td(td: TreeDecomposition, n_vertices: int, path: str | os.PathLike) -> None:
     _write(path, td_to_pace(td, n_vertices))
 
 
 def read_layering(path: str | os.PathLike) -> Layering:
     return text_to_layering(_read(path))
+
+
+def read_rows(path: str | os.PathLike) -> list[tuple[int, ...]]:
+    return text_to_rows(_read(path))
 
 
 def write_layering(ly: Layering, path: str | os.PathLike) -> None:

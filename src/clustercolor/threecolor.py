@@ -14,7 +14,7 @@ layered width and the maximum degree alone.
 
 from __future__ import annotations
 
-from collections.abc import Sequence, Set as AbstractSet
+from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 
 from .errors import (
@@ -27,9 +27,11 @@ from .errors import (
 from .graph import (
     Graph,
     LayeredTreeDecomposition,
-    layered_width,
-    validate_layering,
-    validate_tree_decomposition,
+    ValidationReport,
+    bags_layered_width,
+    check_decomposition,
+    index_edges,
+    layer_index,
 )
 from .twocolor import (
     CLUSTER_FACTOR,
@@ -39,7 +41,7 @@ from .twocolor import (
     cluster_bound,
     enlarge_lists,
 )
-from .verify import monochromatic_components
+from .verify import edge_components
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ def compute_constants(width: int, degree: int) -> ThreeColorConstants:
 
 @dataclass(frozen=True)
 class ThreeColorResult:
-    """Coloring with its measured clustering (overall and per color), the
-    constants used, and the number of fake edges stages 2 and 3 added."""
+    """Coloring, in vertex order, with its measured clustering (overall and
+    per color), the constants used, the number of fake edges stages 2 and 3
+    added, and the number of distinct edges of the colored graph."""
 
     coloring: dict[int, int]
     clustering: int
@@ -106,12 +109,13 @@ class ThreeColorResult:
     constants: ThreeColorConstants
     stage2_fake_edges: int
     stage3_fake_edges: int
+    edge_count: int
 
 
 def _layer_view(
-    g: Graph,
+    adj: Sequence[Sequence[int]],
     bags: Sequence[AbstractSet[int]],
-    holders: dict[int, list[int]],
+    holders: Sequence[Sequence[int]],
     parent: list[int],
     depth: list[int],
     poured: dict[int, list[frozenset[int]]],
@@ -148,13 +152,13 @@ def _layer_view(
     edges = [
         (i, index[u])
         for i, v in enumerate(ids)
-        for u in g.neighbors(v)
+        for u in adj[v]
         if u > v and u in index
     ]
     kept = {t for v in ids for t in holders[v]}
     found = []
     for comp in sorted(guards, key=min):
-        links = [(c, u) for c in comp for u in g.neighbors(c) if u in index]
+        links = [(c, u) for c in comp for u in adj[c] if u in index]
         ends = sorted({index[u] for _, u in links})
         if len(ends) < 2:
             continue
@@ -194,26 +198,48 @@ def _layer_view(
 
 
 def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
-    """3-color g so that every monochromatic component has at most
-    ``constants.g`` vertices.
+    """``three_color_lists`` of ``g``'s vertices and edges, ``ltd``'s bags
+    and tree, its layers, and its decomposition's root."""
+    td = ltd.td
+    return three_color_lists(
+        g.n, g.edges, td.bags, td.edges, ltd.layering.layers, td.root
+    )
 
-    The constants are computed for the measured layered width and maximum
+
+def three_color_lists(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    bags: Sequence[AbstractSet[int]],
+    tree_edges: Collection[tuple[int, int]],
+    rows: Sequence[Sequence[int]],
+    root: int = 0,
+) -> ThreeColorResult:
+    """3-color the graph on 0..n-1 so that every monochromatic component has
+    at most ``constants.g`` vertices, over plain lists: the graph by its
+    edge lines (either orientation, repeats allowed, no self-loop), one bag
+    per node, the tree by its distinct node pairs (no self-loops, both ends
+    below ``len(bags)``, which is at least 1), and the layering by its
+    disjoint rows, layer i being ``rows[i - 1]`` in ascending order.
+
+    The input is validated first: an invalid decomposition raises
+    InvalidDecomposition, and then an invalid layering InvalidLayering. The
+    constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
     and layer; the final clustering is measured and checked before
     returning.
     """
-    ly = ltd.layering
-    td = ltd.td
-    # The whole input is validated once; the index that check builds (each
-    # vertex's nodes, each node's depth and parent from the root) serves
-    # every layer. The views keep these original depths, so their bands
-    # match the whole tree's.
-    checked = validate_tree_decomposition(g, td)
+    # One pass over the edge lines and one over the bags build the index
+    # that every layer shares: each vertex's neighbors and nodes, and each
+    # node's depth and parent from the root. The views keep these original
+    # depths, so their bands match the whole tree's.
+    layer_of, partition = layer_index(n, rows)
+    edges, adj, edge_span = index_edges(n, edges, layer_of)
+    checked = check_decomposition(n, edges, bags, tree_edges, root)
     checked.require(InvalidDecomposition)
-    validate_layering(g, ly).require(InvalidLayering)
-    w_eff = max(1, layered_width(ltd))
+    ValidationReport((partition, edge_span)).require(InvalidLayering)
+    w_eff = max(1, bags_layered_width(bags, layer_of))
     holders, depth, parent = checked.holders, checked.depth, checked.parent
-    d_eff = max(1, g.max_degree())
+    d_eff = max(1, max(map(len, adj), default=0))
     constants = compute_constants(w_eff, d_eff)
     budget2 = GroupBudget(
         max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
@@ -234,7 +260,7 @@ def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
         (3, (1, 3), constants.delta3, budget3),
     )
 
-    coloring: dict[int, int] = {}
+    coloring = [0] * n
     # Monochromatic components of each colored layer, as original ids,
     # keyed by (layer index, final color).
     comps: dict[tuple[int, int], list[frozenset[int]]] = {}
@@ -244,8 +270,8 @@ def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
     fake_edges = {cls: 0 for cls, *_ in stages}
 
     for cls, palette, degree, budget in stages:
-        for li in range(cls, ly.m + 1, 3):
-            ids = ly.layer(li)
+        for li in range(cls, len(rows) + 1, 3):
+            ids = rows[li - 1]
             if not ids:
                 continue
             guards = [
@@ -254,15 +280,19 @@ def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
                 for color in palette
                 for comp in comps.get((lj, color), ())
             ]
-            edges, bags, tree_edges, view_depth, groups, pours = _layer_view(
-                g, td.bags, holders, parent, depth, poured, ids, guards
+            view_edges, view_bags, view_tree, view_depth, groups, pours = _layer_view(
+                adj, bags, holders, parent, depth, poured, ids, guards
             )
-            n = len(ids)
+            k = len(ids)
             stage = f"stage-{cls} layer {li}"
             # enlarge_lists validates the view, with or without pairs to add.
             try:
-                edges, bags = enlarge_lists(n, edges, bags, tree_edges, groups, budget)
-                colors, clusters = band_color(n, edges, bags, view_depth, degree)
+                view_edges, view_bags = enlarge_lists(
+                    k, view_edges, view_bags, view_tree, groups, budget
+                )
+                colors, clusters = band_color(
+                    k, view_edges, view_bags, view_depth, degree
+                )
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc.detail}") from exc
             except ClusteringBoundError as exc:
@@ -281,14 +311,15 @@ def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
                 for v in ends:
                     poured.setdefault(v, []).append(subtree)
 
-    report = monochromatic_components(g, coloring)
+    report = edge_components(n, edges, coloring)
     if report.max_size > constants.g:
         raise ClusteringBoundError("three-color", report.max_size, constants.g)
     return ThreeColorResult(
-        coloring=coloring,
+        coloring=dict(enumerate(coloring)),
         clustering=report.max_size,
         per_color_max=report.per_color_max,
         constants=constants,
         stage2_fake_edges=fake_edges[2],
         stage3_fake_edges=fake_edges[3],
+        edge_count=len(edges),
     )

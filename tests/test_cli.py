@@ -6,16 +6,23 @@ import os
 import subprocess
 import sys
 
+import random
+
 import pytest
 
 from clustercolor import (
     Graph,
     GroupBudgetError,
     LayeredTreeDecomposition,
+    Layering,
     PaceParseError,
+    TreeDecomposition,
     gen_grid,
+    gen_path,
+    gen_rect_grid,
     layered_width,
     monochromatic_components,
+    three_color,
     validate_layering,
     validate_tree_decomposition,
 )
@@ -148,7 +155,7 @@ def test_color3_group_budget_overrun_exits_1(tmp_path, monkeypatch, capsys):
     def overrun(*args, **kwargs):
         raise GroupBudgetError("max_pairs_per_group", "stage-2 layer 2: group 0")
 
-    monkeypatch.setattr(cli, "three_color", overrun)
+    monkeypatch.setattr(cli, "three_color_lists", overrun)
     inputs = gen_inputs(tmp_path, "grid", 3)
     code = main(["color3", *inputs, "--out", str(tmp_path / "run")])
     assert code == 1
@@ -208,6 +215,137 @@ def test_color3_names_the_failed_axiom(tmp_path, capsys):
                 "--out", out]
         assert main(argv) == 2
         assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize(
+    "rows, witness",
+    [
+        # A stray id n + 1 on a line of its own, and on a line with a vertex.
+        (["1", "2", "3", "4", "5", "6"], 5),
+        (["1", "2 6", "3", "4", "5"], 5),
+        # Vertex 1 (0 in the library's ids) moved out for a stray id: the
+        # vertex left out is named before any stray id.
+        (["6", "2", "3", "4", "5"], 0),
+        # The smallest stray id is named, wherever it stands.
+        (["1 60", "2", "3", "4", "5", "9"], 8),
+    ],
+)
+def test_color3_names_a_stray_layering_id(tmp_path, capsys, rows, witness):
+    """A layering id outside 1..n is a partition failure, named like any
+    other, even though no vertex has a layer to index it by."""
+    prefix = tmp_path / "p"
+    assert main(["gen", "path", "--n", "5", "--out", str(prefix)]) == 0
+    layers = tmp_path / "stray.layers"
+    layers.write_text("".join(f"{row}\n" for row in rows))
+    argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
+            "--layers", str(layers), "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid layering: partition axiom fails at vertex {witness}\n"
+    )
+
+
+def test_color3_ignores_duplicate_edge_lines(tmp_path, capsys):
+    """Repeated and reversed edge lines leave the coloring and the report as
+    the clean file gives them, with the distinct edges counted."""
+    inputs = gen_inputs(tmp_path, "trigrid", 6)
+    gr = inputs[1]
+    with open(gr) as fh:
+        header, *lines = fh.readlines()
+    extra = lines[::3] + [" ".join(line.split()[::-1]) + "\n" for line in lines[::4]]
+    noisy = tmp_path / "noisy.gr"
+    noisy.write_text(f"p tw 36 {len(lines) + len(extra)}\n" + "".join(lines + extra))
+    outputs = []
+    for name, graph in (("clean", gr), ("noisy", str(noisy))):
+        out = str(tmp_path / name)
+        assert main(["color3", "--gr", graph, *inputs[2:], "--out", out]) == 0
+        with open(f"{out}.coloring", "rb") as fh:
+            coloring = fh.read()
+        with open(f"{out}.report.json") as fh:
+            report = json.load(fh)
+        assert report.pop("coloring_file") == f"{out}.coloring"
+        outputs.append((coloring, report))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["edges"] == len(lines)
+
+
+def test_color3_builds_no_objects_and_validates_each_layer_once(
+    tmp_path, monkeypatch
+):
+    """color3 runs on the parsed lists: no Graph, TreeDecomposition or
+    Layering is built; the input is validated once and each nonempty
+    layer's view once; one component pass per layer plus the final one."""
+    from clustercolor import graph, threecolor, twocolor, verify
+
+    inputs = gen_inputs(tmp_path, "trigrid", 20)
+    nonempty = sum(1 for row in pace.read_rows(inputs[5]) if row)
+    calls = {"validate": 0, "components": 0, "objects": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    validate = counted("validate", graph.check_decomposition)
+    components = counted("components", verify.edge_components)
+    for module in (graph, twocolor, threecolor):
+        monkeypatch.setattr(module, "check_decomposition", validate)
+    for module in (verify, twocolor, threecolor):
+        monkeypatch.setattr(module, "edge_components", components)
+    for cls in (graph.Graph, graph.TreeDecomposition, graph.Layering):
+        monkeypatch.setattr(cls, "__init__", counted("objects", cls.__init__))
+    assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 0
+    assert calls == {
+        "validate": 1 + nonempty,
+        "components": nonempty + 1,
+        "objects": 0,
+    }
+
+
+def _shuffled_files(g, ltd, seed, prefix):
+    """Write the instance with its vertex ids permuted by the seed, its edge
+    lines shuffled and some reversed; return the permuted instance."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in sorted(g.edges)]
+    rng.shuffle(edges)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    td = TreeDecomposition(
+        [[perm[v] for v in bag] for bag in ltd.td.bags], ltd.td.edges
+    )
+    ly = Layering([[perm[v] for v in row] for row in ltd.layering.layers])
+    with open(f"{prefix}.gr", "w") as fh:
+        fh.write(f"p tw {g.n} {len(edges)}\n")
+        fh.writelines(f"{u + 1} {v + 1}\n" for u, v in edges)
+    pace.write_td(td, g.n, f"{prefix}.td")
+    pace.write_layering(ly, f"{prefix}.layers")
+    return Graph(g.n, edges), LayeredTreeDecomposition(td, ly)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_grid(12, triangulated=True),
+        lambda: gen_rect_grid(6, 40),
+        lambda: gen_path(60),
+    ],
+    ids=["trigrid", "rect_grid", "path"],
+)
+@pytest.mark.parametrize("seed", [3, 8])
+def test_color3_colors_as_three_color_does(tmp_path, capsys, build, seed):
+    g, ltd, _ = build()
+    prefix = str(tmp_path / "x")
+    g, ltd = _shuffled_files(g, ltd, seed, prefix)
+    argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
+            "--layers", f"{prefix}.layers", "--out", prefix]
+    assert main(argv) == 0
+    expected = three_color(g, ltd).coloring
+    with open(f"{prefix}.coloring") as fh:
+        assert fh.read() == "".join(f"{v} {c}\n" for v, c in sorted(expected.items()))
 
 
 # SHA-256 of color3's outputs on the triangulated 10x10 grid from gen:

@@ -82,11 +82,7 @@ def test_tree_decomposition_accessors():
     assert td.width() == 1
     assert td.node_neighbors(1) == (0, 2)
     g = Graph(3, [(0, 1), (1, 2)])
-    assert validate_tree_decomposition(g, td).holders == {
-        0: [0],
-        1: [0, 1],
-        2: [1, 2],
-    }
+    assert validate_tree_decomposition(g, td).holders == [[0], [0, 1], [1, 2]]
     assert td.is_tree()
     assert td.depths() == [0, 1, 2]
     assert TreeDecomposition([frozenset()]).width() == -1

@@ -6,6 +6,7 @@ from clustercolor import Graph, Layering, PaceParseError, TreeDecomposition
 from clustercolor.pace import (
     graph_to_pace,
     layering_to_text,
+    pace_to_bags,
     pace_to_edges,
     pace_to_graph,
     pace_to_td,
@@ -14,6 +15,7 @@ from clustercolor.pace import (
     read_td,
     td_to_pace,
     text_to_layering,
+    text_to_rows,
     write_graph,
     write_layering,
     write_td,
@@ -93,6 +95,30 @@ def test_td_without_nodes_names_the_header_line():
     assert str(err.value) == "line 2: decomposition must have at least one node"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Collapsed, the bag would be blamed on the header's width.
+        ("s td 1 2 2\nb 1 1 1\n", "line 2: vertex 1 repeats in bag 1"),
+        # Collapsed, the bag would match the header and pass unnoticed.
+        ("s td 2 1 2\nb 1 1\nb 2 2 2\n1 2\n", "line 3: vertex 2 repeats in bag 2"),
+    ],
+)
+def test_td_repeated_bag_vertex_is_blamed_on_its_bag_line(text, message):
+    with pytest.raises(PaceParseError) as err:
+        pace_to_td(text)
+    assert str(err.value) == message
+
+
+def test_td_lists_give_bags_and_distinct_tree_edges():
+    text = "s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3\n2 1\n1 2\n2 3\n"
+    assert pace_to_bags(text) == (
+        [frozenset({0, 1}), frozenset({1, 2}), frozenset()],
+        [(0, 1), (1, 2)],
+    )
+    assert pace_to_td(text) == TreeDecomposition(*pace_to_bags(text))
+
+
 def test_td_round_trip_preserves_empty_bags():
     td = TreeDecomposition(
         [frozenset({0, 1}), frozenset(), frozenset({1, 2})],
@@ -136,6 +162,20 @@ def test_layering_parse_errors():
     assert err.value.line == 2
     with pytest.raises(PaceParseError):
         text_to_layering("1 2\n2\n")
+
+
+def test_layering_repeat_on_one_line_is_an_error():
+    with pytest.raises(PaceParseError) as err:
+        text_to_layering("1 1\n2\n")
+    assert str(err.value) == "line 1: vertex 1 repeats in layer 1"
+    with pytest.raises(PaceParseError) as err:
+        text_to_rows("1\n3 2 3 2\n")
+    assert str(err.value) == "line 2: vertex 2 repeats in layer 2"
+    # A line that does not parse is reported before any repeat.
+    with pytest.raises(PaceParseError) as err:
+        text_to_rows("1 1\nx\n")
+    assert str(err.value) == "line 2: non-integer vertex id"
+    assert text_to_rows("3 1\n\n2\n") == [(0, 2), (), (1,)]
 
 
 def test_layering_repeat_names_the_line_of_the_later_layer():

@@ -359,9 +359,9 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     g, ltd, _ = gen_grid(20, triangulated=True)
     validate = counted("validate", graph.check_decomposition)
     components = counted("components", verify.edge_components)
-    for module in (graph, twocolor):
+    for module in (graph, twocolor, threecolor):
         monkeypatch.setattr(module, "check_decomposition", validate)
-    for module in (verify, twocolor):
+    for module in (verify, twocolor, threecolor):
         monkeypatch.setattr(module, "edge_components", components)
     monkeypatch.setattr(
         threecolor, "enlarge_lists", counted("enlarge", threecolor.enlarge_lists)
@@ -391,7 +391,7 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
         calls[0] += 1
         return check_once(*args)
 
-    for module in (graph, twocolor):
+    for module in (graph, twocolor, threecolor):
         monkeypatch.setattr(module, "check_decomposition", validate)
     layer_view = threecolor._layer_view
 
