@@ -22,6 +22,13 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+def _bad_edge(u: int, v: int, n: int) -> ValueError:
+    """The error for an edge line (u, v) that is a self-loop or leaves 0..n-1."""
+    if u == v:
+        return ValueError(f"self-loop at vertex {u}")
+    return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+
+
 # What each axiom's witness names. The decomposition's "tree" axiom has none.
 _WITNESS = {
     "partition": "vertex",
@@ -81,10 +88,8 @@ class Graph:
         seen = set()
         add = seen.add
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise _bad_edge(u, v, n)
             add((u, v) if u < v else (v, u))
         adj = [[] for _ in range(n)]
         for u, v in seen:
@@ -200,9 +205,11 @@ def _search(
 ) -> tuple[list[int], list[int], int]:
     """Breadth-first search over nodes 0..len(adj)-1 from ``root``: each
     node's depth and parent (-1 for the root and for nodes it cannot reach),
-    and the number of nodes reached."""
+    and the number of nodes reached, none when ``root`` names no node."""
     depth = [-1] * len(adj)
     parent = [-1] * len(adj)
+    if not 0 <= root < len(adj):
+        return depth, parent, 0
     depth[root] = 0
     queue = [root]
     for t in queue:
@@ -267,10 +274,6 @@ class TreeDecomposition:
         nn = self.node_count
         return len(self.edges) == nn - 1 and _search(self._adj, 0)[2] == nn
 
-    def depths(self, root: int | None = None) -> list[int]:
-        """BFS depth of every node from ``root`` (default: stored root)."""
-        return _search(self._adj, self.root if root is None else root)[0]
-
     def __eq__(self, other):
         return (
             isinstance(other, TreeDecomposition)
@@ -322,10 +325,11 @@ def index_edges(
     n: int, edges: Iterable[tuple[int, int]], layer_of: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[list[int]], AxiomCheck]:
     """One pass over the edge lines of a graph on 0..n-1, in either
-    orientation and possibly repeated, with no self-loop: the distinct
-    edges as (u, v) with u < v and each vertex's neighbors, both in the
-    order first seen, and the edge-span check of a layering given by
-    ``layer_of`` (see ``layer_index``).
+    orientation and possibly repeated: the distinct edges as (u, v) with
+    u < v and each vertex's neighbors, both in the order first seen, and
+    the edge-span check of a layering given by ``layer_of`` (see
+    ``layer_index``). A self-loop, or a line with an end outside 0..n-1,
+    raises ValueError naming the line as given, as ``Graph`` does.
 
     An edge with an end in no layer is not checked; the witness is the
     smallest edge whose ends lie two or more layers apart.
@@ -334,13 +338,15 @@ def index_edges(
     distinct: list[tuple[int, int]] = []
     adj: list[list[int]] = [[] for _ in range(n)]
     bad_edge = None
-    for edge in edges:
-        u, v = edge
+    for line in edges:
+        u, v = edge = line
         if u > v:
             u, v = v, u
             edge = (u, v)
         if edge in seen:
             continue
+        if not 0 <= u < v < n:
+            raise _bad_edge(*line, n)
         seen.add(edge)
         distinct.append(edge)
         adj[u].append(v)
@@ -404,7 +410,8 @@ def check_decomposition(
     """Check tree shape, coverage, and connectivity axioms of a decomposition
     given as plain lists: the graph on 0..n-1 by its distinct edges (u, v)
     with u < v, one bag per node, and the tree by its distinct node pairs
-    (no self-loops, both ends below ``len(bags)``, which is at least 1).
+    (no self-loops). The tree axiom fails when there is no bag, or when the
+    root or a tree pair names no node; such a pair joins nothing.
 
     Each witness is the smallest failing item (node, vertex, or edge): the
     checks scan in any order and keep the minimum failure.
@@ -412,30 +419,26 @@ def check_decomposition(
     checks = []
     nn = len(bags)
     tree_adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in tree_edges:
+    named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
+    for a, b in named:
         tree_adj[a].append(b)
         tree_adj[b].append(a)
     depth, parent, reached = _search(tree_adj, root)
-    tree = len(tree_edges) == nn - 1 and reached == nn
+    tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))
 
     # Each vertex's nodes in ascending order. Ids outside 0..n-1 are kept
     # apart with theirs, so that connectivity still covers them.
     holders: list[list[int]] = [[] for _ in range(n)]
     strays: dict[int, list[int]] = {}
+    for t, bag in enumerate(bags):
+        for v in bag:
+            (holders[v] if 0 <= v < n else strays.setdefault(v, [])).append(t)
     stray = None
-    ids = set().union(*bags)
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        for t, bag in enumerate(bags):
-            for v in bag:
-                (holders[v] if 0 <= v < n else strays.setdefault(v, [])).append(t)
+    if strays:
         # The first bag to hold a stray id is the smallest first node of one.
         first = min(nodes[0] for nodes in strays.values())
         stray = (first, min(v for v, nodes in strays.items() if nodes[0] == first))
-    else:
-        for t, bag in enumerate(bags):
-            for v in bag:
-                holders[v].append(t)
     checks.append(AxiomCheck("bag-contents", stray is None, stray))
 
     missing = holders.index([]) if [] in holders else None
@@ -466,14 +469,14 @@ def check_decomposition(
     if tree and not strays:
         # One more than the count: a vertex fails when it has more nodes.
         shared = [1] * n
-        for a, b in tree_edges:
+        for a, b in named:
             for v in bags[a] & bags[b]:
                 shared[v] += 1
         failing = compress(range(n), map(gt, map(len, holders), shared))
         bad_vertex = next(failing, None)
     else:
         joins: dict[int, list[tuple[int, int]]] = {}
-        for a, b in tree_edges:
+        for a, b in named:
             for v in bags[a] & bags[b]:
                 joins.setdefault(v, []).append((a, b))
         bad_vertex = min(

@@ -74,11 +74,6 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     return n, edges
 
 
-def pace_to_graph(text: str) -> Graph:
-    """Parse a ``p tw n m`` graph; the number of edge lines must be m."""
-    return Graph(*pace_to_edges(text))
-
-
 def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
     width_plus = max((len(b) for b in td.bags), default=0)
     lines = [f"s td {td.node_count} {width_plus} {n_vertices}"]
@@ -169,11 +164,6 @@ def pace_to_bags(text: str) -> tuple[list[frozenset[int]], list[tuple[int, int]]
     return [bags[i] for i in range(1, num_nodes + 1)], list(tree_edges)
 
 
-def pace_to_td(text: str) -> TreeDecomposition:
-    """Parse an ``s td N w+1 n`` decomposition as ``pace_to_bags`` does."""
-    return TreeDecomposition(*pace_to_bags(text))
-
-
 def layering_to_text(ly: Layering) -> str:
     if not ly.layers:
         return ""
@@ -216,11 +206,6 @@ def text_to_rows(text: str) -> list[tuple[int, ...]]:
     return rows
 
 
-def text_to_layering(text: str) -> Layering:
-    """Parse a layering sidecar as ``text_to_rows`` does."""
-    return Layering(text_to_rows(text))
-
-
 def _read(path: str | os.PathLike) -> str:
     with open(path, "r", encoding="ascii") as fh:
         return fh.read()
@@ -231,20 +216,12 @@ def _write(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
-def read_graph(path: str | os.PathLike) -> Graph:
-    return pace_to_graph(_read(path))
-
-
 def read_edges(path: str | os.PathLike) -> tuple[int, list[tuple[int, int]]]:
     return pace_to_edges(_read(path))
 
 
 def write_graph(g: Graph, path: str | os.PathLike) -> None:
     _write(path, graph_to_pace(g))
-
-
-def read_td(path: str | os.PathLike) -> TreeDecomposition:
-    return pace_to_td(_read(path))
 
 
 def read_bags(
@@ -255,10 +232,6 @@ def read_bags(
 
 def write_td(td: TreeDecomposition, n_vertices: int, path: str | os.PathLike) -> None:
     _write(path, td_to_pace(td, n_vertices))
-
-
-def read_layering(path: str | os.PathLike) -> Layering:
-    return text_to_layering(_read(path))
 
 
 def read_rows(path: str | os.PathLike) -> list[tuple[int, ...]]:

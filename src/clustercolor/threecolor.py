@@ -216,13 +216,14 @@ def three_color_lists(
 ) -> ThreeColorResult:
     """3-color the graph on 0..n-1 so that every monochromatic component has
     at most ``constants.g`` vertices, over plain lists: the graph by its
-    edge lines (either orientation, repeats allowed, no self-loop), one bag
-    per node, the tree by its distinct node pairs (no self-loops, both ends
-    below ``len(bags)``, which is at least 1), and the layering by its
+    edge lines (either orientation, repeats allowed), one bag per node, the
+    tree by its distinct node pairs (no self-loops), and the layering by its
     disjoint rows, layer i being ``rows[i - 1]`` in ascending order.
 
-    The input is validated first: an invalid decomposition raises
-    InvalidDecomposition, and then an invalid layering InvalidLayering. The
+    The input is validated first: an edge line that is a self-loop or
+    leaves 0..n-1 raises ValueError, an invalid decomposition (a tree pair
+    or root that names no node fails the tree axiom) InvalidDecomposition,
+    and then an invalid layering InvalidLayering. The
     constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
     and layer; the final clustering is measured and checked before

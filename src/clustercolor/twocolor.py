@@ -246,19 +246,3 @@ def enlarge_lists(
             f"enlarged decomposition invalid: {report.failures()[0].describe()}"
         )
     return new_edges, new_bags
-
-
-def enlarge_decomposition(
-    g: Graph,
-    td: TreeDecomposition,
-    groups: Iterable[EdgeGroup],
-    budget: GroupBudget,
-) -> tuple[Graph, TreeDecomposition]:
-    """``enlarge_lists`` of ``g`` and ``td``, as a new graph and
-    decomposition; when no group carries pairs, ``g`` and ``td`` themselves.
-    """
-    groups = list(groups)
-    edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, groups, budget)
-    if edges is g.edges:
-        return g, td
-    return Graph(g.n, edges), TreeDecomposition(bags, td.edges, td.root)

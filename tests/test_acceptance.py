@@ -12,11 +12,13 @@ import time
 from itertools import combinations
 
 from clustercolor import (
+    Graph,
     Layering,
+    TreeDecomposition,
     apex_split,
     cluster_bound,
     compute_constants,
-    enlarge_decomposition,
+    enlarge_lists,
     fence,
     find_fan,
     gen_grid,
@@ -112,7 +114,10 @@ def test_criterion_03_enlargement_stays_within_budget():
         for _ in range(200):
             g, td = random_decomposition(rng)
             groups, budget = random_groups(rng, g, td)
-            g2, td2 = enlarge_decomposition(g, td, groups, budget)
+            edges, bags = enlarge_lists(
+                g.n, g.edges, td.bags, td.edges, groups, budget
+            )
+            g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
             assert validate_tree_decomposition(g2, td2).ok
             growth = 2 * budget.max_groups_per_node * budget.max_pairs_per_group
             assert td2.width() <= td.width() + growth
@@ -302,18 +307,18 @@ def test_criterion_11_file_formats_round_trip_exactly():
             assert layered_width(ltd) == advertised, name
 
             text = pace.graph_to_pace(g)
-            g2 = pace.pace_to_graph(text)
+            g2 = Graph(*pace.pace_to_edges(text))
             assert (g2.n, g2.edges) == (g.n, g.edges), name
             assert pace.graph_to_pace(g2) == text, name
 
             text = pace.td_to_pace(ltd.td, g.n)
-            td2 = pace.pace_to_td(text)
+            td2 = TreeDecomposition(*pace.pace_to_bags(text))
             assert td2.bags == ltd.td.bags, name
             assert sorted(td2.edges) == sorted(ltd.td.edges), name
             assert pace.td_to_pace(td2, g.n) == text, name
 
             text = pace.layering_to_text(ltd.layering)
-            ly2 = pace.text_to_layering(text)
+            ly2 = Layering(pace.text_to_rows(text))
             assert ly2.layers == ltd.layering.layers, name
             assert pace.layering_to_text(ly2) == text, name
     except Exception as exc:

@@ -32,9 +32,9 @@ from helpers import spine_path, without_vertex_zero
 
 
 def read_instance(prefix):
-    g = pace.read_graph(f"{prefix}.gr")
-    td = pace.read_td(f"{prefix}.td")
-    ly = pace.read_layering(f"{prefix}.layers")
+    g = Graph(*pace.read_edges(f"{prefix}.gr"))
+    td = TreeDecomposition(*pace.read_bags(f"{prefix}.td"))
+    ly = Layering(pace.read_rows(f"{prefix}.layers"))
     return g, td, ly
 
 
@@ -414,7 +414,7 @@ def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 5
 
 
-def test_verify_rejects_malformed_graph_files_like_read_graph(tmp_path, capsys):
+def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
     coloring = tmp_path / "c.coloring"
     coloring.write_text("0 1\n1 2\n2 1\n")
     malformed = {
@@ -428,7 +428,7 @@ def test_verify_rejects_malformed_graph_files_like_read_graph(tmp_path, capsys):
         gr = tmp_path / f"{name}.gr"
         gr.write_text(text)
         with pytest.raises(PaceParseError) as err:
-            pace.read_graph(gr)
+            pace.read_edges(gr)
         argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "3"]
         assert main(argv) == 2, name
         assert capsys.readouterr().err == f"error: {err.value}\n", name

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from clustercolor import (
+    AxiomCheck,
     Graph,
     InvalidDecomposition,
     InvalidLayering,
@@ -10,8 +11,10 @@ from clustercolor import (
     Layering,
     TreeDecomposition,
     bfs_layering,
+    check_decomposition,
     layered_width,
     three_color,
+    three_color_lists,
     validate_layering,
     validate_tree_decomposition,
 )
@@ -82,9 +85,10 @@ def test_tree_decomposition_accessors():
     assert td.width() == 1
     assert td.node_neighbors(1) == (0, 2)
     g = Graph(3, [(0, 1), (1, 2)])
-    assert validate_tree_decomposition(g, td).holders == [[0], [0, 1], [1, 2]]
+    report = validate_tree_decomposition(g, td)
+    assert report.holders == [[0], [0, 1], [1, 2]]
+    assert report.depth == [0, 1, 2]
     assert td.is_tree()
-    assert td.depths() == [0, 1, 2]
     assert TreeDecomposition([frozenset()]).width() == -1
 
 
@@ -132,6 +136,29 @@ def test_validate_tree_decomposition_axioms():
         check.axiom == "bag-contents"
         for check in validate_tree_decomposition(g, foreign).failures()
     )
+
+
+@pytest.mark.parametrize(
+    "bags, tree, root",
+    [
+        ([{0, 1}, {1, 2}], [(0, -1)], 0),
+        ([{0, 1}, {1, 2}], [(0, 1)], -1),
+        ([{0, 1}, {1, 2}], [(0, 2)], 0),
+        ([{0, 1}, {1, 2}], [(0, 1)], 2),
+        ([], [], 0),
+    ],
+)
+def test_tree_axiom_fails_when_the_tree_names_no_node(bags, tree, root):
+    """A tree edge or root outside the nodes, or no node at all, fails the
+    tree axiom; it neither wraps round to a node counted from the end nor
+    raises IndexError."""
+    edges, rows = [(0, 1), (1, 2)], [[0], [1], [2]]
+    report = check_decomposition(3, edges, bags, tree, root)
+    assert report.checks[0] == AxiomCheck("tree", False)
+    with pytest.raises(
+        InvalidDecomposition, match=r"^invalid decomposition: tree axiom fails$"
+    ):
+        three_color_lists(3, edges, bags, tree, rows, root)
 
 
 def test_layered_width_measures_bag_layer_overlap():

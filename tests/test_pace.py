@@ -8,13 +8,10 @@ from clustercolor.pace import (
     layering_to_text,
     pace_to_bags,
     pace_to_edges,
-    pace_to_graph,
-    pace_to_td,
-    read_graph,
-    read_layering,
-    read_td,
+    read_bags,
+    read_edges,
+    read_rows,
     td_to_pace,
-    text_to_layering,
     text_to_rows,
     write_graph,
     write_layering,
@@ -26,7 +23,7 @@ from helpers import random_decomposition
 
 def test_graph_round_trip():
     g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-    assert pace_to_graph(graph_to_pace(g)) == g
+    assert Graph(*pace_to_edges(graph_to_pace(g))) == g
 
 
 def test_graph_text_shape():
@@ -36,7 +33,7 @@ def test_graph_text_shape():
 
 def test_graph_parses_comments_and_blanks():
     text = "c comment\n\np tw 3 2\n1 2\nc mid\n  \nc 1\n2 3\n"
-    g = pace_to_graph(text)
+    g = Graph(*pace_to_edges(text))
     assert g.n == 3
     assert g.edges == frozenset({(0, 1), (1, 2)})
     assert pace_to_edges(text) == (3, [(0, 1), (1, 2)])
@@ -44,54 +41,54 @@ def test_graph_parses_comments_and_blanks():
 
 def test_graph_parse_errors_carry_line_numbers():
     with pytest.raises(PaceParseError) as err:
-        pace_to_graph("p tw 2 1\n1 5\n")
+        pace_to_edges("p tw 2 1\n1 5\n")
     assert err.value.line == 2
     with pytest.raises(PaceParseError) as err:
-        pace_to_graph("p tw x 1\n")
+        pace_to_edges("p tw x 1\n")
     assert err.value.line == 1
     with pytest.raises(PaceParseError) as err:
-        pace_to_graph("1 2\n")
+        pace_to_edges("1 2\n")
     assert "header" in str(err.value)
     with pytest.raises(PaceParseError):
-        pace_to_graph("")
+        pace_to_edges("")
     with pytest.raises(PaceParseError) as err:
-        pace_to_graph("p tw 3 1\n2 2\n")
+        pace_to_edges("p tw 3 1\n2 2\n")
     assert "self-loop" in str(err.value)
 
 
 def test_graph_rejects_edge_count_other_than_header():
     with pytest.raises(PaceParseError) as err:
-        pace_to_graph("c lead\np tw 3 5\n1 2\n")
+        pace_to_edges("c lead\np tw 3 5\n1 2\n")
     assert err.value.line == 2
     assert "5 edges" in str(err.value)
     with pytest.raises(PaceParseError) as err:
-        pace_to_graph("p tw 3 1\n1 2\n2 3\n")
+        pace_to_edges("p tw 3 1\n1 2\n2 3\n")
     assert err.value.line == 1
 
 
 def test_td_rejects_bag_id_never_given():
     with pytest.raises(PaceParseError) as err:
-        pace_to_td("s td 3 2 3\nb 1 1 2\nb 3 2 3\n1 2\n2 3\n")
+        pace_to_bags("s td 3 2 3\nb 1 1 2\nb 3 2 3\n1 2\n2 3\n")
     assert err.value.line == 1
     assert "bag 2" in str(err.value)
 
 
 def test_td_rejects_width_other_than_largest_bag():
     with pytest.raises(PaceParseError) as err:
-        pace_to_td("c lead\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+        pace_to_bags("c lead\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
     assert err.value.line == 2
     assert "w+1 = 3" in str(err.value)
 
 
 def test_td_rejects_self_loop_tree_edge_on_its_line():
     with pytest.raises(PaceParseError) as err:
-        pace_to_td("s td 2 1 2\nb 1 1\nb 2 2\n2 2\n")
+        pace_to_bags("s td 2 1 2\nb 1 1\nb 2 2\n2 2\n")
     assert str(err.value) == "line 4: tree edge is a self-loop at node 2"
 
 
 def test_td_without_nodes_names_the_header_line():
     with pytest.raises(PaceParseError) as err:
-        pace_to_td("c note\ns td 0 0 0\n")
+        pace_to_bags("c note\ns td 0 0 0\n")
     assert str(err.value) == "line 2: decomposition must have at least one node"
 
 
@@ -106,7 +103,7 @@ def test_td_without_nodes_names_the_header_line():
 )
 def test_td_repeated_bag_vertex_is_blamed_on_its_bag_line(text, message):
     with pytest.raises(PaceParseError) as err:
-        pace_to_td(text)
+        pace_to_bags(text)
     assert str(err.value) == message
 
 
@@ -116,7 +113,6 @@ def test_td_lists_give_bags_and_distinct_tree_edges():
         [frozenset({0, 1}), frozenset({1, 2}), frozenset()],
         [(0, 1), (1, 2)],
     )
-    assert pace_to_td(text) == TreeDecomposition(*pace_to_bags(text))
 
 
 def test_td_round_trip_preserves_empty_bags():
@@ -124,7 +120,7 @@ def test_td_round_trip_preserves_empty_bags():
         [frozenset({0, 1}), frozenset(), frozenset({1, 2})],
         [(0, 1), (1, 2)],
     )
-    back = pace_to_td(td_to_pace(td, 3))
+    back = TreeDecomposition(*pace_to_bags(td_to_pace(td, 3)))
     assert back.bags == td.bags
     assert set(back.edges) == set(td.edges)
 
@@ -136,37 +132,37 @@ def test_td_text_shape():
 
 def test_td_parse_errors():
     with pytest.raises(PaceParseError) as err:
-        pace_to_td("s td 2 1 3\nb 5 1\n")
+        pace_to_bags("s td 2 1 3\nb 5 1\n")
     assert err.value.line == 2
     with pytest.raises(PaceParseError):
-        pace_to_td("s td 2 1 3\nb 1 1\nb 1 2\n")
+        pace_to_bags("s td 2 1 3\nb 1 1\nb 1 2\n")
     with pytest.raises(PaceParseError):
-        pace_to_td("s td 1 1 2\nb 1 9\n")
+        pace_to_bags("s td 1 1 2\nb 1 9\n")
     with pytest.raises(PaceParseError):
-        pace_to_td("s td 0 0 0\n")
+        pace_to_bags("s td 0 0 0\n")
     with pytest.raises(PaceParseError):
-        pace_to_td("nonsense\n")
+        pace_to_bags("nonsense\n")
 
 
 def test_layering_round_trip_with_empty_layers():
     ly = Layering([(0, 2), (), (1,)])
-    assert text_to_layering(layering_to_text(ly)).layers == ly.layers
+    assert Layering(text_to_rows(layering_to_text(ly))).layers == ly.layers
     empty = Layering([])
     assert layering_to_text(empty) == ""
-    assert text_to_layering("").layers == ()
+    assert text_to_rows("") == []
 
 
 def test_layering_parse_errors():
     with pytest.raises(PaceParseError) as err:
-        text_to_layering("1 2\n0\n")
+        text_to_rows("1 2\n0\n")
     assert err.value.line == 2
     with pytest.raises(PaceParseError):
-        text_to_layering("1 2\n2\n")
+        text_to_rows("1 2\n2\n")
 
 
 def test_layering_repeat_on_one_line_is_an_error():
     with pytest.raises(PaceParseError) as err:
-        text_to_layering("1 1\n2\n")
+        text_to_rows("1 1\n2\n")
     assert str(err.value) == "line 1: vertex 1 repeats in layer 1"
     with pytest.raises(PaceParseError) as err:
         text_to_rows("1\n3 2 3 2\n")
@@ -180,16 +176,16 @@ def test_layering_repeat_on_one_line_is_an_error():
 
 def test_layering_repeat_names_the_line_of_the_later_layer():
     with pytest.raises(PaceParseError) as err:
-        text_to_layering("1 2\n2 3\n4\n5\n6\n")
+        text_to_rows("1 2\n2 3\n4\n5\n6\n")
     assert err.value.line == 2
     assert "layers 1 and 2" in str(err.value)
     # The repeated vertex is named by its 1-based id in the file.
     with pytest.raises(PaceParseError) as err:
-        text_to_layering("1 2\n2 3\n")
+        text_to_rows("1 2\n2 3\n")
     assert str(err.value) == "line 2: vertex 2 appears in layers 1 and 2"
     # Empty lines are layers too, so they count towards the line number.
     with pytest.raises(PaceParseError) as err:
-        text_to_layering("1\n\n2\n1\n\n3\n")
+        text_to_rows("1\n\n2\n1\n\n3\n")
     assert err.value.line == 4
     assert str(err.value) == "line 4: vertex 1 appears in layers 1 and 4"
 
@@ -201,17 +197,17 @@ def test_file_io_round_trip(tmp_path):
     write_graph(g, tmp_path / "x.gr")
     write_td(td, g.n, tmp_path / "x.td")
     write_layering(ly, tmp_path / "x.layers")
-    assert read_graph(tmp_path / "x.gr") == g
-    assert read_td(tmp_path / "x.td").bags == td.bags
-    assert read_layering(tmp_path / "x.layers").layers == ly.layers
+    assert Graph(*read_edges(tmp_path / "x.gr")) == g
+    assert TreeDecomposition(*read_bags(tmp_path / "x.td")) == td
+    assert Layering(read_rows(tmp_path / "x.layers")) == ly
 
 
 def test_random_round_trips():
     rng = random.Random(11)
     for _ in range(40):
         g, td = random_decomposition(rng)
-        assert pace_to_graph(graph_to_pace(g)) == g
-        back = pace_to_td(td_to_pace(td, g.n))
+        assert Graph(*pace_to_edges(graph_to_pace(g))) == g
+        back = TreeDecomposition(*pace_to_bags(td_to_pace(td, g.n)))
         assert back.bags == td.bags
         assert sorted(tuple(sorted(e)) for e in back.edges) == sorted(
             tuple(sorted(e)) for e in td.edges

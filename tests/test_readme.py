@@ -1,11 +1,13 @@
 """The README's examples run as written."""
 
 import argparse
+import importlib
 import json
 import re
 import shlex
 from pathlib import Path
 
+import clustercolor
 from clustercolor.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,6 +22,14 @@ def command_lines():
         for line in block.splitlines()
         if line.startswith("clustercolor ")
     ]
+
+
+def command_names():
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices
 
 
 def option(argv, name):
@@ -60,12 +70,9 @@ def test_readme_lists_exactly_each_commands_options():
             re.M,
         )
     )
-    sub = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
-    assert sorted(listed) == sorted(sub.choices)
-    for command, parser in sub.choices.items():
+    commands = command_names()
+    assert sorted(listed) == sorted(commands)
+    for command, parser in commands.items():
         offered = {
             flag
             for action in parser._actions
@@ -73,3 +80,25 @@ def test_readme_lists_exactly_each_commands_options():
             if flag.startswith("--") and flag != "--help"
         }
         assert set(re.findall(r"`(--[a-z-]+)", listed[command])) == offered, command
+
+
+def test_readme_library_tour_names_only_what_each_module_has():
+    """Every backticked identifier in a "Library tour" row is an attribute
+    of that row's module; a CLI command name is not an identifier here."""
+    section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    assert rows
+    commands = command_names()
+    for module_name, contents in rows:
+        module = importlib.import_module(f"clustercolor.{module_name}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            assert name in commands or hasattr(module, name), (module_name, name)
+
+
+def test_readme_object_entry_points_exist():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"object entry points\s*\(([^)]*)\)", text).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert names
+    for name in names:
+        assert name in clustercolor.__all__, name

@@ -21,6 +21,7 @@ from clustercolor import (
     gen_rect_grid,
     monochromatic_components,
     three_color,
+    three_color_lists,
 )
 from helpers import spine_path, without_vertex_zero
 
@@ -168,6 +169,23 @@ def test_three_color_rejects_bad_inputs():
     )
     with pytest.raises(InvalidDecomposition):
         three_color(g, broken)
+
+
+def test_three_color_lists_rejects_bad_edge_lines():
+    """An edge line that is a self-loop or names no vertex raises Graph's
+    error, naming the line as given, instead of landing in the wrong
+    vertex's neighbors or doubling into the maximum degree."""
+    bags, tree, rows = [{0, 1}, {1, 2}], [(0, 1)], [[0], [1], [2]]
+    cases = {
+        (-1, 0): "edge (-1, 0) out of range for n=3",
+        (1, 1): "self-loop at vertex 1",
+        (1, 3): "edge (1, 3) out of range for n=3",
+        (3, 1): "edge (3, 1) out of range for n=3",
+    }
+    for line, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            three_color_lists(3, [(0, 1), (1, 2), line], bags, tree, rows)
+        assert str(err.value) == message
 
 
 def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):

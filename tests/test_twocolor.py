@@ -11,7 +11,6 @@ from clustercolor import (
     InvalidDecomposition,
     TreeDecomposition,
     cluster_bound,
-    enlarge_decomposition,
     enlarge_lists,
     gen_grid,
     gen_path,
@@ -108,7 +107,8 @@ def test_enlarge_adds_edges_and_bounds_width():
         pairs=frozenset({(0, 3), (1, 3), (0, 4)}),
     )
     budget = GroupBudget(3, 3, 1)
-    g2, td2 = enlarge_decomposition(g, td, [group], budget)
+    edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
+    g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
     assert g2.has_edge(0, 3) and g2.has_edge(1, 3) and g2.has_edge(0, 4)
     assert validate_tree_decomposition(g2, td2).ok
     assert td2.width() <= td.width() + 2 * 1 * 3 == 8
@@ -116,36 +116,28 @@ def test_enlarge_adds_edges_and_bounds_width():
     assert not g.has_edge(0, 3)
 
 
-def test_enlarge_without_live_groups_is_identity():
-    g, td = _two_bag_instance()
-    idle = EdgeGroup(
-        nodes=frozenset(), subtree=frozenset(), pairs=frozenset()
-    )
-    g2, td2 = enlarge_decomposition(g, td, [idle], GroupBudget(1, 1, 1))
-    assert g2 is g and td2 is td
-    g3, td3 = enlarge_decomposition(g, td, [], GroupBudget(1, 1, 1))
-    assert g3 is g and td3 is td
-
-
 def test_enlarge_validates_an_input_with_nothing_to_add():
     """With no pairs to add, the input comes back as the same objects, but
     only after it is validated: an invalid one is an internal fault that
     names the failed axiom and its witness."""
     edges, bags, tree = [(0, 1)], [{0, 1}, {1}], [(0, 1)]
+    g, td = _two_bag_instance()
     idle = EdgeGroup(nodes=frozenset(), subtree=frozenset(), pairs=frozenset())
     none = GroupBudget(0, 0, 0)
     for groups in ([], [idle]):
         out_edges, out_bags = enlarge_lists(2, edges, bags, tree, groups, none)
         assert out_edges is edges and out_bags is bags
+        out_edges, out_bags = enlarge_lists(
+            g.n, g.edges, td.bags, td.edges, groups, GroupBudget(1, 1, 1)
+        )
+        assert out_edges is g.edges and out_bags is td.bags
         with pytest.raises(InternalInvariantError) as err:
             enlarge_lists(2, edges, [{0}, {1}], tree, groups, none)
         assert str(err.value) == (
             "enlarged decomposition invalid: edge-coverage axiom fails at edge (0, 1)"
         )
-    g, td = _two_bag_instance()
-    broken = TreeDecomposition(td.bags, ())
     with pytest.raises(InternalInvariantError, match="tree axiom fails$"):
-        enlarge_decomposition(g, broken, [], GroupBudget(1, 1, 1))
+        enlarge_lists(g.n, g.edges, td.bags, (), [], GroupBudget(1, 1, 1))
 
 
 def test_enlarge_budget_errors_name_the_smallest_violator():
@@ -175,14 +167,15 @@ def test_enlarge_budget_violations():
         subtree=frozenset({0, 1}),
         pairs=frozenset({(0, 3), (1, 3), (0, 4)}),
     )
+    instance = (g.n, g.edges, td.bags, td.edges)
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_decomposition(g, td, [group], GroupBudget(2, 9, 9))
+        enlarge_lists(*instance, [group], GroupBudget(2, 9, 9))
     assert err.value.budget == "max_pairs_per_group"
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_decomposition(g, td, [group], GroupBudget(9, 1, 9))
+        enlarge_lists(*instance, [group], GroupBudget(9, 1, 9))
     assert err.value.budget == "max_pair_uses_per_vertex"
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_decomposition(g, td, [group, group], GroupBudget(9, 9, 1))
+        enlarge_lists(*instance, [group, group], GroupBudget(9, 9, 1))
     assert err.value.budget == "max_groups_per_node"
 
 
@@ -193,26 +186,26 @@ def test_enlarge_rejects_malformed_groups():
         nodes=frozenset({0}), subtree=frozenset({1}), pairs=frozenset({(2, 3)})
     )
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_decomposition(g, td, [outside], budget)
+        enlarge_lists(g.n, g.edges, td.bags, td.edges, [outside], budget)
     assert err.value.budget == "group-structure"
 
     split = EdgeGroup(
         nodes=frozenset({0}), subtree=frozenset({0, 3}), pairs=frozenset({(0, 1)})
     )
     with pytest.raises(GroupBudgetError):
-        enlarge_decomposition(g, td, [split], budget)
+        enlarge_lists(g.n, g.edges, td.bags, td.edges, [split], budget)
 
     far_pair = EdgeGroup(
         nodes=frozenset({0}), subtree=frozenset({0}), pairs=frozenset({(3, 4)})
     )
     with pytest.raises(GroupBudgetError):
-        enlarge_decomposition(g, td, [far_pair], budget)
+        enlarge_lists(g.n, g.edges, td.bags, td.edges, [far_pair], budget)
 
     loop = EdgeGroup(
         nodes=frozenset({0}), subtree=frozenset({0}), pairs=frozenset({(1, 1)})
     )
     with pytest.raises(GroupBudgetError):
-        enlarge_decomposition(g, td, [loop], budget)
+        enlarge_lists(g.n, g.edges, td.bags, td.edges, [loop], budget)
 
 
 def test_enlarge_random_instances_keep_bounds():
@@ -223,7 +216,10 @@ def test_enlarge_random_instances_keep_bounds():
         if g.n < 2:
             continue
         groups, budget = random_groups(rng, g, td)
-        g2, td2 = enlarge_decomposition(g, td, groups, budget)
+        edges, bags = enlarge_lists(
+            g.n, g.edges, td.bags, td.edges, groups, budget
+        )
+        g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
         assert validate_tree_decomposition(g2, td2).ok
         assert td2.width() <= td.width() + 2 * (
             budget.max_groups_per_node * budget.max_pairs_per_group
