@@ -11,13 +11,16 @@ three-coloring argument uses to keep monochromatic components apart.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
-from collections import deque
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, InvalidDecomposition
-from .graph import TreeDecomposition
+from .graph import ValidationReport, check_decomposition
+
+Bags = Sequence[AbstractSet[int]]
+TreeEdges = Collection[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -57,113 +60,169 @@ class Fan:
     anchor: tuple[int, int]
 
 
-def _bag_union(td: TreeDecomposition, nodes: Iterable[int]) -> frozenset[int]:
+class _Rooted(NamedTuple):
+    """The tree's nodes parents first, and each node's parent (-1 at the
+    root) and depth."""
+
+    order: list[int]
+    parent: list[int]
+    depth: list[int]
+
+
+def _rooted(
+    bags: Bags, tree_edges: TreeEdges, root: int = 0, w: int | None = None
+) -> _Rooted:
+    """Index the tree from ``root`` after checking the tree and connectivity
+    axioms, and the width against ``w`` when it is given."""
+    width = max(map(len, bags), default=0) - 1
+    if w is not None and width > w:
+        raise InvalidDecomposition(f"width {width} exceeds declared {w}")
+    n = max((max(bag) for bag in bags if bag), default=-1) + 1
+    report = check_decomposition(n, (), bags, tree_edges, root)
+    checks = [c for c in report.checks if c.axiom in ("tree", "connectivity")]
+    ValidationReport(tuple(checks)).require(InvalidDecomposition)
+    order = sorted(range(len(bags)), key=report.depth.__getitem__)
+    return _Rooted(order, report.parent, report.depth)
+
+
+def _check_range(nodes: Iterable[int], count: int, what: str) -> None:
+    for t in nodes:
+        if not 0 <= t < count:
+            raise ValueError(f"{what} {t} out of range")
+
+
+def _bag_union(bags: Bags, nodes: Iterable[int]) -> frozenset[int]:
     out: set[int] = set()
     for t in nodes:
-        out |= td.bags[t]
+        out |= bags[t]
     return frozenset(out)
 
 
-def _components_within(
-    td: TreeDecomposition, nodes: frozenset[int], removed: frozenset[int]
-) -> list[frozenset[int]]:
-    """Connected components of the induced subtree on nodes - removed."""
-    remaining = nodes - removed
-    seen: set[int] = set()
+def _split(parent: list[int], nodes: list[int], cut: AbstractSet[int]) -> list[list]:
+    """Components of a connected part, given parents first, minus ``cut``:
+    each parents first, listed by smallest node."""
+    comp_of: dict[int, list[int]] = {}
     comps = []
-    for start in sorted(remaining):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for u in td.node_neighbors(t):
-                if u in remaining and u not in comp:
-                    comp.add(u)
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(frozenset(comp))
-    return comps
+    for t in nodes:
+        if t not in cut:
+            comp = comp_of.get(parent[t])
+            if comp is None:
+                comp = []
+                comps.append(comp)
+            comp.append(t)
+            comp_of[t] = comp
+    return sorted(comps, key=min)
 
 
-def f_parts(td: TreeDecomposition, fence_nodes: Iterable[int]) -> list[TreePart]:
-    """Parts of the tree relative to a fence node set.
+def _parts(tree: _Rooted, fset: AbstractSet[int]) -> list[TreePart]:
+    comps = _split(tree.parent, tree.order, fset)
+    where = {t: i for i, comp in enumerate(comps) for t in comp}
+    attach: list[set[int]] = [set() for _ in comps]
+    for t in tree.order[1:]:
+        p = tree.parent[t]
+        if (t in fset) != (p in fset):
+            inner, outer = (p, t) if t in fset else (t, p)
+            attach[where[inner]].add(outer)
+    return [
+        TreePart(nodes=frozenset(comp).union(near), boundary=frozenset(near))
+        for comp, near in zip(comps, attach)
+    ]
+
+
+def f_parts(
+    bags: Bags, tree_edges: TreeEdges, fence_nodes: Iterable[int]
+) -> list[TreePart]:
+    """Parts of the tree relative to a fence node set, by smallest node.
 
     Each component of tree - fence is extended by the fence nodes adjacent
     to it; the boundary is those fence nodes. An empty fence yields one part
     covering the whole tree.
     """
     fset = frozenset(fence_nodes)
-    for t in fset:
-        if not 0 <= t < td.node_count:
-            raise ValueError(f"fence node {t} out of range")
-    all_nodes = frozenset(range(td.node_count))
-    parts = []
-    for comp in _components_within(td, all_nodes, fset):
-        attach = set()
-        for t in comp:
-            for u in td.node_neighbors(t):
-                if u in fset:
-                    attach.add(u)
-        parts.append(TreePart(nodes=comp | attach, boundary=frozenset(attach)))
-    return parts
+    _check_range(fset, len(bags), "fence node")
+    return _parts(_rooted(bags, tree_edges), fset)
 
 
-def _central_in(
-    td: TreeDecomposition, nodes: frozenset[int], q: frozenset[int]
-) -> int:
-    """Smallest node in the subtree such that every component hanging off
-    it carries, together with its own bag, under two thirds of q."""
-    for cand in sorted(nodes):
-        ok = True
-        for comp in _components_within(td, nodes, frozenset((cand,))):
-            carried = (q & _bag_union(td, comp)) | td.bags[cand]
-            if 3 * len(carried) >= 2 * len(q):
-                ok = False
-                break
-        if ok:
-            return cand
+def _central_in(bags: Bags, parent: list[int], nodes: list[int], q: frozenset) -> int:
+    """Smallest node of a connected part, given parents first, such that
+    every component hanging off it carries, together with its own bag,
+    under two thirds of q.
+
+    Each q-vertex is counted once, at its top: the first node of the part
+    that holds it. By connectivity a child t's component carries the tops
+    below t and the node's bag, and the component above carries the other
+    tops and the node's bag, less the q-vertices of the bag topped above.
+    """
+    seen: set[int] = set()
+    own = {}
+    for t in nodes:
+        tops = (bags[t] & q) - seen
+        own[t] = len(tops)
+        seen |= tops
+    below = dict(own)
+    heaviest: dict[int, int] = {}
+    for t in reversed(nodes[1:]):
+        p = parent[t]
+        below[p] += below[t]
+        heaviest[p] = max(heaviest.get(p, 0), below[t])
+    for c in sorted(nodes):
+        size = len(bags[c])
+        loads = [heaviest[c] + size] if c in heaviest else []
+        if c != nodes[0]:
+            loads.append(len(seen) - below[c] + size - len(bags[c] & q) + own[c])
+        if all(3 * load < 2 * len(q) for load in loads):
+            return c
     raise InternalInvariantError("no central node exists for this vertex set")
 
 
-def central_node(td: TreeDecomposition, q: Iterable[int], w: int) -> int:
+def central_node(bags: Bags, tree_edges: TreeEdges, q: Iterable[int], w: int) -> int:
     """Node whose removal leaves every component holding under (2/3)|q|
     of q even after adding the node's own bag. Requires |q| >= 12w+13."""
     qset = frozenset(q)
-    if td.width() > w:
-        raise InvalidDecomposition(f"width {td.width()} exceeds declared {w}")
-    if not td.is_tree():
-        raise InvalidDecomposition("decomposition nodes do not form a tree")
+    tree = _rooted(bags, tree_edges, w=w)
     if len(qset) < 12 * w + 13:
         raise ValueError(f"need at least {12 * w + 13} vertices, got {len(qset)}")
-    return _central_in(td, frozenset(range(td.node_count)), qset)
+    return _central_in(bags, tree.parent, tree.order, qset)
 
 
 def _eps_rec(
-    td: TreeDecomposition,
-    nodes: frozenset[int],
-    q: frozenset[int],
-    eps: Fraction,
-    w: int,
+    bags: Bags, parent: list[int], nodes: list[int], q: frozenset, eps: Fraction, w: int
 ) -> set[int]:
     if len(q) * eps <= 12 * w + 13:
         return set()
-    star = _central_in(td, nodes, q)
+    star = _central_in(bags, parent, nodes, q)
     out = {star}
-    for comp in _components_within(td, nodes, frozenset((star,))):
-        part = comp | {star}
-        sub_q = (q & _bag_union(td, part)) | td.bags[star]
-        out |= _eps_rec(td, part, frozenset(sub_q), eps, w)
+    for comp in _split(parent, nodes, {star}):
+        part = [star] + comp if parent[comp[0]] == star else comp + [star]
+        sub_q = (q & _bag_union(bags, part)) | bags[star]
+        out |= _eps_rec(bags, parent, part, sub_q, eps, w)
     return out
 
 
+def _epsilon_fence(
+    bags: Bags, tree_edges: TreeEdges, q: frozenset, epsilon: Fraction | int, w: int
+) -> tuple[frozenset[int], _Rooted]:
+    """``epsilon_fence`` together with the index it built."""
+    eps = Fraction(epsilon)
+    if w < 0:
+        raise ValueError(f"need w >= 0, got {w}")
+    if not Fraction(1, w + 1) <= eps <= 1:
+        raise ValueError(f"epsilon {eps} outside [1/{w + 1}, 1]")
+    tree = _rooted(bags, tree_edges, w=w)
+    fence_set = frozenset(_eps_rec(bags, tree.parent, tree.order, q, eps, w))
+
+    if len(fence_set) > max(eps * (len(q) - 3 * w - 3), 0):
+        raise InternalInvariantError("fence size bound violated")
+    cap = Fraction(12 * w + 13) / eps
+    for part in _parts(tree, fence_set):
+        load = (q & _bag_union(bags, part.nodes)) | _bag_union(bags, part.boundary)
+        if len(load) > cap:
+            raise InternalInvariantError("fence part load bound violated")
+    return fence_set, tree
+
+
 def epsilon_fence(
-    td: TreeDecomposition,
-    q: Iterable[int],
-    epsilon: Fraction | int,
-    w: int,
+    bags: Bags, tree_edges: TreeEdges, q: Iterable[int], epsilon: Fraction | int, w: int
 ) -> frozenset[int]:
     """Fence of at most epsilon*(|q|-3w-3) nodes whose parts each carry at
     most (12w+13)/epsilon vertices of q, counting their boundary bags.
@@ -171,46 +230,24 @@ def epsilon_fence(
     epsilon must lie in [1/(w+1), 1] and is handled as an exact rational.
     Both output bounds are rechecked before returning.
     """
-    qset = frozenset(q)
-    eps = Fraction(epsilon)
-    if not Fraction(1, w + 1) <= eps <= 1:
-        raise ValueError(f"epsilon {eps} outside [1/{w + 1}, 1]")
-    if td.width() > w:
-        raise InvalidDecomposition(f"width {td.width()} exceeds declared {w}")
-    if not td.is_tree():
-        raise InvalidDecomposition("decomposition nodes do not form a tree")
-
-    fence_set = frozenset(
-        _eps_rec(td, frozenset(range(td.node_count)), qset, eps, w)
-    )
-
-    if len(fence_set) > max(eps * (len(qset) - 3 * w - 3), 0):
-        raise InternalInvariantError("fence size bound violated")
-    cap = Fraction(12 * w + 13) / eps
-    for part in f_parts(td, fence_set):
-        load = (qset & _bag_union(td, part.nodes)) | _bag_union(td, part.boundary)
-        if len(load) > cap:
-            raise InternalInvariantError("fence part load bound violated")
-    return fence_set
+    return _epsilon_fence(bags, tree_edges, frozenset(q), epsilon, w)[0]
 
 
 def _second_condition_counts(
-    td: TreeDecomposition,
-    fence_set: set[int] | frozenset[int],
-    q: frozenset[int],
+    bags: Bags, tree: _Rooted, fence_set: set[int], q: frozenset[int]
 ) -> dict[int, int]:
     """For each fence node, how many parts both touch it and hold q-vertices
     outside its bag."""
     counts = {t: 0 for t in fence_set}
-    for part in f_parts(td, fence_set):
-        content = q & _bag_union(td, part.nodes)
+    for part in _parts(tree, fence_set):
+        content = q & _bag_union(bags, part.nodes)
         for t in part.boundary:
-            if content - td.bags[t]:
+            if content - bags[t]:
                 counts[t] += 1
     return counts
 
 
-def fence(td: TreeDecomposition, q: Iterable[int], w: int) -> Fence:
+def fence(bags: Bags, tree_edges: TreeEdges, q: Iterable[int], w: int) -> Fence:
     """Minimal fence for q: parts carry at most 12w+13 q-vertices and every
     fence node separates at least two parts with q-content beyond its bag.
 
@@ -219,28 +256,23 @@ def fence(td: TreeDecomposition, q: Iterable[int], w: int) -> Fence:
     three guarantees are verified.
     """
     qset = frozenset(q)
-    working = set(epsilon_fence(td, qset, 1, w))
-    if qset:
-        while True:
-            counts = _second_condition_counts(td, working, qset)
-            doomed = next(
-                (t for t in sorted(working) if counts[t] <= 1), None
-            )
-            if doomed is None:
-                break
-            working.discard(doomed)
-    else:
-        working = set()
+    found, tree = _epsilon_fence(bags, tree_edges, qset, 1, w)
+    working = set(found)
+    while working:
+        counts = _second_condition_counts(bags, tree, working, qset)
+        doomed = next((t for t in sorted(working) if counts[t] <= 1), None)
+        if doomed is None:
+            break
+        working.discard(doomed)
 
     if len(working) > max(len(qset) - 3 * w - 3, 0):
         raise InternalInvariantError("fence size bound violated")
-    for part in f_parts(td, working):
-        if len(qset & _bag_union(td, part.nodes)) > 12 * w + 13:
+    for part in _parts(tree, working):
+        if len(qset & _bag_union(bags, part.nodes)) > 12 * w + 13:
             raise InternalInvariantError("fence part content bound violated")
-    if qset:
-        counts = _second_condition_counts(td, working, qset)
-        if any(c < 2 for c in counts.values()):
-            raise InternalInvariantError("fence minimality condition violated")
+    counts = _second_condition_counts(bags, tree, working, qset)
+    if any(c < 2 for c in counts.values()):
+        raise InternalInvariantError("fence minimality condition violated")
     return Fence(nodes=frozenset(working), w=w, q=qset)
 
 
@@ -254,52 +286,29 @@ def n_fan_bound(w: int, k: int) -> int:
     return value
 
 
-def _subtree_order(td: TreeDecomposition) -> tuple[dict[int, int], dict[int, int]]:
-    """Entry/exit times of a DFS from the root, for ancestor tests."""
-    tin: dict[int, int] = {}
-    tout: dict[int, int] = {}
-    clock = 0
-    stack: list[tuple[int, int | None, bool]] = [(td.root, None, False)]
-    while stack:
-        node, parent, closing = stack.pop()
-        if closing:
-            tout[node] = clock
-            clock += 1
-            continue
-        tin[node] = clock
-        clock += 1
-        stack.append((node, parent, True))
-        for u in sorted(td.node_neighbors(node), reverse=True):
-            if u != parent:
-                stack.append((u, node, False))
-    return tin, tout
+def _descends(tree: _Rooted, anc: int, node: int) -> bool:
+    """Whether ``node`` is a strict descendant of ``anc``."""
+    up = node
+    while tree.depth[up] > tree.depth[anc]:
+        up = tree.parent[up]
+    return up == anc != node
 
 
-def _is_strict_descendant(
-    tin: dict[int, int], tout: dict[int, int], anc: int, node: int
+def _is_parade(tree: _Rooted, nodes: Sequence[int]) -> bool:
+    return all(_descends(tree, a, b) for a, b in zip(nodes, nodes[1:]))
+
+
+def is_parade(
+    bags: Bags, tree_edges: TreeEdges, nodes: Sequence[int], root: int = 0
 ) -> bool:
-    return anc != node and tin[anc] <= tin[node] and tout[node] <= tout[anc]
-
-
-def is_parade(td: TreeDecomposition, nodes: Sequence[int]) -> bool:
-    """Whether each node is a strict descendant of the previous one."""
-    if not td.is_tree():
-        raise InvalidDecomposition("decomposition nodes do not form a tree")
-    tin, tout = _subtree_order(td)
-    return all(
-        _is_strict_descendant(tin, tout, nodes[i], nodes[i + 1])
-        for i in range(len(nodes) - 1)
-    )
+    """Whether each node is a strict descendant of the previous one, in the
+    tree rooted at ``root``."""
+    _check_range(nodes, len(bags), "parade node")
+    return _is_parade(_rooted(bags, tree_edges, root), nodes)
 
 
 def _fan_rec(
-    td: TreeDecomposition,
-    bags: dict[int, frozenset[int]],
-    parade: list[int],
-    w: int,
-    k: int,
-    tin: dict[int, int],
-    tout: dict[int, int],
+    bags: dict[int, AbstractSet[int]], parade: list[int], w: int, k: int
 ) -> tuple[list[int], int]:
     if len(parade) < n_fan_bound(w, k):
         raise InternalInvariantError("fan recursion ran out of parade")
@@ -348,40 +357,37 @@ def _fan_rec(
     stripped = dict(bags)
     for t in sub_parade:
         stripped[t] = bags[t] - shared
-    nodes, level = _fan_rec(td, stripped, sub_parade, w - 1, k, tin, tout)
+    nodes, level = _fan_rec(stripped, sub_parade, w - 1, k)
     return nodes, level + len(shared)
 
 
-def _verify_fan(
-    td: TreeDecomposition,
-    fan: Fan,
-    tin: dict[int, int],
-    tout: dict[int, int],
-) -> None:
+def _verify_fan(bags: Bags, tree: _Rooted, fan: Fan) -> None:
     nodes = fan.nodes
-    anchor_bag = td.bags[nodes[0]]
-    last = nodes[-1]
-    for j in range(len(nodes) - 1):
-        if not _is_strict_descendant(tin, tout, nodes[j], nodes[j + 1]):
-            raise InternalInvariantError("fan nodes are not strictly descending")
-        if nodes[j] != last and not _is_strict_descendant(
-            tin, tout, nodes[j], last
-        ):
-            raise InternalInvariantError("fan end left an earlier subtree")
+    anchor_bag = bags[nodes[0]]
+    if not _is_parade(tree, nodes):
+        raise InternalInvariantError("fan nodes are not strictly descending")
+    if not all(_descends(tree, t, nodes[-1]) for t in nodes[:-1]):
+        raise InternalInvariantError("fan end left an earlier subtree")
     outside: set[int] = set()
     for t in nodes[1:]:
-        if len(td.bags[t] & anchor_bag) != fan.level:
+        if len(bags[t] & anchor_bag) != fan.level:
             raise InternalInvariantError("fan bag overlaps anchor wrongly")
-        free = td.bags[t] - anchor_bag
+        free = bags[t] - anchor_bag
         if free & outside:
             raise InternalInvariantError("fan bags collide outside the anchor")
         outside |= free
 
 
 def find_fan(
-    td: TreeDecomposition, parade: Sequence[int], w: int, k: int
+    bags: Bags,
+    tree_edges: TreeEdges,
+    parade: Sequence[int],
+    w: int,
+    k: int,
+    root: int = 0,
 ) -> Fan:
-    """Extract a size-k fan from a parade of length at least n_fan_bound(w, k).
+    """Extract a size-k fan from a parade of length at least n_fan_bound(w, k)
+    in the tree rooted at ``root``.
 
     Requires parade bags of size at most w+1 with no later bag contained in
     an earlier one. Greedily picks pairwise-disjoint bags; failing that,
@@ -395,25 +401,23 @@ def find_fan(
         raise ValueError(
             f"parade length {len(seq)} below required {n_fan_bound(w, k)}"
         )
-    if not td.is_tree():
-        raise InvalidDecomposition("decomposition nodes do not form a tree")
+    _check_range(seq, len(bags), "parade node")
+    tree = _rooted(bags, tree_edges, root)
     for t in seq:
-        if len(td.bags[t]) > w + 1:
+        if len(bags[t]) > w + 1:
             raise ValueError(f"bag of node {t} larger than {w + 1}")
-    tin, tout = _subtree_order(td)
-    if not is_parade(td, seq):
+    if not _is_parade(tree, seq):
         raise ValueError("sequence is not a parade")
     for j in range(len(seq)):
         for i in range(j + 1, len(seq)):
-            if td.bags[seq[i]] <= td.bags[seq[j]]:
+            if bags[seq[i]] <= bags[seq[j]]:
                 raise ValueError(
                     f"bag of {seq[i]} contained in earlier bag of {seq[j]}"
                 )
 
-    bags = {t: td.bags[t] for t in seq}
-    nodes, level = _fan_rec(td, bags, seq, w, k, tin, tout)
+    nodes, level = _fan_rec({t: bags[t] for t in seq}, seq, w, k)
     fan = Fan(nodes=tuple(nodes), level=level, anchor=(nodes[0], nodes[-1]))
     if len(fan.nodes) != k or not 0 <= level <= w:
         raise InternalInvariantError("fan has wrong size or level")
-    _verify_fan(td, fan, tin, tout)
+    _verify_fan(bags, tree, fan)
     return fan

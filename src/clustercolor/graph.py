@@ -270,10 +270,6 @@ class TreeDecomposition:
         """Largest bag size minus one (-1 when every bag is empty)."""
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def is_tree(self) -> bool:
-        nn = self.node_count
-        return len(self.edges) == nn - 1 and _search(self._adj, 0)[2] == nn
-
     def __eq__(self, other):
         return (
             isinstance(other, TreeDecomposition)

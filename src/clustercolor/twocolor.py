@@ -59,15 +59,13 @@ def band_color(
 ) -> tuple[list[int], ClusterReport]:
     """Band-color the graph on 0..n-1 with these distinct edges using colors
     {1, 2}, over a decomposition with these bags that the caller has
-    validated; ``depth`` gives each node's depth to band by.
+    validated; ``depth`` gives each node's depth to band by, and ``delta``
+    is a bound on the graph's degree that the caller guarantees.
 
     Returns each vertex's color and the monochromatic components; the
     largest is checked against cluster_bound(width, delta) and a violation
     raises ClusteringBoundError instead of returning an unbounded coloring.
     """
-    degree = _max_degree(n, edges)
-    if degree > delta:
-        raise ValueError(f"graph max degree {degree} exceeds declared {delta}")
     lo = [None] * n
     hi = [None] * n
     for t, bag in enumerate(bags):

@@ -143,7 +143,7 @@ def test_criterion_04_fence_conditions_hold():
                 continue
             q = frozenset(rng.sample(universe, rng.randint(0, len(universe))))
             w = max(td.width(), 0)
-            _check_fence(td, fence(td, q, w))
+            _check_fence(td, fence(td.bags, td.edges, q, w))
             done += 1
     except Exception as exc:
         _report(4, False, f"raised {type(exc).__name__}: {exc}")
@@ -160,7 +160,7 @@ def test_criterion_05_fans_found_at_guaranteed_length():
             for k in range(1, 5):
                 length = max(n_fan_bound(w, k), 1)
                 td, parade = shared_core_parade(w, length)
-                fan = find_fan(td, parade, w, k)
+                fan = find_fan(td.bags, td.edges, parade, w, k)
                 assert len(fan.nodes) == k
                 assert 0 <= fan.level <= w
                 assert_fan_properties(td, fan, w)

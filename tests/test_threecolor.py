@@ -362,10 +362,14 @@ def test_three_color_two_colors_sparse_layer_views(monkeypatch):
 def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     """One validation of the input, then one per nonempty layer's view
     (enlarged or not); one component pass per layer plus the final check;
-    and no Graph or TreeDecomposition built along the way."""
+    two degree scans per layer whose groups carry pairs, both in the
+    enlargement's degree check; and no Graph or TreeDecomposition built
+    along the way."""
     from clustercolor import graph, threecolor, twocolor, verify
 
-    calls = {"validate": 0, "components": 0, "enlarge": 0, "objects": 0}
+    calls = dict.fromkeys(
+        ("validate", "components", "enlarge", "degree", "enlarged", "objects"), 0
+    )
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -381,8 +385,15 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
         monkeypatch.setattr(module, "check_decomposition", validate)
     for module in (verify, twocolor, threecolor):
         monkeypatch.setattr(module, "edge_components", components)
+    enlarge = counted("enlarge", threecolor.enlarge_lists)
+
+    def enlarge_counting_pairs(n, edges, bags, tree_edges, groups, budget):
+        calls["enlarged"] += any(group.pairs for group in groups)
+        return enlarge(n, edges, bags, tree_edges, groups, budget)
+
+    monkeypatch.setattr(threecolor, "enlarge_lists", enlarge_counting_pairs)
     monkeypatch.setattr(
-        threecolor, "enlarge_lists", counted("enlarge", threecolor.enlarge_lists)
+        twocolor, "_max_degree", counted("degree", twocolor._max_degree)
     )
     for cls in (graph.Graph, graph.TreeDecomposition):
         monkeypatch.setattr(cls, "__init__", counted("objects", cls.__init__))
@@ -391,6 +402,8 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
     assert calls["enlarge"] > 0
     assert calls["validate"] == 1 + nonempty
     assert calls["components"] == nonempty + 1
+    assert calls["enlarged"] > 0
+    assert calls["degree"] == 2 * calls["enlarged"]
     assert calls["objects"] == 0
 
 
