@@ -3,13 +3,11 @@
 Subcommands: ``gen`` writes graph/decomposition/layering files for the
 built-in instance families, ``color3`` runs the clustered 3-coloring and
 writes a coloring file plus a JSON report, and ``verify`` independently
-rechecks a coloring file against a clustering limit and optional lists,
-printing its verdict as JSON. ``gen`` and ``color3`` print only a short
-text summary.
+rechecks a coloring file against a clustering limit, printing its verdict
+as JSON. ``gen`` and ``color3`` print only a short text summary.
 
-Coloring files hold one ``vertex color`` pair per line and list files one
-``vertex color...`` row per vertex, both with the library's 0-based ids;
-the PACE formats keep their own 1-based convention.
+Coloring files hold one ``vertex color`` pair per line with the library's
+0-based ids; the PACE formats keep their own 1-based convention.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from . import pace
 from .errors import GroupBudgetError, PaceParseError
 from .generators import gen_grid, gen_kst_instance, gen_path
 from .threecolor import three_color_lists
-from .verify import check_list_coloring, edge_components
+from .verify import edge_components
 
 GEN_FAMILIES = ("grid", "trigrid", "kst", "path")
 
@@ -124,49 +122,17 @@ def _read_coloring(path: str, n: int) -> dict[int, int]:
     return coloring
 
 
-def _read_lists(path: str, n: int) -> dict[int, frozenset[int]]:
-    lists: dict[int, frozenset[int]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                values = [int(p) for p in parts]
-            except ValueError:
-                raise PaceParseError("expected integers", lineno) from None
-            v, colors = values[0], values[1:]
-            if not 0 <= v < n:
-                raise PaceParseError(f"vertex {v} out of range", lineno)
-            if not colors:
-                raise PaceParseError(f"vertex {v} has an empty list", lineno)
-            if v in lists:
-                raise PaceParseError(f"vertex {v} listed twice", lineno)
-            lists[v] = frozenset(colors)
-    return lists
-
-
 def cmd_verify(args) -> int:
     n, edges = pace.read_edges(args.gr)
     coloring = _read_coloring(args.coloring, n)
     report = edge_components(n, edges, coloring)
-    clustering_ok = report.max_size <= args.k
-    lists_ok = True
-    list_witness = None
-    if args.lists:
-        lists = _read_lists(args.lists, n)
-        lists_ok, list_witness = check_list_coloring(coloring, lists)
     detail = {
         "command": "verify",
         "vertices": n,
         "clustering": report.max_size,
         "k": args.k,
-        "clustering_ok": clustering_ok,
-        "lists_ok": lists_ok,
-        "list_witness": list_witness,
         "per_color_max": {str(c): m for c, m in sorted(report.per_color_max.items())},
-        "ok": clustering_ok and lists_ok,
+        "ok": report.max_size <= args.k,
     }
     print(json.dumps(detail, indent=2, sort_keys=True))
     return 0 if detail["ok"] else 1
@@ -197,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="recheck a coloring file")
     p_verify.add_argument("--gr", required=True, help="PACE graph file")
     p_verify.add_argument("--coloring", required=True, help="vertex color per line")
-    p_verify.add_argument("--lists", help="optional vertex color... per line")
     p_verify.add_argument("--k", type=int, required=True, help="clustering limit")
     p_verify.set_defaults(func=cmd_verify)
     return parser

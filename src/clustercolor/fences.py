@@ -77,9 +77,17 @@ def _rooted(
     width = max(map(len, bags), default=0) - 1
     if w is not None and width > w:
         raise InvalidDecomposition(f"width {width} exceeds declared {w}")
-    n = max((max(bag) for bag in bags if bag), default=-1) + 1
-    report = check_decomposition(n, (), bags, tree_edges, root)
-    checks = [c for c in report.checks if c.axiom in ("tree", "connectivity")]
+    # The check indexes vertices 0..n-1, so it runs on the bag vertices'
+    # ranks, and its witness is mapped back to the vertex it ranks.
+    ids = sorted(set().union(*bags))
+    rank = {v: i for i, v in enumerate(ids)}
+    ranked = [{rank[v] for v in bag} for bag in bags]
+    report = check_decomposition(len(ids), (), ranked, tree_edges, root)
+    checks = [
+        c if c.witness is None else c._replace(witness=ids[c.witness])
+        for c in report.checks
+        if c.axiom in ("tree", "connectivity")
+    ]
     ValidationReport(tuple(checks)).require(InvalidDecomposition)
     order = sorted(range(len(bags)), key=report.depth.__getitem__)
     return _Rooted(order, report.parent, report.depth)

@@ -1,4 +1,5 @@
-"""Instance generators: grids, complete bipartite graphs, paths, apexed graphs.
+"""Instance generators: square, triangulated and rectangular grids, paths
+(the 1-by-n grids) and complete bipartite graphs.
 
 Every generator that emits a decomposition also emits the layering it was
 designed around, so the pair can be validated and fed straight into the
@@ -7,7 +8,28 @@ coloring pipeline.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .graph import Graph, Layering, LayeredTreeDecomposition, TreeDecomposition
+
+
+def _grid_edges(rows: int, cols: int, diagonals: bool = False) -> list[tuple[int, int]]:
+    """Edges of the rows-by-cols grid on ids r * cols + c, vertex by vertex
+    in id order: each one's edge to the right, down, and (with
+    ``diagonals``) down-right."""
+    edges = []
+    for r in range(rows):
+        below = r + 1 < rows
+        for v in range(r * cols, (r + 1) * cols - 1):
+            edges.append((v, v + 1))
+            if below:
+                edges.append((v, v + cols))
+                if diagonals:
+                    edges.append((v, v + cols + 1))
+        if below:
+            v = (r + 1) * cols - 1
+            edges.append((v, v + cols))
+    return edges
 
 
 def gen_grid(n: int, triangulated: bool = False):
@@ -21,28 +43,15 @@ def gen_grid(n: int, triangulated: bool = False):
     """
     if n < 1:
         raise ValueError("grid size must be positive")
+    g = Graph(n * n, _grid_edges(n, n, triangulated))
 
-    def vid(r, c):
-        return r * n + c
-
-    edges = []
-    for r in range(n):
-        for c in range(n):
-            if c + 1 < n:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < n:
-                edges.append((vid(r, c), vid(r + 1, c)))
-            if triangulated and r + 1 < n and c + 1 < n:
-                edges.append((vid(r, c), vid(r + 1, c + 1)))
-    g = Graph(n * n, edges)
-
-    layers = [tuple(vid(r, c) for c in range(n)) for r in range(n)]
+    layers = [tuple(range(r * n, (r + 1) * n)) for r in range(n)]
     if n == 1:
         bags = [frozenset({0})]
         tree_edges = []
     else:
         bags = [
-            frozenset(vid(r, c) for r in range(n) for c in (j, j + 1))
+            frozenset(v for u in range(j, n * n, n) for v in (u, u + 1))
             for j in range(n - 1)
         ]
         tree_edges = [(j, j + 1) for j in range(n - 2)]
@@ -62,29 +71,17 @@ def gen_rect_grid(rows: int, cols: int):
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    g = Graph(rows * cols, _grid_edges(rows, cols))
 
-    def vid(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    g = Graph(rows * cols, edges)
-
-    layers = [tuple(vid(r, c) for r in range(rows)) for c in range(cols)]
+    # The columns, and every id column by column: window t holds the
+    # rows + 1 ids from position t on, rows i.. of one column and rows ..i
+    # of the next.
+    layers = list(zip(*(range(r * cols, (r + 1) * cols) for r in range(rows))))
+    order = list(chain.from_iterable(layers))
     if cols == 1:
-        bags = [frozenset(vid(r, 0) for r in range(rows))]
+        bags = [frozenset(order)]
     else:
-        bags = []
-        for j in range(cols - 1):
-            for i in range(rows):
-                bag = {vid(r, j) for r in range(i, rows)}
-                bag |= {vid(r, j + 1) for r in range(i + 1)}
-                bags.append(frozenset(bag))
+        bags = list(map(frozenset, zip(*(order[k:] for k in range(rows + 1)))))
     tree_edges = [(t, t + 1) for t in range(len(bags) - 1)]
     ltd = LayeredTreeDecomposition(
         TreeDecomposition(bags, tree_edges), Layering(layers)
@@ -93,24 +90,14 @@ def gen_rect_grid(rows: int, cols: int):
 
 
 def gen_path(n: int):
-    """Path on n vertices with singleton layers and edge bags.
+    """Path on n vertices with singleton layers and edge bags: the 1-by-n
+    grid.
 
     Returns (graph, layered tree-decomposition, max degree).
     """
     if n < 1:
         raise ValueError("path length must be positive")
-    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
-    layers = [(i,) for i in range(n)]
-    if n == 1:
-        bags = [frozenset({0})]
-        tree_edges = []
-    else:
-        bags = [frozenset({i, i + 1}) for i in range(n - 1)]
-        tree_edges = [(i, i + 1) for i in range(n - 2)]
-    ltd = LayeredTreeDecomposition(
-        TreeDecomposition(bags, tree_edges), Layering(layers)
-    )
-    return g, ltd, g.max_degree()
+    return gen_rect_grid(1, n)
 
 
 def gen_kst(s: int, t: int) -> Graph:
@@ -132,18 +119,3 @@ def gen_kst_instance(s: int, t: int):
         Layering([tuple(range(s)), tuple(range(s, s + t))]),
     )
     return g, ltd, g.max_degree()
-
-
-def add_apex(g: Graph, count: int = 1) -> tuple[Graph, frozenset[int]]:
-    """Add ``count`` vertices each adjacent to every original vertex.
-
-    The new vertices are not adjacent to each other. Returns the new graph
-    and the set of new vertex ids.
-    """
-    if count < 0:
-        raise ValueError("apex count must be nonnegative")
-    extra = [
-        (v, g.n + a) for a in range(count) for v in range(g.n)
-    ]
-    g2 = Graph(g.n + count, list(g.edges) + extra)
-    return g2, frozenset(range(g.n, g.n + count))

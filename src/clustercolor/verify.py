@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded
 from .graph import Graph
 
-DEFAULT_PATH_BUDGET = 10_000_000
 ORACLE_MAX_SIZE = 4
 
 
@@ -91,37 +90,6 @@ def check_list_coloring(
         if v not in coloring or coloring[v] not in lists[v]:
             return False, v
     return True, None
-
-
-def longest_monochromatic_path(
-    g: Graph, coloring: dict[int, int], budget: int = DEFAULT_PATH_BUDGET
-) -> int:
-    """Most vertices on a simple path whose vertices share one color.
-
-    Plain DFS over simple paths with a step budget; exceeding it raises
-    BudgetExceeded rather than returning a wrong answer.
-    """
-    for v in g.vertices():
-        if v not in coloring:
-            raise ValueError(f"coloring missing vertex {v}")
-    best = 0
-    steps = 0
-
-    def dfs(v, visited, length):
-        nonlocal best, steps
-        best = max(best, length)
-        for u in g.neighbors(v):
-            if coloring[u] == coloring[v] and u not in visited:
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded("path search exceeded budget")
-                visited.add(u)
-                dfs(u, visited, length + 1)
-                visited.remove(u)
-
-    for v in g.vertices():
-        dfs(v, {v}, 1)
-    return best
 
 
 def _has_path_of(adj, colors, target: int, n_vertices: int) -> bool:

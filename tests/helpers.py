@@ -1,8 +1,10 @@
-"""Randomized instance builders shared across the test files.
+"""Instance builders and perturbations shared across the test files.
 
-Everything takes an explicit random.Random so failures reproduce from the
-seeds pinned in the tests.
+Everything random takes an explicit random.Random or seed, so failures
+reproduce from the seeds pinned in the tests.
 """
+
+import random
 
 from clustercolor import (
     EdgeGroup,
@@ -12,7 +14,9 @@ from clustercolor import (
     Layering,
     StandardPair,
     TreeDecomposition,
+    bfs_layering,
     compatible_lists,
+    gen_path,
     has_kst_subgraph,
     progress,
 )
@@ -200,3 +204,67 @@ def without_vertex_zero(layer_view):
         return (edges, [bag - {0} for bag in bags], *rest)
 
     return corrupt
+
+
+def permuted(g, ltd, seed):
+    """The same instance with its vertex ids shuffled by a seeded permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    pg = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    td = TreeDecomposition(
+        [frozenset(perm[v] for v in bag) for bag in ltd.td.bags],
+        ltd.td.edges,
+        ltd.td.root,
+    )
+    ly = ltd.layering
+    ly = Layering([tuple(perm[v] for v in ly.layer(i)) for i in range(1, ly.m + 1)])
+    return pg, LayeredTreeDecomposition(td, ly)
+
+
+def rerooted(g, ltd):
+    """The same decomposition rooted at its middle node."""
+    td = ltd.td
+    td = TreeDecomposition(td.bags, td.edges, td.node_count // 2)
+    return g, LayeredTreeDecomposition(td, ltd.layering)
+
+
+def branching(g, ltd):
+    """Hang leaves off the nodes: every fourth node gets a leaf holding its
+    bag minus the smallest vertex, every ninth node from node 2 a leaf
+    holding the lower half of its bag, and one node an empty leaf."""
+    td = ltd.td
+    bags = list(td.bags)
+    edges = list(td.edges)
+    leaves = [(t, sorted(td.bags[t])[1:]) for t in range(0, td.node_count, 4)]
+    leaves += [
+        (t, sorted(td.bags[t])[: len(td.bags[t]) // 2])
+        for t in range(2, td.node_count, 9)
+    ]
+    leaves.append((td.node_count // 3, []))
+    for t, bag in leaves:
+        edges.append((t, len(bags)))
+        bags.append(frozenset(bag))
+    td = TreeDecomposition(bags, edges, td.root)
+    return g, LayeredTreeDecomposition(td, ltd.layering)
+
+
+def folded_path(n):
+    """A path layered by distance from its middle vertex: each layer's two
+    vertices sit at opposite ends of the path decomposition."""
+    g, ltd, _ = gen_path(n)
+    ly = bfs_layering(g, [n // 2])
+    return g, LayeredTreeDecomposition(ltd.td, ly)
+
+
+def nodes_permuted(g, ltd, seed):
+    """The same decomposition with its node ids shuffled by a seeded
+    permutation; the root moves with its node."""
+    td = ltd.td
+    perm = list(range(td.node_count))
+    random.Random(seed).shuffle(perm)
+    bags = [frozenset()] * td.node_count
+    for t, bag in enumerate(td.bags):
+        bags[perm[t]] = bag
+    edges = [(perm[a], perm[b]) for a, b in td.edges]
+    td = TreeDecomposition(bags, edges, perm[td.root])
+    return g, LayeredTreeDecomposition(td, ltd.layering)

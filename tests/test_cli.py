@@ -371,6 +371,43 @@ def test_color3_output_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(coloring).hexdigest() == TRIGRID_10_COLORING_SHA256
 
 
+# SHA-256 of the .gr, .td and .layers files gen writes for each family, at
+# --n 5 and the kst defaults --s 2 --t 3.
+GEN_FILES_SHA256 = {
+    "grid": (
+        "f99e7c2682642d1cc483a48c66546fbf885cdf333d2a3baecd93c1de40b38b93",
+        "5265ffa5941aa2d351011a8665c609334069ee9edce3641ff52a786ce94b9f78",
+        "046d2e60e44db3b2789f6dd9533aafcf593b4268125457bc8738dd8a2b221481",
+    ),
+    "trigrid": (
+        "4d45591c78eb7bf47001596a0fd35a0ca54c1dd83ae2a8c44bc65779d3c33cdc",
+        "5265ffa5941aa2d351011a8665c609334069ee9edce3641ff52a786ce94b9f78",
+        "046d2e60e44db3b2789f6dd9533aafcf593b4268125457bc8738dd8a2b221481",
+    ),
+    "kst": (
+        "1393b389f9e04eb40b5fefde9afb80f9123b3bfbcdbeb80bd2b68bda46e5755f",
+        "895fe7fa8855814b835dffd66e35ebb8ceb64a03000a1960fbd0112f1d250856",
+        "5d454bdef31923296587c2fad6c14047233e9b268dce50671188b9e14450f4b8",
+    ),
+    "path": (
+        "ace521ab6e3b17c513e3b481c8186eb0e7fe8647c3101450dffa1efc7f2741f3",
+        "5fd172a8ecb2608646864e61755c89598ae4c67152edc56f51216ef887caa8aa",
+        "f6b49467f595b1a44e442c198b3df4d221e88efcaabc26254f8e0ad4f79b6242",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_gen_file_bytes_are_pinned(tmp_path, capsys, family):
+    prefix = tmp_path / family
+    assert main(["gen", family, "--n", "5", "--out", str(prefix)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"{family}.{ext}").read_bytes()).hexdigest()
+        for ext in ("gr", "td", "layers")
+    )
+    assert digests == GEN_FILES_SHA256[family]
+
+
 def test_verify_exit_codes_and_detail(tmp_path, capsys):
     gr = tmp_path / "p3.gr"
     pace.write_graph(Graph(3, [(0, 1), (1, 2)]), gr)
@@ -383,18 +420,7 @@ def test_verify_exit_codes_and_detail(tmp_path, capsys):
 
     assert main(["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]) == 1
     detail = json.loads(capsys.readouterr().out)
-    assert not detail["clustering_ok"]
-
-    lists = tmp_path / "p3.lists"
-    lists.write_text("0 1 2\n1 1\n2 2 3\n")
-    code = main(
-        ["verify", "--gr", str(gr), "--coloring", str(coloring),
-         "--lists", str(lists), "--k", "3"]
-    )
-    assert code == 1
-    detail = json.loads(capsys.readouterr().out)
-    assert detail["clustering_ok"] and not detail["lists_ok"]
-    assert detail["list_witness"] == 2
+    assert not detail["ok"] and detail["clustering"] == 3
 
 
 def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
@@ -437,8 +463,6 @@ def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
 def test_verify_ignores_duplicate_edge_lines(tmp_path, capsys):
     coloring = tmp_path / "c.coloring"
     coloring.write_text("0 1\n1 1\n2 2\n3 1\n")
-    lists = tmp_path / "c.lists"
-    lists.write_text("0 1\n1 1 2\n2 2\n3 1 3\n")
     details = []
     for name, text in (
         ("plain", "p tw 4 2\n1 2\n2 3\n"),
@@ -446,12 +470,11 @@ def test_verify_ignores_duplicate_edge_lines(tmp_path, capsys):
     ):
         gr = tmp_path / f"{name}.gr"
         gr.write_text(text)
-        argv = ["verify", "--gr", str(gr), "--coloring", str(coloring),
-                "--lists", str(lists), "--k", "2"]
+        argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
         assert main(argv) == 0, name
         details.append(json.loads(capsys.readouterr().out))
     assert details[0] == details[1]
-    assert details[0]["clustering"] == 2 and details[0]["lists_ok"]
+    assert details[0]["clustering"] == 2 and details[0]["ok"]
 
 
 def test_unknown_family_is_an_argparse_error(tmp_path):

@@ -475,3 +475,30 @@ def test_fences_refuse_non_decompositions(edges, message):
     for call in calls:
         with pytest.raises(InvalidDecomposition, match=expected):
             call()
+
+
+def test_fences_name_the_original_vertex():
+    """The witness is the vertex as the bags give it, not its rank."""
+    bags = [frozenset({7}), frozenset({10**6}), frozenset({7})]
+    with pytest.raises(
+        InvalidDecomposition,
+        match="^invalid decomposition: connectivity axiom fails at vertex 7$",
+    ):
+        central_node(bags, [(0, 1), (1, 2)], range(13), 0)
+
+
+def test_decomposition_check_is_sized_by_the_distinct_bag_vertices(monkeypatch):
+    """Two bags holding 0 and 10**6 index two vertices, not 10**6 + 1."""
+    from clustercolor import fences
+
+    sizes = []
+    check = fences.check_decomposition
+
+    def sized(n, *args):
+        sizes.append(n)
+        return check(n, *args)
+
+    monkeypatch.setattr(fences, "check_decomposition", sized)
+    bags = [frozenset({0}), frozenset({10**6})]
+    assert central_node(bags, [(0, 1)], range(13), 0) in (0, 1)
+    assert sizes and max(sizes) <= 2

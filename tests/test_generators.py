@@ -1,7 +1,8 @@
+import hashlib
+
 import pytest
 
 from clustercolor import (
-    add_apex,
     gen_grid,
     gen_kst,
     gen_kst_instance,
@@ -12,6 +13,7 @@ from clustercolor import (
     validate_layering,
     validate_tree_decomposition,
 )
+from clustercolor import pace
 
 
 def test_plain_grid_shape():
@@ -91,13 +93,27 @@ def test_kst_graph_and_instance():
     assert layered_width(ltd) == 3
 
 
-def test_add_apex():
-    g, _, _ = gen_grid(3)
-    g2, apexes = add_apex(g, 2)
-    assert g2.n == 11
-    assert apexes == frozenset({9, 10})
-    for z in apexes:
-        assert g2.degree(z) == 9
-    assert not g2.has_edge(9, 10)
-    same, none = add_apex(g, 0)
-    assert same.edges == g.edges and none == frozenset()
+# SHA-256 of the .gr, .td and .layers files of two rectangular grids.
+RECT_FILES_SHA256 = {
+    (3, 5): (
+        "3cf219c64a49e592231f2dc8c1200eec890b10fec5a270a411860c912a1e9547",
+        "fe2d8ab812b90a55bb400aaa80876d03a708da2acbc9d20351579d5acbe91bd6",
+        "695eccd755914f6d05de6e7b9df30cdcb73c965bec0596f1708d217c06461937",
+    ),
+    (1, 4): (
+        "260ffd6b6cb30d0151096912c3232d3d334c749f21a27f49314bd92e7ffc311f",
+        "e5e510618092c9308b3c3b2975149cd5a42ac763ef863851a688183aabd34051",
+        "16fbd7d1f18d2fedb247d73edc3bc6aa040f5ab99bd3b48c35b79e543d22179b",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RECT_FILES_SHA256))
+def test_rect_grid_file_bytes_are_pinned(tmp_path, shape):
+    g, ltd, _ = gen_rect_grid(*shape)
+    paths = [tmp_path / f"rect.{ext}" for ext in ("gr", "td", "layers")]
+    pace.write_graph(g, paths[0])
+    pace.write_td(ltd.td, g.n, paths[1])
+    pace.write_layering(ltd.layering, paths[2])
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert digests == RECT_FILES_SHA256[shape]

@@ -1,5 +1,4 @@
 import hashlib
-import random
 from collections import deque
 
 import pytest
@@ -23,7 +22,15 @@ from clustercolor import (
     three_color,
     three_color_lists,
 )
-from helpers import spine_path, without_vertex_zero
+from helpers import (
+    branching,
+    folded_path,
+    nodes_permuted,
+    permuted,
+    rerooted,
+    spine_path,
+    without_vertex_zero,
+)
 
 
 def test_constants_chain_small_case():
@@ -200,70 +207,6 @@ def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):
         assert _layer_class(ly, a) == 3 and _layer_class(ly, b) == 3
 
 
-def _permuted(g, ltd, seed):
-    """The same instance with its vertex ids shuffled by a seeded permutation."""
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    pg = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    td = TreeDecomposition(
-        [frozenset(perm[v] for v in bag) for bag in ltd.td.bags],
-        ltd.td.edges,
-        ltd.td.root,
-    )
-    ly = ltd.layering
-    ly = Layering([tuple(perm[v] for v in ly.layer(i)) for i in range(1, ly.m + 1)])
-    return pg, LayeredTreeDecomposition(td, ly)
-
-
-def _rerooted(g, ltd):
-    """The same decomposition rooted at its middle node."""
-    td = ltd.td
-    td = TreeDecomposition(td.bags, td.edges, td.node_count // 2)
-    return g, LayeredTreeDecomposition(td, ltd.layering)
-
-
-def _branching(g, ltd):
-    """Hang leaves off the nodes: every fourth node gets a leaf holding its
-    bag minus the smallest vertex, every ninth node from node 2 a leaf
-    holding the lower half of its bag, and one node an empty leaf."""
-    td = ltd.td
-    bags = list(td.bags)
-    edges = list(td.edges)
-    leaves = [(t, sorted(td.bags[t])[1:]) for t in range(0, td.node_count, 4)]
-    leaves += [
-        (t, sorted(td.bags[t])[: len(td.bags[t]) // 2])
-        for t in range(2, td.node_count, 9)
-    ]
-    leaves.append((td.node_count // 3, []))
-    for t, bag in leaves:
-        edges.append((t, len(bags)))
-        bags.append(frozenset(bag))
-    td = TreeDecomposition(bags, edges, td.root)
-    return g, LayeredTreeDecomposition(td, ltd.layering)
-
-
-def _folded_path(n):
-    """A path layered by distance from its middle vertex: each layer's two
-    vertices sit at opposite ends of the path decomposition."""
-    g, ltd, _ = gen_path(n)
-    ly = bfs_layering(g, [n // 2])
-    return g, LayeredTreeDecomposition(ltd.td, ly)
-
-
-def _nodes_permuted(g, ltd, seed):
-    """The same decomposition with its node ids shuffled by a seeded
-    permutation; the root moves with its node."""
-    td = ltd.td
-    perm = list(range(td.node_count))
-    random.Random(seed).shuffle(perm)
-    bags = [frozenset()] * td.node_count
-    for t, bag in enumerate(td.bags):
-        bags[perm[t]] = bag
-    edges = [(perm[a], perm[b]) for a, b in td.edges]
-    td = TreeDecomposition(bags, edges, perm[td.root])
-    return g, LayeredTreeDecomposition(td, ltd.layering)
-
-
 # SHA-256 of the .coloring text, clustering, and fake-edge counts of stages
 # 2 and 3. Any change to a coloring shows up here. The rerooted, branching,
 # node-permuted and folded shapes give the per-layer sparse views a root in
@@ -296,29 +239,29 @@ GOLDEN = {
         1, 0, 0,
     ),
     "rect-6x60-rerooted": (
-        lambda: _rerooted(*gen_rect_grid(6, 60)[:2]),
+        lambda: rerooted(*gen_rect_grid(6, 60)[:2]),
         "de0da5c9224e30a47588390af1811251e760c1577438406d2e3c008ea4d50ac1",
         12, 88, 227,
     ),
     "rect-6x60-branching": (
-        lambda: _branching(*_rerooted(*gen_rect_grid(6, 60)[:2])),
+        lambda: branching(*rerooted(*gen_rect_grid(6, 60)[:2])),
         "afa9c96868adf5a61b24690ef7ca3a4191d45a309aac1f00b6d6381d3325905c",
         12, 103, 207,
     ),
     "rect-6x60-nodes-permuted": (
-        lambda: _nodes_permuted(
-            *_branching(*_rerooted(*gen_rect_grid(6, 60)[:2])), seed=5
+        lambda: nodes_permuted(
+            *branching(*rerooted(*gen_rect_grid(6, 60)[:2])), seed=5
         ),
         "afa9c96868adf5a61b24690ef7ca3a4191d45a309aac1f00b6d6381d3325905c",
         12, 103, 207,
     ),
     "path-200-folded": (
-        lambda: _folded_path(200),
+        lambda: folded_path(200),
         "545afb15a9cef73319db6e6f43d0607c570c1bccc1485132c7a0045c246d8686",
         2, 1, 0,
     ),
     "trigrid-20-permuted": (
-        lambda: _permuted(*gen_grid(20, triangulated=True)[:2], seed=7),
+        lambda: permuted(*gen_grid(20, triangulated=True)[:2], seed=7),
         "a467a15b7960e153104a7d7f3cf7ce2d4b955df02f07d3289af77742d17ec85d",
         18, 84, 174,
     ),
@@ -572,7 +515,7 @@ def test_three_color_ignores_node_ids_when_the_root_moves_along():
     instance = _rooted(*gen_grid(12, triangulated=True)[:2], root=5)
     expected = _certified(*instance)
     for seed in (1, 2, 3):
-        assert _certified(*_nodes_permuted(*instance, seed=seed)) == expected
+        assert _certified(*nodes_permuted(*instance, seed=seed)) == expected
 
 
 def test_three_color_ignores_empty_leaf_bags():

@@ -7,7 +7,6 @@ from clustercolor import (
     Graph,
     check_list_coloring,
     edge_components,
-    longest_monochromatic_path,
     monochromatic_components,
     trigrid_path_oracle,
 )
@@ -137,18 +136,6 @@ def test_check_list_coloring():
     ok, witness = check_list_coloring({0: 1}, lists)
     assert not ok and witness == 1
     assert check_list_coloring({}, {}) == (True, None)
-
-
-def test_longest_monochromatic_path():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert longest_monochromatic_path(g, {v: 1 for v in range(5)}) == 5
-    assert longest_monochromatic_path(g, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}) == 1
-    single = Graph(1, [])
-    assert longest_monochromatic_path(single, {0: 4}) == 1
-    with pytest.raises(BudgetExceeded):
-        longest_monochromatic_path(g, {v: 1 for v in range(5)}, budget=2)
-    with pytest.raises(ValueError):
-        longest_monochromatic_path(g, {0: 1})
 
 
 def test_path_oracle_small_sizes():
