@@ -297,23 +297,28 @@ def layer_index(
     n: int, rows: Sequence[Sequence[int]]
 ) -> tuple[list[int], AxiomCheck]:
     """Each vertex's layer, and the partition check of the layering whose
-    layer i is ``rows[i - 1]``: disjoint rows, each in ascending order.
+    layer i is ``rows[i - 1]``: the rows must be disjoint and cover
+    0..n-1 exactly.
 
-    ``layer_of[v]`` is 0 for a vertex of 0..n-1 in no row; an id outside
-    0..n-1 is left out of it. The witness is the smallest vertex in no row,
-    else the smallest id outside 0..n-1.
+    ``layer_of[v]`` is the first row holding v, 0 for a vertex of 0..n-1
+    in no row; an id outside 0..n-1 is left out of it. The witness is the
+    smallest vertex of 0..n-1 in no row or in two rows, else the smallest
+    id outside 0..n-1.
     """
     layer_of = [0] * n
-    stray = None
+    bad = set()
+    stray = []
     for i, row in enumerate(rows, start=1):
-        if row and (row[0] < 0 or row[-1] >= n):
-            out = min(v for v in row if not 0 <= v < n)
-            stray = out if stray is None else min(stray, out)
-            row = [v for v in row if 0 <= v < n]
         for v in row:
-            layer_of[v] = i
-    missing = layer_of.index(0) if 0 in layer_of else None
-    witness = missing if missing is not None else stray
+            if not 0 <= v < n:
+                stray.append(v)
+            elif layer_of[v]:
+                bad.add(v)
+            else:
+                layer_of[v] = i
+    if 0 in layer_of:
+        bad.add(layer_of.index(0))
+    witness = min(bad) if bad else min(stray, default=None)
     return layer_of, AxiomCheck("partition", witness is None, witness)
 
 

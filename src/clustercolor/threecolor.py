@@ -37,6 +37,7 @@ from .twocolor import (
     CLUSTER_FACTOR,
     EdgeGroup,
     GroupBudget,
+    _enlarged,
     band_color,
     cluster_bound,
     enlarge_lists,
@@ -68,33 +69,38 @@ class ThreeColorConstants:
 
 
 def compute_constants(width: int, degree: int) -> ThreeColorConstants:
-    """Evaluate the pipeline's constant chain for the given width and degree."""
+    """Evaluate the pipeline's constant chain for the given width and
+    degree: the stage-2 and stage-3 bounds are those of the enlargement
+    lemma (``twocolor._enlarged``) under each stage's group budget."""
+    return _constant_chain(width, degree)[0]
+
+
+def _constant_chain(
+    width: int, degree: int
+) -> tuple[ThreeColorConstants, GroupBudget, GroupBudget]:
+    """The constants with the stage-2 and stage-3 group budgets they come
+    from. A stage-2 group guards one stage-1 component, of at most f1
+    vertices and so at most f1*d neighbors in the layer; a node's bag meets
+    at most w + 1 such components. Stage-3 groups guard components of both
+    earlier classes, whose enlarged bags have at most w2 + 1 vertices."""
     if width < 1:
         raise ValueError("width must be at least 1")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     w, d = width, degree
     f1 = cluster_bound(w, d)
-    delta2 = d + f1 * d * d
-    w2 = w + 2 * (w + 1) * f1 * f1 * d * d
+    budget2 = GroupBudget(f1 * f1 * d * d, f1 * d * d, w + 1)
+    w2, delta2 = _enlarged(budget2, w, d)
     f2 = cluster_bound(w2, delta2)
-    delta3 = d + f2 * d * d
-    w3 = w + 4 * (w2 + 1) * f2 * f2 * d * d
+    budget3 = GroupBudget(f2 * f2 * d * d, f2 * d * d, 2 * (w2 + 1))
+    w3, delta3 = _enlarged(budget3, w, d)
     f3 = cluster_bound(w3, delta3)
     g = (1 + f2 * d) * f3
-    return ThreeColorConstants(
-        width=w,
-        degree=d,
-        cluster_factor=CLUSTER_FACTOR,
-        f1=f1,
-        delta2=delta2,
-        w2=w2,
-        f2=f2,
-        delta3=delta3,
-        w3=w3,
-        f3=f3,
-        g=g,
+    constants = ThreeColorConstants(
+        width=w, degree=d, cluster_factor=CLUSTER_FACTOR, f1=f1, delta2=delta2,
+        w2=w2, f2=f2, delta3=delta3, w3=w3, f3=f3, g=g,
     )
+    return constants, budget2, budget3
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,6 @@ class ThreeColorResult:
 
 def _layer_view(
     adj: Sequence[Sequence[int]],
-    bags: Sequence[AbstractSet[int]],
     holders: Sequence[Sequence[int]],
     parent: list[int],
     depth: list[int],
@@ -136,10 +141,10 @@ def _layer_view(
 
     Local vertex ids are positions in ``ids``, the layer's sorted vertices.
     Each guard component with at least two neighbors in the layer gives one
-    group: all pairs of those neighbors; as cover, per connecting edge the
-    first node holding both ends; and as subtree, the nodes whose (possibly
-    enlarged) bags meet the component: those holding one of its vertices
-    plus the subtrees its vertices were poured into.
+    group: all pairs of those neighbors, and as subtree the nodes whose
+    (possibly enlarged) bags meet the component: those holding one of its
+    vertices, which hold each neighbor with it, plus the subtrees its
+    vertices were poured into.
 
     The view keeps the nodes that hold a layer vertex and the nodes of every
     group subtree, in ascending original id, with the original tree edges
@@ -158,16 +163,14 @@ def _layer_view(
     kept = {t for v in ids for t in holders[v]}
     found = []
     for comp in sorted(guards, key=min):
-        links = [(c, u) for c in comp for u in adj[c] if u in index]
-        ends = sorted({index[u] for _, u in links})
+        ends = sorted({index[u] for c in comp for u in adj[c] if u in index})
         if len(ends) < 2:
             continue
-        cover = {next(t for t in holders[c] if u in bags[t]) for c, u in links}
         subtree = frozenset(t for c in comp for t in holders[c]).union(
             *{sub for c in comp for sub in poured.get(c, ())}
         )
         kept |= subtree
-        found.append((ends, cover, subtree))
+        found.append((ends, subtree))
     nodes = sorted(kept)
     local = {t: i for i, t in enumerate(nodes)}
     view_bags: list[set[int]] = [set() for _ in nodes]
@@ -185,15 +188,14 @@ def _layer_view(
     tree_edges += zip(tops, tops[1:])
     groups = [
         EdgeGroup(
-            nodes=frozenset(local[t] for t in cover),
             subtree=frozenset(local[t] for t in subtree),
             pairs=frozenset(
                 (a, b) for k, a in enumerate(ends) for b in ends[k + 1 :]
             ),
         )
-        for ends, cover, subtree in found
+        for ends, subtree in found
     ]
-    pours = [([ids[i] for i in ends], subtree) for ends, _, subtree in found]
+    pours = [([ids[i] for i in ends], subtree) for ends, subtree in found]
     return edges, view_bags, tree_edges, [depth[t] for t in nodes], groups, pours
 
 
@@ -218,16 +220,16 @@ def three_color_lists(
     at most ``constants.g`` vertices, over plain lists: the graph by its
     edge lines (either orientation, repeats allowed), one bag per node, the
     tree by its distinct node pairs (no self-loops), and the layering by its
-    disjoint rows, layer i being ``rows[i - 1]`` in ascending order.
+    rows, layer i being ``rows[i - 1]`` in ascending order.
 
     The input is validated first: an edge line that is a self-loop or
     leaves 0..n-1 raises ValueError, an invalid decomposition (a tree pair
     or root that names no node fails the tree axiom) InvalidDecomposition,
-    and then an invalid layering InvalidLayering. The
-    constants are computed for the measured layered width and maximum
+    and then an invalid layering (rows not disjoint or not covering 0..n-1
+    exactly, or an edge joining layers two or more apart) InvalidLayering.
+    The constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
-    and layer; the final clustering is measured and checked before
-    returning.
+    and layer; the final clustering is measured and checked before returning.
     """
     # One pass over the edge lines and one over the bags build the index
     # that every layer shares: each vertex's neighbors and nodes, and each
@@ -241,17 +243,7 @@ def three_color_lists(
     w_eff = max(1, bags_layered_width(bags, layer_of))
     holders, depth, parent = checked.holders, checked.depth, checked.parent
     d_eff = max(1, max(map(len, adj), default=0))
-    constants = compute_constants(w_eff, d_eff)
-    budget2 = GroupBudget(
-        max_pairs_per_group=constants.f1 ** 2 * d_eff ** 2,
-        max_pair_uses_per_vertex=constants.f1 * d_eff ** 2,
-        max_groups_per_node=w_eff + 1,
-    )
-    budget3 = GroupBudget(
-        max_pairs_per_group=constants.f2 ** 2 * d_eff ** 2,
-        max_pair_uses_per_vertex=constants.f2 * d_eff ** 2,
-        max_groups_per_node=2 * (constants.w2 + 1),
-    )
+    constants, budget2, budget3 = _constant_chain(w_eff, d_eff)
     # Per class: palette (local colors 1 and 2 map to its entries), degree
     # bound of the guarded layer, and budget for its edge groups. Class 1
     # is colored first, so it has no colored neighbors and takes no groups.
@@ -282,7 +274,7 @@ def three_color_lists(
                 for comp in comps.get((lj, color), ())
             ]
             view_edges, view_bags, view_tree, view_depth, groups, pours = _layer_view(
-                adj, bags, holders, parent, depth, poured, ids, guards
+                adj, holders, parent, depth, poured, ids, guards
             )
             k = len(ids)
             stage = f"stage-{cls} layer {li}"

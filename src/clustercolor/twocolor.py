@@ -105,25 +105,30 @@ def two_color_bounded_treewidth(
 @dataclass(frozen=True)
 class EdgeGroup:
     """A batch of vertex pairs to add, together with the tree region that
-    absorbs their endpoints.
+    absorbs their endpoints: ``subtree``, a connected set of decomposition
+    nodes whose bags hold every pair endpoint."""
 
-    ``nodes`` are the cover nodes whose bags contain the pair endpoints;
-    they must lie inside ``subtree``, a connected set of decomposition nodes.
-    """
-
-    nodes: frozenset[int]
     subtree: frozenset[int]
     pairs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class GroupBudget:
-    """Per-call limits: pairs per group, pair uses per vertex, and groups
-    whose subtree may cover any single node."""
+    """Per-call limits: k pairs per group, d pair uses per vertex, and h
+    groups whose subtree may cover any single node. ``_enlarged`` states
+    how far an enlargement under them may grow the input."""
 
     max_pairs_per_group: int
     max_pair_uses_per_vertex: int
     max_groups_per_node: int
+
+
+def _enlarged(budget: GroupBudget, width: int, degree: int) -> tuple[int, int]:
+    """The enlargement lemma's growth: adding groups under ``budget`` to a
+    graph of this maximum degree, with a decomposition of this width, gives
+    width at most w + 2*h*k and degree at most delta + d."""
+    k, h = budget.max_pairs_per_group, budget.max_groups_per_node
+    return width + 2 * h * k, degree + budget.max_pair_uses_per_vertex
 
 
 def _connected_in_tree(tree_adj: list[list[int]], nodes: frozenset[int]) -> bool:
@@ -153,10 +158,11 @@ def enlarge_lists(
     over plain lists: the graph on 0..n-1 by its distinct edges (u, v) with
     u < v, one bag per node, and the tree by its node pairs.
 
-    Every group's endpoints are poured into each bag of its subtree, which
-    preserves all decomposition axioms. Under the budget (k pairs per group,
-    d pair uses per vertex, h group subtrees per node) the width grows by at
-    most 2*h*k and the max degree by at most d. Budget violations raise
+    A group's subtree must be a nonempty connected set of nodes whose bags
+    hold each end of each of its pairs. Every group's endpoints are poured
+    into each bag of its subtree, which preserves all decomposition axioms,
+    and under the budget the width and degree grow at most as
+    ``_enlarged`` states. Budget and group-structure violations raise
     GroupBudgetError naming the field. The output is validated and both
     bounds are re-checked on it; a failure raises InternalInvariantError.
     Returns the new edges and bags; when no group carries pairs, the
@@ -180,10 +186,6 @@ def enlarge_lists(
             )
         if not group.pairs:
             continue
-        if not group.nodes or not group.nodes <= group.subtree:
-            raise GroupBudgetError(
-                "group-structure", f"group {idx} cover nodes must lie in its subtree"
-            )
         for t in group.subtree:
             if not 0 <= t < nn:
                 raise GroupBudgetError(
@@ -193,24 +195,24 @@ def enlarge_lists(
             raise GroupBudgetError(
                 "group-structure", f"group {idx} subtree is not connected"
             )
-        allowed = set()
-        for t in group.nodes:
-            allowed |= bags[t]
         for u, v in group.pairs:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} has invalid pair ({u}, {v})"
                 )
-            if u not in allowed or v not in allowed:
-                raise GroupBudgetError(
-                    "group-structure",
-                    f"group {idx} pair ({u}, {v}) outside its cover bags",
-                )
             uses[u] = uses.get(u, 0) + 1
             uses[v] = uses.get(v, 0) + 1
+        ends = {v for pair in group.pairs for v in pair}
+        missing = ends.difference(*map(bags.__getitem__, group.subtree))
+        if missing:
+            u, v = min(p for p in group.pairs if not missing.isdisjoint(p))
+            raise GroupBudgetError(
+                "group-structure",
+                f"group {idx} pair ({u}, {v}) has an end in no bag of its subtree",
+            )
         for t in group.subtree:
             covers[t] = covers.get(t, 0) + 1
-        live.append(group)
+        live.append((group, ends))
 
     new_edges, new_bags = edges, bags
     if live:
@@ -225,17 +227,15 @@ def enlarge_lists(
                 raise GroupBudgetError(field, what.format(x, count[x]))
         new_edges = set(edges)
         new_bags = list(bags)
-        for grp in live:
+        for grp, ends in live:
             new_edges.update((u, v) if u < v else (v, u) for u, v in grp.pairs)
-            endpoints = {v for pair in grp.pairs for v in pair}
             for t in grp.subtree:
-                new_bags[t] = new_bags[t] | endpoints
-        h = budget.max_groups_per_node
-        k = budget.max_pairs_per_group
-        if max(map(len, new_bags)) > max(map(len, bags)) + 2 * h * k:
+                new_bags[t] = new_bags[t] | ends
+        # The growth is additive, so it bounds the largest bag as the width.
+        size, degree = _enlarged(budget, max(map(len, bags)), _max_degree(n, edges))
+        if max(map(len, new_bags)) > size:
             raise InternalInvariantError("enlarged width exceeds w + 2hk")
-        d = budget.max_pair_uses_per_vertex
-        if _max_degree(n, new_edges) > _max_degree(n, edges) + d:
+        if _max_degree(n, new_edges) > degree:
             raise InternalInvariantError("enlarged degree exceeds delta + d")
 
     report = check_decomposition(n, new_edges, new_bags, tree_edges)

@@ -80,6 +80,7 @@ def random_groups(rng, g, td, max_groups=3):
     groups = []
     for _ in range(rng.randint(1, max_groups)):
         subtree = random_subtree(rng, td)
+        # Pairs are drawn from the bags of a random part of the subtree.
         cover = frozenset(
             rng.sample(sorted(subtree), rng.randint(1, len(subtree)))
         )
@@ -89,9 +90,7 @@ def random_groups(rng, g, td, max_groups=3):
             for _ in range(rng.randint(0, 4)):
                 a, b = rng.sample(pool, 2)
                 pairs.add((min(a, b), max(a, b)))
-        groups.append(
-            EdgeGroup(nodes=cover, subtree=subtree, pairs=frozenset(pairs))
-        )
+        groups.append(EdgeGroup(subtree=subtree, pairs=frozenset(pairs)))
     live = [grp for grp in groups if grp.pairs]
     uses = {}
     for grp in live:

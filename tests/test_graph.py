@@ -160,6 +160,28 @@ def test_tree_axiom_fails_when_the_tree_names_no_node(bags, tree, root):
         three_color_lists(3, edges, bags, tree, rows, root)
 
 
+
+@pytest.mark.parametrize(
+    "rows, witness",
+    [
+        ([(0, 1, 2), (2,)], 2),
+        ([(1, 5, 0, 2)], 5),
+        ([(0, 1), (1,), (7,)], 1),
+        ([(2, -4, 1), (1, 0)], 1),
+        ([(2, 1), (2,), (-1,)], 0),
+        ([(2, 0, 9, 1, -3)], -3),
+    ],
+)
+def test_flat_rows_must_partition_the_vertices(rows, witness):
+    """The flat entry point refuses a vertex in two rows, and checks every
+    id's range in rows given in any order. The witness is the smallest
+    vertex of 0..n-1 in no row or in two rows, else the smallest stray id."""
+    with pytest.raises(
+        InvalidLayering,
+        match=rf"^invalid layering: partition axiom fails at vertex {witness}$",
+    ):
+        three_color_lists(3, [(0, 1)], [frozenset({0, 1, 2})], [], rows)
+
 def test_layered_width_measures_bag_layer_overlap():
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     td = TreeDecomposition([frozenset({0, 1, 2, 3})])

@@ -7,6 +7,7 @@ from clustercolor import (
     ClusteringBoundError,
     EdgeGroup,
     Graph,
+    GroupBudget,
     GroupBudgetError,
     InvalidDecomposition,
     LayeredTreeDecomposition,
@@ -100,7 +101,7 @@ def _three_color_with_pairs(monkeypatch, g, ltd):
 
     def capturing(*args):
         view = layer_view(*args)
-        ids = args[6]
+        ids = args[5]
         cls = _layer_class(ltd.layering, ids[0])
         for grp in view[4]:
             pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
@@ -373,7 +374,7 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
         *view, groups, pours = layer_view(*args)
         # The first view node holding the layer's smallest vertex.
         nodes = frozenset({next(t for t, bag in enumerate(view[1]) if 0 in bag)})
-        idle = EdgeGroup(nodes=nodes, subtree=nodes, pairs=frozenset())
+        idle = EdgeGroup(subtree=nodes, pairs=frozenset())
         return (*view, groups + [idle], pours)
 
     monkeypatch.setattr(threecolor, "_layer_view", with_idle_group)
@@ -395,7 +396,7 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
 
     def over_budget(*args):
         *view, groups, pours = layer_view(*args)
-        li = ly.layer_of(args[6][0])
+        li = ly.layer_of(args[5][0])
         if li % 3 != 2 or hit:
             return (*view, groups, pours)
         # One more group on the same node than a stage-2 budget allows:
@@ -404,7 +405,7 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
         t = next(t for t, bag in enumerate(bags) if len(bag) >= 2)
         a, b = sorted(bags[t])[:2]
         node = frozenset({t})
-        extra = EdgeGroup(nodes=node, subtree=node, pairs=frozenset({(a, b)}))
+        extra = EdgeGroup(subtree=node, pairs=frozenset({(a, b)}))
         hit.append(li)
         return (*view, groups + [extra] * 4, pours)
 
@@ -430,7 +431,7 @@ def test_stage_one_takes_no_groups(monkeypatch):
         *view, groups, pours = layer_view(*args)
         node = frozenset({0})
         a, b = sorted(view[1][0])[:2]
-        extra = EdgeGroup(nodes=node, subtree=node, pairs=frozenset({(a, b)}))
+        extra = EdgeGroup(subtree=node, pairs=frozenset({(a, b)}))
         return (*view, groups + [extra], pours)
 
     monkeypatch.setattr(threecolor, "_layer_view", stray)
@@ -439,6 +440,38 @@ def test_stage_one_takes_no_groups(monkeypatch):
     assert err.value.budget == "max_pairs_per_group"
     assert str(err.value) == "max_pairs_per_group: stage-1 layer 1: group 0 has 1 pairs"
 
+
+
+def test_each_stage_enlarges_under_its_budget(monkeypatch):
+    """Classes 1, 2 and 3 enlarge under no budget, (f1²d², f1d², w + 1) and
+    (f2²d², f2d², 2(w2 + 1)), as the result's constants give them."""
+    from clustercolor import threecolor
+
+    g, ltd, _ = gen_grid(6, triangulated=True)
+    enlarge = threecolor.enlarge_lists
+    budgets = []
+
+    def recording(*args):
+        budgets.append(args[5])
+        return enlarge(*args)
+
+    monkeypatch.setattr(threecolor, "enlarge_lists", recording)
+    c = three_color(g, ltd).constants
+    w, d = c.width, c.degree
+    expected = {
+        1: GroupBudget(0, 0, 0),
+        2: GroupBudget(c.f1**2 * d**2, c.f1 * d**2, w + 1),
+        3: GroupBudget(c.f2**2 * d**2, c.f2 * d**2, 2 * (c.w2 + 1)),
+    }
+    layers = ltd.layering.layers
+    classes = [
+        cls
+        for cls in (1, 2, 3)
+        for li in range(cls, len(layers) + 1, 3)
+        if layers[li - 1]
+    ]
+    assert set(classes) == {1, 2, 3}
+    assert budgets == [expected[cls] for cls in classes]
 
 def test_three_color_refuses_spine_path_in_stage_one():
     g, ltd = spine_path(40)
@@ -553,8 +586,8 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
     layer_view = threecolor._layer_view
     tops = []
 
-    def capturing(g, bags, holders, parent, depth, poured, ids, guards):
-        view = layer_view(g, bags, holders, parent, depth, poured, ids, guards)
+    def capturing(g, holders, parent, depth, poured, ids, guards):
+        view = layer_view(g, holders, parent, depth, poured, ids, guards)
         kept = {t for v in ids for t in holders[v]}
         kept = kept.union(*(subtree for _, subtree in view[5]))
         tops.append(sum(1 for t in kept if parent[t] not in kept))

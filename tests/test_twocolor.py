@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,7 @@ from clustercolor import (
     validate_tree_decomposition,
 )
 
-from helpers import random_decomposition, random_groups
+from helpers import random_decomposition, random_groups, random_subtree
 
 
 def test_cluster_bound_values():
@@ -102,7 +103,6 @@ def _two_bag_instance():
 def test_enlarge_adds_edges_and_bounds_width():
     g, td = _two_bag_instance()
     group = EdgeGroup(
-        nodes=frozenset({0, 1}),
         subtree=frozenset({0, 1}),
         pairs=frozenset({(0, 3), (1, 3), (0, 4)}),
     )
@@ -122,7 +122,7 @@ def test_enlarge_validates_an_input_with_nothing_to_add():
     names the failed axiom and its witness."""
     edges, bags, tree = [(0, 1)], [{0, 1}, {1}], [(0, 1)]
     g, td = _two_bag_instance()
-    idle = EdgeGroup(nodes=frozenset(), subtree=frozenset(), pairs=frozenset())
+    idle = EdgeGroup(subtree=frozenset(), pairs=frozenset())
     none = GroupBudget(0, 0, 0)
     for groups in ([], [idle]):
         out_edges, out_bags = enlarge_lists(2, edges, bags, tree, groups, none)
@@ -148,7 +148,7 @@ def test_enlarge_budget_errors_name_the_smallest_violator():
 
     def group(node, *pairs):
         nodes = frozenset({node})
-        return EdgeGroup(nodes=nodes, subtree=nodes, pairs=frozenset(pairs))
+        return EdgeGroup(subtree=nodes, pairs=frozenset(pairs))
 
     uses = [group(0, (4, 5), (3, 4)), group(0, (1, 2), (0, 2))]
     with pytest.raises(GroupBudgetError) as err:
@@ -163,7 +163,6 @@ def test_enlarge_budget_errors_name_the_smallest_violator():
 def test_enlarge_budget_violations():
     g, td = _two_bag_instance()
     group = EdgeGroup(
-        nodes=frozenset({0, 1}),
         subtree=frozenset({0, 1}),
         pairs=frozenset({(0, 3), (1, 3), (0, 4)}),
     )
@@ -182,28 +181,19 @@ def test_enlarge_budget_violations():
 def test_enlarge_rejects_malformed_groups():
     g, td = _two_bag_instance()
     budget = GroupBudget(9, 9, 9)
-    outside = EdgeGroup(
-        nodes=frozenset({0}), subtree=frozenset({1}), pairs=frozenset({(2, 3)})
-    )
-    with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(g.n, g.edges, td.bags, td.edges, [outside], budget)
-    assert err.value.budget == "group-structure"
-
-    split = EdgeGroup(
-        nodes=frozenset({0}), subtree=frozenset({0, 3}), pairs=frozenset({(0, 1)})
-    )
+    split = EdgeGroup(subtree=frozenset({0, 3}), pairs=frozenset({(0, 1)}))
     with pytest.raises(GroupBudgetError):
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [split], budget)
 
-    far_pair = EdgeGroup(
-        nodes=frozenset({0}), subtree=frozenset({0}), pairs=frozenset({(3, 4)})
-    )
-    with pytest.raises(GroupBudgetError):
+    far_pair = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(3, 4)}))
+    with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [far_pair], budget)
-
-    loop = EdgeGroup(
-        nodes=frozenset({0}), subtree=frozenset({0}), pairs=frozenset({(1, 1)})
+    assert err.value.budget == "group-structure"
+    assert str(err.value) == (
+        "group-structure: group 0 pair (3, 4) has an end in no bag of its subtree"
     )
+
+    loop = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(1, 1)}))
     with pytest.raises(GroupBudgetError):
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [loop], budget)
 
@@ -229,3 +219,42 @@ def test_enlarge_random_instances_keep_bounds():
             for u, v in grp.pairs:
                 assert g2.has_edge(u, v)
         done += 1
+
+
+def test_enlarge_accepts_a_group_exactly_when_some_cover_exists():
+    """A group over a connected subtree is accepted exactly when some
+    nonempty set of its nodes has bags that together hold every pair end,
+    checked against every such set; some pairs reach outside the subtree's
+    bags."""
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    while sum(verdicts.values()) < 300:
+        g, td = random_decomposition(rng)
+        if g.n < 2:
+            continue
+        subtree = random_subtree(rng, td)
+        inside = sorted(set().union(*(td.bags[t] for t in subtree)))
+        pairs = set()
+        for _ in range(rng.randint(1, 3)):
+            pool = inside if len(inside) >= 2 and rng.random() < 0.8 else range(g.n)
+            a, b = sorted(rng.sample(pool, 2))
+            pairs.add((a, b))
+        ends = {v for pair in pairs for v in pair}
+        nodes = sorted(subtree)
+        covered = any(
+            ends <= set().union(*(td.bags[t] for t in cover))
+            for size in range(1, len(nodes) + 1)
+            for cover in combinations(nodes, size)
+        )
+        group = EdgeGroup(subtree=subtree, pairs=frozenset(pairs))
+        budget = GroupBudget(len(pairs), len(pairs), 1)
+        try:
+            enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
+            accepted = True
+        except GroupBudgetError as exc:
+            assert exc.budget == "group-structure"
+            assert "has an end in no bag of its subtree" in exc.detail
+            accepted = False
+        assert accepted == covered
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 50, verdicts
