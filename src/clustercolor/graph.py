@@ -9,17 +9,13 @@ be shared freely between threads and reused across operations.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
+from collections.abc import Callable, Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from operator import gt
 from typing import NamedTuple
 
 from .errors import InvalidDecomposition, InvalidLayering
-
-
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
 
 
 def _bad_edge(u: int, v: int, n: int) -> ValueError:
@@ -27,6 +23,65 @@ def _bad_edge(u: int, v: int, n: int) -> ValueError:
     if u == v:
         return ValueError(f"self-loop at vertex {u}")
     return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+
+
+def _bad_tree_pair(a: int, b: int, nn: int) -> ValueError:
+    """The error for a tree pair (a, b) that is a self-loop or leaves 0..nn-1."""
+    what = f"self-loop at node {a}" if a == b else f"tree edge ({a}, {b}) out of range"
+    return ValueError(what)
+
+
+def _pair_index(
+    n: int, pairs: Iterable[tuple[int, int]], bad: Callable[[int, int, int], ValueError]
+) -> tuple[frozenset[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The distinct pairs over 0..n-1 as (u, v) with u < v, and each member's
+    neighbors in ascending order; the first pair that is a self-loop or
+    leaves 0..n-1 raises ``bad(u, v, n)``."""
+    seen = set()
+    add = seen.add
+    for u, v in pairs:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise bad(u, v, n)
+        add((u, v) if u < v else (v, u))
+    adj = [[] for _ in range(n)]
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    return frozenset(seen), tuple(map(tuple, adj))
+
+
+def _induce(
+    adj: Sequence[Sequence[int]], ids: Sequence[int]
+) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The edges among the distinct vertices ``ids`` of the graph with
+    adjacency ``adj``, each once as (i, j) in local ids (positions in
+    ``ids``) with ``ids[i] < ids[j]``, and the map from id to position."""
+    index = {v: i for i, v in enumerate(ids)}
+    edges = [
+        (i, index[u])
+        for i, v in enumerate(ids)
+        for u in adj[v]
+        if u > v and u in index
+    ]
+    return edges, index
+
+
+def _connected(adj, nodes: Collection[int]) -> bool:
+    """Whether ``nodes`` is nonempty and connected by the links among its
+    members; ``adj[t]`` lists node t's neighbors (a list, or a mapping)."""
+    if not nodes:
+        return False
+    start = min(nodes)
+    seen = {start}
+    queue = [start]
+    for t in queue:
+        for u in adj[t]:
+            if u in nodes and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == len(nodes)
 
 
 # What each axiom's witness names. The decomposition's "tree" axiom has none.
@@ -85,21 +140,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        add = seen.add
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise _bad_edge(u, v, n)
-            add((u, v) if u < v else (v, u))
-        adj = [[] for _ in range(n)]
-        for u, v in seen:
-            adj[u].append(v)
-            adj[v].append(u)
-        for a in adj:
-            a.sort()
         self.n = n
-        self._edges = frozenset(seen)
-        self._adj = tuple(map(tuple, adj))
+        self._edges, self._adj = _pair_index(n, edges, _bad_edge)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -115,7 +157,7 @@ class Graph:
         return max((len(a) for a in self._adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edges
+        return ((u, v) if u <= v else (v, u)) in self._edges
 
     def vertices(self) -> range:
         return range(self.n)
@@ -124,28 +166,17 @@ class Graph:
         """Induced subgraph on ``keep``, relabeled to 0..k-1.
 
         Returns the subgraph and the sorted tuple of original ids; position
-        in the tuple is the new id.
+        in the tuple is the new id. An id outside 0..n-1 raises ValueError
+        naming it.
         """
         old = tuple(sorted(set(keep)))
-        index = {v: i for i, v in enumerate(old)}
-        sub_edges = [
-            (i, index[u])
-            for i, v in enumerate(old)
-            if 0 <= v < self.n
-            for u in self._adj[v]
-            if u > v and u in index
-        ]
-        return Graph(len(old), sub_edges), old
+        for v in old[:1] + old[-1:]:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return Graph(len(old), _induce(self._adj, old)[0]), old
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self._edges))
+        return isinstance(other, Graph) and (self.n, self._edges) == (other.n, other._edges)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self._edges)})"
@@ -193,9 +224,6 @@ class Layering:
     def __eq__(self, other):
         return isinstance(other, Layering) and self.layers == other.layers
 
-    def __hash__(self):
-        return hash(self.layers)
-
     def __repr__(self):
         return f"Layering(m={self.m}, n={len(self._index)})"
 
@@ -242,22 +270,10 @@ class TreeDecomposition:
         nn = len(self.bags)
         if nn == 0:
             raise ValueError("a tree-decomposition needs at least one node")
-        seen = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at node {a}")
-            if not (0 <= a < nn and 0 <= b < nn):
-                raise ValueError(f"tree edge ({a}, {b}) out of range")
-            seen.add(_norm_edge(a, b))
-        adj = [[] for _ in range(nn)]
-        for a, b in seen:
-            adj[a].append(b)
-            adj[b].append(a)
+        self.edges, self._adj = _pair_index(nn, edges, _bad_tree_pair)
         if not (0 <= root < nn):
             raise ValueError(f"root {root} out of range")
-        self.edges = frozenset(seen)
         self.root = root
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
 
     @property
     def node_count(self) -> int:
@@ -277,9 +293,6 @@ class TreeDecomposition:
             and self.edges == other.edges
             and self.root == other.root
         )
-
-    def __hash__(self):
-        return hash((self.bags, self.edges, self.root))
 
     def __repr__(self):
         return f"TreeDecomposition(nodes={self.node_count}, width={self.width()})"
@@ -370,24 +383,6 @@ def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
     return ValidationReport((partition, index_edges(g.n, g.edges, layer_of)[2]))
 
 
-def _connected_over(nodes: list[int], edges: list[tuple[int, int]]) -> bool:
-    """Whether ``edges`` (all between members of ``nodes``) connect ``nodes``."""
-    if len(edges) < len(nodes) - 1:
-        return False
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for u in adj.get(stack.pop(), ()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(nodes)
-
-
 @dataclass(frozen=True)
 class DecompositionReport(ValidationReport):
     """A decomposition's validation report together with the index its
@@ -466,7 +461,7 @@ def check_decomposition(
     # most the sum of bag sizes. On a tree a vertex's k nodes are connected
     # exactly when k - 1 such edges hold it, so one count per vertex
     # decides; off a tree, or for a stray id, a search over the vertex's own
-    # edges does.
+    # edges does (never over the whole tree's, which a star makes quadratic).
     if tree and not strays:
         # One more than the count: a vertex fails when it has more nodes.
         shared = [1] * n
@@ -476,16 +471,16 @@ def check_decomposition(
         failing = compress(range(n), map(gt, map(len, holders), shared))
         bad_vertex = next(failing, None)
     else:
-        joins: dict[int, list[tuple[int, int]]] = {}
+        # Each vertex's own tree: its nodes, joined by the tree pairs whose
+        # two bags both hold it.
+        own = {v: {t: [] for t in nodes} for v, nodes in enumerate(holders)}
+        own.update((v, {t: [] for t in nodes}) for v, nodes in strays.items())
         for a, b in named:
             for v in bags[a] & bags[b]:
-                joins.setdefault(v, []).append((a, b))
+                own[v][a].append(b)
+                own[v][b].append(a)
         bad_vertex = min(
-            (
-                v
-                for v, nodes in chain(enumerate(holders), strays.items())
-                if len(nodes) > 1 and not _connected_over(nodes, joins.get(v, []))
-            ),
+            (v for v, ts in own.items() if len(ts) > 1 and not _connected(ts, ts)),
             default=None,
         )
     checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))

@@ -28,6 +28,7 @@ from .graph import (
     Graph,
     LayeredTreeDecomposition,
     ValidationReport,
+    _induce,
     bags_layered_width,
     check_decomposition,
     index_edges,
@@ -123,7 +124,6 @@ def _layer_view(
     holders: Sequence[Sequence[int]],
     parent: list[int],
     depth: list[int],
-    poured: dict[int, list[frozenset[int]]],
     ids: tuple[int, ...],
     guards: list[frozenset[int]],
 ) -> tuple[
@@ -140,11 +140,12 @@ def _layer_view(
     group's endpoints and subtree in original ids.
 
     Local vertex ids are positions in ``ids``, the layer's sorted vertices.
-    Each guard component with at least two neighbors in the layer gives one
-    group: all pairs of those neighbors, and as subtree the nodes whose
-    (possibly enlarged) bags meet the component: those holding one of its
-    vertices, which hold each neighbor with it, plus the subtrees its
-    vertices were poured into.
+    ``holders`` gives each vertex's nodes, including for a colored layer's
+    vertex the subtrees it was poured into. Each guard component with at
+    least two neighbors in the layer gives one group: all pairs of those
+    neighbors, and as subtree the nodes whose (possibly enlarged) bags meet
+    the component, those holding one of its vertices, which hold each
+    neighbor with it.
 
     The view keeps the nodes that hold a layer vertex and the nodes of every
     group subtree, in ascending original id, with the original tree edges
@@ -153,22 +154,14 @@ def _layer_view(
     whose parent is not kept) in ascending order yields a valid
     decomposition of the layer.
     """
-    index = {v: i for i, v in enumerate(ids)}
-    edges = [
-        (i, index[u])
-        for i, v in enumerate(ids)
-        for u in adj[v]
-        if u > v and u in index
-    ]
+    edges, index = _induce(adj, ids)
     kept = {t for v in ids for t in holders[v]}
     found = []
     for comp in sorted(guards, key=min):
         ends = sorted({index[u] for c in comp for u in adj[c] if u in index})
         if len(ends) < 2:
             continue
-        subtree = frozenset(t for c in comp for t in holders[c]).union(
-            *{sub for c in comp for sub in poured.get(c, ())}
-        )
+        subtree = frozenset(t for c in comp for t in holders[c])
         kept |= subtree
         found.append((ends, subtree))
     nodes = sorted(kept)
@@ -230,6 +223,8 @@ def three_color_lists(
     The constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
     and layer; the final clustering is measured and checked before returning.
+    Each vertex's nodes (``holders``) grow, once its layer is colored, by
+    the group subtrees it was poured into.
     """
     # One pass over the edge lines and one over the bags build the index
     # that every layer shares: each vertex's neighbors and nodes, and each
@@ -257,9 +252,6 @@ def three_color_lists(
     # Monochromatic components of each colored layer, as original ids,
     # keyed by (layer index, final color).
     comps: dict[tuple[int, int], list[frozenset[int]]] = {}
-    # For each vertex an enlargement poured into bags, the group subtrees it
-    # was poured into (shared, not copied).
-    poured: dict[int, list[frozenset[int]]] = {}
     fake_edges = {cls: 0 for cls, *_ in stages}
 
     for cls, palette, degree, budget in stages:
@@ -274,7 +266,7 @@ def three_color_lists(
                 for comp in comps.get((lj, color), ())
             ]
             view_edges, view_bags, view_tree, view_depth, groups, pours = _layer_view(
-                adj, holders, parent, depth, poured, ids, guards
+                adj, holders, parent, depth, ids, guards
             )
             k = len(ids)
             stage = f"stage-{cls} layer {li}"
@@ -300,9 +292,10 @@ def three_color_lists(
                 )
             # Pairs repeat across the groups of one layer, never across layers.
             fake_edges[cls] += len(set().union(*(grp.pairs for grp in groups)))
+            # The later layers this one guards see its poured bags.
             for ends, subtree in pours:
                 for v in ends:
-                    poured.setdefault(v, []).append(subtree)
+                    holders[v].extend(subtree)
 
     report = edge_components(n, edges, coloring)
     if report.max_size > constants.g:

@@ -12,7 +12,6 @@ operation fails loudly when it does not hold.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from operator import sub
@@ -26,6 +25,7 @@ from .errors import (
 from .graph import (
     Graph,
     TreeDecomposition,
+    _connected,
     check_decomposition,
     validate_tree_decomposition,
 )
@@ -131,21 +131,6 @@ def _enlarged(budget: GroupBudget, width: int, degree: int) -> tuple[int, int]:
     return width + 2 * h * k, degree + budget.max_pair_uses_per_vertex
 
 
-def _connected_in_tree(tree_adj: list[list[int]], nodes: frozenset[int]) -> bool:
-    if not nodes:
-        return False
-    start = min(nodes)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        t = queue.popleft()
-        for u in tree_adj[t]:
-            if u in nodes and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(nodes)
-
-
 def enlarge_lists(
     n: int,
     edges: Collection[tuple[int, int]],
@@ -191,7 +176,7 @@ def enlarge_lists(
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} node {t} out of range"
                 )
-        if not _connected_in_tree(tree_adj, group.subtree):
+        if not _connected(tree_adj, group.subtree):
             raise GroupBudgetError(
                 "group-structure", f"group {idx} subtree is not connected"
             )

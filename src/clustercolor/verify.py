@@ -29,9 +29,10 @@ def edge_components(
 ) -> ClusterReport:
     """Partition the vertices 0..n-1 into maximal connected same-color pieces.
 
-    ``edges`` may repeat an edge or give it in either orientation; the
-    coloring, a mapping or a list indexed by vertex, must assign a color to
-    every vertex. A root always links under
+    ``edges`` may repeat an edge or give it in either orientation, and a
+    self-loop joins nothing; an edge with an end outside 0..n-1 raises
+    ValueError naming it. The coloring, a mapping or a list indexed by
+    vertex, must assign a color to every vertex. A root always links under
     the smaller root, so every root is the smallest vertex of its set and
     parents point to smaller vertices; one ascending scan then yields the
     components by smallest vertex, each with its vertices in ascending order.
@@ -44,17 +45,22 @@ def edge_components(
         # A list stops at its length, the first vertex it leaves out.
         raise ValueError(f"coloring missing vertex {len(coloring)}") from None
     parent = list(range(n))
-    for u, v in edges:
-        if color[u] != color[v]:
-            continue
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u < v:
-            parent[v] = u
-        elif v < u:
-            parent[u] = v
+    try:
+        for u, v in edges:
+            if (u | v) < 0:  # a negative end would index from the back
+                raise IndexError
+            if color[u] != color[v]:
+                continue
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    except IndexError:  # from color[u] or color[v], before u and v move
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}") from None
     # Scanning upward, the parent of v is smaller and already points at its
     # root, so one lookup finds v's root.
     groups: dict[int, list[int]] = {}

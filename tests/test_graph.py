@@ -51,6 +51,42 @@ def test_graph_induced():
     assert sub.edges == frozenset({(0, 1)})
 
 
+@pytest.mark.parametrize(
+    "keep, message",
+    [([0, 1, 99], "vertex 99 out of range for n=3"), ([-1, 0], "vertex -1 out of range for n=3")],
+)
+def test_graph_induced_names_an_id_out_of_range(keep, message):
+    """An id outside 0..n-1 is not a vertex of the graph, so it cannot be
+    kept: it is named, not relabeled into the subgraph."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError) as err:
+        g.induced(keep)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "bags, edges, root, message",
+    [
+        ([{0}, {0}], [(1, 1)], 0, "self-loop at node 1"),
+        ([{0}, {0}], [(0, 2)], 0, "tree edge (0, 2) out of range"),
+        ([{0}, {0}], [(-1, 0)], 0, "tree edge (-1, 0) out of range"),
+        ([{0}, {0}], [(0, 1)], 2, "root 2 out of range"),
+        ([], [], 0, "a tree-decomposition needs at least one node"),
+    ],
+)
+def test_tree_decomposition_constructor_rejections(bags, edges, root, message):
+    with pytest.raises(ValueError) as err:
+        TreeDecomposition(bags, edges, root)
+    assert str(err.value) == message
+
+
+def test_tree_decomposition_dedups_pairs_and_sorts_neighbors():
+    td = TreeDecomposition([{0}] * 4, [(2, 0), (0, 1), (1, 0), (3, 0)])
+    assert td.edges == frozenset({(0, 1), (0, 2), (0, 3)})
+    assert td.node_neighbors(0) == (1, 2, 3)
+    assert td.node_neighbors(2) == (0,)
+
+
 def test_layering_accessors():
     ly = Layering([(0, 2), (), (1,)])
     assert ly.m == 3
@@ -421,6 +457,38 @@ def test_connectivity_check_is_linear_on_a_star():
     assert pairs_read[0] >= len(td.edges)
     bag_sum = sum(len(bag) for bag in td.bags)
     assert work[0] + pairs_read[0] <= 8 * bag_sum
+
+
+def test_connectivity_search_is_linear_on_a_star_with_a_cycle(monkeypatch):
+    """One extra tree pair between two leaves of the star closes a cycle,
+    so the check searches each vertex's nodes. It must search only the
+    vertex's own joins: the neighbors it reads stay linear in the total bag
+    size, where a search through the tree's adjacency would read the whole
+    center's neighbors for every vertex."""
+    from clustercolor import graph
+
+    reads = [0]
+    search = graph._connected
+
+    class Counting:
+        def __init__(self, adj):
+            self.adj = adj
+
+        def __getitem__(self, t):
+            reads[0] += len(self.adj[t])
+            return self.adj[t]
+
+    monkeypatch.setattr(
+        graph, "_connected", lambda adj, nodes: search(Counting(adj), nodes)
+    )
+    k = 1000
+    g = Graph(k, [(i, i + 1) for i in range(k - 1)])
+    bags = [range(k)] + [[i] for i in range(k)]
+    td = TreeDecomposition(bags, [(0, i + 1) for i in range(k)] + [(1, 2)])
+    report = validate_tree_decomposition(g, td)
+    assert [c.axiom for c in report.failures()] == ["tree"]
+    assert reads[0] > 0
+    assert reads[0] <= 4 * sum(len(bag) for bag in td.bags)
 
 
 def _reference_layering_checks(g, ly):

@@ -1,7 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+helper of the package is used somewhere in it.
 
-The package's ``__init__.py`` is left out: its imports are re-exports,
-checked against ``__all__`` by ``test_exports.py``.
+The package's ``__init__.py`` is left out of the import check: its imports
+are re-exports, checked against ``__all__`` by ``test_exports.py``.
 """
 
 import ast
@@ -16,6 +17,8 @@ MODULES = sorted(
     for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )
+
+PACKAGE = sorted((ROOT / "src/clustercolor").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -50,3 +53,43 @@ def test_finds_an_unused_import():
 )
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes, as "module.name", that
+    no code of ``sources`` (module name -> source) names outside their own
+    definition. Any name or attribute of the same spelling counts, so a
+    helper it reports is one that nothing in the package can reach."""
+    helpers = []
+    named: set[str] = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if own.startswith("_") and not own.startswith("__"):
+                    helpers.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    named.add(name)
+    return [f"{module}.{name}" for module, name in helpers if name not in named]
+
+
+def test_finds_an_unreferenced_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\n"
+        "class _Gone:\n    pass\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert _unreferenced_helpers(sources) == ["a._dead", "a._Gone"]
+
+
+def test_package_uses_every_private_helper():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert _unreferenced_helpers(sources) == []

@@ -101,7 +101,7 @@ def _three_color_with_pairs(monkeypatch, g, ltd):
 
     def capturing(*args):
         view = layer_view(*args)
-        ids = args[5]
+        ids = args[4]
         cls = _layer_class(ltd.layering, ids[0])
         for grp in view[4]:
             pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
@@ -384,6 +384,57 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
     assert result.coloring == expected
 
 
+@pytest.mark.parametrize(
+    "instance, widens",
+    [(lambda: gen_grid(12, triangulated=True), False), (lambda: gen_rect_grid(4, 40), True)],
+    ids=["trigrid-12", "rect-4x40"],
+)
+def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance, widens):
+    """Replayed from the bags and the pours alone, each group's subtree is
+    the set of nodes that hold one of its guard component's vertices,
+    either in the original bags or because an earlier layer's enlargement
+    poured that vertex into them. On the rectangular grid some pours reach
+    nodes whose original bags lack the vertex, so the replay needs them."""
+    from clustercolor import threecolor
+
+    g, ltd, _ = instance()
+    held = {v: set() for v in range(g.n)}
+    for t, bag in enumerate(ltd.td.bags):
+        for v in bag:
+            held[v].add(t)
+    original = {v: frozenset(nodes) for v, nodes in held.items()}
+    layer_view = threecolor._layer_view
+    groups = [0]
+    widened = [0]
+
+    def replaying(adj, holders, parent, depth, ids, guards):
+        view = layer_view(adj, holders, parent, depth, ids, guards)
+        layer = set(ids)
+        guarded = [
+            comp
+            for comp in sorted(guards, key=min)
+            if len({u for c in comp for u in g.neighbors(c) if u in layer}) >= 2
+        ]
+        expected = [set().union(*(held[c] for c in comp)) for comp in guarded]
+        pours = view[5]
+        assert [set(subtree) for _, subtree in pours] == expected
+        assert [len(grp.subtree) for grp in view[4]] == list(map(len, expected))
+        groups[0] += len(guarded)
+        widened[0] += sum(
+            expected[i] != set().union(*(original[c] for c in comp))
+            for i, comp in enumerate(guarded)
+        )
+        for ends, subtree in pours:
+            for v in ends:
+                held[v] |= subtree
+        return view
+
+    monkeypatch.setattr(threecolor, "_layer_view", replaying)
+    three_color(g, ltd)
+    assert groups[0] > 0
+    assert widened[0] > 0 or not widens
+
+
 def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
     """An over-budget group on a stage-2 layer stops the run with the
     violated budget field and the stage and layer in the message."""
@@ -396,7 +447,7 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
 
     def over_budget(*args):
         *view, groups, pours = layer_view(*args)
-        li = ly.layer_of(args[5][0])
+        li = ly.layer_of(args[4][0])
         if li % 3 != 2 or hit:
             return (*view, groups, pours)
         # One more group on the same node than a stage-2 budget allows:
@@ -586,8 +637,8 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
     layer_view = threecolor._layer_view
     tops = []
 
-    def capturing(g, holders, parent, depth, poured, ids, guards):
-        view = layer_view(g, holders, parent, depth, poured, ids, guards)
+    def capturing(g, holders, parent, depth, ids, guards):
+        view = layer_view(g, holders, parent, depth, ids, guards)
         kept = {t for v in ids for t in holders[v]}
         kept = kept.union(*(subtree for _, subtree in view[5]))
         tops.append(sum(1 for t in kept if parent[t] not in kept))

@@ -12,6 +12,21 @@ from clustercolor import (
 )
 
 
+@pytest.mark.parametrize("edge", [(-1, 0), (0, 5), (3, 0)])
+def test_edge_components_names_an_edge_out_of_range(edge):
+    """A negative end would index the colors from the back and merge
+    vertices that share no edge; an end >= n has no color. Both are named."""
+    u, v = edge
+    with pytest.raises(ValueError) as err:
+        edge_components(3, [(0, 1), edge], [1, 1, 1])
+    assert str(err.value) == f"edge ({u}, {v}) out of range for n=3"
+
+
+def test_edge_components_accepts_self_loops_and_repeats():
+    report = edge_components(3, [(0, 0), (0, 1), (1, 0), (2, 2)], [1, 1, 1])
+    assert report.components == ((1, (0, 1)), (1, (2,)))
+
+
 def test_components_proper_two_coloring_of_path():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     report = monochromatic_components(g, {0: 1, 1: 2, 2: 1, 3: 2})
