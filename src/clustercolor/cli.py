@@ -99,7 +99,7 @@ def cmd_color3(args) -> int:
 
 def _read_coloring(path: str, n: int) -> dict[int, int]:
     coloring: dict[int, int] = {}
-    with open(path) as fh:
+    with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

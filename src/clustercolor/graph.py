@@ -33,23 +33,28 @@ def _bad_tree_pair(a: int, b: int, nn: int) -> ValueError:
 
 def _pair_index(
     n: int, pairs: Iterable[tuple[int, int]], bad: Callable[[int, int, int], ValueError]
-) -> tuple[frozenset[tuple[int, int]], tuple[tuple[int, ...], ...]]:
-    """The distinct pairs over 0..n-1 as (u, v) with u < v, and each member's
-    neighbors in ascending order; the first pair that is a self-loop or
-    leaves 0..n-1 raises ``bad(u, v, n)``."""
-    seen = set()
-    add = seen.add
-    for u, v in pairs:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise bad(u, v, n)
-        add((u, v) if u < v else (v, u))
-    adj = [[] for _ in range(n)]
-    for u, v in seen:
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """One pass over a list of pairs on 0..n-1, tuples or lists, in either
+    orientation and possibly repeated: the distinct pairs as (u, v) with
+    u < v and each member's neighbors, both in the order first seen. The
+    first pair that is a self-loop or leaves 0..n-1 raises
+    ``bad(u, v, n)``, naming the pair as given."""
+    seen: set[tuple[int, int]] = set()
+    distinct: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for line in pairs:
+        u, v = edge = line
+        if u > v or edge.__class__ is not tuple:
+            u, v = edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            continue
+        if not 0 <= u < v < n:
+            raise bad(*line, n)
+        seen.add(edge)
+        distinct.append(edge)
         adj[u].append(v)
         adj[v].append(u)
-    for a in adj:
-        a.sort()
-    return frozenset(seen), tuple(map(tuple, adj))
+    return distinct, adj
 
 
 def _induce(
@@ -141,7 +146,10 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._edges, self._adj = _pair_index(n, edges, _bad_edge)
+        edges, adj = _pair_index(n, edges, _bad_edge)
+        for a in adj:
+            a.sort()
+        self._edges, self._adj = frozenset(edges), tuple(map(tuple, adj))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -270,7 +278,8 @@ class TreeDecomposition:
         nn = len(self.bags)
         if nn == 0:
             raise ValueError("a tree-decomposition needs at least one node")
-        self.edges, self._adj = _pair_index(nn, edges, _bad_tree_pair)
+        edges, adj = _pair_index(nn, edges, _bad_tree_pair)
+        self.edges, self._adj = frozenset(edges), tuple(map(tuple, map(sorted, adj)))
         if not (0 <= root < nn):
             raise ValueError(f"root {root} out of range")
         self.root = root
@@ -335,52 +344,31 @@ def layer_index(
     return layer_of, AxiomCheck("partition", witness is None, witness)
 
 
-def index_edges(
-    n: int, edges: Iterable[tuple[int, int]], layer_of: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[list[int]], AxiomCheck]:
-    """One pass over the edge lines of a graph on 0..n-1, in either
-    orientation and possibly repeated: the distinct edges as (u, v) with
-    u < v and each vertex's neighbors, both in the order first seen, and
-    the edge-span check of a layering given by ``layer_of`` (see
-    ``layer_index``). A self-loop, or a line with an end outside 0..n-1,
-    raises ValueError naming the line as given, as ``Graph`` does.
-
-    An edge with an end in no layer is not checked; the witness is the
-    smallest edge whose ends lie two or more layers apart.
-    """
-    seen: set[tuple[int, int]] = set()
-    distinct: list[tuple[int, int]] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    bad_edge = None
-    for line in edges:
-        u, v = edge = line
-        if u > v:
-            u, v = v, u
-            edge = (u, v)
-        if edge in seen:
-            continue
-        if not 0 <= u < v < n:
-            raise _bad_edge(*line, n)
-        seen.add(edge)
-        distinct.append(edge)
-        adj[u].append(v)
-        adj[v].append(u)
-        lu, lv = layer_of[u], layer_of[v]
-        if not -1 <= lu - lv <= 1 and lu and lv:
-            if bad_edge is None or edge < bad_edge:
-                bad_edge = edge
-    return distinct, adj, AxiomCheck("edge-span", bad_edge is None, bad_edge)
+def edge_span(edges: Iterable[tuple[int, int]], layer_of: Sequence[int]) -> AxiomCheck:
+    """The edge-span check, over distinct edges (u, v) with u < v, of the
+    layering given by ``layer_of`` (see ``layer_index``). An edge with an
+    end in no layer is not checked; the witness is the smallest edge whose
+    ends lie two or more layers apart."""
+    bad = min(
+        (
+            (u, v)
+            for u, v in edges
+            if not -1 <= layer_of[u] - layer_of[v] <= 1 and layer_of[u] and layer_of[v]
+        ),
+        default=None,
+    )
+    return AxiomCheck("edge-span", bad is None, bad)
 
 
 def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
     """Check the partition and consecutive-layer axioms of a layering, by
-    ``layer_index`` and ``index_edges``.
+    ``layer_index`` and ``edge_span``.
 
     Each witness is the smallest failing item (vertex, or edge as a sorted
     pair).
     """
     layer_of, partition = layer_index(g.n, ly.layers)
-    return ValidationReport((partition, index_edges(g.n, g.edges, layer_of)[2]))
+    return ValidationReport((partition, edge_span(g.edges, layer_of)))
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,12 @@ from .graph import (
     Graph,
     LayeredTreeDecomposition,
     ValidationReport,
+    _bad_edge,
     _induce,
+    _pair_index,
     bags_layered_width,
     check_decomposition,
-    index_edges,
+    edge_span,
     layer_index,
 )
 from .twocolor import (
@@ -226,15 +228,15 @@ def three_color_lists(
     Each vertex's nodes (``holders``) grow, once its layer is colored, by
     the group subtrees it was poured into.
     """
-    # One pass over the edge lines and one over the bags build the index
-    # that every layer shares: each vertex's neighbors and nodes, and each
-    # node's depth and parent from the root. The views keep these original
-    # depths, so their bands match the whole tree's.
+    # Graph's pair index over the edge lines and one pass over the bags
+    # build the index every layer shares: each vertex's neighbors and nodes,
+    # and each node's depth and parent from the root. The views keep these
+    # original depths, so their bands match the whole tree's.
     layer_of, partition = layer_index(n, rows)
-    edges, adj, edge_span = index_edges(n, edges, layer_of)
+    edges, adj = _pair_index(n, edges, _bad_edge)
     checked = check_decomposition(n, edges, bags, tree_edges, root)
     checked.require(InvalidDecomposition)
-    ValidationReport((partition, edge_span)).require(InvalidLayering)
+    ValidationReport((partition, edge_span(edges, layer_of))).require(InvalidLayering)
     w_eff = max(1, bags_layered_width(bags, layer_of))
     holders, depth, parent = checked.holders, checked.depth, checked.parent
     d_eff = max(1, max(map(len, adj), default=0))

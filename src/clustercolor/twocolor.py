@@ -158,8 +158,9 @@ def enlarge_lists(
     if groups:
         tree_adj = [[] for _ in range(nn)]
         for a, b in tree_edges:
-            tree_adj[a].append(b)
-            tree_adj[b].append(a)
+            if 0 <= a < nn and 0 <= b < nn:
+                tree_adj[a].append(b)
+                tree_adj[b].append(a)
     uses: dict[int, int] = {}
     covers: dict[int, int] = {}
     live = []

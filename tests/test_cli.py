@@ -440,6 +440,17 @@ def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 5
 
 
+def test_verify_reads_the_coloring_file_as_ascii(tmp_path, capsys):
+    """A non-ASCII digit is not a vertex id, in the coloring file as in
+    every other input: the Arabic-Indic zero is refused, not read as 0."""
+    gr = tmp_path / "p2.gr"
+    gr.write_text("p tw 2 1\n1 2\n")
+    coloring = tmp_path / "c.coloring"
+    coloring.write_bytes(b"\xd9\xa0 1\n1 1\n")
+    assert main(["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
     coloring = tmp_path / "c.coloring"
     coloring.write_text("0 1\n1 2\n2 1\n")

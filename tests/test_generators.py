@@ -117,3 +117,18 @@ def test_rect_grid_file_bytes_are_pinned(tmp_path, shape):
     pace.write_layering(ltd.layering, paths[2])
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
     assert digests == RECT_FILES_SHA256[shape]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gen_grid(0), "grid size must be positive"),
+        (lambda: gen_path(0), "path length must be positive"),
+        (lambda: gen_kst(0, 3), "both sides must be nonempty"),
+        (lambda: gen_kst(2, 0), "both sides must be nonempty"),
+    ],
+)
+def test_generators_reject_empty_sizes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -18,6 +18,7 @@ from clustercolor import (
     validate_layering,
     validate_tree_decomposition,
 )
+from clustercolor.graph import edge_span
 
 from helpers import random_decomposition
 
@@ -32,6 +33,7 @@ def test_graph_basics():
     assert g.max_degree() == 2
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
+    assert Graph(4, [[0, 1], [2, 1], (1, 0)]) == Graph(4, [(0, 1), (1, 2)])
 
 
 def test_graph_rejects_bad_edges():
@@ -41,6 +43,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(2, [(-1, 0)])
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Graph(-1)
 
 
 def test_graph_induced():
@@ -240,6 +244,24 @@ def test_layered_width_measures_bag_layer_overlap():
         InvalidDecomposition, match=r"^invalid decomposition: tree axiom fails$"
     ):
         three_color(g, LayeredTreeDecomposition(forest, ly))
+
+
+@pytest.mark.parametrize(
+    "roots, message", [([], "roots must be nonempty"), ([0, 3], "root 3 out of range")]
+)
+def test_bfs_layering_rejects_missing_or_stray_roots(roots, message):
+    with pytest.raises(ValueError) as err:
+        bfs_layering(Graph(3, [(0, 1)]), roots)
+    assert str(err.value) == message
+
+
+def test_edge_span_skips_unlayered_ends_and_names_the_smallest_far_edge():
+    # Layers of vertices 0..5; vertex 5 is in no layer.
+    layer_of = [1, 3, 1, 4, 2, 0]
+    edges = [(2, 3), (0, 1), (0, 4), (1, 3), (3, 5), (0, 5)]
+    assert edge_span(edges, layer_of) == AxiomCheck("edge-span", False, (0, 1))
+    assert edge_span(edges[2:], layer_of) == AxiomCheck("edge-span", True, None)
+    assert edge_span([], []).passed
 
 
 def test_bfs_layering_spans_edges_and_restarts():

@@ -56,6 +56,29 @@ def test_graph_parse_errors_carry_line_numbers():
     assert "self-loop" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (pace_to_edges, "p tw -1 0\n", 1, "negative counts in header"),
+        (pace_to_edges, "p tw 2 1\n1 2 1\n", 2, "expected edge line '<u> <v>'"),
+        (pace_to_bags, "s td x 1 1\n", 1, "non-integer counts in header"),
+        (pace_to_bags, "s td 1 -1 1\n", 1, "negative counts in header"),
+        (pace_to_bags, "s td 1 1 1\nb\n", 2, "bag line missing id"),
+        (pace_to_bags, "s td 1 1 1\nb 1 x\n", 2, "non-integer value in bag line"),
+        (pace_to_bags, "s td 2 1 1\nb 1 1\nb 2 1\n1 2 1\n", 4,
+         "expected tree edge line '<a> <b>'"),
+        (pace_to_bags, "s td 2 1 1\nb 1 1\nb 2 1\n1 x\n", 4, "non-integer tree edge"),
+        (pace_to_bags, "s td 2 1 1\nb 1 1\nb 2 1\n1 3\n", 4, "tree edge out of range 1..2"),
+        (pace_to_bags, "c no header\n", 1, "missing 's td' header"),
+    ],
+)
+def test_header_and_line_errors_name_their_line(parse, text, line, message):
+    with pytest.raises(PaceParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_graph_rejects_edge_count_other_than_header():
     with pytest.raises(PaceParseError) as err:
         pace_to_edges("c lead\np tw 3 5\n1 2\n")

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from collections import deque
 
 import pytest
@@ -22,6 +23,7 @@ from clustercolor import (
     monochromatic_components,
     three_color,
     three_color_lists,
+    validate_layering,
 )
 from helpers import (
     branching,
@@ -194,6 +196,33 @@ def test_three_color_lists_rejects_bad_edge_lines():
         with pytest.raises(ValueError) as err:
             three_color_lists(3, [(0, 1), (1, 2), line], bags, tree, rows)
         assert str(err.value) == message
+
+
+def test_flat_edge_lines_are_indexed_once_and_may_be_lists():
+    """three_color_lists indexes its edge lines with the pair index that
+    Graph and TreeDecomposition use, once per call, so list lines color
+    exactly as tuple lines do; validate_layering indexes nothing."""
+    from clustercolor import graph
+
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is graph._pair_index.__code__:
+            calls[0] += 1
+
+    bags, tree, rows = [frozenset({0, 1}), frozenset({1, 2})], [(0, 1)], [(0, 1, 2)]
+    g, ly = Graph(3, [(0, 1), (1, 2)]), Layering(rows)
+    sys.setprofile(profile)
+    try:
+        as_lists = three_color_lists(3, [[0, 1], [1, 2]], bags, tree, rows)
+        colored = calls[0]
+        assert validate_layering(g, ly).ok
+    finally:
+        sys.setprofile(None)
+    assert (colored, calls[0]) == (1, 1)
+    assert as_lists == three_color_lists(3, [(0, 1), (1, 2)], bags, tree, rows)
+    assert as_lists == three_color_lists(3, [[1, 0], [2, 1]], bags, tree, rows)
+    assert as_lists.clustering == 3
 
 
 def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):

@@ -197,6 +197,23 @@ def test_enlarge_rejects_malformed_groups():
     with pytest.raises(GroupBudgetError):
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [loop], budget)
 
+    gap = EdgeGroup(subtree=frozenset({0, 2}), pairs=frozenset({(0, 1)}))
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(2, [], [{0, 1}] * 3, [(0, 1), (1, 2)], [gap], budget)
+    assert str(err.value) == "group-structure: group 0 subtree is not connected"
+
+
+def test_enlarge_with_groups_skips_a_tree_pair_that_names_no_node():
+    """Such a pair joins nothing, as in the decomposition check, so with or
+    without a group the output fails the tree axiom instead of indexing
+    past the nodes."""
+    bags, tree = [{0, 1}, {1}], [(0, 5)]
+    group = EdgeGroup(frozenset({0}), frozenset({(0, 1)}))
+    for groups in ([], [group]):
+        with pytest.raises(InternalInvariantError) as err:
+            enlarge_lists(2, [], bags, tree, groups, GroupBudget(5, 5, 5))
+        assert str(err.value) == "enlarged decomposition invalid: tree axiom fails"
+
 
 def test_enlarge_random_instances_keep_bounds():
     rng = random.Random(41)
