@@ -4,9 +4,14 @@ The library builds colorings in which every monochromatic component is
 small, with the component-size bound depending only on the layered width
 of a tree decomposition and the maximum degree. Alongside the coloring
 pipeline it provides the supporting machinery: structural validators,
-neighborhood growth bounds, decomposition enlargement, fences and fans
-inside tree decompositions, a list-coloring framework with apex
-splitting, an exhaustive verification oracle, and PACE-format files.
+decomposition enlargement, instance generators, an exhaustive
+verification oracle, and PACE-format files.
+
+The root re-exports names only from the modules the commands load. The
+pieces of the paper's s >= 2 argument are imported by name, and no
+command loads them: fences and fans (``clustercolor.fences``), the list
+framework with apex splitting (``clustercolor.lists``) and neighborhood
+growth bounds (``clustercolor.neighborhoods``).
 """
 
 from .errors import (
@@ -17,18 +22,6 @@ from .errors import (
     InvalidDecomposition,
     InvalidLayering,
     PaceParseError,
-)
-from .fences import (
-    Fan,
-    Fence,
-    TreePart,
-    central_node,
-    epsilon_fence,
-    f_parts,
-    fence,
-    find_fan,
-    is_parade,
-    n_fan_bound,
 )
 from .generators import (
     gen_grid,
@@ -50,29 +43,6 @@ from .graph import (
     layered_width,
     validate_layering,
     validate_tree_decomposition,
-)
-from .lists import (
-    ApexSplitResult,
-    Segment,
-    StandardPair,
-    apex_split,
-    compatible_lists,
-    forbidden_color,
-    gates,
-    is_compatible,
-    progress,
-    segment_local_clustering_check,
-    segments,
-    validate_standard_pair,
-)
-from .neighborhoods import (
-    falling_binomial,
-    growth_bound,
-    growth_bound_density,
-    growth_bound_layered,
-    has_kst_subgraph,
-    n_at_least,
-    n_below,
 )
 from .threecolor import (
     ThreeColorConstants,
@@ -99,15 +69,12 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApexSplitResult",
     "AxiomCheck",
     "BudgetExceeded",
     "ClusterReport",
     "ClusteringBoundError",
     "DecompositionReport",
     "EdgeGroup",
-    "Fan",
-    "Fence",
     "Graph",
     "GroupBudget",
     "GroupBudgetError",
@@ -117,54 +84,28 @@ __all__ = [
     "LayeredTreeDecomposition",
     "Layering",
     "PaceParseError",
-    "Segment",
-    "StandardPair",
     "ThreeColorConstants",
     "ThreeColorResult",
     "TreeDecomposition",
-    "TreePart",
     "ValidationReport",
-    "apex_split",
     "bfs_layering",
-    "central_node",
     "check_decomposition",
     "check_list_coloring",
     "cluster_bound",
-    "compatible_lists",
     "compute_constants",
     "edge_components",
     "enlarge_lists",
-    "epsilon_fence",
-    "f_parts",
-    "falling_binomial",
-    "fence",
-    "find_fan",
-    "forbidden_color",
-    "gates",
     "gen_grid",
     "gen_kst",
     "gen_kst_instance",
     "gen_path",
     "gen_rect_grid",
-    "growth_bound",
-    "growth_bound_density",
-    "growth_bound_layered",
-    "has_kst_subgraph",
-    "is_compatible",
-    "is_parade",
     "layered_width",
     "monochromatic_components",
-    "n_at_least",
-    "n_below",
-    "n_fan_bound",
-    "progress",
-    "segment_local_clustering_check",
-    "segments",
     "three_color",
     "three_color_lists",
     "trigrid_path_oracle",
     "two_color_bounded_treewidth",
     "validate_layering",
-    "validate_standard_pair",
     "validate_tree_decomposition",
 ]

@@ -24,24 +24,18 @@ from .generators import gen_grid, gen_kst_instance, gen_path
 from .threecolor import three_color_lists
 from .verify import edge_components
 
-GEN_FAMILIES = ("grid", "trigrid", "kst", "path")
-
-
-def _build_instance(family, n, s, t):
-    """Graph plus certified layered decomposition for a colorable family."""
-    if family == "grid":
-        return gen_grid(n, triangulated=False)
-    if family == "trigrid":
-        return gen_grid(n, triangulated=True)
-    if family == "path":
-        return gen_path(n)
-    if family == "kst":
-        return gen_kst_instance(s, t)
-    raise ValueError(f"unknown family {family!r}")
+# Each family's builder: graph plus certified layered decomposition.
+_FAMILIES = {
+    "grid": lambda a: gen_grid(a.n, triangulated=False),
+    "trigrid": lambda a: gen_grid(a.n, triangulated=True),
+    "kst": lambda a: gen_kst_instance(a.s, a.t),
+    "path": lambda a: gen_path(a.n),
+}
+GEN_FAMILIES = tuple(_FAMILIES)
 
 
 def cmd_gen(args) -> int:
-    g, ltd, _ = _build_instance(args.family, args.n, args.s, args.t)
+    g, ltd, _ = _FAMILIES[args.family](args)
     paths = {
         "graph": f"{args.out}.gr",
         "decomposition": f"{args.out}.td",

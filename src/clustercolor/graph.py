@@ -89,7 +89,8 @@ def _connected(adj, nodes: Collection[int]) -> bool:
     return len(seen) == len(nodes)
 
 
-# What each axiom's witness names. The decomposition's "tree" axiom has none.
+# What each axiom's witness names. The decomposition's "tree" axiom has no
+# witness; an axiom not listed here gives its witness bare.
 _WITNESS = {
     "partition": "vertex",
     "edge-span": "edge",
@@ -109,8 +110,11 @@ class AxiomCheck(NamedTuple):
 
     def describe(self) -> str:
         """This failure as in "vertex-coverage axiom fails at vertex 0"."""
-        at = "" if self.witness is None else f" at {_WITNESS[self.axiom]} {self.witness}"
-        return f"{self.axiom} axiom fails{at}"
+        if self.witness is None:
+            return f"{self.axiom} axiom fails"
+        noun = _WITNESS.get(self.axiom)
+        at = self.witness if noun is None else f"{noun} {self.witness}"
+        return f"{self.axiom} axiom fails at {at}"
 
 
 @dataclass(frozen=True)

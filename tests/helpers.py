@@ -12,14 +12,12 @@ from clustercolor import (
     GroupBudget,
     LayeredTreeDecomposition,
     Layering,
-    StandardPair,
     TreeDecomposition,
     bfs_layering,
-    compatible_lists,
     gen_path,
-    has_kst_subgraph,
-    progress,
 )
+from clustercolor.lists import StandardPair, compatible_lists, progress
+from clustercolor.neighborhoods import has_kst_subgraph
 
 
 def random_decomposition(rng, max_nodes=8, max_bag=4, edge_prob=0.5, grow_prob=0.6):

@@ -15,28 +15,26 @@ from clustercolor import (
     Graph,
     Layering,
     TreeDecomposition,
-    apex_split,
     cluster_bound,
     compute_constants,
     enlarge_lists,
-    fence,
-    find_fan,
     gen_grid,
     gen_kst_instance,
     gen_path,
     gen_rect_grid,
-    growth_bound,
-    has_kst_subgraph,
     layered_width,
-    n_at_least,
-    n_fan_bound,
-    progress,
     three_color,
     trigrid_path_oracle,
     two_color_bounded_treewidth,
     validate_layering,
-    validate_standard_pair,
     validate_tree_decomposition,
+)
+from clustercolor.fences import fence, find_fan, n_fan_bound
+from clustercolor.lists import apex_split, progress, validate_standard_pair
+from clustercolor.neighborhoods import (
+    growth_bound,
+    has_kst_subgraph,
+    n_at_least,
 )
 from clustercolor import pace
 

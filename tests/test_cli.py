@@ -423,6 +423,23 @@ def test_verify_exit_codes_and_detail(tmp_path, capsys):
     assert not detail["ok"] and detail["clustering"] == 3
 
 
+def test_verify_skips_blank_lines_and_padding_in_the_coloring_file(tmp_path, capsys):
+    inputs = gen_inputs(tmp_path, "path", 3)
+    capsys.readouterr()
+    details = []
+    for name, text in (
+        ("compact", "0 1\n1 2\n2 1\n"),
+        ("padded", "\n  0 1\n\n1\t2  \n   \n2 1\n\n"),
+    ):
+        coloring = tmp_path / f"{name}.coloring"
+        coloring.write_text(text)
+        argv = ["verify", "--gr", inputs[1], "--coloring", str(coloring), "--k", "1"]
+        assert main(argv) == 0, name
+        details.append(capsys.readouterr().out)
+    assert details[0] == details[1]
+    assert json.loads(details[0])["ok"]
+
+
 def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
     gr = tmp_path / "p2.gr"
     pace.write_graph(Graph(2, [(0, 1)]), gr)
@@ -524,3 +541,53 @@ def test_closed_stdout_exits_141_quietly(tmp_path, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_verify_with_a_closed_stdout_exits_141_quietly(tmp_path, capsys):
+    """The reader is gone before ``verify`` prints its JSON verdict."""
+    inputs = gen_inputs(tmp_path, "path", 3)
+    coloring = tmp_path / "p3.coloring"
+    coloring.write_text("0 1\n1 2\n2 1\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustercolor", "verify", "--gr", inputs[1],
+             "--coloring", str(coloring), "--k", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+TOOLKIT = ("clustercolor.fences", "clustercolor.lists", "clustercolor.neighborhoods")
+
+COMMANDS_IN_ONE_PROCESS = """
+import json, sys
+from clustercolor.cli import main
+p = sys.argv[1]
+files = ["--gr", p + ".gr", "--td", p + ".td", "--layers", p + ".layers"]
+assert main(["gen", "trigrid", "--n", "4", "--out", p]) == 0
+assert main(["color3", *files, "--out", p]) == 0
+assert main(["verify", "--gr", p + ".gr", "--coloring", p + ".coloring", "--k", "16"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_no_command_loads_the_s2_toolkit(tmp_path):
+    """``gen``, ``color3`` and ``verify`` run in a fresh interpreter without
+    importing the modules of the paper's s >= 2 argument."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMANDS_IN_ONE_PROCESS, str(tmp_path / "tri")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "clustercolor.cli" in loaded
+    assert loaded.isdisjoint(TOOLKIT), sorted(loaded & set(TOOLKIT))

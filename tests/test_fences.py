@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from clustercolor import (
-    InvalidDecomposition,
-    TreeDecomposition,
+from clustercolor import InvalidDecomposition, TreeDecomposition
+from clustercolor.fences import (
     central_node,
     epsilon_fence,
     f_parts,

@@ -8,11 +8,11 @@ from clustercolor import (
     gen_kst_instance,
     gen_path,
     gen_rect_grid,
-    has_kst_subgraph,
     layered_width,
     validate_layering,
     validate_tree_decomposition,
 )
+from clustercolor.neighborhoods import has_kst_subgraph
 from clustercolor import pace
 
 

@@ -10,6 +10,7 @@ from clustercolor import (
     LayeredTreeDecomposition,
     Layering,
     TreeDecomposition,
+    ValidationReport,
     bfs_layering,
     check_decomposition,
     layered_width,
@@ -262,6 +263,25 @@ def test_edge_span_skips_unlayered_ends_and_names_the_smallest_far_edge():
     assert edge_span(edges, layer_of) == AxiomCheck("edge-span", False, (0, 1))
     assert edge_span(edges[2:], layer_of) == AxiomCheck("edge-span", True, None)
     assert edge_span([], []).passed
+
+
+def test_an_axiom_with_no_witness_noun_gives_its_witness_bare():
+    """Any axiom can describe its failure: one the graph checks do not name
+    a witness for, such as the list framework's, gives the witness bare."""
+    assert AxiomCheck("list-domain", False, 1).describe() == (
+        "list-domain axiom fails at 1"
+    )
+    assert AxiomCheck("interior-lists", False).describe() == (
+        "interior-lists axiom fails"
+    )
+    assert AxiomCheck("edge-coverage", False, (0, 1)).describe() == (
+        "edge-coverage axiom fails at edge (0, 1)"
+    )
+    report = ValidationReport((AxiomCheck("singleton-set", False, 0),))
+    with pytest.raises(
+        InvalidLayering, match=r"^invalid layering: singleton-set axiom fails at 0$"
+    ):
+        report.require(InvalidLayering)
 
 
 def test_bfs_layering_spans_edges_and_restarts():

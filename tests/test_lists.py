@@ -6,20 +6,22 @@ from clustercolor import (
     Graph,
     InvalidLayering,
     Layering,
+    gen_grid,
+    validate_layering,
+)
+from clustercolor.lists import (
     StandardPair,
     apex_split,
     compatible_lists,
     forbidden_color,
     gates,
-    gen_grid,
-    has_kst_subgraph,
     is_compatible,
     progress,
     segment_local_clustering_check,
     segments,
-    validate_layering,
     validate_standard_pair,
 )
+from clustercolor.neighborhoods import has_kst_subgraph
 
 from helpers import random_kst_free_graph, random_layered_graph, random_standard_pair
 
@@ -126,6 +128,30 @@ def test_validate_standard_pair_axioms():
     )
     report = validate_standard_pair(g, short_interior, 2)
     assert any(c.axiom == "interior-lists" for c in report.failures())
+
+
+def test_standard_pair_failures_describe_their_witness():
+    g = Graph(3, [(0, 1), (1, 2)])
+    failing = {
+        "list-domain axiom fails at 1": StandardPair(
+            frozenset(), {0: frozenset({1, 2})}
+        ),
+        "singleton-set axiom fails at 0": StandardPair(
+            frozenset(), {0: {1}, 1: {1, 2, 3}, 2: {1, 2, 3}}
+        ),
+        "boundary-lists axiom fails at (1,)": StandardPair(
+            frozenset({0}), {0: {1}, 1: {1, 2, 3}, 2: {1, 2, 3}}
+        ),
+        "interior-lists axiom fails at 2": StandardPair(
+            frozenset({0}), {0: {1}, 1: {2, 3}, 2: {1, 2}}
+        ),
+    }
+    for message, pair in failing.items():
+        report = validate_standard_pair(g, pair, 2)
+        assert report.failures()[0].describe() == message
+        with pytest.raises(InvalidLayering) as err:
+            report.require(InvalidLayering)
+        assert str(err.value) == f"invalid layering: {message}"
 
 
 def test_progress_forces_smallest_color_and_shrinks_neighbors():

@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from clustercolor import (
-    BudgetExceeded,
-    Graph,
+from clustercolor import BudgetExceeded, Graph, gen_kst
+from clustercolor.neighborhoods import (
     falling_binomial,
-    gen_kst,
     growth_bound,
     growth_bound_density,
     growth_bound_layered,

@@ -203,6 +203,15 @@ def test_enlarge_rejects_malformed_groups():
     assert str(err.value) == "group-structure: group 0 subtree is not connected"
 
 
+def test_enlarge_rejects_a_group_with_an_empty_subtree():
+    """An empty node set is not a connected subtree, even for a pair whose
+    ends share a bag."""
+    empty = EdgeGroup(frozenset(), frozenset({(0, 1)}))
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(2, [], [{0, 1}], [], [empty], GroupBudget(5, 5, 5))
+    assert str(err.value) == "group-structure: group 0 subtree is not connected"
+
+
 def test_enlarge_with_groups_skips_a_tree_pair_that_names_no_node():
     """Such a pair joins nothing, as in the decomposition check, so with or
     without a group the output fails the tree axiom instead of indexing
