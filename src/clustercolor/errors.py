@@ -42,16 +42,19 @@ class ClusteringBoundError(RuntimeError):
     """A coloring stage exceeded its guaranteed clustering bound.
 
     Raised after the fact by the verifying colorers; ``stage`` identifies
-    which bound was violated.
+    which bound was violated and ``witness`` the vertices of the largest
+    monochromatic component, ``measured`` of them.
     """
 
-    def __init__(self, stage: str, measured: int, bound: int):
+    def __init__(self, stage: str, witness: tuple[int, ...], bound: int):
+        measured = len(witness)
         super().__init__(
             f"{stage}: measured clustering {measured} exceeds bound {bound}"
         )
         self.stage = stage
         self.measured = measured
         self.bound = bound
+        self.witness = witness
 
 
 class InternalInvariantError(RuntimeError):

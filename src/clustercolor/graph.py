@@ -2,8 +2,8 @@
 
 Vertices are integers 0..n-1. Layers are indexed 1..m. Decomposition nodes
 are integers 0..node_count-1; node 0 is the default root whenever a rooted
-view is needed. All structures are immutable after construction, so they can
-be shared freely between threads and reused across operations.
+view is needed. Graphs, decompositions and layerings are immutable and may be
+shared; the index lists of a DecompositionReport are its caller's to extend.
 """
 
 from __future__ import annotations

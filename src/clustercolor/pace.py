@@ -16,6 +16,32 @@ from .errors import PaceParseError
 from .graph import Graph, Layering, TreeDecomposition
 
 
+def _ints(fields: list[str], message: str, lineno: int) -> list[int]:
+    """The fields as integers; one that is not raises ``message`` at the line."""
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise PaceParseError(message, lineno) from None
+
+
+def _header(lines, form: str) -> tuple[int, list[int]]:
+    """Skip blank and comment lines up to the header that ``form`` names,
+    such as ``"p tw <n> <m>"``; return its line number and its counts, which
+    must be non-negative integers."""
+    words = form.split()
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
+            continue
+        if len(fields) != len(words) or fields[:2] != words[:2]:
+            raise PaceParseError(f"expected header '{form}'", lineno)
+        counts = _ints(fields[2:], "non-integer counts in header", lineno)
+        if min(counts) < 0:
+            raise PaceParseError("negative counts in header", lineno)
+        return lineno, counts
+    raise PaceParseError(f"missing '{words[0]} {words[1]}' header", 1)
+
+
 def graph_to_pace(g: Graph) -> str:
     lines = [f"p tw {g.n} {len(g.edges)}"]
     for u, v in sorted(g.edges):
@@ -27,22 +53,7 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse a ``p tw n m`` graph into n and its 0-based edge lines, in file
     order; the number of edge lines must be m."""
     lines = enumerate(text.splitlines(), start=1)
-    for lineno, raw in lines:
-        fields = raw.split()
-        if not fields or fields[0][0] == "c":
-            continue
-        if len(fields) != 4 or fields[0] != "p" or fields[1] != "tw":
-            raise PaceParseError("expected header 'p tw <n> <m>'", lineno)
-        try:
-            n, m = int(fields[2]), int(fields[3])
-        except ValueError:
-            raise PaceParseError("non-integer counts in header", lineno) from None
-        if n < 0 or m < 0:
-            raise PaceParseError("negative counts in header", lineno)
-        header_line = lineno
-        break
-    else:
-        raise PaceParseError("missing 'p tw' header", 1)
+    header_line, (n, m) = _header(lines, "p tw <n> <m>")
     edges: list[tuple[int, int]] = []
     append = edges.append
     # A blank or comment line is told apart only when a line fails to parse
@@ -77,10 +88,15 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
 def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
     width_plus = max((len(b) for b in td.bags), default=0)
     lines = [f"s td {td.node_count} {width_plus} {n_vertices}"]
-    for t, bag in enumerate(td.bags):
+    bags, edges = td.bags, td.edges
+    if td.root:  # readers root at node 1, so the root trades ids with node 0
+        swap = {0: td.root, td.root: 0}
+        bags = [bags[swap.get(t, t)] for t in range(td.node_count)]
+        edges = [tuple(sorted(swap.get(t, t) for t in edge)) for edge in edges]
+    for t, bag in enumerate(bags):
         body = " ".join(str(v + 1) for v in sorted(bag))
         lines.append(f"b {t + 1} {body}".rstrip())
-    for a, b in sorted(td.edges):
+    for a, b in sorted(edges):
         lines.append(f"{a + 1} {b + 1}")
     return "\n".join(lines) + "\n"
 
@@ -90,35 +106,18 @@ def pace_to_bags(text: str) -> tuple[list[frozenset[int]], list[tuple[int, int]]
     and its distinct tree edges (a, b), a < b, in the order first given.
     Every bag id 1..N must be given, no bag line may repeat a vertex, and
     the largest bag must have exactly w+1 vertices."""
-    header = None
-    header_line = 1
+    lines = enumerate(text.splitlines(), start=1)
+    header_line, (num_nodes, width_plus, n) = _header(lines, "s td <N> <w+1> <n>")
     bags: dict[int, frozenset[int]] = {}
     tree_edges: dict[tuple[int, int], None] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 5 or fields[0] != "s" or fields[1] != "td":
-                raise PaceParseError("expected header 's td <N> <w+1> <n>'", lineno)
-            try:
-                header = tuple(int(f) for f in fields[2:])
-            except ValueError:
-                raise PaceParseError("non-integer counts in header", lineno) from None
-            if any(x < 0 for x in header):
-                raise PaceParseError("negative counts in header", lineno)
-            header_line = lineno
-            continue
-        num_nodes, _, n = header
         if fields[0] == "b":
             if len(fields) < 2:
                 raise PaceParseError("bag line missing id", lineno)
-            try:
-                bag_id = int(fields[1])
-                verts = [int(f) for f in fields[2:]]
-            except ValueError:
-                raise PaceParseError("non-integer value in bag line", lineno) from None
+            bag_id, *verts = _ints(fields[1:], "non-integer value in bag line", lineno)
             if not (1 <= bag_id <= num_nodes):
                 raise PaceParseError(f"bag id out of range 1..{num_nodes}", lineno)
             if bag_id in bags:
@@ -136,18 +135,12 @@ def pace_to_bags(text: str) -> tuple[list[frozenset[int]], list[tuple[int, int]]
         else:
             if len(fields) != 2:
                 raise PaceParseError("expected tree edge line '<a> <b>'", lineno)
-            try:
-                a, b = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise PaceParseError("non-integer tree edge", lineno) from None
+            a, b = _ints(fields, "non-integer tree edge", lineno)
             if not (1 <= a <= num_nodes and 1 <= b <= num_nodes):
                 raise PaceParseError(f"tree edge out of range 1..{num_nodes}", lineno)
             if a == b:
                 raise PaceParseError(f"tree edge is a self-loop at node {a}", lineno)
             tree_edges[(a - 1, b - 1) if a < b else (b - 1, a - 1)] = None
-    if header is None:
-        raise PaceParseError("missing 's td' header", 1)
-    num_nodes, width_plus, _ = header
     if num_nodes == 0:
         raise PaceParseError("decomposition must have at least one node", header_line)
     missing = next((i for i in range(1, num_nodes + 1) if i not in bags), None)
@@ -180,10 +173,7 @@ def text_to_rows(text: str) -> list[tuple[int, ...]]:
     seen: set[int] = set()
     repeat = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            verts = [int(f) for f in raw.split()]
-        except ValueError:
-            raise PaceParseError("non-integer vertex id", lineno) from None
+        verts = _ints(raw.split(), "non-integer vertex id", lineno)
         if verts and min(verts) < 1:
             v = next(v for v in verts if v < 1)
             raise PaceParseError(f"vertex id {v} must be positive", lineno)

@@ -283,7 +283,8 @@ def three_color_lists(
             except GroupBudgetError as exc:
                 raise GroupBudgetError(exc.budget, f"{stage}: {exc.detail}") from exc
             except ClusteringBoundError as exc:
-                raise ClusteringBoundError(stage, exc.measured, exc.bound) from exc
+                witness = tuple(ids[v] for v in exc.witness)
+                raise ClusteringBoundError(stage, witness, exc.bound) from exc
             except InternalInvariantError as exc:
                 raise InternalInvariantError(f"{stage}: {exc}") from exc
             for v, color in zip(ids, colors):
@@ -301,7 +302,7 @@ def three_color_lists(
 
     report = edge_components(n, edges, coloring)
     if report.max_size > constants.g:
-        raise ClusteringBoundError("three-color", report.max_size, constants.g)
+        raise ClusteringBoundError("three-color", report.largest(), constants.g)
     return ThreeColorResult(
         coloring=dict(enumerate(coloring)),
         clustering=report.max_size,

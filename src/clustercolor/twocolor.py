@@ -82,7 +82,7 @@ def band_color(
     width = max(map(len, bags), default=0) - 1
     bound = cluster_bound(width, delta)
     if report.max_size > bound:
-        raise ClusteringBoundError("two-color", report.max_size, bound)
+        raise ClusteringBoundError("two-color", report.largest(), bound)
     return coloring, report
 
 

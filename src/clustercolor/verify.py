@@ -21,6 +21,10 @@ class ClusterReport:
     max_size: int
     per_color_max: dict[int, int]
 
+    def largest(self) -> tuple[int, ...]:
+        """The vertices of the first component of the largest size."""
+        return next((c for _, c in self.components if len(c) == self.max_size), ())
+
 
 def edge_components(
     n: int,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -348,6 +349,40 @@ def test_color3_colors_as_three_color_does(tmp_path, capsys, build, seed):
         assert fh.read() == "".join(f"{v} {c}\n" for v, c in sorted(expected.items()))
 
 
+@pytest.mark.parametrize(
+    "build, every_root",
+    [
+        (lambda: gen_grid(12, triangulated=True), True),
+        (lambda: gen_rect_grid(6, 60), False),
+    ],
+    ids=["trigrid", "rect_grid"],
+)
+def test_color3_colors_a_written_root_as_three_color_does(
+    tmp_path, capsys, build, every_root
+):
+    """``write_td`` writes a decomposition's root as node 1, where
+    ``color3`` roots it, so the files color as the rooted decomposition
+    does in memory: at every root of the triangulated 12-grid, and at the
+    first, middle and last root of the 6x60 grid."""
+    g, ltd, _ = build()
+    last = ltd.td.node_count - 1
+    roots = range(last + 1) if every_root else (0, last // 2, last)
+    prefix = str(tmp_path / "x")
+    pace.write_graph(g, f"{prefix}.gr")
+    pace.write_layering(ltd.layering, f"{prefix}.layers")
+    argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
+            "--layers", f"{prefix}.layers", "--out", prefix]
+    for root in roots:
+        td = TreeDecomposition(ltd.td.bags, ltd.td.edges, root)
+        pace.write_td(td, g.n, f"{prefix}.td")
+        assert main(argv) == 0
+        expected = three_color(g, LayeredTreeDecomposition(td, ltd.layering))
+        with open(f"{prefix}.coloring") as fh:
+            assert fh.read() == "".join(
+                f"{v} {c}\n" for v, c in sorted(expected.coloring.items())
+            ), root
+
+
 # SHA-256 of color3's outputs on the triangulated 10x10 grid from gen:
 # report.json with the --out prefix replaced by "RUN" (it holds the
 # constants chain, "cluster_factor": 4 among them), and the coloring file.
@@ -561,6 +596,49 @@ def test_verify_with_a_closed_stdout_exits_141_quietly(tmp_path, capsys):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def _in_512_mb(*argv):
+    """Run ``python argv`` on this checkout's source in a child limited to
+    512 MB of address space."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    limit = (512 << 20, 512 << 20)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+
+
+def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
+    """A header may declare a billion bags or vertices. In a child limited
+    to 512 MB of address space, ``read_bags`` and ``verify`` still refuse
+    such files with their usual messages and exit codes: neither sizes
+    anything from the header count before the lines that follow confirm it."""
+    td = tmp_path / "huge.td"
+    td.write_text("s td 1000000000 1 1\nb 1 1\n")
+    gr = tmp_path / "huge.gr"
+    gr.write_text("p tw 1000000000 0\n")
+    coloring = tmp_path / "one.coloring"
+    coloring.write_text("0 1\n")
+    read = _in_512_mb(
+        "-c", "import sys; from clustercolor.pace import read_bags; "
+        "read_bags(sys.argv[1])", str(td)
+    )
+    assert read.returncode == 1
+    assert read.stderr.splitlines()[-1] == (
+        "clustercolor.errors.PaceParseError: "
+        "line 1: bag 2 of 1..1000000000 is never given"
+    )
+    verify = _in_512_mb(
+        "-m", "clustercolor", "verify", "--gr", str(gr),
+        "--coloring", str(coloring), "--k", "1"
+    )
+    assert (verify.returncode, verify.stderr) == (
+        2, "error: coloring file is missing vertex 1\n"
+    )
 
 
 TOOLKIT = ("clustercolor.fences", "clustercolor.lists", "clustercolor.neighborhoods")

@@ -562,6 +562,28 @@ def test_three_color_refuses_spine_path_in_stage_one():
     assert err.value.bound == 24
 
 
+def test_refusal_witness_is_the_largest_component_in_the_callers_ids():
+    """The spine path's witness is the whole path. Moved to vertices 1..40
+    and to layer 4, behind a layer 1 that holds vertex 0 alone, the refusal
+    names layer 4 and its witness is mapped back from the layer's own ids."""
+    g, ltd = spine_path(40)
+    with pytest.raises(ClusteringBoundError) as err:
+        three_color(g, ltd)
+    assert err.value.witness == tuple(range(40))
+
+    n = 41
+    edges = [(i, i + 1) for i in range(1, n - 1)]
+    bags = [frozenset({1, i, i + 1}) for i in range(2, n - 1)] + [frozenset({0})]
+    tree_edges = [(t, t + 1) for t in range(len(bags) - 1)]
+    rows = [(0,), (), (), tuple(range(1, n))]
+    with pytest.raises(ClusteringBoundError) as err:
+        three_color_lists(n, edges, bags, tree_edges, rows)
+    assert str(err.value) == (
+        "stage-1 layer 4: measured clustering 40 exceeds bound 24"
+    )
+    assert err.value.witness == tuple(range(1, n))
+
+
 def test_corrupted_view_is_an_internal_fault(monkeypatch):
     """A view that the input's validation cannot explain is the pipeline's
     fault, not the input's: the error names the stage, the layer, the axiom
