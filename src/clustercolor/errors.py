@@ -43,7 +43,9 @@ class ClusteringBoundError(RuntimeError):
 
     Raised after the fact by the verifying colorers; ``stage`` identifies
     which bound was violated and ``witness`` the vertices of the largest
-    monochromatic component, ``measured`` of them.
+    monochromatic component, ``measured`` of them. A stage's component is
+    taken in the layer graph with the enlargement's added pairs, so it need
+    not be connected in the caller's graph.
     """
 
     def __init__(self, stage: str, witness: tuple[int, ...], bound: int):

@@ -88,11 +88,9 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
 def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
     width_plus = max((len(b) for b in td.bags), default=0)
     lines = [f"s td {td.node_count} {width_plus} {n_vertices}"]
-    bags, edges = td.bags, td.edges
-    if td.root:  # readers root at node 1, so the root trades ids with node 0
-        swap = {0: td.root, td.root: 0}
-        bags = [bags[swap.get(t, t)] for t in range(td.node_count)]
-        edges = [tuple(sorted(swap.get(t, t) for t in edge)) for edge in edges]
+    swap = {0: td.root, td.root: 0}  # readers root at node 1
+    bags = [td.bags[swap.get(t, t)] for t in range(td.node_count)]
+    edges = [(swap.get(a, a), swap.get(b, b)) for a, b in td.edges]
     for t, bag in enumerate(bags):
         body = " ".join(str(v + 1) for v in sorted(bag))
         lines.append(f"b {t + 1} {body}".rstrip())

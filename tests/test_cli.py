@@ -306,9 +306,10 @@ def test_color3_builds_no_objects_and_validates_each_layer_once(
     }
 
 
-def _shuffled_files(g, ltd, seed, prefix):
-    """Write the instance with its vertex ids permuted by the seed, its edge
-    lines shuffled and some reversed; return the permuted instance."""
+def _shuffled_files(g, ltd, seed, prefix, root=0):
+    """Write the instance rooted at ``root``, with its vertex ids permuted by
+    the seed, its edge lines shuffled and some reversed; return the permuted
+    instance."""
     rng = random.Random(seed)
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -316,7 +317,7 @@ def _shuffled_files(g, ltd, seed, prefix):
     rng.shuffle(edges)
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
     td = TreeDecomposition(
-        [[perm[v] for v in bag] for bag in ltd.td.bags], ltd.td.edges
+        [[perm[v] for v in bag] for bag in ltd.td.bags], ltd.td.edges, root
     )
     ly = Layering([[perm[v] for v in row] for row in ltd.layering.layers])
     with open(f"{prefix}.gr", "w") as fh:
@@ -338,48 +339,21 @@ def _shuffled_files(g, ltd, seed, prefix):
 )
 @pytest.mark.parametrize("seed", [3, 8])
 def test_color3_colors_as_three_color_does(tmp_path, capsys, build, seed):
-    g, ltd, _ = build()
-    prefix = str(tmp_path / "x")
-    g, ltd = _shuffled_files(g, ltd, seed, prefix)
-    argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
-            "--layers", f"{prefix}.layers", "--out", prefix]
-    assert main(argv) == 0
-    expected = three_color(g, ltd).coloring
-    with open(f"{prefix}.coloring") as fh:
-        assert fh.read() == "".join(f"{v} {c}\n" for v, c in sorted(expected.items()))
-
-
-@pytest.mark.parametrize(
-    "build, every_root",
-    [
-        (lambda: gen_grid(12, triangulated=True), True),
-        (lambda: gen_rect_grid(6, 60), False),
-    ],
-    ids=["trigrid", "rect_grid"],
-)
-def test_color3_colors_a_written_root_as_three_color_does(
-    tmp_path, capsys, build, every_root
-):
-    """``write_td`` writes a decomposition's root as node 1, where
-    ``color3`` roots it, so the files color as the rooted decomposition
-    does in memory: at every root of the triangulated 12-grid, and at the
-    first, middle and last root of the 6x60 grid."""
+    """``write_td`` writes a decomposition's root as node 1, where ``color3``
+    roots it, so the files color as the rooted decomposition does in
+    memory: at the first, middle and last root."""
     g, ltd, _ = build()
     last = ltd.td.node_count - 1
-    roots = range(last + 1) if every_root else (0, last // 2, last)
     prefix = str(tmp_path / "x")
-    pace.write_graph(g, f"{prefix}.gr")
-    pace.write_layering(ltd.layering, f"{prefix}.layers")
     argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
             "--layers", f"{prefix}.layers", "--out", prefix]
-    for root in roots:
-        td = TreeDecomposition(ltd.td.bags, ltd.td.edges, root)
-        pace.write_td(td, g.n, f"{prefix}.td")
+    for root in (0, last // 2, last):
+        pg, pltd = _shuffled_files(g, ltd, seed, prefix, root)
         assert main(argv) == 0
-        expected = three_color(g, LayeredTreeDecomposition(td, ltd.layering))
+        expected = three_color(pg, pltd).coloring
         with open(f"{prefix}.coloring") as fh:
             assert fh.read() == "".join(
-                f"{v} {c}\n" for v, c in sorted(expected.coloring.items())
+                f"{v} {c}\n" for v, c in sorted(expected.items())
             ), root
 
 
