@@ -329,25 +329,27 @@ def _shuffled_files(g, ltd, seed, prefix, root=0):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, every_root",
     [
-        lambda: gen_grid(12, triangulated=True),
-        lambda: gen_rect_grid(6, 40),
-        lambda: gen_path(60),
+        (lambda: gen_grid(12, triangulated=True), True),
+        (lambda: gen_rect_grid(6, 40), False),
+        (lambda: gen_path(60), False),
     ],
     ids=["trigrid", "rect_grid", "path"],
 )
 @pytest.mark.parametrize("seed", [3, 8])
-def test_color3_colors_as_three_color_does(tmp_path, capsys, build, seed):
+def test_color3_colors_as_three_color_does(tmp_path, capsys, build, every_root, seed):
     """``write_td`` writes a decomposition's root as node 1, where ``color3``
     roots it, so the files color as the rooted decomposition does in
-    memory: at the first, middle and last root."""
+    memory: at every root of the triangulated 12-grid, and at the first,
+    middle and last root of the others."""
     g, ltd, _ = build()
     last = ltd.td.node_count - 1
+    roots = range(last + 1) if every_root else (0, last // 2, last)
     prefix = str(tmp_path / "x")
     argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
             "--layers", f"{prefix}.layers", "--out", prefix]
-    for root in (0, last // 2, last):
+    for root in roots:
         pg, pltd = _shuffled_files(g, ltd, seed, prefix, root)
         assert main(argv) == 0
         expected = three_color(pg, pltd).coloring
