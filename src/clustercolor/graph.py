@@ -8,7 +8,7 @@ shared; the index lists of a DecompositionReport are its caller's to extend.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import compress
@@ -73,9 +73,9 @@ def _induce(
     return edges, index
 
 
-def _connected(adj, nodes: Collection[int]) -> bool:
-    """Whether ``nodes`` is nonempty and connected by the links among its
-    members; ``adj[t]`` lists node t's neighbors (a list, or a mapping)."""
+def _connected(adj: Sequence[Sequence[int]], nodes: Collection[int]) -> bool:
+    """Whether ``nodes``, a group subtree of ``enlarge_lists``, is nonempty
+    and connected by its members' links in the list adjacency ``adj``."""
     if not nodes:
         return False
     start = min(nodes)
@@ -321,7 +321,7 @@ class LayeredTreeDecomposition:
 
 def layer_index(
     n: int, rows: Sequence[Sequence[int]]
-) -> tuple[list[int], AxiomCheck]:
+) -> tuple[list[int] | dict[int, int], AxiomCheck]:
     """Each vertex's layer, and the partition check of the layering whose
     layer i is ``rows[i - 1]``: the rows must be disjoint and cover
     0..n-1 exactly.
@@ -329,10 +329,16 @@ def layer_index(
     ``layer_of[v]`` is the first row holding v, 0 for a vertex of 0..n-1
     in no row; an id outside 0..n-1 is left out of it. The witness is the
     smallest vertex of 0..n-1 in no row or in two rows, else the smallest
-    id outside 0..n-1.
+    id outside 0..n-1. Rows that leave a vertex out get, in O(sum of row
+    sizes), a ``layer_of`` that stores only the vertices they list.
     """
-    layer_of = [0] * n
-    bad = set()
+    listed = {v for row in rows for v in row if 0 <= v < n}
+    if len(listed) == n:
+        layer_of, bad = [0] * n, set()
+    else:
+        # At most len(listed) vertices lie below the smallest one left out.
+        gap = next(v for v in range(n) if v not in listed)
+        layer_of, bad = defaultdict(int), {gap}
     stray = []
     for i, row in enumerate(rows, start=1):
         for v in row:
@@ -342,8 +348,6 @@ def layer_index(
                 bad.add(v)
             else:
                 layer_of[v] = i
-    if 0 in layer_of:
-        bad.add(layer_of.index(0))
     witness = min(bad) if bad else min(stray, default=None)
     return layer_of, AxiomCheck("partition", witness is None, witness)
 
@@ -366,11 +370,7 @@ def edge_span(edges: Iterable[tuple[int, int]], layer_of: Sequence[int]) -> Axio
 
 def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
     """Check the partition and consecutive-layer axioms of a layering, by
-    ``layer_index`` and ``edge_span``.
-
-    Each witness is the smallest failing item (vertex, or edge as a sorted
-    pair).
-    """
+    ``layer_index`` and ``edge_span``, each naming its smallest failure."""
     layer_of, partition = layer_index(g.n, ly.layers)
     return ValidationReport((partition, edge_span(g.edges, layer_of)))
 
@@ -400,6 +400,8 @@ def check_decomposition(
     with u < v, one bag per node, and the tree by its distinct node pairs
     (no self-loops). The tree axiom fails when there is no bag, or when the
     root or a tree pair names no node; such a pair joins nothing.
+    Connectivity is checked, and reported, only when the tree check passes
+    and every bag holds only vertices of 0..n-1.
 
     Each witness is the smallest failing item (node, vertex, or edge): the
     checks scan in any order and keep the minimum failure.
@@ -415,18 +417,16 @@ def check_decomposition(
     tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))
 
-    # Each vertex's nodes in ascending order. Ids outside 0..n-1 are kept
-    # apart with theirs, so that connectivity still covers them.
+    # Each vertex's nodes in ascending order, and the smallest (node, id)
+    # pair whose id lies outside 0..n-1.
     holders: list[list[int]] = [[] for _ in range(n)]
-    strays: dict[int, list[int]] = {}
+    stray = None
     for t, bag in enumerate(bags):
         for v in bag:
-            (holders[v] if 0 <= v < n else strays.setdefault(v, [])).append(t)
-    stray = None
-    if strays:
-        # The first bag to hold a stray id is the smallest first node of one.
-        first = min(nodes[0] for nodes in strays.values())
-        stray = (first, min(v for v, nodes in strays.items() if nodes[0] == first))
+            if 0 <= v < n:
+                holders[v].append(t)
+            elif stray is None or (t, v) < stray:
+                stray = (t, v)
     checks.append(AxiomCheck("bag-contents", stray is None, stray))
 
     missing = holders.index([]) if [] in holders else None
@@ -448,13 +448,10 @@ def check_decomposition(
                 bad_edge = edge
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
-    # Each vertex's node set must induce a connected subtree. Summed over the
-    # vertices, the tree edges whose two bags both hold the vertex number at
-    # most the sum of bag sizes. On a tree a vertex's k nodes are connected
-    # exactly when k - 1 such edges hold it, so one count per vertex
-    # decides; off a tree, or for a stray id, a search over the vertex's own
-    # edges does (never over the whole tree's, which a star makes quadratic).
-    if tree and not strays:
+    # Each vertex's nodes must induce a connected subtree, an axiom defined
+    # only on a tree whose bags hold only vertices. There a vertex's k nodes
+    # are connected exactly when k - 1 tree edges have it in both bags.
+    if tree and stray is None:
         # One more than the count: a vertex fails when it has more nodes.
         shared = [1] * n
         for a, b in named:
@@ -462,20 +459,7 @@ def check_decomposition(
                 shared[v] += 1
         failing = compress(range(n), map(gt, map(len, holders), shared))
         bad_vertex = next(failing, None)
-    else:
-        # Each vertex's own tree: its nodes, joined by the tree pairs whose
-        # two bags both hold it.
-        own = {v: {t: [] for t in nodes} for v, nodes in enumerate(holders)}
-        own.update((v, {t: [] for t in nodes}) for v, nodes in strays.items())
-        for a, b in named:
-            for v in bags[a] & bags[b]:
-                own[v][a].append(b)
-                own[v][b].append(a)
-        bad_vertex = min(
-            (v for v, ts in own.items() if len(ts) > 1 and not _connected(ts, ts)),
-            default=None,
-        )
-    checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
+        checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
     return DecompositionReport(tuple(checks), holders, depth, parent)
 
 

@@ -217,11 +217,13 @@ def three_color_lists(
     tree by its distinct node pairs (no self-loops), and the layering by its
     rows, layer i being ``rows[i - 1]`` in ascending order.
 
-    The input is validated first: an edge line that is a self-loop or
-    leaves 0..n-1 raises ValueError, an invalid decomposition (a tree pair
-    or root that names no node fails the tree axiom) InvalidDecomposition,
-    and then an invalid layering (rows not disjoint or not covering 0..n-1
-    exactly, or an edge joining layers two or more apart) InvalidLayering.
+    The input is validated first. Rows that leave a vertex of 0..n-1 out
+    raise InvalidLayering before anything is sized by n. Then an edge line
+    that is a self-loop or leaves 0..n-1 raises ValueError, an invalid
+    decomposition (a tree pair or root that names no node fails the tree
+    axiom) InvalidDecomposition, and then an invalid layering (rows not
+    disjoint or not covering 0..n-1 exactly, or an edge joining layers two
+    or more apart) InvalidLayering.
     The constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
     and layer; the final clustering is measured and checked before returning.
@@ -233,6 +235,9 @@ def three_color_lists(
     # and each node's depth and parent from the root. The views keep these
     # original depths, so their bands match the whole tree's.
     layer_of, partition = layer_index(n, rows)
+    # Only for rows that leave a vertex out does layer_of hold fewer than n.
+    if len(layer_of) < n:
+        ValidationReport((partition,)).require(InvalidLayering)
     edges, adj = _pair_index(n, edges, _bad_edge)
     checked = check_decomposition(n, edges, bags, tree_edges, root)
     checked.require(InvalidDecomposition)

@@ -161,18 +161,27 @@ def halin(depth):
     return n, edges, bags, tree_edges, [tuple(range(n))], 0
 
 
-def refusals():
-    """The valid inputs that banding refuses, one row each."""
-    yield "spine-path-40", flat(*spine_path(40))
-    n = 40
+def spine_cycle(n):
+    """The n-cycle, one layer, over the path of bags {0, i, i + 1}."""
     cycle = [(i, (i + 1) % n) for i in range(n)]
     spine = [frozenset({0, i, i + 1}) for i in range(1, n - 1)]
     chain = [(t, t + 1) for t in range(n - 3)]
-    yield "cycle-40-one-layer", (n, cycle, spine, chain, [tuple(range(n))], 0)
-    n, edges, bags, tree_edges, _, root = flat(*gen_rect_grid(6, 300)[:2])
-    rows = [tuple(range(r * 300, (r + 1) * 300)) for r in range(6)]
-    spanning = [bag | {0} for bag in bags]
-    yield "rect-6x300-rows-spanning", (n, edges, spanning, tree_edges, rows, root)
+    return n, cycle, spine, chain, [tuple(range(n))], 0
+
+
+def spanning_rect(cols):
+    """The 6 x cols rect grid, one row per layer, with vertex 0 added to
+    every bag of its decomposition."""
+    n, edges, bags, tree_edges, _, root = flat(*gen_rect_grid(6, cols)[:2])
+    rows = [tuple(range(r * cols, (r + 1) * cols)) for r in range(6)]
+    return n, edges, [bag | {0} for bag in bags], tree_edges, rows, root
+
+
+def refusals():
+    """The valid inputs that banding refuses, one row each."""
+    yield "spine-path-40", flat(*spine_path(40))
+    yield "cycle-40-one-layer", spine_cycle(40)
+    yield "rect-6x300-rows-spanning", spanning_rect(300)
     for depth in (7, 9):
         yield f"halin-{depth}", halin(depth)
 

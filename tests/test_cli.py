@@ -590,9 +590,10 @@ def _in_512_mb(*argv):
 
 def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     """A header may declare a billion bags or vertices. In a child limited
-    to 512 MB of address space, ``read_bags`` and ``verify`` still refuse
-    such files with their usual messages and exit codes: neither sizes
-    anything from the header count before the lines that follow confirm it."""
+    to 512 MB of address space, ``read_bags``, ``verify`` and ``color3``
+    still refuse such files with their usual messages and exit codes: none
+    sizes anything from the header count before the lines that follow
+    confirm it."""
     td = tmp_path / "huge.td"
     td.write_text("s td 1000000000 1 1\nb 1 1\n")
     gr = tmp_path / "huge.gr"
@@ -614,6 +615,17 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     )
     assert (verify.returncode, verify.stderr) == (
         2, "error: coloring file is missing vertex 1\n"
+    )
+    small_td = tmp_path / "one.td"
+    small_td.write_text("s td 1 1 1\nb 1 1\n")
+    layers = tmp_path / "one.layers"
+    layers.write_text("1\n")
+    color3 = _in_512_mb(
+        "-m", "clustercolor", "color3", "--gr", str(gr), "--td", str(small_td),
+        "--layers", str(layers), "--out", str(tmp_path / "run")
+    )
+    assert (color3.returncode, color3.stderr) == (
+        2, "error: invalid layering: partition axiom fails at vertex 1\n"
     )
 
 

@@ -136,6 +136,9 @@ def test_td_lists_give_bags_and_distinct_tree_edges():
         [frozenset({0, 1}), frozenset({1, 2}), frozenset()],
         [(0, 1), (1, 2)],
     )
+    # Blank and comment lines between the bags and the tree edges are skipped.
+    spaced = "s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3\n\n  \nc tree\n2 1\n1 2\n2 3\n"
+    assert pace_to_bags(spaced) == pace_to_bags(text)
 
 
 def test_td_round_trip_preserves_empty_bags():
