@@ -9,7 +9,8 @@ shared; the index lists of a DecompositionReport are its caller's to extend.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import Callable, Collection, Iterable, Sequence, Set as AbstractSet
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import gt
@@ -321,38 +322,35 @@ class LayeredTreeDecomposition:
 
 def layer_index(
     n: int, rows: Sequence[Sequence[int]]
-) -> tuple[list[int] | dict[int, int], AxiomCheck]:
+) -> tuple[defaultdict[int, int], AxiomCheck]:
     """Each vertex's layer, and the partition check of the layering whose
     layer i is ``rows[i - 1]``: the rows must be disjoint and cover
     0..n-1 exactly.
 
-    ``layer_of[v]`` is the first row holding v, 0 for a vertex of 0..n-1
-    in no row; an id outside 0..n-1 is left out of it. The witness is the
-    smallest vertex of 0..n-1 in no row or in two rows, else the smallest
-    id outside 0..n-1. Rows that leave a vertex out get, in O(sum of row
-    sizes), a ``layer_of`` that stores only the vertices they list.
+    ``layer_of`` maps each listed vertex of 0..n-1 to the first row holding
+    it and reads 0 for any other id, so it holds fewer than n entries
+    exactly when the rows leave a vertex out. The witness is the smallest
+    vertex of 0..n-1 in no row or in two rows, else the smallest id outside
+    0..n-1; both are found in O(sum of row sizes).
     """
-    listed = {v for row in rows for v in row if 0 <= v < n}
-    if len(listed) == n:
-        layer_of, bad = [0] * n, set()
-    else:
-        # At most len(listed) vertices lie below the smallest one left out.
-        gap = next(v for v in range(n) if v not in listed)
-        layer_of, bad = defaultdict(int), {gap}
-    stray = []
+    layer_of: defaultdict[int, int] = defaultdict(int)
+    bad, stray = set(), []
     for i, row in enumerate(rows, start=1):
         for v in row:
             if not 0 <= v < n:
                 stray.append(v)
-            elif layer_of[v]:
+            elif v in layer_of:
                 bad.add(v)
             else:
                 layer_of[v] = i
+    if len(layer_of) < n:
+        # At most len(layer_of) vertices lie below the smallest one left out.
+        bad.add(next(v for v in range(n) if v not in layer_of))
     witness = min(bad) if bad else min(stray, default=None)
     return layer_of, AxiomCheck("partition", witness is None, witness)
 
 
-def edge_span(edges: Iterable[tuple[int, int]], layer_of: Sequence[int]) -> AxiomCheck:
+def edge_span(edges: Iterable[tuple[int, int]], layer_of: Mapping[int, int]) -> AxiomCheck:
     """The edge-span check, over distinct edges (u, v) with u < v, of the
     layering given by ``layer_of`` (see ``layer_index``). An edge with an
     end in no layer is not checked; the witness is the smallest edge whose
@@ -470,11 +468,11 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> Decompositio
 
 
 def bags_layered_width(
-    bags: Iterable[Iterable[int]], layer_of: Sequence[int]
+    bags: Iterable[Iterable[int]], layer_of: Mapping[int, int]
 ) -> int:
     """The largest number of vertices any bag shares with one layer of the
-    layering given by ``layer_of`` (see ``layer_index``); every bag vertex
-    must index it, and a vertex in no layer counts for none."""
+    layering given by ``layer_of`` (see ``layer_index``); a vertex in no
+    layer counts for none."""
     best = 0
     for bag in bags:
         per_layer: dict[int, int] = {}

@@ -235,7 +235,7 @@ def three_color_lists(
     # and each node's depth and parent from the root. The views keep these
     # original depths, so their bands match the whole tree's.
     layer_of, partition = layer_index(n, rows)
-    # Only for rows that leave a vertex out does layer_of hold fewer than n.
+    # layer_of holds fewer than n vertices exactly when the rows leave one out.
     if len(layer_of) < n:
         ValidationReport((partition,)).require(InvalidLayering)
     edges, adj = _pair_index(n, edges, _bad_edge)
