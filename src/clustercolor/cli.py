@@ -55,7 +55,7 @@ def cmd_gen(args) -> int:
 
 def cmd_color3(args) -> int:
     n, edges = pace.read_edges(args.gr)
-    bags, tree_edges = pace.read_bags(args.td)
+    bags, tree_edges = pace.read_bags(args.td, n)
     rows = pace.read_rows(args.layers)
     result = three_color_lists(n, edges, bags, tree_edges, rows)
 

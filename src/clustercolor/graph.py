@@ -142,7 +142,8 @@ class Graph:
 
     Duplicate edges collapse silently; self-loops and out-of-range endpoints
     are rejected. Adjacency lists are kept sorted so iteration order is
-    deterministic everywhere.
+    deterministic everywhere; `pace.graph_to_pace` lists the edges in
+    ascending order off them with no sort.
     """
 
     __slots__ = ("n", "_edges", "_adj")

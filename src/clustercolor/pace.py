@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Iterable, Sequence
 
 from .errors import PaceParseError
 from .graph import Graph, Layering, TreeDecomposition
@@ -42,10 +43,31 @@ def _header(lines, form: str) -> tuple[int, list[int]]:
     raise PaceParseError(f"missing '{words[0]} {words[1]}' header", 1)
 
 
+def _names(rows: Iterable[Sequence[int]], top: int = 0) -> list[str]:
+    """The 1-based names ``"1"``, ``"2"``, ... of the ids 0..k-1, where k
+    is ``top`` or, if larger, the largest id in ``rows`` plus one; each row
+    is ascending. The writers take every id's name from this table, so the
+    table is as long as the largest id. A negative id would index it from
+    the back and be written under a wrong name, so one raises ValueError
+    naming the smallest."""
+    rows = [row for row in rows if row]
+    low = min((row[0] for row in rows), default=0)
+    if low < 0:
+        raise ValueError(f"vertex {low} is negative: PACE numbers vertices from 1")
+    top = max(top, max((row[-1] + 1 for row in rows), default=0))
+    return list(map(str, range(1, top + 1)))
+
+
 def graph_to_pace(g: Graph) -> str:
+    """The ``.gr`` text of ``g``: the header, then each edge once as
+    ``u v`` with u < v, in ascending order. The edges are read off the
+    adjacency, walking u upward and keeping each neighbor v > u; this
+    relies on `Graph` keeping every neighbor list sorted, which makes the
+    walk give exactly the order of ``sorted(g.edges)`` with no sort."""
+    names = _names((), g.n)
     lines = [f"p tw {g.n} {len(g.edges)}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u + 1} {v + 1}")
+    for u, name in enumerate(names):
+        lines += [f"{name} {names[v]}" for v in g.neighbors(u) if v > u]
     return "\n".join(lines) + "\n"
 
 
@@ -86,26 +108,38 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
-    width_plus = max((len(b) for b in td.bags), default=0)
-    lines = [f"s td {td.node_count} {width_plus} {n_vertices}"]
-    swap = {0: td.root, td.root: 0}  # readers root at node 1
-    bags = [td.bags[swap.get(t, t)] for t in range(td.node_count)]
+    """The ``.td`` text of ``td`` for a graph on ``n_vertices``: the header,
+    one ``b`` line per node with its bag ascending, then the tree edges in
+    ascending order. Nodes 0 and ``td.root`` trade ids, since readers root
+    at node 1. A bag may hold ids of ``n_vertices`` or more, which are
+    written as they are; a negative id raises ValueError."""
+    swap = {0: td.root, td.root: 0}
+    bags = [sorted(td.bags[swap.get(t, t)]) for t in range(td.node_count)]
     edges = [(swap.get(a, a), swap.get(b, b)) for a, b in td.edges]
-    for t, bag in enumerate(bags):
-        body = " ".join(str(v + 1) for v in sorted(bag))
-        lines.append(f"b {t + 1} {body}".rstrip())
-    for a, b in sorted(edges):
-        lines.append(f"{a + 1} {b + 1}")
+    names = _names(bags, td.node_count)
+    name = names.__getitem__
+    lines = [f"s td {td.node_count} {max(map(len, bags))} {n_vertices}"]
+    lines += [" ".join(["b", names[t], *map(name, bag)]) for t, bag in enumerate(bags)]
+    lines += [f"{names[a]} {names[b]}" for a, b in sorted(edges)]
     return "\n".join(lines) + "\n"
 
 
-def pace_to_bags(text: str) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+def pace_to_bags(
+    text: str, n_graph: int | None = None
+) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
     """Parse an ``s td N w+1 n`` decomposition into its bags in node order
     and its distinct tree edges (a, b), a < b, in the order first given.
     Every bag id 1..N must be given, no bag line may repeat a vertex, and
-    the largest bag must have exactly w+1 vertices."""
+    the largest bag must have exactly w+1 vertices. When ``n_graph``, the
+    vertex count of the graph the decomposition is for, is given, the
+    header's n must equal it."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, (num_nodes, width_plus, n) = _header(lines, "s td <N> <w+1> <n>")
+    if n_graph is not None and n != n_graph:
+        raise PaceParseError(
+            f"'s td' header declares n = {n} but the graph has {n_graph} vertices",
+            header_line,
+        )
     bags: dict[int, frozenset[int]] = {}
     tree_edges: dict[tuple[int, int], None] = {}
     for lineno, raw in lines:
@@ -156,10 +190,13 @@ def pace_to_bags(text: str) -> tuple[list[frozenset[int]], list[tuple[int, int]]
 
 
 def layering_to_text(ly: Layering) -> str:
+    """The ``.layers`` text of ``ly``: line i holds layer i's vertices,
+    ascending, and an empty layer is an empty line. A negative id raises
+    ValueError."""
     if not ly.layers:
         return ""
-    lines = [" ".join(str(v + 1) for v in row) for row in ly.layers]
-    return "\n".join(lines) + "\n"
+    name = _names(ly.layers).__getitem__
+    return "\n".join([" ".join(map(name, row)) for row in ly.layers]) + "\n"
 
 
 def text_to_rows(text: str) -> list[tuple[int, ...]]:
@@ -213,9 +250,9 @@ def write_graph(g: Graph, path: str | os.PathLike) -> None:
 
 
 def read_bags(
-    path: str | os.PathLike,
+    path: str | os.PathLike, n_graph: int | None = None
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    return pace_to_bags(_read(path))
+    return pace_to_bags(_read(path), n_graph)
 
 
 def write_td(td: TreeDecomposition, n_vertices: int, path: str | os.PathLike) -> None:

@@ -143,6 +143,30 @@ def test_color3_input_mode_errors(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+@pytest.mark.parametrize("declared", [9, 4])
+def test_color3_refuses_a_td_header_for_another_vertex_count(
+    tmp_path, monkeypatch, capsys, declared
+):
+    """The ``.td`` header's n must be the ``.gr``'s, whether or not the bags
+    stay inside 1..n; the pair is refused before the colorer runs."""
+    def colorer_reached(*args):
+        raise AssertionError("three_color_lists ran")
+
+    monkeypatch.setattr(cli, "three_color_lists", colorer_reached)
+    inputs = gen_inputs(tmp_path, "path", 5)
+    td = tmp_path / "path5.td"
+    text = td.read_text()
+    assert text.startswith("s td 4 2 5\n")
+    td.write_text(text.replace("s td 4 2 5", f"s td 4 2 {declared}", 1))
+    assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: line 1: 's td' header declares n = {declared} "
+        "but the graph has 5 vertices\n"
+    )
+    assert not (tmp_path / "run.coloring").exists()
+
+
 def test_color3_delta_is_an_argparse_error(tmp_path, capsys):
     """The degree is measured from the graph, so there is none to declare."""
     inputs = gen_inputs(tmp_path, "grid", 4)
@@ -617,7 +641,7 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
         2, "error: coloring file is missing vertex 1\n"
     )
     small_td = tmp_path / "one.td"
-    small_td.write_text("s td 1 1 1\nb 1 1\n")
+    small_td.write_text("s td 1 1 1000000000\nb 1 1\n")
     layers = tmp_path / "one.layers"
     layers.write_text("1\n")
     color3 = _in_512_mb(

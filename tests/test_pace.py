@@ -238,3 +238,103 @@ def test_random_round_trips():
         assert sorted(tuple(sorted(e)) for e in back.edges) == sorted(
             tuple(sorted(e)) for e in td.edges
         )
+
+
+def test_td_header_vertex_count_must_match_a_given_graph():
+    text = "c lead\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+    assert pace_to_bags(text, 3) == pace_to_bags(text)
+    for n_graph in (2, 4):
+        with pytest.raises(PaceParseError) as err:
+            pace_to_bags(text, n_graph)
+        assert str(err.value) == (
+            f"line 2: 's td' header declares n = 3 but the graph has {n_graph} vertices"
+        )
+
+
+# The writers' formulas before they took their names from one table and read
+# the edges off the sorted adjacency; the writers must match them byte for byte.
+def reference_graph_text(g):
+    lines = [f"p tw {g.n} {len(g.edges)}"]
+    for u, v in sorted(g.edges):
+        lines.append(f"{u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_td_text(td, n_vertices):
+    width_plus = max((len(b) for b in td.bags), default=0)
+    lines = [f"s td {td.node_count} {width_plus} {n_vertices}"]
+    swap = {0: td.root, td.root: 0}
+    bags = [td.bags[swap.get(t, t)] for t in range(td.node_count)]
+    edges = [(swap.get(a, a), swap.get(b, b)) for a, b in td.edges]
+    for t, bag in enumerate(bags):
+        body = " ".join(str(v + 1) for v in sorted(bag))
+        lines.append(f"b {t + 1} {body}".rstrip())
+    for a, b in sorted(edges):
+        lines.append(f"{a + 1} {b + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_layering_text(ly):
+    if not ly.layers:
+        return ""
+    lines = [" ".join(str(v + 1) for v in row) for row in ly.layers]
+    return "\n".join(lines) + "\n"
+
+
+def test_graph_writer_matches_the_sorting_reference():
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        # Vertices past the last few take part in no edge, so they stay isolated.
+        live = rng.randint(0, n)
+        pairs = [(u, v) for u in range(live) for v in range(u + 1, live)]
+        lines = rng.sample(pairs, rng.randint(0, len(pairs)))
+        lines += rng.sample(lines, len(lines) // 4)
+        rng.shuffle(lines)
+        lines = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in lines]
+        g = Graph(n, lines)
+        assert graph_to_pace(g) == reference_graph_text(g)
+    assert graph_to_pace(Graph(0)) == reference_graph_text(Graph(0)) == "p tw 0 0\n"
+
+
+def test_td_writer_matches_the_formatting_reference():
+    rng = random.Random(25)
+    for _ in range(200):
+        nodes = rng.randint(1, 12)
+        n_vertices = rng.randint(0, 20)
+        order = list(range(nodes))
+        rng.shuffle(order)
+        edges = [
+            (order[rng.randrange(i)], order[i])[:: rng.choice((1, -1))]
+            for i in range(1, nodes)
+        ]
+        # Bags may be empty and may hold ids of n_vertices or more.
+        bags = [
+            rng.sample(range(n_vertices + 5), rng.randint(0, min(6, n_vertices + 5)))
+            if rng.random() < 0.8 else []
+            for _ in range(nodes)
+        ]
+        td = TreeDecomposition(bags, edges, root=rng.randrange(nodes))
+        assert td_to_pace(td, n_vertices) == reference_td_text(td, n_vertices)
+
+
+def test_layering_writer_matches_the_formatting_reference():
+    rng = random.Random(26)
+    for _ in range(200):
+        ids = rng.sample(range(40), rng.randint(0, 40))
+        cuts = sorted(rng.choices(range(len(ids) + 1), k=rng.randint(0, 8)))
+        # Repeated cuts make empty layers.
+        rows = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+        ly = Layering(rows)
+        assert layering_to_text(ly) == reference_layering_text(ly)
+    assert layering_to_text(Layering([])) == reference_layering_text(Layering([])) == ""
+
+
+def test_writers_refuse_negative_ids():
+    td = TreeDecomposition([frozenset({0, -2}), frozenset({-5, 1})], [(0, 1)])
+    with pytest.raises(ValueError) as err:
+        td_to_pace(td, 2)
+    assert str(err.value) == "vertex -5 is negative: PACE numbers vertices from 1"
+    with pytest.raises(ValueError) as err:
+        layering_to_text(Layering([(0,), (), (-1, 2)]))
+    assert str(err.value) == "vertex -1 is negative: PACE numbers vertices from 1"
