@@ -74,20 +74,17 @@ def _induce(
     return edges, index
 
 
-def _connected(adj: Sequence[Sequence[int]], nodes: Collection[int]) -> bool:
-    """Whether ``nodes``, a group subtree of ``enlarge_lists``, is nonempty
-    and connected by its members' links in the list adjacency ``adj``."""
-    if not nodes:
-        return False
-    start = min(nodes)
-    seen = {start}
-    queue = [start]
-    for t in queue:
-        for u in adj[t]:
-            if u in nodes and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(nodes)
+def _tree_index(
+    nn: int, tree_edges: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The tree pairs that name two nodes of 0..nn-1, and each node's
+    neighbors through them: a pair that names no node joins nothing."""
+    named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
+    adj: list[list[int]] = [[] for _ in range(nn)]
+    for a, b in named:
+        adj[a].append(b)
+        adj[b].append(a)
+    return named, adj
 
 
 # What each axiom's witness names. The decomposition's "tree" axiom has no
@@ -407,11 +404,7 @@ def check_decomposition(
     """
     checks = []
     nn = len(bags)
-    tree_adj: list[list[int]] = [[] for _ in range(nn)]
-    named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
-    for a, b in named:
-        tree_adj[a].append(b)
-        tree_adj[b].append(a)
+    named, tree_adj = _tree_index(nn, tree_edges)
     depth, parent, reached = _search(tree_adj, root)
     tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))

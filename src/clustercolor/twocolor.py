@@ -25,7 +25,7 @@ from .errors import (
 from .graph import (
     Graph,
     TreeDecomposition,
-    _connected,
+    _tree_index,
     check_decomposition,
     validate_tree_decomposition,
 )
@@ -144,8 +144,10 @@ def enlarge_lists(
     u < v, one bag per node, and the tree by its node pairs.
 
     A group's subtree must be a nonempty connected set of nodes whose bags
-    hold each end of each of its pairs. Every group's endpoints are poured
-    into each bag of its subtree, which preserves all decomposition axioms,
+    hold each end of each of its pairs; it is taken as connected by the
+    count that ``check_decomposition`` applies to a vertex's nodes, which
+    is exact on a tree. Every group's endpoints are poured into each bag
+    of its subtree, which preserves all decomposition axioms,
     and under the budget the width and degree grow at most as
     ``_enlarged`` states. Budget and group-structure violations raise
     GroupBudgetError naming the field. The output is validated and both
@@ -154,13 +156,7 @@ def enlarge_lists(
     input's own, validated as they stand.
     """
     nn = len(bags)
-    tree_adj: list[list[int]] = []
-    if groups:
-        tree_adj = [[] for _ in range(nn)]
-        for a, b in tree_edges:
-            if 0 <= a < nn and 0 <= b < nn:
-                tree_adj[a].append(b)
-                tree_adj[b].append(a)
+    tree_adj = _tree_index(nn, tree_edges)[1] if groups else []
     uses: dict[int, int] = {}
     covers: dict[int, int] = {}
     live = []
@@ -172,12 +168,16 @@ def enlarge_lists(
             )
         if not group.pairs:
             continue
-        for t in group.subtree:
+        subtree = group.subtree
+        for t in subtree:
             if not 0 <= t < nn:
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} node {t} out of range"
                 )
-        if not _connected(tree_adj, group.subtree):
+        # On a tree, k nodes are connected exactly when k - 1 tree edges
+        # join two of them; the adjacency sees each such edge twice.
+        joins = sum(u in subtree for t in subtree for u in tree_adj[t])
+        if not subtree or joins < 2 * (len(subtree) - 1):
             raise GroupBudgetError(
                 "group-structure", f"group {idx} subtree is not connected"
             )
@@ -189,14 +189,14 @@ def enlarge_lists(
             uses[u] = uses.get(u, 0) + 1
             uses[v] = uses.get(v, 0) + 1
         ends = {v for pair in group.pairs for v in pair}
-        missing = ends.difference(*map(bags.__getitem__, group.subtree))
+        missing = ends.difference(*map(bags.__getitem__, subtree))
         if missing:
             u, v = min(p for p in group.pairs if not missing.isdisjoint(p))
             raise GroupBudgetError(
                 "group-structure",
                 f"group {idx} pair ({u}, {v}) has an end in no bag of its subtree",
             )
-        for t in group.subtree:
+        for t in subtree:
             covers[t] = covers.get(t, 0) + 1
         live.append((group, ends))
 

@@ -20,12 +20,15 @@ from clustercolor.lists import StandardPair, compatible_lists, progress
 from clustercolor.neighborhoods import has_kst_subgraph
 
 
-def random_decomposition(rng, max_nodes=8, max_bag=4, edge_prob=0.5, grow_prob=0.6):
+def random_decomposition(
+    rng, max_nodes=8, max_bag=4, edge_prob=0.5, grow_prob=0.6, shape="tree"
+):
     """Random graph with a valid tree decomposition.
 
     Bags inherit a subset of their parent's bag plus fresh vertices, which
     keeps every vertex's node set connected; edges are sampled inside bags
-    so coverage holds by construction.
+    so coverage holds by construction. The tree is random, or a path or a
+    star from node 0 when ``shape`` is "path" or "star".
     """
     n_nodes = rng.randint(1, max_nodes)
     parents = [0] * n_nodes
@@ -33,7 +36,12 @@ def random_decomposition(rng, max_nodes=8, max_bag=4, edge_prob=0.5, grow_prob=0
     next_vertex = 0
     for i in range(n_nodes):
         if i:
-            parents[i] = rng.randrange(i)
+            if shape == "path":
+                parents[i] = i - 1
+            elif shape == "star":
+                parents[i] = 0
+            else:
+                parents[i] = rng.randrange(i)
             parent_bag = sorted(bags[parents[i]])
             keep = rng.randint(0, min(len(parent_bag), max_bag - 1))
             bag = set(rng.sample(parent_bag, keep))
@@ -56,6 +64,23 @@ def random_decomposition(rng, max_nodes=8, max_bag=4, edge_prob=0.5, grow_prob=0
         [(parents[i], i) for i in range(1, n_nodes)],
     )
     return g, td
+
+
+def connected(adj, nodes):
+    """Whether ``nodes`` is nonempty and connected by its members' links in
+    the list adjacency ``adj``, by breadth-first search: the reference for
+    the count that decides a group subtree in ``enlarge_lists``."""
+    if not nodes:
+        return False
+    start = min(nodes)
+    seen = {start}
+    queue = [start]
+    for t in queue:
+        for u in adj[t]:
+            if u in nodes and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == len(nodes)
 
 
 def random_subtree(rng, td, grow_prob=0.6):

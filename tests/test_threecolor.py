@@ -197,14 +197,20 @@ def test_three_color_lists_rejects_bad_edge_lines():
         with pytest.raises(ValueError) as err:
             three_color_lists(3, [(0, 1), (1, 2), line], bags, tree, rows)
         assert str(err.value) == message
-    # Rows that leave a vertex out are refused before the edge lines and the
-    # decomposition; rows that list a vertex twice only after both.
-    with pytest.raises(InvalidLayering, match="partition axiom fails at vertex 2"):
-        three_color_lists(3, [(1, 1)], [{0}, {5}], [(0, 1)], [[0], [1]])
-    with pytest.raises(ValueError, match="self-loop at vertex 1"):
-        three_color_lists(3, [(1, 1)], [{0}, {5}], [(0, 1)], [[0], [1, 1], [2]])
-    with pytest.raises(InvalidDecomposition):
-        three_color_lists(3, [(0, 1)], [{0}, {5}], [(0, 1)], [[0], [1, 1], [2]])
+    # Rows that are not a partition, whether they leave a vertex out, list
+    # one twice or hold a stray id, are refused before the edge lines and
+    # the decomposition.
+    cases = {
+        (0, 1): "partition axiom fails at vertex 2",
+        (0, 1, 1, 2): "partition axiom fails at vertex 1",
+        (0, 1, 2, 7): "partition axiom fails at vertex 7",
+    }
+    for listed, message in cases.items():
+        rows = [listed[:1], listed[1:]]
+        for lines in ([(1, 1)], [(0, 1)]):
+            with pytest.raises(InvalidLayering) as err:
+                three_color_lists(3, lines, [{0}, {5}], [(0, 1)], rows)
+            assert str(err.value) == f"invalid layering: {message}"
 
 
 def test_flat_edge_lines_are_indexed_once_and_may_be_lists():

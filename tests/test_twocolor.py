@@ -21,7 +21,7 @@ from clustercolor import (
     validate_tree_decomposition,
 )
 
-from helpers import random_decomposition, random_groups, random_subtree
+from helpers import connected, random_decomposition, random_groups, random_subtree
 
 
 def test_cluster_bound_values():
@@ -182,8 +182,9 @@ def test_enlarge_rejects_malformed_groups():
     g, td = _two_bag_instance()
     budget = GroupBudget(9, 9, 9)
     split = EdgeGroup(subtree=frozenset({0, 3}), pairs=frozenset({(0, 1)}))
-    with pytest.raises(GroupBudgetError):
+    with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [split], budget)
+    assert str(err.value) == "group-structure: group 0 node 3 out of range"
 
     far_pair = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(3, 4)}))
     with pytest.raises(GroupBudgetError) as err:
@@ -194,8 +195,9 @@ def test_enlarge_rejects_malformed_groups():
     )
 
     loop = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(1, 1)}))
-    with pytest.raises(GroupBudgetError):
+    with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [loop], budget)
+    assert str(err.value) == "group-structure: group 0 has invalid pair (1, 1)"
 
     gap = EdgeGroup(subtree=frozenset({0, 2}), pairs=frozenset({(0, 1)}))
     with pytest.raises(GroupBudgetError) as err:
@@ -210,6 +212,54 @@ def test_enlarge_rejects_a_group_with_an_empty_subtree():
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(2, [], [{0, 1}], [], [empty], GroupBudget(5, 5, 5))
     assert str(err.value) == "group-structure: group 0 subtree is not connected"
+
+
+def test_enlarge_off_a_tree_leaves_the_subtree_to_the_output_check():
+    """Off a tree the count may pass a disconnected subtree: a cycle on
+    nodes 0-2 and a lone node 3 give four nodes three joining edges. The
+    cycle's three nodes have one joining edge more than a tree gives them,
+    and pass too. The output check then refuses the tree."""
+    bags, tree = [{0, 1}, {1}, {1}, {0}], [(0, 1), (1, 2), (0, 2)]
+    for nodes in ({0, 1, 2, 3}, {0, 1, 2}):
+        group = EdgeGroup(frozenset(nodes), frozenset({(0, 1)}))
+        with pytest.raises(InternalInvariantError) as err:
+            enlarge_lists(2, [], bags, tree, [group], GroupBudget(9, 9, 9))
+        assert str(err.value) == "enlarged decomposition invalid: tree axiom fails"
+
+
+def test_enlarge_refuses_a_subtree_exactly_when_a_search_finds_it_disconnected():
+    """The count that decides a group's subtree agrees with a breadth-first
+    search over random trees, paths, stars and single nodes. Node sets are
+    drawn node by node, so they are often disconnected and sometimes empty;
+    each carries one pair whose ends lie in the set's bags."""
+    rng = random.Random(67)
+    seen = {"refused": 0, "accepted": 0, "empty": 0, "single": 0}
+    seen.update(path=0, star=0, tree=0)
+    while seen["refused"] + seen["accepted"] < 400:
+        shape = rng.choice(("tree", "path", "star"))
+        max_nodes = rng.choice((1, 8))
+        g, td = random_decomposition(rng, max_nodes=max_nodes, shape=shape)
+        nodes = frozenset(t for t in range(td.node_count) if rng.random() < 0.5)
+        # An empty set's pair may be any pair: it is refused before the bags.
+        bags = [td.bags[t] for t in nodes] if nodes else [range(g.n)]
+        pool = sorted(set().union(*bags))
+        if len(pool) < 2:
+            continue
+        group = EdgeGroup(nodes, frozenset({tuple(sorted(rng.sample(pool, 2)))}))
+        budget = GroupBudget(1, 1, 1)
+        try:
+            enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
+            refused = False
+        except GroupBudgetError as exc:
+            assert str(exc) == "group-structure: group 0 subtree is not connected"
+            refused = True
+        adj = list(map(td.node_neighbors, range(td.node_count)))
+        assert refused == (not connected(adj, nodes))
+        seen["refused" if refused else "accepted"] += 1
+        seen["empty"] += not nodes
+        seen["single"] += td.node_count == 1
+        seen[shape] += refused and td.node_count > 2
+    assert min(seen.values()) >= 20, seen
 
 
 def test_enlarge_with_groups_skips_a_tree_pair_that_names_no_node():
