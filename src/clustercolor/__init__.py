@@ -9,9 +9,8 @@ verification oracle, and PACE-format files.
 
 The root re-exports names only from the modules the commands load. The
 pieces of the paper's s >= 2 argument are imported by name, and no
-command loads them: fences and fans (``clustercolor.fences``), the list
-framework with apex splitting (``clustercolor.lists``) and neighborhood
-growth bounds (``clustercolor.neighborhoods``).
+command loads them: fences and fans (``clustercolor.fences``) and
+neighborhood growth bounds (``clustercolor.neighborhoods``).
 """
 
 from .errors import (
@@ -60,7 +59,6 @@ from .twocolor import (
 )
 from .verify import (
     ClusterReport,
-    check_list_coloring,
     edge_components,
     monochromatic_components,
     trigrid_path_oracle,
@@ -90,7 +88,6 @@ __all__ = [
     "ValidationReport",
     "bfs_layering",
     "check_decomposition",
-    "check_list_coloring",
     "cluster_bound",
     "compute_constants",
     "edge_components",

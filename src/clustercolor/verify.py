@@ -1,5 +1,5 @@
-"""Coloring verifiers: monochromatic components, list conformance, and the
-exhaustive two-coloring path oracle on small triangulated grids."""
+"""Coloring verifiers: monochromatic components and the exhaustive
+two-coloring path oracle on small triangulated grids."""
 
 from __future__ import annotations
 
@@ -90,16 +90,6 @@ def edge_components(
 def monochromatic_components(g: Graph, coloring: dict[int, int]) -> ClusterReport:
     """``edge_components`` of ``g``'s vertices and edges."""
     return edge_components(g.n, g.edges, coloring)
-
-
-def check_list_coloring(
-    coloring: dict[int, int], lists: dict[int, frozenset[int]]
-) -> tuple[bool, int | None]:
-    """True iff every listed vertex is colored from its list."""
-    for v in sorted(lists):
-        if v not in coloring or coloring[v] not in lists[v]:
-            return False, v
-    return True, None
 
 
 def _has_path_of(adj, colors, target: int, n_vertices: int) -> bool:

@@ -16,7 +16,6 @@ from clustercolor import (
     bfs_layering,
     gen_path,
 )
-from clustercolor.lists import StandardPair, compatible_lists, progress
 from clustercolor.neighborhoods import has_kst_subgraph
 
 
@@ -130,47 +129,6 @@ def random_groups(rng, g, td, max_groups=3):
         max_groups_per_node=max(cover_count.values(), default=1),
     )
     return groups, budget
-
-
-def random_layered_graph(rng, max_n=14, max_layers=5, edge_prob=0.4):
-    """Random graph whose edges respect a random layer assignment."""
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_layers)
-    assignment = [rng.randint(1, m) for _ in range(n)]
-    used = sorted(set(assignment))
-    compact = {layer: idx + 1 for idx, layer in enumerate(used)}
-    assignment = [compact[layer] for layer in assignment]
-    m = len(used)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(assignment[a] - assignment[b]) <= 1 and rng.random() < edge_prob:
-                edges.append((a, b))
-    layers = [
-        tuple(v for v in range(n) if assignment[v] == i) for i in range(1, m + 1)
-    ]
-    return Graph(n, edges), Layering(layers)
-
-
-def random_standard_pair(rng, s, steps=3):
-    """Valid standard pair built by forcing random vertex sets from the
-    full compatible lists."""
-    g, ly = random_layered_graph(rng)
-    pair = StandardPair(precolored=frozenset(), lists=compatible_lists(ly, s))
-    for _ in range(steps):
-        avoid = rng.randint(1, s + 2)
-        candidates = [
-            v
-            for v in g.vertices()
-            if pair.lists[v] - {avoid}
-        ]
-        if not candidates:
-            continue
-        force = frozenset(
-            rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
-        )
-        pair = progress(g, pair, force, avoid, s)
-    return g, ly, pair
 
 
 def random_kst_free_graph(rng, s, t, max_n=7, edge_prob=0.35):

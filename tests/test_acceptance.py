@@ -30,19 +30,13 @@ from clustercolor import (
     validate_tree_decomposition,
 )
 from clustercolor.fences import fence, find_fan, n_fan_bound
-from clustercolor.lists import apex_split, progress, validate_standard_pair
-from clustercolor.neighborhoods import (
-    growth_bound,
-    has_kst_subgraph,
-    n_at_least,
-)
+from clustercolor.neighborhoods import growth_bound, n_at_least
 from clustercolor import pace
 
 from helpers import (
     random_decomposition,
     random_groups,
     random_kst_free_graph,
-    random_standard_pair,
     shared_core_parade,
 )
 from test_fences import assert_fan_properties, _check_fence
@@ -202,64 +196,6 @@ def test_criterion_07_triangulated_grid_path_oracle():
     _report(7, ok, f"oracle {results} in {elapsed:.1f}s")
     assert all(results.values()), results
     assert elapsed < 60.0
-
-
-def test_criterion_08_progress_is_valid_and_monotone():
-    rng = random.Random(13)
-    try:
-        done = 0
-        while done < 500:
-            s = rng.randint(1, 3)
-            g, ly, pair = random_standard_pair(rng, s)
-            avoid = rng.randint(1, s + 2)
-            candidates = [v for v in g.vertices() if pair.lists[v] - {avoid}]
-            if not candidates:
-                continue
-            force = frozenset(
-                rng.sample(candidates, rng.randint(1, len(candidates)))
-            )
-            out = progress(g, pair, force, avoid, s)
-            assert validate_standard_pair(g, out, s).ok
-            assert out.precolored >= pair.precolored | force
-            for v in g.vertices():
-                assert out.lists[v] <= pair.lists[v]
-            done += 1
-    except Exception as exc:
-        _report(8, False, f"raised {type(exc).__name__}: {exc}")
-        raise
-    _report(8, True, "500 randomized steps valid with shrinking lists")
-
-
-def test_criterion_09_apex_splitting_preserves_kst_freeness():
-    rng = random.Random(14)
-    try:
-        done = 0
-        while done < 200:
-            s, t = rng.choice([(1, 2), (1, 3), (2, 2), (2, 3)])
-            g = random_kst_free_graph(rng, s, t, max_n=7)
-            if g.n < 2:
-                continue
-            z = frozenset(rng.sample(range(g.n), rng.randint(1, min(2, g.n - 1))))
-            rest = sorted(set(range(g.n)) - z)
-            m = rng.randint(1, 3)
-            layers = [[] for _ in range(m)]
-            for idx, v in enumerate(rest):
-                layers[idx % m].append(v)
-            assignment = {v: i + 1 for i, row in enumerate(layers) for v in row}
-            if not all(
-                abs(assignment[u] - assignment[v]) <= 1
-                for u, v in g.edges
-                if u not in z and v not in z
-            ):
-                continue
-            res = apex_split(g, z, Layering([tuple(row) for row in layers]))
-            found, witness = has_kst_subgraph(res.graph, s, t)
-            assert not found, (s, t, witness)
-            done += 1
-    except Exception as exc:
-        _report(9, False, f"raised {type(exc).__name__}: {exc}")
-        raise
-    _report(9, True, "200 randomized splits introduce no forbidden bicliques")
 
 
 def test_criterion_10_two_coloring_of_wide_strips():

@@ -653,7 +653,7 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     )
 
 
-TOOLKIT = ("clustercolor.fences", "clustercolor.lists", "clustercolor.neighborhoods")
+TOOLKIT = ("clustercolor.fences", "clustercolor.neighborhoods")
 
 COMMANDS_IN_ONE_PROCESS = """
 import json, sys

@@ -267,7 +267,7 @@ def test_edge_span_skips_unlayered_ends_and_names_the_smallest_far_edge():
 
 def test_an_axiom_with_no_witness_noun_gives_its_witness_bare():
     """Any axiom can describe its failure: one the graph checks do not name
-    a witness for, such as the list framework's, gives the witness bare."""
+    a witness for gives the witness bare."""
     assert AxiomCheck("list-domain", False, 1).describe() == (
         "list-domain axiom fails at 1"
     )

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every private
-helper of the package is used somewhere in it.
+"""Every name a module imports is used in that module, every private
+helper of the package is used somewhere in it, and every function of
+``tests/helpers.py`` is named by another test module.
 
 The package's ``__init__.py`` is left out of the import check: its imports
 are re-exports, checked against ``__all__`` by ``test_exports.py``.
@@ -19,6 +20,7 @@ MODULES = sorted(
 )
 
 PACKAGE = sorted((ROOT / "src/clustercolor").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -55,11 +57,16 @@ def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """The module-level private functions and classes, as "module.name", that
-    no code of ``sources`` (module name -> source) names outside their own
-    definition. Any name or attribute of the same spelling counts, so a
-    helper it reports is one that nothing in the package can reach."""
+def _unreferenced_helpers(
+    sources: dict[str, str], owner: str | None = None
+) -> list[str]:
+    """The module-level functions and classes, as "module.name", that no code
+    of ``sources`` (module name -> source) names outside their own
+    definition. Without ``owner`` these are the private ones of every
+    module; with it, all those of module ``owner``, which only the other
+    modules' code can name. Any name or attribute of the same spelling
+    counts, so a helper it reports is one that nothing in ``sources`` can
+    reach."""
     helpers = []
     named: set[str] = set()
     for module, source in sources.items():
@@ -67,8 +74,11 @@ def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
             own = None
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 own = top.name
-                if own.startswith("_") and not own.startswith("__"):
+                private = own.startswith("_") and not own.startswith("__")
+                if (module == owner) if owner else private:
                     helpers.append((module, own))
+            if module == owner:
+                continue
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -93,3 +103,20 @@ def test_finds_an_unreferenced_helper():
 def test_package_uses_every_private_helper():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert _unreferenced_helpers(sources) == []
+
+
+def test_finds_a_shared_test_helper_that_no_other_module_names():
+    sources = {
+        "helpers": "def used():\n    return _inner()\n\ndef _inner():\n    pass\n\n"
+        "def gone():\n    return gone()\n",
+        "test_a": "from helpers import used\nused()\n",
+    }
+    assert _unreferenced_helpers(sources, owner="helpers") == [
+        "helpers._inner",
+        "helpers.gone",
+    ]
+
+
+def test_every_shared_test_helper_is_named_by_another_test_module():
+    sources = {path.stem: path.read_text() for path in TESTS}
+    assert _unreferenced_helpers(sources, owner="helpers") == []

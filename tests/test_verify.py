@@ -5,7 +5,6 @@ import pytest
 from clustercolor import (
     BudgetExceeded,
     Graph,
-    check_list_coloring,
     edge_components,
     monochromatic_components,
     trigrid_path_oracle,
@@ -141,16 +140,6 @@ def test_refining_colors_never_grows_components():
         coarse_max = monochromatic_components(g, coarse).max_size
         fine_max = monochromatic_components(g, fine).max_size
         assert fine_max <= coarse_max
-
-
-def test_check_list_coloring():
-    lists = {0: frozenset({1}), 1: frozenset({2, 3})}
-    assert check_list_coloring({0: 1, 1: 3}, lists) == (True, None)
-    ok, witness = check_list_coloring({0: 2, 1: 3}, lists)
-    assert not ok and witness == 0
-    ok, witness = check_list_coloring({0: 1}, lists)
-    assert not ok and witness == 1
-    assert check_list_coloring({}, {}) == (True, None)
 
 
 def test_path_oracle_small_sizes():
