@@ -8,9 +8,8 @@ decomposition enlargement, instance generators, an exhaustive
 verification oracle, and PACE-format files.
 
 The root re-exports names only from the modules the commands load. The
-pieces of the paper's s >= 2 argument are imported by name, and no
-command loads them: fences and fans (``clustercolor.fences``) and
-neighborhood growth bounds (``clustercolor.neighborhoods``).
+one piece of the paper's s >= 2 argument left, fences and fans
+(``clustercolor.fences``), is imported by name, and no command loads it.
 """
 
 from .errors import (
@@ -39,9 +38,6 @@ from .graph import (
     ValidationReport,
     bfs_layering,
     check_decomposition,
-    layered_width,
-    validate_layering,
-    validate_tree_decomposition,
 )
 from .threecolor import (
     ThreeColorConstants,
@@ -60,7 +56,6 @@ from .twocolor import (
 from .verify import (
     ClusterReport,
     edge_components,
-    monochromatic_components,
     trigrid_path_oracle,
 )
 
@@ -97,12 +92,8 @@ __all__ = [
     "gen_kst_instance",
     "gen_path",
     "gen_rect_grid",
-    "layered_width",
-    "monochromatic_components",
     "three_color",
     "three_color_lists",
     "trigrid_path_oracle",
     "two_color_bounded_treewidth",
-    "validate_layering",
-    "validate_tree_decomposition",
 ]

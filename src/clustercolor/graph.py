@@ -173,19 +173,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``keep``, relabeled to 0..k-1.
-
-        Returns the subgraph and the sorted tuple of original ids; position
-        in the tuple is the new id. An id outside 0..n-1 raises ValueError
-        naming it.
-        """
-        old = tuple(sorted(set(keep)))
-        for v in old[:1] + old[-1:]:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return Graph(len(old), _induce(self._adj, old)[0]), old
-
     def __eq__(self, other):
         return isinstance(other, Graph) and (self.n, self._edges) == (other.n, other._edges)
 
@@ -218,15 +205,6 @@ class Layering:
     @property
     def m(self) -> int:
         return len(self.layers)
-
-    def layer(self, i: int) -> tuple[int, ...]:
-        """Layer ``i`` (1-based); empty outside 1..m."""
-        if 1 <= i <= len(self.layers):
-            return self.layers[i - 1]
-        return ()
-
-    def layer_of(self, v: int) -> int:
-        return self._index[v]
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -364,13 +342,6 @@ def edge_span(edges: Iterable[tuple[int, int]], layer_of: Mapping[int, int]) -> 
     return AxiomCheck("edge-span", bad is None, bad)
 
 
-def validate_layering(g: Graph, ly: Layering) -> ValidationReport:
-    """Check the partition and consecutive-layer axioms of a layering, by
-    ``layer_index`` and ``edge_span``, each naming its smallest failure."""
-    layer_of, partition = layer_index(g.n, ly.layers)
-    return ValidationReport((partition, edge_span(g.edges, layer_of)))
-
-
 @dataclass(frozen=True)
 class DecompositionReport(ValidationReport):
     """A decomposition's validation report together with the index its
@@ -455,12 +426,6 @@ def check_decomposition(
     return DecompositionReport(tuple(checks), holders, depth, parent)
 
 
-def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionReport:
-    """``check_decomposition`` of ``g``'s edges and ``td``'s bags and tree,
-    searched from ``td.root``."""
-    return check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
-
-
 def bags_layered_width(
     bags: Iterable[Iterable[int]], layer_of: Mapping[int, int]
 ) -> int:
@@ -477,16 +442,6 @@ def bags_layered_width(
         if per_layer:
             best = max(best, max(per_layer.values()))
     return best
-
-
-def layered_width(ltd: LayeredTreeDecomposition) -> int:
-    """Layered width of a layered tree-decomposition: ``bags_layered_width``
-    of its bags and layering. The result means nothing unless both parts
-    are valid for the graph; the caller validates them.
-    """
-    bags, rows = ltd.td.bags, ltd.layering.layers
-    n = max(set().union(*bags, *rows), default=-1) + 1
-    return bags_layered_width(bags, layer_index(n, rows)[0])
 
 
 def bfs_layering(g: Graph, roots: Iterable[int]) -> Layering:

@@ -22,13 +22,7 @@ from .errors import (
     InternalInvariantError,
     InvalidDecomposition,
 )
-from .graph import (
-    Graph,
-    TreeDecomposition,
-    _tree_index,
-    check_decomposition,
-    validate_tree_decomposition,
-)
+from .graph import Graph, TreeDecomposition, _tree_index, check_decomposition
 from .verify import ClusterReport, edge_components
 
 # Multiplier on (w+1)*delta in the guaranteed clustering bound: the slack
@@ -96,7 +90,7 @@ def two_color_bounded_treewidth(
     the bound for the graph's maximum degree as ``band_color`` does.
     Returns (coloring, measured clustering).
     """
-    checked = validate_tree_decomposition(g, td)
+    checked = check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
     checked.require(InvalidDecomposition)
     colors, report = band_color(g.n, g.edges, td.bags, checked.depth, g.max_degree())
     return dict(enumerate(colors)), report.max_size

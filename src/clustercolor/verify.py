@@ -7,7 +7,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graph import Graph
 
 ORACLE_MAX_SIZE = 4
 
@@ -85,11 +84,6 @@ def edge_components(
         if size > per_color.get(c, 0):
             per_color[c] = size
     return ClusterReport(tuple(components), max_size, per_color)
-
-
-def monochromatic_components(g: Graph, coloring: dict[int, int]) -> ClusterReport:
-    """``edge_components`` of ``g``'s vertices and edges."""
-    return edge_components(g.n, g.edges, coloring)
 
 
 def _has_path_of(adj, colors, target: int, n_vertices: int) -> bool:

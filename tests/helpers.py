@@ -16,7 +16,6 @@ from clustercolor import (
     bfs_layering,
     gen_path,
 )
-from clustercolor.neighborhoods import has_kst_subgraph
 
 
 def random_decomposition(
@@ -131,22 +130,6 @@ def random_groups(rng, g, td, max_groups=3):
     return groups, budget
 
 
-def random_kst_free_graph(rng, s, t, max_n=7, edge_prob=0.35):
-    """Rejection-sample a small graph with no K_{s,t} subgraph."""
-    while True:
-        n = rng.randint(1, max_n)
-        edges = [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if rng.random() < edge_prob
-        ]
-        g = Graph(n, edges)
-        found, _ = has_kst_subgraph(g, s, t)
-        if not found:
-            return g
-
-
 def shared_core_parade(w, length, extra=0):
     """Path decomposition whose bags all share a w-vertex core.
 
@@ -197,7 +180,7 @@ def permuted(g, ltd, seed):
         ltd.td.root,
     )
     ly = ltd.layering
-    ly = Layering([tuple(perm[v] for v in ly.layer(i)) for i in range(1, ly.m + 1)])
+    ly = Layering([tuple(perm[v] for v in layer) for layer in ly.layers])
     return pg, LayeredTreeDecomposition(td, ly)
 
 

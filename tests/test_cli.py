@@ -18,17 +18,16 @@ from clustercolor import (
     Layering,
     PaceParseError,
     TreeDecomposition,
+    check_decomposition,
+    edge_components,
     gen_grid,
     gen_path,
     gen_rect_grid,
-    layered_width,
-    monochromatic_components,
     three_color,
-    validate_layering,
-    validate_tree_decomposition,
 )
 from clustercolor import cli, pace
 from clustercolor.cli import GEN_FAMILIES, main
+from clustercolor.graph import bags_layered_width, edge_span, layer_index
 from helpers import spine_path, without_vertex_zero
 
 
@@ -53,9 +52,10 @@ def test_gen_grid_writes_parseable_files(tmp_path, capsys):
     assert main(["gen", "grid", "--n", "4", "--out", str(prefix)]) == 0
     g, td, ly = read_instance(prefix)
     assert g.n == 16
-    assert validate_tree_decomposition(g, td).ok
-    assert validate_layering(g, ly).ok
-    assert layered_width(LayeredTreeDecomposition(td, ly)) == 2
+    assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+    layer_of, partition = layer_index(g.n, ly.layers)
+    assert partition.passed and edge_span(g.edges, layer_of).passed
+    assert bags_layered_width(td.bags, layer_of) == 2
     out = capsys.readouterr().out
     assert "16 vertices" in out
     assert str(prefix) in out
@@ -66,8 +66,9 @@ def test_gen_every_family_round_trips(tmp_path):
         prefix = tmp_path / family
         assert main(["gen", family, "--n", "4", "--out", str(prefix)]) == 0
         g, td, ly = read_instance(prefix)
-        assert validate_tree_decomposition(g, td).ok
-        assert validate_layering(g, ly).ok
+        assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+        layer_of, partition = layer_index(g.n, ly.layers)
+        assert partition.passed and edge_span(g.edges, layer_of).passed
 
 
 def test_every_gen_family_colors_and_verifies(tmp_path, capsys):
@@ -100,7 +101,7 @@ def test_color3_family_report_matches_independent_recheck(tmp_path, capsys):
     assert len(coloring) == 36
     assert set(coloring.values()) <= {1, 2, 3}
     g, _, _ = gen_grid(6, triangulated=True)
-    detail = monochromatic_components(g, coloring)
+    detail = edge_components(g.n, g.edges, coloring)
     assert detail.max_size == report["clustering"]
     out = capsys.readouterr().out
     assert "clustering" in out
@@ -653,7 +654,7 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     )
 
 
-TOOLKIT = ("clustercolor.fences", "clustercolor.neighborhoods")
+TOOLKIT = ("clustercolor.fences",)
 
 COMMANDS_IN_ONE_PROCESS = """
 import json, sys

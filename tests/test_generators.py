@@ -3,17 +3,25 @@ import hashlib
 import pytest
 
 from clustercolor import (
+    check_decomposition,
     gen_grid,
     gen_kst,
     gen_kst_instance,
     gen_path,
     gen_rect_grid,
-    layered_width,
-    validate_layering,
-    validate_tree_decomposition,
 )
-from clustercolor.neighborhoods import has_kst_subgraph
 from clustercolor import pace
+from clustercolor.graph import bags_layered_width, edge_span, layer_index
+
+
+def _checked_width(g, ltd):
+    """The layered width of ``ltd``, after asserting that its decomposition
+    and its layering are valid for ``g``."""
+    td = ltd.td
+    assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+    layer_of, partition = layer_index(g.n, ltd.layering.layers)
+    assert partition.passed and edge_span(g.edges, layer_of).passed
+    return bags_layered_width(td.bags, layer_of)
 
 
 def test_plain_grid_shape():
@@ -21,9 +29,7 @@ def test_plain_grid_shape():
     assert g.n == 9
     assert len(g.edges) == 12
     assert delta == 4
-    assert validate_tree_decomposition(g, ltd.td).ok
-    assert validate_layering(g, ltd.layering).ok
-    assert layered_width(ltd) == 2
+    assert _checked_width(g, ltd) == 2
 
 
 def test_triangulated_grid_shape():
@@ -32,9 +38,7 @@ def test_triangulated_grid_shape():
     assert len(g.edges) == 16
     assert delta == 6
     assert g.has_edge(0, 4)
-    assert validate_tree_decomposition(g, ltd.td).ok
-    assert validate_layering(g, ltd.layering).ok
-    assert layered_width(ltd) == 2
+    assert _checked_width(g, ltd) == 2
 
 
 def test_grid_single_vertex():
@@ -42,9 +46,7 @@ def test_grid_single_vertex():
     assert g.n == 1
     assert len(g.edges) == 0
     assert delta == 0
-    assert validate_tree_decomposition(g, ltd.td).ok
-    assert validate_layering(g, ltd.layering).ok
-    assert layered_width(ltd) == 1
+    assert _checked_width(g, ltd) == 1
 
 
 def test_triangulated_grid_degrees():
@@ -56,8 +58,7 @@ def test_rect_grid():
     g, ltd, delta = gen_rect_grid(3, 5)
     assert g.n == 15
     assert delta == 4
-    assert validate_tree_decomposition(g, ltd.td).ok
-    assert validate_layering(g, ltd.layering).ok
+    assert _checked_width(g, ltd) == 3
     assert ltd.td.width() == 3
     with pytest.raises(ValueError):
         gen_rect_grid(0, 3)
@@ -68,29 +69,21 @@ def test_path_instance():
     assert g.n == 6
     assert len(g.edges) == 5
     assert delta == 2
-    assert validate_tree_decomposition(g, ltd.td).ok
-    assert validate_layering(g, ltd.layering).ok
-    assert layered_width(ltd) == 1
+    assert _checked_width(g, ltd) == 1
     g1, ltd1, delta1 = gen_path(1)
     assert g1.n == 1 and delta1 == 0
-    assert validate_tree_decomposition(g1, ltd1.td).ok
+    assert _checked_width(g1, ltd1) == 1
 
 
 def test_kst_graph_and_instance():
     g = gen_kst(2, 3)
     assert g.n == 5
-    assert len(g.edges) == 6
-    found, witness = has_kst_subgraph(g, 2, 3)
-    assert found
-    left, right = witness
-    assert len(left) == 2 and len(right) == 3
+    assert g.edges == {(a, 2 + b) for a in range(2) for b in range(3)}
 
     gi, ltd, delta = gen_kst_instance(2, 3)
     assert gi.edges == g.edges
     assert delta == 3
-    assert validate_tree_decomposition(gi, ltd.td).ok
-    assert validate_layering(gi, ltd.layering).ok
-    assert layered_width(ltd) == 3
+    assert _checked_width(gi, ltd) == 3
 
 
 # SHA-256 of the .gr, .td and .layers files of two rectangular grids.

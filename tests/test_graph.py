@@ -13,13 +13,10 @@ from clustercolor import (
     ValidationReport,
     bfs_layering,
     check_decomposition,
-    layered_width,
     three_color,
     three_color_lists,
-    validate_layering,
-    validate_tree_decomposition,
 )
-from clustercolor.graph import edge_span
+from clustercolor.graph import bags_layered_width, edge_span, layer_index
 
 from helpers import random_decomposition
 
@@ -48,27 +45,6 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
-def test_graph_induced():
-    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    sub, ids = g.induced({1, 2, 4})
-    assert ids == (1, 2, 4)
-    assert sub.n == 3
-    assert sub.edges == frozenset({(0, 1)})
-
-
-@pytest.mark.parametrize(
-    "keep, message",
-    [([0, 1, 99], "vertex 99 out of range for n=3"), ([-1, 0], "vertex -1 out of range for n=3")],
-)
-def test_graph_induced_names_an_id_out_of_range(keep, message):
-    """An id outside 0..n-1 is not a vertex of the graph, so it cannot be
-    kept: it is named, not relabeled into the subgraph."""
-    g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError) as err:
-        g.induced(keep)
-    assert str(err.value) == message
-
-
 @pytest.mark.parametrize(
     "bags, edges, root, message",
     [
@@ -93,28 +69,22 @@ def test_tree_decomposition_dedups_pairs_and_sorts_neighbors():
 
 
 def test_layering_accessors():
-    ly = Layering([(0, 2), (), (1,)])
+    ly = Layering([(2, 0), (), (1,)])
     assert ly.m == 3
-    assert ly.layer(1) == (0, 2)
-    assert ly.layer(2) == ()
-    assert ly.layer(0) == ()
-    assert ly.layer(9) == ()
-    assert ly.layer_of(1) == 3
+    assert ly.layers == ((0, 2), (), (1,))
     assert ly.vertices == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
         Layering([(0,), (0,)])
 
 
 def test_validate_layering_axioms():
-    g = Graph(3, [(0, 1), (1, 2)])
-    good = validate_layering(g, Layering([(0,), (1,), (2,)]))
-    assert good.ok
-    missing = validate_layering(g, Layering([(0,), (1,)]))
-    assert not missing.ok
-    assert any(check.axiom == "partition" for check in missing.failures())
-    spanning = validate_layering(g, Layering([(0, 2), (), (1,)]))
-    assert not spanning.ok
-    assert any(check.axiom == "edge-span" for check in spanning.failures())
+    edges = [(0, 1), (1, 2)]
+    layer_of, partition = layer_index(3, [(0,), (1,), (2,)])
+    assert partition.passed and edge_span(edges, layer_of).passed
+    assert layer_index(3, [(0,), (1,)])[1] == AxiomCheck("partition", False, 2)
+    layer_of, partition = layer_index(3, [(0, 2), (), (1,)])
+    assert partition.passed
+    assert edge_span(edges, layer_of) == AxiomCheck("edge-span", False, (0, 1))
 
 
 def test_tree_decomposition_accessors():
@@ -125,57 +95,26 @@ def test_tree_decomposition_accessors():
     assert td.node_count == 3
     assert td.width() == 1
     assert td.node_neighbors(1) == (0, 2)
-    g = Graph(3, [(0, 1), (1, 2)])
-    report = validate_tree_decomposition(g, td)
+    report = check_decomposition(3, [(0, 1), (1, 2)], td.bags, td.edges)
     assert report.holders == [[0], [0, 1], [1, 2]]
     assert report.depth == [0, 1, 2]
     assert TreeDecomposition([frozenset()]).width() == -1
 
 
 def test_validate_tree_decomposition_axioms():
-    g = Graph(3, [(0, 1), (1, 2)])
-    good = TreeDecomposition(
-        [frozenset({0, 1}), frozenset({1, 2})], [(0, 1)]
-    )
-    assert validate_tree_decomposition(g, good).ok
-
-    cycle = TreeDecomposition(
-        [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})],
-        [(0, 1), (1, 2), (2, 0)],
-    )
-    assert any(
-        check.axiom == "tree"
-        for check in validate_tree_decomposition(g, cycle).failures()
-    )
-
-    uncovered_vertex = TreeDecomposition([frozenset({0, 1})])
-    assert any(
-        check.axiom == "vertex-coverage"
-        for check in validate_tree_decomposition(g, uncovered_vertex).failures()
-    )
-
-    uncovered_edge = TreeDecomposition(
-        [frozenset({0, 1}), frozenset({2})], [(0, 1)]
-    )
-    assert any(
-        check.axiom == "edge-coverage"
-        for check in validate_tree_decomposition(g, uncovered_edge).failures()
-    )
-
-    disconnected = TreeDecomposition(
-        [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})],
-        [(0, 1), (1, 2)],
-    )
-    assert any(
-        check.axiom == "connectivity"
-        for check in validate_tree_decomposition(g, disconnected).failures()
-    )
-
-    foreign = TreeDecomposition([frozenset({0, 1, 7})])
-    assert any(
-        check.axiom == "bag-contents"
-        for check in validate_tree_decomposition(g, foreign).failures()
-    )
+    """Each decomposition of the path 0-1-2 below fails the axiom named
+    with it; the first fails none."""
+    edges = [(0, 1), (1, 2)]
+    assert check_decomposition(3, edges, [{0, 1}, {1, 2}], [(0, 1)]).ok
+    for axiom, bags, tree in [
+        ("tree", [{0, 1}, {1, 2}, {2}], [(0, 1), (1, 2), (2, 0)]),
+        ("vertex-coverage", [{0, 1}], []),
+        ("edge-coverage", [{0, 1}, {2}], [(0, 1)]),
+        ("connectivity", [{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)]),
+        ("bag-contents", [{0, 1, 7}], []),
+    ]:
+        failures = check_decomposition(3, edges, bags, tree).failures()
+        assert axiom in {check.axiom for check in failures}, axiom
 
 
 @pytest.mark.parametrize(
@@ -227,8 +166,7 @@ def test_layered_width_measures_bag_layer_overlap():
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     td = TreeDecomposition([frozenset({0, 1, 2, 3})])
     ly = Layering([(0, 1), (2, 3)])
-    ltd = LayeredTreeDecomposition(td, ly)
-    assert layered_width(ltd) == 2
+    assert bags_layered_width(td.bags, layer_index(4, ly.layers)[0]) == 2
     bad = LayeredTreeDecomposition(td, Layering([(0, 1), (2,)]))
     with pytest.raises(
         InvalidLayering, match=r"^invalid layering: partition axiom fails at vertex 3$"
@@ -287,11 +225,12 @@ def test_an_axiom_with_no_witness_noun_gives_its_witness_bare():
 def test_bfs_layering_spans_edges_and_restarts():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
     ly = bfs_layering(g, [0])
-    assert validate_layering(g, ly).ok
-    assert ly.layer_of(0) == 1
+    layer_of, partition = layer_index(g.n, ly.layers)
+    assert partition.passed and edge_span(g.edges, layer_of).passed
+    assert layer_of[0] == 1
     # vertex 5 is isolated and 3-4 form a separate component; a separating
     # empty layer keeps edge spans valid after the restart
-    assert any(ly.layer(i) == () for i in range(1, ly.m + 1))
+    assert () in ly.layers
 
 
 def test_bfs_layering_restarts_each_component_from_its_smallest_vertex():
@@ -317,7 +256,7 @@ def test_random_decompositions_validate():
     rng = random.Random(7)
     for _ in range(50):
         g, td = random_decomposition(rng)
-        assert validate_tree_decomposition(g, td).ok
+        assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
 
 
 def _reference_checks(g, td):
@@ -421,10 +360,10 @@ def test_validator_matches_brute_force_on_broken_decompositions():
             edges = list(td.edges)
             breaker(rng, g, bags, edges)
             broken = TreeDecomposition(bags, edges, td.root)
-            got = [
-                (c.axiom, c.passed, c.witness)
-                for c in validate_tree_decomposition(g, broken).checks
-            ]
+            report = check_decomposition(
+                g.n, g.edges, broken.bags, broken.edges, broken.root
+            )
+            got = [(c.axiom, c.passed, c.witness) for c in report.checks]
             assert got == _reference_checks(g, broken)
             # A check left out of the report has caught nothing.
             caught[axiom] += not dict((a, p) for a, p, _ in got).get(axiom, True)
@@ -442,10 +381,10 @@ def test_validator_witnesses_are_smallest_among_several_failures():
         for _ in range(rng.randint(2, 4)):
             rng.choice(list(BREAKERS.values()))(rng, g, bags, edges)
         broken = TreeDecomposition(bags, edges, td.root)
-        got = [
-            (c.axiom, c.passed, c.witness)
-            for c in validate_tree_decomposition(g, broken).checks
-        ]
+        report = check_decomposition(
+            g.n, g.edges, broken.bags, broken.edges, broken.root
+        )
+        got = [(c.axiom, c.passed, c.witness) for c in report.checks]
         assert got == _reference_checks(g, broken)
 
 
@@ -459,7 +398,7 @@ def test_connectivity_on_a_cyclic_decomposition():
     td = TreeDecomposition(
         [{0, 1}, {0}, {0}, {1}, {0}], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
     )
-    report = validate_tree_decomposition(g, td)
+    report = check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
     got = [(c.axiom, c.passed, c.witness) for c in report.checks]
     assert got == _reference_checks(g, td)
     assert [(c.axiom, c.passed) for c in report.checks] == [
@@ -502,7 +441,7 @@ def test_connectivity_check_is_linear_on_a_star():
     )
     td.bags = tuple(CountingBag(bag) for bag in td.bags)
     td.edges = CountingPairs(td.edges)
-    assert validate_tree_decomposition(g, td).ok
+    assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
     assert pairs_read[0] >= len(td.edges)
     bag_sum = sum(len(bag) for bag in td.bags)
     assert work[0] + pairs_read[0] <= 8 * bag_sum
@@ -512,7 +451,7 @@ def _reference_layering_checks(g, ly):
     """The layering axioms stated directly, with the validator's witnesses:
     the first uncovered vertex, else the first stray id, and the first
     edge in sorted order whose endpoints lie two or more layers apart."""
-    layer_of = {v: i for i in range(1, ly.m + 1) for v in ly.layer(i)}
+    layer_of = {v: i for i, layer in enumerate(ly.layers, start=1) for v in layer}
     missing = next((v for v in range(g.n) if v not in layer_of), None)
     stray = next((v for v in sorted(layer_of) if not 0 <= v < g.n), None)
     bad_edge = next(
@@ -586,9 +525,10 @@ def test_layering_validator_matches_reference_on_broken_layerings():
             breakers = rng.choice(list(LAYERING_BREAKERS.values()))
             rng.choice(breakers)(rng, g, layers)
         broken = Layering(layers)
+        layer_of, partition = layer_index(g.n, broken.layers)
         got = [
             (c.axiom, c.passed, c.witness)
-            for c in validate_layering(g, broken).checks
+            for c in (partition, edge_span(g.edges, layer_of))
         ]
         assert got == _reference_layering_checks(g, broken)
         for axiom, passed, _ in got:

@@ -17,15 +17,15 @@ from clustercolor import (
     TreeDecomposition,
     bfs_layering,
     compute_constants,
+    edge_components,
     gen_grid,
     gen_kst_instance,
     gen_path,
     gen_rect_grid,
-    monochromatic_components,
     three_color,
     three_color_lists,
-    validate_layering,
 )
+from clustercolor.graph import edge_span, layer_index
 from helpers import (
     branching,
     folded_path,
@@ -64,17 +64,19 @@ def test_constants_reject_degenerate_inputs():
         compute_constants(1, 0)
 
 
-def _layer_class(ly, v):
-    """The class of v's layer: layers 1, 4, 7, ... are class 1, and so on."""
-    return (ly.layer_of(v) - 1) % 3 + 1
+def _layer_classes(ly):
+    """Each vertex's layer class: layers 1, 4, 7, ... are class 1, and so on."""
+    layer_of = layer_index(len(ly.vertices), ly.layers)[0]
+    return {v: (i - 1) % 3 + 1 for v, i in layer_of.items()}
 
 
 def _palette_violations(result, ly):
     palettes = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
+    classes = _layer_classes(ly)
     return [
         (v, result.coloring[v])
         for v in sorted(ly.vertices)
-        if result.coloring[v] not in palettes[_layer_class(ly, v)]
+        if result.coloring[v] not in palettes[classes[v]]
     ]
 
 
@@ -101,11 +103,12 @@ def _three_color_with_pairs(monkeypatch, g, ltd):
 
     layer_view = threecolor._layer_view
     pairs = {1: set(), 2: set(), 3: set()}
+    classes = _layer_classes(ltd.layering)
 
     def capturing(*args):
         view = layer_view(*args)
         ids = args[4]
-        cls = _layer_class(ltd.layering, ids[0])
+        cls = classes[ids[0]]
         for grp in view[4]:
             pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
         return view
@@ -117,10 +120,10 @@ def _three_color_with_pairs(monkeypatch, g, ltd):
 def _stage2_comps_are_respected(g, ly, result, stage2_pairs):
     """Every final color-2 component meets the second layer class in a set
     that the fake edges keep connected."""
-    keep = {v for v in ly.vertices if _layer_class(ly, v) == 2}
+    keep = {v for v, cls in _layer_classes(ly).items() if cls == 2}
     edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
     g2 = Graph(g.n, edges + sorted(stage2_pairs))
-    for color, verts in monochromatic_components(g, result.coloring).components:
+    for color, verts in edge_components(g.n, g.edges, result.coloring).components:
         if color == 2 and not _connected_within(g2, set(verts) & keep):
             return False
     return True
@@ -216,7 +219,7 @@ def test_three_color_lists_rejects_bad_edge_lines():
 def test_flat_edge_lines_are_indexed_once_and_may_be_lists():
     """three_color_lists indexes its edge lines with the pair index that
     Graph and TreeDecomposition use, once per call, so list lines color
-    exactly as tuple lines do; validate_layering indexes nothing."""
+    exactly as tuple lines do; the layering checks index nothing."""
     from clustercolor import graph
 
     calls = [0]
@@ -226,12 +229,13 @@ def test_flat_edge_lines_are_indexed_once_and_may_be_lists():
             calls[0] += 1
 
     bags, tree, rows = [frozenset({0, 1}), frozenset({1, 2})], [(0, 1)], [(0, 1, 2)]
-    g, ly = Graph(3, [(0, 1), (1, 2)]), Layering(rows)
+    g = Graph(3, [(0, 1), (1, 2)])
     sys.setprofile(profile)
     try:
         as_lists = three_color_lists(3, [[0, 1], [1, 2]], bags, tree, rows)
         colored = calls[0]
-        assert validate_layering(g, ly).ok
+        layer_of, partition = layer_index(g.n, rows)
+        assert partition.passed and edge_span(g.edges, layer_of).passed
     finally:
         sys.setprofile(None)
     assert (colored, calls[0]) == (1, 1)
@@ -245,11 +249,11 @@ def test_three_color_fake_edges_stay_inside_their_classes(monkeypatch):
     result, pairs = _three_color_with_pairs(monkeypatch, g, ltd)
     assert len(pairs[2]) == result.stage2_fake_edges
     assert len(pairs[3]) == result.stage3_fake_edges
-    ly = ltd.layering
+    classes = _layer_classes(ltd.layering)
     for a, b in pairs[2]:
-        assert _layer_class(ly, a) == 2 and _layer_class(ly, b) == 2
+        assert classes[a] == classes[b] == 2
     for a, b in pairs[3]:
-        assert _layer_class(ly, a) == 3 and _layer_class(ly, b) == 3
+        assert classes[a] == classes[b] == 3
 
 
 # SHA-256 of the .coloring text, clustering, and fake-edge counts of stages
@@ -323,7 +327,7 @@ def test_three_color_golden_outputs(name):
     assert result.clustering == clustering
     assert result.stage2_fake_edges == stage2
     assert result.stage3_fake_edges == stage3
-    measured = monochromatic_components(g, result.coloring)
+    measured = edge_components(g.n, g.edges, result.coloring)
     assert result.per_color_max == measured.per_color_max
 
 
@@ -485,13 +489,13 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
     from clustercolor import threecolor
 
     g, ltd, _ = gen_grid(6, triangulated=True)
-    ly = ltd.layering
+    layer_of = layer_index(g.n, ltd.layering.layers)[0]
     layer_view = threecolor._layer_view
     hit = []
 
     def over_budget(*args):
         *view, groups, pours = layer_view(*args)
-        li = ly.layer_of(args[4][0])
+        li = layer_of[args[4][0]]
         if li % 3 != 2 or hit:
             return (*view, groups, pours)
         # One more group on the same node than a stage-2 budget allows:
@@ -624,7 +628,7 @@ def _certified(g, ltd):
     result = three_color(g, ltd)
     assert set(result.coloring) == set(range(g.n))
     assert _palette_violations(result, ltd.layering) == []
-    measured = monochromatic_components(g, result.coloring)
+    measured = edge_components(g.n, g.edges, result.coloring)
     assert measured.max_size == result.clustering <= result.constants.g
     return result.coloring
 
@@ -697,7 +701,7 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
         [(t, t + 1) for t in range(n - 3)],
     )
     ly = bfs_layering(g, [0])
-    assert [set(ly.layer(i + 1)) for i in range(n // 2 + 1)] == [
+    assert [set(layer) for layer in ly.layers] == [
         {i, (n - i) % n} for i in range(n // 2 + 1)
     ]
     layer_view = threecolor._layer_view

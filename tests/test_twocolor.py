@@ -11,14 +11,14 @@ from clustercolor import (
     InternalInvariantError,
     InvalidDecomposition,
     TreeDecomposition,
+    check_decomposition,
     cluster_bound,
+    edge_components,
     enlarge_lists,
     gen_grid,
     gen_path,
     gen_rect_grid,
-    monochromatic_components,
     two_color_bounded_treewidth,
-    validate_tree_decomposition,
 )
 
 from helpers import connected, random_decomposition, random_groups, random_subtree
@@ -37,7 +37,7 @@ def test_two_color_path():
     assert set(coloring) == set(range(100))
     assert set(coloring.values()) <= {1, 2}
     assert measured <= cluster_bound(ltd.td.width(), delta)
-    assert measured == monochromatic_components(g, coloring).max_size
+    assert measured == edge_components(g.n, g.edges, coloring).max_size
 
 
 def test_two_color_is_deterministic():
@@ -110,7 +110,7 @@ def test_enlarge_adds_edges_and_bounds_width():
     edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
     g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
     assert g2.has_edge(0, 3) and g2.has_edge(1, 3) and g2.has_edge(0, 4)
-    assert validate_tree_decomposition(g2, td2).ok
+    assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
     assert td2.width() <= td.width() + 2 * 1 * 3 == 8
     assert g2.max_degree() <= g.max_degree() + 3
     assert not g.has_edge(0, 3)
@@ -286,7 +286,7 @@ def test_enlarge_random_instances_keep_bounds():
             g.n, g.edges, td.bags, td.edges, groups, budget
         )
         g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
-        assert validate_tree_decomposition(g2, td2).ok
+        assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
         assert td2.width() <= td.width() + 2 * (
             budget.max_groups_per_node * budget.max_pairs_per_group
         )

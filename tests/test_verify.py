@@ -6,7 +6,6 @@ from clustercolor import (
     BudgetExceeded,
     Graph,
     edge_components,
-    monochromatic_components,
     trigrid_path_oracle,
 )
 
@@ -28,7 +27,7 @@ def test_edge_components_accepts_self_loops_and_repeats():
 
 def test_components_proper_two_coloring_of_path():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    report = monochromatic_components(g, {0: 1, 1: 2, 2: 1, 3: 2})
+    report = edge_components(g.n, g.edges, {0: 1, 1: 2, 2: 1, 3: 2})
     assert report.max_size == 1
     assert len(report.components) == 4
     assert report.per_color_max == {1: 1, 2: 1}
@@ -36,21 +35,21 @@ def test_components_proper_two_coloring_of_path():
 
 def test_components_single_color_connected_graph():
     g = Graph(3, [(0, 1), (1, 2)])
-    report = monochromatic_components(g, {v: 5 for v in range(3)})
+    report = edge_components(g.n, g.edges, {v: 5 for v in range(3)})
     assert report.components == ((5, (0, 1, 2)),)
     assert report.max_size == 3
 
 
 def test_components_four_cycle_split():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    report = monochromatic_components(g, {0: 1, 1: 1, 2: 2, 3: 2})
+    report = edge_components(g.n, g.edges, {0: 1, 1: 1, 2: 2, 3: 2})
     assert report.max_size == 2
     assert len(report.components) == 2
 
 
 def test_components_cover_all_vertices():
     g = Graph(5, [(0, 1), (3, 4)])
-    report = monochromatic_components(g, {0: 1, 1: 2, 2: 1, 3: 3, 4: 3})
+    report = edge_components(g.n, g.edges, {0: 1, 1: 2, 2: 1, 3: 3, 4: 3})
     covered = sorted(v for _, verts in report.components for v in verts)
     assert covered == [0, 1, 2, 3, 4]
     assert report.max_size == 2
@@ -60,14 +59,13 @@ def test_components_cover_all_vertices():
 def test_components_require_total_coloring():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
-        monochromatic_components(g, {0: 1})
+        edge_components(g.n, g.edges, {0: 1})
 
 
 def test_missing_vertex_message_names_the_smallest():
     coloring = {0: 1, 2: 1, 4: 2}
     for run in (
         lambda: edge_components(6, [(0, 5)], coloring),
-        lambda: monochromatic_components(Graph(6, [(0, 5)]), coloring),
         lambda: edge_components(6, [(0, 5)], [1]),
     ):
         with pytest.raises(ValueError, match=r"^coloring missing vertex 1$"):
@@ -117,7 +115,8 @@ def test_edge_components_match_the_graph_wrapper_and_a_bfs():
         palette = rng.choice([(1, 2, 3), (0, 7), (-1, 4, 5, 9), ("a", "b")])
         coloring = {v: rng.choice(palette) for v in range(n)}
         report = edge_components(n, edges, coloring)
-        assert report == monochromatic_components(Graph(n, edges), coloring)
+        # The graph's distinct edges give the same report.
+        assert report == edge_components(n, Graph(n, edges).edges, coloring)
         components, max_size, per_color = bfs_components(n, edges, coloring)
         assert report.components == components
         assert report.max_size == max_size
@@ -137,8 +136,8 @@ def test_refining_colors_never_grows_components():
         g = Graph(n, edges)
         coarse = {v: rng.randint(1, 2) for v in range(n)}
         fine = {v: (coarse[v], rng.randint(1, 2)) for v in range(n)}
-        coarse_max = monochromatic_components(g, coarse).max_size
-        fine_max = monochromatic_components(g, fine).max_size
+        coarse_max = edge_components(g.n, g.edges, coarse).max_size
+        fine_max = edge_components(g.n, g.edges, fine).max_size
         assert fine_max <= coarse_max
 
 
