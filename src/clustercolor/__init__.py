@@ -8,7 +8,7 @@ decomposition enlargement, instance generators, an exhaustive
 verification oracle, and PACE-format files.
 
 The root re-exports names only from the modules the commands load. The
-one piece of the paper's s >= 2 argument left, fences and fans
+one piece of the paper's s >= 2 argument left, fences
 (``clustercolor.fences``), is imported by name, and no command loads it.
 """
 

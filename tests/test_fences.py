@@ -11,16 +11,13 @@ from clustercolor.fences import (
     epsilon_fence,
     f_parts,
     fence,
-    find_fan,
-    is_parade,
-    n_fan_bound,
 )
 
-from helpers import random_decomposition, shared_core_parade
+from helpers import random_decomposition
 
-# SHA-256 of _fence_outputs(): every fence, epsilon-fence and fan on the
-# seeded corpus. A change that moves any of them moves this digest.
-FENCE_DIGEST = "1193b07c09fb9d63914a6ea724473076037a604cd390fee918d67ead260b6748"
+# SHA-256 of _fence_outputs(): every fence and epsilon-fence on the seeded
+# corpus. A change that moves any of them moves this digest.
+FENCE_DIGEST = "05b91d1bc57cc310bbe39ef8af8ca14bea776a318e31764d618c2cde696319ae"
 
 
 def _singleton_path(n):
@@ -48,43 +45,6 @@ def _parents(td):
     return parent
 
 
-def _in_subtree(parent, anc, node):
-    while node is not None:
-        if node == anc:
-            return True
-        node = parent[node]
-    return False
-
-
-def assert_fan_properties(td, fan, w):
-    """Re-derive the fan conditions from scratch."""
-    nodes = fan.nodes
-    parent = _parents(td)
-    assert 0 <= fan.level <= w
-    for i in range(len(nodes) - 1):
-        assert nodes[i + 1] != nodes[i]
-        assert _in_subtree(parent, nodes[i], nodes[i + 1])
-    for i in range(len(nodes) - 1):
-        assert _in_subtree(parent, nodes[i], nodes[-1])
-    anchor_bag = td.bags[nodes[0]]
-    rest = [td.bags[t] - anchor_bag for t in nodes[1:]]
-    for i, bag in enumerate(nodes[1:]):
-        assert len(td.bags[bag] & anchor_bag) == fan.level
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            assert not rest[i] & rest[j]
-
-
-def test_fan_bound_table():
-    assert [n_fan_bound(0, k) for k in (1, 2, 3, 4)] == [2, 2, 3, 4]
-    assert [n_fan_bound(1, k) for k in (1, 2, 3, 4)] == [0, 4, 12, 24]
-    assert [n_fan_bound(2, k) for k in (1, 2, 3, 4)] == [0, 18, 108, 324]
-    with pytest.raises(ValueError):
-        n_fan_bound(-1, 2)
-    with pytest.raises(ValueError):
-        n_fan_bound(1, 0)
-
-
 def test_f_parts_shapes():
     td = _singleton_path(5)
     whole = f_parts(td.bags, td.edges, [])
@@ -99,8 +59,9 @@ def test_f_parts_shapes():
         assert part.boundary == frozenset({2})
     assert frozenset().union(*(p.nodes for p in parts)) == frozenset(range(5))
 
-    with pytest.raises(ValueError):
-        f_parts(td.bags, td.edges, [9])
+    for node in (9, -1):
+        with pytest.raises(ValueError, match=f"^fence node {node} out of range$"):
+            f_parts(td.bags, td.edges, [node])
 
 
 def test_central_node_single_node_tree():
@@ -202,62 +163,6 @@ def test_fence_random_instances():
         result = fence(td.bags, td.edges, q, w)
         _check_fence(td, result)
         done += 1
-
-
-def test_is_parade():
-    td = _singleton_path(6)
-    assert is_parade(td.bags, td.edges, (0, 2, 5))
-    assert is_parade(td.bags, td.edges, (3,))
-    assert not is_parade(td.bags, td.edges, (2, 1))
-    assert not is_parade(td.bags, td.edges, (2, 2))
-
-
-def test_find_fan_on_disjoint_bags():
-    td = _singleton_path(4)
-    fan = find_fan(td.bags, td.edges, (0, 1, 2, 3), 0, 4)
-    assert fan.nodes == (0, 1, 2, 3)
-    assert fan.level == 0
-    assert_fan_properties(td, fan, 0)
-
-
-def test_find_fan_shared_core():
-    td, parade = shared_core_parade(1, 12)
-    fan = find_fan(td.bags, td.edges, parade, 1, 3)
-    assert fan.level == 1
-    assert len(fan.nodes) == 3
-    assert_fan_properties(td, fan, 1)
-
-    td2, parade2 = shared_core_parade(2, 108)
-    fan2 = find_fan(td2.bags, td2.edges, parade2, 2, 3)
-    assert fan2.level == 2
-    assert_fan_properties(td2, fan2, 2)
-
-
-def test_find_fan_with_decoy_branches():
-    td, parade = shared_core_parade(1, 12, extra=3)
-    fan = find_fan(td.bags, td.edges, parade, 1, 3)
-    assert_fan_properties(td, fan, 1)
-    assert set(fan.nodes) <= set(parade)
-
-
-def test_find_fan_preconditions():
-    td = _singleton_path(4)
-    with pytest.raises(ValueError):
-        find_fan(td.bags, td.edges, (), 0, 2)
-    with pytest.raises(ValueError):
-        find_fan(td.bags, td.edges, (0, 1), 0, 3)
-    wide = TreeDecomposition(
-        [frozenset({0, 1}), frozenset({2})], [(0, 1)]
-    )
-    with pytest.raises(ValueError):
-        find_fan(wide.bags, wide.edges, (0, 1), 0, 2)
-    nested = TreeDecomposition(
-        [frozenset({0, 1}), frozenset({0})], [(0, 1)]
-    )
-    with pytest.raises(ValueError):
-        find_fan(nested.bags, nested.edges, (0, 1), 1, 2)
-    with pytest.raises(ValueError):
-        find_fan(td.bags, td.edges, (2, 1, 0), 0, 3)
 
 
 def _components(parent, nodes):
@@ -363,23 +268,6 @@ def test_central_node_and_parts_match_brute_force():
         )
 
 
-def _fan_corpus():
-    """Seeded parades at the guaranteed length or longer: shared-core paths
-    with decoys, and random paths."""
-    rng = random.Random(2017)
-    for _ in range(120):
-        w, k = rng.randint(0, 2), rng.randint(1, 3)
-        need = max(n_fan_bound(w, k), 1)
-        if rng.random() < 0.3:
-            td, parade = shared_core_parade(
-                w, need + rng.randint(0, 4), rng.randint(0, 3)
-            )
-        else:
-            length = need + rng.randint(0, 6)
-            td, parade = _random_parade(rng, w, length + rng.randint(0, 6), length)
-        yield td, parade, w, k
-
-
 def _fence_outputs():
     lines = []
     for td, q, w in _fence_corpus():
@@ -392,14 +280,11 @@ def _fence_outputs():
                 )
             )
         )
-    for td, parade, w, k in _fan_corpus():
-        fan = find_fan(td.bags, td.edges, parade, w, k)
-        lines.append(repr((fan.nodes, fan.level, fan.anchor)))
     return "\n".join(lines)
 
 
-def test_fence_and_fan_outputs_are_pinned():
-    """Fence and fan outputs on a seeded corpus, pinned by digest."""
+def test_fence_outputs_are_pinned():
+    """Fence outputs on a seeded corpus, pinned by digest."""
     digest = hashlib.sha256(_fence_outputs().encode()).hexdigest()
     assert digest == FENCE_DIGEST
 
@@ -437,21 +322,6 @@ def test_fence_rejects_negative_width():
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda td: find_fan(td.bags, td.edges, (0, 1, 2, 9), 0, 4),
-        lambda td: find_fan(td.bags, td.edges, (9, 0, 1, 2), 0, 4),
-        lambda td: find_fan(td.bags, td.edges, (0, 1, 2, -1), 0, 4),
-        lambda td: is_parade(td.bags, td.edges, (0, 9)),
-        lambda td: is_parade(td.bags, td.edges, (-1,)),
-    ],
-)
-def test_parade_node_out_of_range_is_named(call):
-    with pytest.raises(ValueError, match=r"^parade node (9|-1) out of range$"):
-        call(_singleton_path(4))
-
-
-@pytest.mark.parametrize(
     "edges, message",
     [
         ([(0, 1), (1, 2)], "connectivity axiom fails at vertex 0"),
@@ -467,8 +337,6 @@ def test_fences_refuse_non_decompositions(edges, message):
         lambda: epsilon_fence(bags, edges, range(13), 1, 0),
         lambda: fence(bags, edges, range(13), 0),
         lambda: f_parts(bags, edges, [1]),
-        lambda: is_parade(bags, edges, (0, 1)),
-        lambda: find_fan(bags, edges, (0, 1, 2), 0, 3),
     ]
     expected = f"^invalid decomposition: {message}$"
     for call in calls:

@@ -77,7 +77,7 @@ def test_layering_accessors():
         Layering([(0,), (0,)])
 
 
-def test_validate_layering_axioms():
+def test_layer_index_and_edge_span_axioms():
     edges = [(0, 1), (1, 2)]
     layer_of, partition = layer_index(3, [(0,), (1,), (2,)])
     assert partition.passed and edge_span(edges, layer_of).passed
@@ -101,7 +101,7 @@ def test_tree_decomposition_accessors():
     assert TreeDecomposition([frozenset()]).width() == -1
 
 
-def test_validate_tree_decomposition_axioms():
+def test_check_decomposition_axioms():
     """Each decomposition of the path 0-1-2 below fails the axiom named
     with it; the first fails none."""
     edges = [(0, 1), (1, 2)]
@@ -162,7 +162,7 @@ def test_flat_rows_must_partition_the_vertices(rows, witness):
     ):
         three_color_lists(3, [(0, 1)], [frozenset({0, 1, 2})], [], rows)
 
-def test_layered_width_measures_bag_layer_overlap():
+def test_bags_layered_width_measures_bag_layer_overlap():
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     td = TreeDecomposition([frozenset({0, 1, 2, 3})])
     ly = Layering([(0, 1), (2, 3)])

@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every private
-helper of the package is used somewhere in it, and every function of
-``tests/helpers.py`` is named by another test module.
+helper of the package, and of the tests, is used somewhere in it, and
+every function of ``tests/helpers.py`` is named by another test module.
 
 The package's ``__init__.py`` is left out of the import check: its imports
 are re-exports, checked against ``__all__`` by ``test_exports.py``.
@@ -120,3 +120,8 @@ def test_finds_a_shared_test_helper_that_no_other_module_names():
 def test_every_shared_test_helper_is_named_by_another_test_module():
     sources = {path.stem: path.read_text() for path in TESTS}
     assert _unreferenced_helpers(sources, owner="helpers") == []
+
+
+def test_tests_use_every_private_helper():
+    sources = {path.stem: path.read_text() for path in TESTS}
+    assert _unreferenced_helpers(sources) == []

@@ -99,7 +99,7 @@ def bfs_components(n, edges, coloring):
     return tuple(components), max_size, per_color
 
 
-def test_edge_components_match_the_graph_wrapper_and_a_bfs():
+def test_edge_components_match_distinct_edges_and_a_bfs():
     rng = random.Random(29)
     for trial in range(300):
         n = 0 if trial < 3 else rng.randint(1, 40)
