@@ -7,9 +7,9 @@ pipeline it provides the supporting machinery: structural validators,
 decomposition enlargement, instance generators, an exhaustive
 verification oracle, and PACE-format files.
 
-The root re-exports names only from the modules the commands load. The
-one piece of the paper's s >= 2 argument left, fences
-(``clustercolor.fences``), is imported by name, and no command loads it.
+It implements the s = 1 case of the paper's theorem, the 3-coloring of
+bounded-degree graphs; it has no colorer for K_{s,t}-free graphs with
+s >= 2. Every module is one that the commands load.
 """
 
 from .errors import (

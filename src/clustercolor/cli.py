@@ -93,23 +93,21 @@ def cmd_color3(args) -> int:
 
 def _read_coloring(path: str, n: int) -> dict[int, int]:
     coloring: dict[int, int] = {}
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise PaceParseError("expected 'vertex color'", lineno)
-            try:
-                v, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise PaceParseError("expected two integers", lineno) from None
-            if not 0 <= v < n:
-                raise PaceParseError(f"vertex {v} out of range", lineno)
-            if v in coloring:
-                raise PaceParseError(f"vertex {v} colored twice", lineno)
-            coloring[v] = c
+    for lineno, raw in enumerate(pace._read(path).splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise PaceParseError("expected 'vertex color'", lineno)
+        try:
+            v, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise PaceParseError("expected two integers", lineno) from None
+        if not 0 <= v < n:
+            raise PaceParseError(f"vertex {v} out of range", lineno)
+        if v in coloring:
+            raise PaceParseError(f"vertex {v} colored twice", lineno)
+        coloring[v] = c
     for v in range(n):
         if v not in coloring:
             raise ValueError(f"coloring file is missing vertex {v}")

@@ -232,8 +232,19 @@ def text_to_rows(text: str) -> list[tuple[int, ...]]:
 
 
 def _read(path: str | os.PathLike) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    """The text of the file at ``path``, which must be ASCII. A byte that is
+    not raises PaceParseError naming the file, at the line the parsers'
+    ``splitlines`` would give it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("ascii")
+        lineno = len((before + "_").splitlines())
+        raise PaceParseError(
+            f"non-ASCII byte 0x{data[exc.start]:02x} in {os.fspath(path)}", lineno
+        ) from None
 
 
 def _write(path: str | os.PathLike, text: str) -> None:

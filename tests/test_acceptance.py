@@ -26,12 +26,10 @@ from clustercolor import (
     trigrid_path_oracle,
     two_color_bounded_treewidth,
 )
-from clustercolor.fences import fence
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
 from clustercolor import pace
 
 from helpers import random_decomposition, random_groups
-from test_fences import _check_fence
 
 
 def _report(num, ok, detail):
@@ -112,31 +110,6 @@ def test_criterion_03_enlargement_stays_within_budget():
         _report(3, False, f"raised {type(exc).__name__}: {exc}")
         raise
     _report(3, True, "200 randomized enlargements within width/degree budgets")
-
-
-def test_criterion_04_fence_conditions_hold():
-    rng = random.Random(12)
-    start = time.perf_counter()
-    try:
-        done = 0
-        while done < 200:
-            g, td = random_decomposition(rng, max_nodes=20, max_bag=3)
-            universe = sorted(
-                set().union(*(td.bags[t] for t in range(td.node_count)))
-            )
-            if not universe:
-                continue
-            q = frozenset(rng.sample(universe, rng.randint(0, len(universe))))
-            w = max(td.width(), 0)
-            _check_fence(td, fence(td.bags, td.edges, q, w))
-            done += 1
-    except Exception as exc:
-        _report(4, False, f"raised {type(exc).__name__}: {exc}")
-        raise
-    elapsed = time.perf_counter() - start
-    ok = elapsed < 30.0
-    _report(4, ok, f"200 randomized fences verified in {elapsed:.1f}s")
-    assert elapsed < 30.0
 
 
 def test_criterion_07_triangulated_grid_path_oracle():

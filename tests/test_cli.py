@@ -495,13 +495,22 @@ def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
 
 def test_verify_reads_the_coloring_file_as_ascii(tmp_path, capsys):
     """A non-ASCII digit is not a vertex id, in the coloring file as in
-    every other input: the Arabic-Indic zero is refused, not read as 0."""
+    every other input: the Arabic-Indic zero is refused, not read as 0. The
+    error names the file and the line of the first non-ASCII byte, with
+    lines counted as the parsers count them."""
     gr = tmp_path / "p2.gr"
     gr.write_text("p tw 2 1\n1 2\n")
     coloring = tmp_path / "c.coloring"
     coloring.write_bytes(b"\xd9\xa0 1\n1 1\n")
-    assert main(["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: non-ASCII byte 0xd9 in {coloring}\n"
+    )
+    coloring.write_text("0 1\n1 1\n")
+    gr.write_bytes(b"p tw 2 1\r1 2\n\xff\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: line 3: non-ASCII byte 0xff in {gr}\n"
 
 
 def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
@@ -654,8 +663,6 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     )
 
 
-TOOLKIT = ("clustercolor.fences",)
-
 COMMANDS_IN_ONE_PROCESS = """
 import json, sys
 from clustercolor.cli import main
@@ -668,10 +675,17 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_no_command_loads_the_s2_toolkit(tmp_path):
-    """``gen``, ``color3`` and ``verify`` run in a fresh interpreter without
-    importing the modules of the paper's s >= 2 argument."""
+def test_the_commands_load_every_module_of_the_package(tmp_path):
+    """``gen``, ``color3`` and ``verify`` run in a fresh interpreter and
+    between them import every module of the package but ``__main__``, so
+    no module is left that no command reaches."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    package = os.path.join(src, "clustercolor")
+    modules = {
+        f"clustercolor.{name[:-3]}".removesuffix(".__init__")
+        for name in os.listdir(package)
+        if name.endswith(".py") and name != "__main__.py"
+    }
     proc = subprocess.run(
         [sys.executable, "-c", COMMANDS_IN_ONE_PROCESS, str(tmp_path / "tri")],
         capture_output=True,
@@ -680,5 +694,5 @@ def test_no_command_loads_the_s2_toolkit(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-    assert "clustercolor.cli" in loaded
-    assert loaded.isdisjoint(TOOLKIT), sorted(loaded & set(TOOLKIT))
+    assert "clustercolor.cli" in modules
+    assert modules <= loaded, sorted(modules - loaded)
