@@ -13,6 +13,7 @@ Coloring files hold one ``vertex color`` pair per line with the library's
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -98,15 +99,15 @@ def _read_coloring(path: str, n: int) -> dict[int, int]:
         if not parts:
             continue
         if len(parts) != 2:
-            raise PaceParseError("expected 'vertex color'", lineno)
+            raise PaceParseError("expected 'vertex color'", lineno, path)
         try:
             v, c = int(parts[0]), int(parts[1])
         except ValueError:
-            raise PaceParseError("expected two integers", lineno) from None
+            raise PaceParseError("expected two integers", lineno, path) from None
         if not 0 <= v < n:
-            raise PaceParseError(f"vertex {v} out of range", lineno)
+            raise PaceParseError(f"vertex {v} out of range", lineno, path)
         if v in coloring:
-            raise PaceParseError(f"vertex {v} colored twice", lineno)
+            raise PaceParseError(f"vertex {v} colored twice", lineno, path)
         coloring[v] = c
     for v in range(n):
         if v not in coloring:
@@ -163,6 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The commands make no reference cycles on their success path, so the
+    # cyclic collector would only rescan their live objects; it is paused
+    # for the command and restored as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         # A buffered stdout meets a closed reader here, not at exit.
@@ -181,6 +187,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

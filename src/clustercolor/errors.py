@@ -14,10 +14,13 @@ class InvalidLayering(ValueError):
 
 
 class PaceParseError(ValueError):
-    """Malformed PACE-style input file."""
+    """Malformed PACE-style input file: ``detail`` says what is wrong at
+    ``line``; the message names the file too when ``path`` is given."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, detail: str, line: int, path: str | None = None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {detail}")
+        self.detail = detail
         self.line = line
 
 
@@ -29,13 +32,15 @@ class GroupBudgetError(ValueError):
     """An edge-group input violated its declared budget.
 
     ``budget`` names the violated field so callers can tell which
-    precondition failed; ``detail`` is the message without that name.
+    precondition failed; ``detail`` is the message without that name, and
+    ``part`` the index of the part of the input that violated it, if any.
     """
 
-    def __init__(self, budget: str, detail: str):
+    def __init__(self, budget: str, detail: str, part: int | None = None):
         super().__init__(f"{budget}: {detail}")
         self.budget = budget
         self.detail = detail
+        self.part = part
 
 
 class ClusteringBoundError(RuntimeError):
@@ -43,12 +48,19 @@ class ClusteringBoundError(RuntimeError):
 
     Raised after the fact by the verifying colorers; ``stage`` identifies
     which bound was violated and ``witness`` the vertices of the largest
-    monochromatic component, ``measured`` of them. A stage's component is
+    monochromatic component, ``measured`` of them, and ``part`` the index
+    of the part of the input they lie in, if any. A stage's component is
     taken in the layer graph with the enlargement's added pairs, so it need
     not be connected in the caller's graph.
     """
 
-    def __init__(self, stage: str, witness: tuple[int, ...], bound: int):
+    def __init__(
+        self,
+        stage: str,
+        witness: tuple[int, ...],
+        bound: int,
+        part: int | None = None,
+    ):
         measured = len(witness)
         super().__init__(
             f"{stage}: measured clustering {measured} exceeds bound {bound}"
@@ -57,7 +69,13 @@ class ClusteringBoundError(RuntimeError):
         self.measured = measured
         self.bound = bound
         self.witness = witness
+        self.part = part
 
 
 class InternalInvariantError(RuntimeError):
-    """A condition the construction guarantees was found violated."""
+    """A condition the construction guarantees was found violated; ``part``
+    is the index of the part of the input where, if one can be named."""
+
+    def __init__(self, message: str, part: int | None = None):
+        super().__init__(message)
+        self.part = part

@@ -243,8 +243,18 @@ def _read(path: str | os.PathLike) -> str:
         before = data[: exc.start].decode("ascii")
         lineno = len((before + "_").splitlines())
         raise PaceParseError(
-            f"non-ASCII byte 0x{data[exc.start]:02x} in {os.fspath(path)}", lineno
+            f"non-ASCII byte 0x{data[exc.start]:02x}", lineno, os.fspath(path)
         ) from None
+
+
+def _parse_file(path: str | os.PathLike, parse, *args):
+    """``parse`` of the text of the file at ``path`` and ``args``; its
+    PaceParseError is raised again naming the file."""
+    text = _read(path)
+    try:
+        return parse(text, *args)
+    except PaceParseError as exc:
+        raise PaceParseError(exc.detail, exc.line, os.fspath(path)) from None
 
 
 def _write(path: str | os.PathLike, text: str) -> None:
@@ -253,7 +263,7 @@ def _write(path: str | os.PathLike, text: str) -> None:
 
 
 def read_edges(path: str | os.PathLike) -> tuple[int, list[tuple[int, int]]]:
-    return pace_to_edges(_read(path))
+    return _parse_file(path, pace_to_edges)
 
 
 def write_graph(g: Graph, path: str | os.PathLike) -> None:
@@ -263,7 +273,7 @@ def write_graph(g: Graph, path: str | os.PathLike) -> None:
 def read_bags(
     path: str | os.PathLike, n_graph: int | None = None
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    return pace_to_bags(_read(path), n_graph)
+    return _parse_file(path, pace_to_bags, n_graph)
 
 
 def write_td(td: TreeDecomposition, n_vertices: int, path: str | os.PathLike) -> None:
@@ -271,7 +281,7 @@ def write_td(td: TreeDecomposition, n_vertices: int, path: str | os.PathLike) ->
 
 
 def read_rows(path: str | os.PathLike) -> list[tuple[int, ...]]:
-    return text_to_rows(_read(path))
+    return _parse_file(path, text_to_rows)
 
 
 def write_layering(ly: Layering, path: str | os.PathLike) -> None:

@@ -10,12 +10,22 @@ one edge group of fake edges, so the layer's coloring cannot cut through
 that component's neighborhood. Each color appears in only two classes,
 which caps the size of every monochromatic component by a function of the
 layered width and the maximum degree alone.
+
+The layers of a class lie three or more apart, so no edge joins two of them
+and no guard component guards two of them. Each class is therefore colored
+in one pass: one view holds all its layers side by side, each layer one
+part, and is enlarged, validated and banded once. What the rule sets per
+layer stays per layer: the band length, the clustering bound from the
+layer's own enlarged width, the group budget, the fake-edge count and the
+components that guard the next classes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ClusteringBoundError,
@@ -121,57 +131,75 @@ class ThreeColorResult:
     edge_count: int
 
 
-def _layer_view(
+class _ClassView(NamedTuple):
+    """A layer class as plain lists in local ids, for ``enlarge_lists`` and
+    ``band_color``. ``ids`` holds the class's vertices, layer after layer,
+    each layer ascending; a local id is a position in ``ids``. ``edges``,
+    ``bags``, ``tree_edges`` and ``depth`` are the class's edges and its
+    sparse decomposition, with each node's original depth. ``groups`` holds
+    the edge groups, layer after layer, and ``parts`` each layer's vertex
+    and group ends in ``ids`` and ``groups``. ``pours`` gives each group's
+    endpoints and subtree in original ids."""
+
+    ids: list[int]
+    edges: list[tuple[int, int]]
+    bags: list[set[int]]
+    tree_edges: list[tuple[int, int]]
+    depth: list[int]
+    groups: list[EdgeGroup]
+    parts: list[tuple[int, int]]
+    pours: list[tuple[list[int], frozenset[int]]]
+
+
+def _class_view(
     adj: Sequence[Sequence[int]],
     holders: Sequence[Sequence[int]],
     parent: list[int],
     depth: list[int],
-    ids: tuple[int, ...],
-    guards: list[frozenset[int]],
-) -> tuple[
-    list[tuple[int, int]],
-    list[set[int]],
-    list[tuple[int, int]],
-    list[int],
-    list[EdgeGroup],
-    list[tuple[list[int], frozenset[int]]],
-]:
-    """The layer, its sparse sub-decomposition and the edge groups that
-    guard it, as plain lists in local ids: the layer's edges, the view's
-    bags, tree edges and original node depths, and the groups; last, each
-    group's endpoints and subtree in original ids.
+    layers: Sequence[tuple[Sequence[int], list[tuple[int, ...]]]],
+) -> _ClassView:
+    """The view of one layer class, given each of its layers as its sorted
+    vertices and the guard components of its colored neighbor layers.
 
-    Local vertex ids are positions in ``ids``, the layer's sorted vertices.
+    The layers of a class lie three or more apart, so no edge joins two of
+    them and no guard component has neighbors in two; the view is the
+    disjoint union of the layers' own views, each layer one part.
     ``holders`` gives each vertex's nodes, including for a colored layer's
     vertex the subtrees it was poured into. Each guard component with at
-    least two neighbors in the layer gives one group: all pairs of those
+    least two neighbors in its layer gives one group: all pairs of those
     neighbors, and as subtree the nodes whose (possibly enlarged) bags meet
     the component, those holding one of its vertices, which hold each
     neighbor with it.
 
-    The view keeps the nodes that hold a layer vertex and the nodes of every
+    The view keeps the nodes that hold a class vertex and the nodes of every
     group subtree, in ascending original id, with the original tree edges
     among them. Every vertex's node set, original and poured, is kept whole
     and is connected, so chaining the forest's component tops (kept nodes
     whose parent is not kept) in ascending order yields a valid
-    decomposition of the layer.
+    decomposition of the class.
     """
+    ids = [v for layer, _ in layers for v in layer]
     edges, index = _induce(adj, ids)
     kept = {t for v in ids for t in holders[v]}
     found = []
-    for comp in sorted(guards, key=min):
-        ends = sorted({index[u] for c in comp for u in adj[c] if u in index})
-        if len(ends) < 2:
-            continue
-        subtree = frozenset(t for c in comp for t in holders[c])
-        kept |= subtree
-        found.append((ends, subtree))
+    parts = []
+    end = 0
+    for layer, guards in layers:
+        for comp in sorted(guards, key=min):
+            ends = sorted({index[u] for c in comp for u in adj[c] if u in index})
+            if len(ends) < 2:
+                continue
+            subtree = frozenset(t for c in comp for t in holders[c])
+            kept |= subtree
+            found.append((ends, subtree))
+        end += len(layer)
+        parts.append((end, len(found)))
     nodes = sorted(kept)
     local = {t: i for i, t in enumerate(nodes)}
-    view_bags: list[set[int]] = [set() for _ in nodes]
+    bags: list[set[int]] = [set() for _ in nodes]
     for i, v in enumerate(ids):
         for t in holders[v]:
-            view_bags[local[t]].add(i)
+            bags[local[t]].add(i)
     tree_edges: list[tuple[int, int]] = []
     tops: list[int] = []
     for i, t in enumerate(nodes):
@@ -191,7 +219,15 @@ def _layer_view(
         for ends, subtree in found
     ]
     pours = [([ids[i] for i in ends], subtree) for ends, subtree in found]
-    return edges, view_bags, tree_edges, [depth[t] for t in nodes], groups, pours
+    return _ClassView(
+        ids, edges, bags, tree_edges, [depth[t] for t in nodes], groups, parts, pours
+    )
+
+
+def _stage(cls: int, layers: Sequence[int], part: int | None) -> str:
+    """The name of class ``cls``'s stage, and of the layer that is the given
+    part of its view, when there is one."""
+    return f"stage-{cls}" if part is None else f"stage-{cls} layer {layers[part]}"
 
 
 def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
@@ -225,7 +261,9 @@ def three_color_lists(
     layers two or more apart InvalidLayering.
     The constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
-    and layer; the final clustering is measured and checked before returning.
+    and the lowest failing layer of the class (a broken view tree, which no
+    layer owns, names the stage alone); the final clustering is measured
+    and checked before returning.
     Each vertex's nodes (``holders``) grow, once its layer is colored, by
     the group subtrees it was poured into.
     """
@@ -254,53 +292,66 @@ def three_color_lists(
 
     coloring = [0] * n
     # Monochromatic components of each colored layer, as original ids,
-    # keyed by (layer index, final color).
-    comps: dict[tuple[int, int], list[frozenset[int]]] = {}
+    # keyed by (layer index, final color); only those in a color that a
+    # later class's palette shares, the ones that guard a later layer.
+    comps: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     fake_edges = {cls: 0 for cls, *_ in stages}
 
-    for cls, palette, degree, budget in stages:
-        for li in range(cls, len(rows) + 1, 3):
-            ids = rows[li - 1]
-            if not ids:
-                continue
-            guards = [
-                comp
-                for lj in (li - 1, li + 1)
-                for color in palette
-                for comp in comps.get((lj, color), ())
-            ]
-            view_edges, view_bags, view_tree, view_depth, groups, pours = _layer_view(
-                adj, holders, parent, depth, ids, guards
+    for k, (cls, palette, degree, budget) in enumerate(stages):
+        lis = [li for li in range(cls, len(rows) + 1, 3) if rows[li - 1]]
+        if not lis:
+            continue
+        guarding = {color for _, later, *_ in stages[k + 1 :] for color in later}
+        guarded = [
+            (
+                rows[li - 1],
+                [
+                    comp
+                    for lj in (li - 1, li + 1)
+                    for color in palette
+                    for comp in comps.get((lj, color), ())
+                ],
             )
-            k = len(ids)
-            stage = f"stage-{cls} layer {li}"
-            # enlarge_lists validates the view, with or without pairs to add.
-            try:
-                view_edges, view_bags = enlarge_lists(
-                    k, view_edges, view_bags, view_tree, groups, budget
+            for li in lis
+        ]
+        view = _class_view(adj, holders, parent, depth, guarded)
+        ids, ends = view.ids, [end for end, _ in view.parts]
+        # enlarge_lists validates the view, with or without pairs to add.
+        try:
+            view_edges, view_bags = enlarge_lists(
+                len(ids), view.edges, view.bags, view.tree_edges, view.groups,
+                budget, view.parts,
+            )
+            colors, clusters = band_color(
+                len(ids), view_edges, view_bags, view.depth, degree, ends
+            )
+        except GroupBudgetError as exc:
+            stage = _stage(cls, lis, exc.part)
+            raise GroupBudgetError(exc.budget, f"{stage}: {exc.detail}") from exc
+        except ClusteringBoundError as exc:
+            witness = tuple(ids[v] for v in exc.witness)
+            stage = _stage(cls, lis, exc.part)
+            raise ClusteringBoundError(stage, witness, exc.bound) from exc
+        except InternalInvariantError as exc:
+            stage = _stage(cls, lis, exc.part)
+            raise InternalInvariantError(f"{stage}: {exc}") from exc
+        for v, color in zip(ids, colors):
+            coloring[v] = palette[color - 1]
+        for color, local_comp in clusters.components:
+            color = palette[color - 1]
+            if color in guarding:
+                li = lis[bisect_right(ends, local_comp[0])]
+                comps.setdefault((li, color), []).append(
+                    tuple(map(ids.__getitem__, local_comp))
                 )
-                colors, clusters = band_color(
-                    k, view_edges, view_bags, view_depth, degree
-                )
-            except GroupBudgetError as exc:
-                raise GroupBudgetError(exc.budget, f"{stage}: {exc.detail}") from exc
-            except ClusteringBoundError as exc:
-                witness = tuple(ids[v] for v in exc.witness)
-                raise ClusteringBoundError(stage, witness, exc.bound) from exc
-            except InternalInvariantError as exc:
-                raise InternalInvariantError(f"{stage}: {exc}") from exc
-            for v, color in zip(ids, colors):
-                coloring[v] = palette[color - 1]
-            for color, local_comp in clusters.components:
-                comps.setdefault((li, palette[color - 1]), []).append(
-                    frozenset(ids[v] for v in local_comp)
-                )
-            # Pairs repeat across the groups of one layer, never across layers.
-            fake_edges[cls] += len(set().union(*(grp.pairs for grp in groups)))
-            # The later layers this one guards see its poured bags.
-            for ends, subtree in pours:
-                for v in ends:
-                    holders[v].extend(subtree)
+        # Pairs repeat across the groups of one layer, never across layers.
+        fake_edges[cls] += len(set().union(*(grp.pairs for grp in view.groups)))
+        # The later layers this class guards see its poured bags.
+        for pair_ends, subtree in view.pours:
+            for v in pair_ends:
+                holders[v].extend(subtree)
+        # Free this class's lists before the next class's are built.
+        del view, view_edges, view_bags, colors, clusters
 
     report = edge_components(n, edges, coloring)
     if report.max_size > constants.g:

@@ -6,14 +6,19 @@ at the shallowest node whose bag contains it, anchor depths are cut into
 bands as long as the deepest bag-interval any single vertex spans, and bands
 alternate between the two colors. Adjacent vertices then land in the same or
 in adjacent bands, so components stay inside one band on path-shaped
-decompositions. The clustering bound is verified after the fact and the
-operation fails loudly when it does not hold.
+decompositions. A graph that is a disjoint union of parts, no edge joining
+two, is banded and bounded part by part. The clustering bound is verified
+after the fact and the operation fails loudly when it does not hold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from operator import sub
 
 from .errors import (
@@ -22,7 +27,13 @@ from .errors import (
     InternalInvariantError,
     InvalidDecomposition,
 )
-from .graph import Graph, TreeDecomposition, _tree_index, check_decomposition
+from .graph import (
+    AxiomCheck,
+    Graph,
+    TreeDecomposition,
+    _tree_index,
+    check_decomposition,
+)
 from .verify import ClusterReport, edge_components
 
 # Multiplier on (w+1)*delta in the guaranteed clustering bound: the slack
@@ -35,13 +46,13 @@ def cluster_bound(width: int, degree: int) -> int:
     return CLUSTER_FACTOR * (max(width, 0) + 1) * max(degree, 1)
 
 
-def _max_degree(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Largest degree of the graph on 0..n-1 with these distinct edges."""
+def _degrees(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Each vertex's degree in the graph on 0..n-1 with these distinct edges."""
     degree = [0] * n
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-    return max(degree, default=0)
+    return degree
 
 
 def band_color(
@@ -50,16 +61,23 @@ def band_color(
     bags: Sequence[AbstractSet[int]],
     depth: Sequence[int],
     delta: int,
+    parts: Sequence[int] | None = None,
 ) -> tuple[list[int], ClusterReport]:
     """Band-color the graph on 0..n-1 with these distinct edges using colors
     {1, 2}, over a decomposition with these bags that the caller has
     validated; ``depth`` gives each node's depth to band by, and ``delta``
     is a bound on the graph's degree that the caller guarantees.
 
-    Returns each vertex's color and the monochromatic components; the
-    largest is checked against cluster_bound(width, delta) and a violation
-    raises ClusteringBoundError instead of returning an unbounded coloring.
+    The vertices fall into contiguous parts, the ith ending (exclusive) at
+    ``parts[i]``; one part of all n vertices when none is given. No edge
+    may join two parts, so each part is banded and bounded on its own: its
+    band length comes from its own vertices, and its components are checked
+    against cluster_bound(width, delta) for the width of its own share of
+    the bags. Returns each vertex's color and the monochromatic components;
+    a violation raises ClusteringBoundError for the lowest failing part,
+    instead of returning an unbounded coloring.
     """
+    ends = parts or (n,)
     lo = [None] * n
     hi = [None] * n
     for t, bag in enumerate(bags):
@@ -69,14 +87,32 @@ def band_color(
                 lo[v] = d
             if hi[v] is None or d > hi[v]:
                 hi[v] = d
-    band_len = max(map(sub, hi, lo), default=0) + 1
-    coloring = [1 + (d // band_len) % 2 for d in lo]
+    spans = list(map(sub, hi, lo))
+    starts = [0, *ends[:-1]]
+    # Each part's band length, once for each of its vertices.
+    band_lens = chain.from_iterable(
+        repeat(max(spans[a:b], default=0) + 1, b - a) for a, b in zip(starts, ends)
+    )
+    coloring = [1 + (d // b) % 2 for d, b in zip(lo, band_lens)]
 
     report = edge_components(n, edges, coloring)
-    width = max(map(len, bags), default=0) - 1
-    bound = cluster_bound(width, delta)
-    if report.max_size > bound:
-        raise ClusteringBoundError("two-color", report.largest(), bound)
+    # No part's bound is below cluster_bound(0, delta), so the widths are
+    # needed only when some component is larger.
+    if report.max_size > cluster_bound(0, delta):
+        part = partial(bisect_right, ends)
+        widths = [-1] * len(ends)
+        for bag in bags:
+            for p, size in Counter(map(part, bag)).items():
+                widths[p] = max(widths[p], size - 1)
+        bounds = [cluster_bound(width, delta) for width in widths]
+        located = [(part(comp[0]), comp) for _, comp in report.components]
+        failing = [(p, comp) for p, comp in located if len(comp) > bounds[p]]
+        if failing:
+            # Components come by smallest vertex, so the lowest part first.
+            low = failing[0][0]
+            size = max(len(comp) for p, comp in failing if p == low)
+            witness = next(c for p, c in failing if p == low and len(c) == size)
+            raise ClusteringBoundError("two-color", witness, bounds[low], low)
     return coloring, report
 
 
@@ -132,95 +168,169 @@ def enlarge_lists(
     tree_edges: Collection[tuple[int, int]],
     groups: Sequence[EdgeGroup],
     budget: GroupBudget,
+    parts: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]]]:
     """Add the groups' pairs as edges and widen the decomposition to match,
     over plain lists: the graph on 0..n-1 by its distinct edges (u, v) with
     u < v, one bag per node, and the tree by its node pairs.
+
+    The vertices and the groups fall into parts, the ith holding the
+    vertices and the groups before ``parts[i] = (vertex end, group end)``
+    and from the previous part's ends on; one part of everything when none
+    is given. A part's groups must pair its own vertices only. The budget
+    holds per part: a node may be covered by h groups of each part. Errors
+    name a part's vertices and groups by their positions within it, and
+    carry the part's index as ``part``.
 
     A group's subtree must be a nonempty connected set of nodes whose bags
     hold each end of each of its pairs; it is taken as connected by the
     count that ``check_decomposition`` applies to a vertex's nodes, which
     is exact on a tree. Every group's endpoints are poured into each bag
     of its subtree, which preserves all decomposition axioms,
-    and under the budget the width and degree grow at most as
-    ``_enlarged`` states. Budget and group-structure violations raise
+    and under the budget each node's bag grows by at most 2hk vertices of
+    each part and each vertex's degree by at most d, the lemma's growth
+    that ``_enlarged`` states. Budget and group-structure violations raise
     GroupBudgetError naming the field. The output is validated and both
-    bounds are re-checked on it; a failure raises InternalInvariantError.
+    growths are re-checked on it; a failure raises InternalInvariantError,
+    for the lowest part that fails when the failure names a vertex.
     Returns the new edges and bags; when no group carries pairs, the
     input's own, validated as they stand.
     """
+    parts = parts or ((n, len(groups)),)
+    if tuple(parts[-1]) != (n, len(groups)):
+        raise ValueError("the last part must end at n and at the last group")
+    ends = [end for end, _ in parts]
     nn = len(bags)
     tree_adj = _tree_index(nn, tree_edges)[1] if groups else []
-    uses: dict[int, int] = {}
-    covers: dict[int, int] = {}
     live = []
-    for idx, group in enumerate(groups):
-        if len(group.pairs) > budget.max_pairs_per_group:
-            raise GroupBudgetError(
-                "max_pairs_per_group",
-                f"group {idx} has {len(group.pairs)} pairs",
-            )
-        if not group.pairs:
-            continue
-        subtree = group.subtree
-        for t in subtree:
-            if not 0 <= t < nn:
+    lo = first = 0
+    for p, (hi, last) in enumerate(parts):
+        # Pair uses by position in the part, and group subtrees by node.
+        uses: dict[int, int] = {}
+        covers: dict[int, int] = {}
+        for idx in range(last - first):
+            group = groups[first + idx]
+            if len(group.pairs) > budget.max_pairs_per_group:
                 raise GroupBudgetError(
-                    "group-structure", f"group {idx} node {t} out of range"
+                    "max_pairs_per_group",
+                    f"group {idx} has {len(group.pairs)} pairs",
+                    p,
                 )
-        # On a tree, k nodes are connected exactly when k - 1 tree edges
-        # join two of them; the adjacency sees each such edge twice.
-        joins = sum(u in subtree for t in subtree for u in tree_adj[t])
-        if not subtree or joins < 2 * (len(subtree) - 1):
-            raise GroupBudgetError(
-                "group-structure", f"group {idx} subtree is not connected"
-            )
-        for u, v in group.pairs:
-            if u == v or not (0 <= u < n and 0 <= v < n):
+            if not group.pairs:
+                continue
+            subtree = group.subtree
+            for t in subtree:
+                if not 0 <= t < nn:
+                    raise GroupBudgetError(
+                        "group-structure", f"group {idx} node {t} out of range", p
+                    )
+            # On a tree, k nodes are connected exactly when k - 1 tree edges
+            # join two of them; the adjacency sees each such edge twice.
+            joins = sum(u in subtree for t in subtree for u in tree_adj[t])
+            if not subtree or joins < 2 * (len(subtree) - 1):
                 raise GroupBudgetError(
-                    "group-structure", f"group {idx} has invalid pair ({u}, {v})"
+                    "group-structure", f"group {idx} subtree is not connected", p
                 )
-            uses[u] = uses.get(u, 0) + 1
-            uses[v] = uses.get(v, 0) + 1
-        ends = {v for pair in group.pairs for v in pair}
-        missing = ends.difference(*map(bags.__getitem__, subtree))
-        if missing:
-            u, v = min(p for p in group.pairs if not missing.isdisjoint(p))
-            raise GroupBudgetError(
-                "group-structure",
-                f"group {idx} pair ({u}, {v}) has an end in no bag of its subtree",
-            )
-        for t in subtree:
-            covers[t] = covers.get(t, 0) + 1
-        live.append((group, ends))
+            for u, v in group.pairs:
+                if u == v or not (lo <= u < hi and lo <= v < hi):
+                    raise GroupBudgetError(
+                        "group-structure",
+                        f"group {idx} has invalid pair ({u - lo}, {v - lo})",
+                        p,
+                    )
+                uses[u - lo] = uses.get(u - lo, 0) + 1
+                uses[v - lo] = uses.get(v - lo, 0) + 1
+            pair_ends = {v for pair in group.pairs for v in pair}
+            missing = pair_ends.difference(*map(bags.__getitem__, subtree))
+            if missing:
+                u, v = min(q for q in group.pairs if not missing.isdisjoint(q))
+                raise GroupBudgetError(
+                    "group-structure",
+                    f"group {idx} pair ({u - lo}, {v - lo}) has an end in no bag "
+                    "of its subtree",
+                    p,
+                )
+            for t in subtree:
+                covers[t] = covers.get(t, 0) + 1
+            live.append((group, pair_ends))
+        # Each per-item budget names its smallest violator; a part whose
+        # groups carry no pairs uses none.
+        if uses:
+            for field, count, what in (
+                ("max_pair_uses_per_vertex", uses, "vertex {} used by {} pairs"),
+                ("max_groups_per_node", covers, "node {} covered by {} group subtrees"),
+            ):
+                limit = getattr(budget, field)
+                x = min((x for x, c in count.items() if c > limit), default=None)
+                if x is not None:
+                    raise GroupBudgetError(field, what.format(x, count[x]), p)
+        lo, first = hi, last
 
     new_edges, new_bags = edges, bags
     if live:
-        # Each per-item budget names its smallest violator.
-        for field, count, what in (
-            ("max_pair_uses_per_vertex", uses, "vertex {} used by {} pairs"),
-            ("max_groups_per_node", covers, "node {} covered by {} group subtrees"),
-        ):
-            limit = getattr(budget, field)
-            x = min((x for x, c in count.items() if c > limit), default=None)
-            if x is not None:
-                raise GroupBudgetError(field, what.format(x, count[x]))
         new_edges = set(edges)
-        new_bags = list(bags)
-        for grp, ends in live:
+        poured: dict[int, list[set[int]]] = {}
+        for grp, pair_ends in live:
             new_edges.update((u, v) if u < v else (v, u) for u, v in grp.pairs)
             for t in grp.subtree:
-                new_bags[t] = new_bags[t] | ends
-        # The growth is additive, so it bounds the largest bag as the width.
-        size, degree = _enlarged(budget, max(map(len, bags)), _max_degree(n, edges))
-        if max(map(len, new_bags)) > size:
-            raise InternalInvariantError("enlarged width exceeds w + 2hk")
-        if _max_degree(n, new_edges) > degree:
-            raise InternalInvariantError("enlarged degree exceeds delta + d")
+                poured.setdefault(t, []).append(pair_ends)
+        # Pour into each node once, since a bag may hold every part.
+        new_bags = list(bags)
+        grow, spread = _enlarged(budget, 0, 0)
+        grown = []
+        for t, added in poured.items():
+            bag = new_bags[t] = set().union(bags[t], *added)
+            # A bag that grows by at most 2hk in all grows so in each part.
+            if len(bag) - len(bags[t]) > grow:
+                fresh = bag.difference(bags[t])
+                sizes = Counter(_locate(ends, v)[0] for v in fresh)
+                grown += [(p, t) for p, size in sizes.items() if size > grow]
+        if grown:
+            p, t = min(grown)
+            raise InternalInvariantError(
+                f"enlarged bag of node {t} grows by more than 2hk", p
+            )
+        growth = list(map(sub, _degrees(n, new_edges), _degrees(n, edges)))
+        if max(growth) > spread:
+            p, v = _locate(ends, next(x for x, g in enumerate(growth) if g > spread))
+            raise InternalInvariantError(
+                f"enlarged degree of vertex {v} grows by more than d", p
+            )
 
     report = check_decomposition(n, new_edges, new_bags, tree_edges)
     if not report.ok:
-        raise InternalInvariantError(
-            f"enlarged decomposition invalid: {report.failures()[0].describe()}"
-        )
+        raise _view_fault(report.failures(), ends)
     return new_edges, new_bags
+
+
+def _locate(ends: Sequence[int], v: int) -> tuple[int, int]:
+    """The part of vertex v, for parts that end (exclusive) at ``ends``, and
+    v's position in it."""
+    p = bisect_right(ends, v)
+    return p, v - (ends[p - 1] if p else 0)
+
+
+def _view_fault(
+    failures: Sequence[AxiomCheck], ends: Sequence[int]
+) -> InternalInvariantError:
+    """The error for a failed output check: the first failure of the lowest
+    part that a failure's witness names, with the witness in that part's
+    ids; when no witness names a part (the tree and bag-contents axioms),
+    the first failure, with no part."""
+    located = []
+    for check in failures:
+        w = check.witness
+        if check.axiom in ("vertex-coverage", "connectivity"):
+            p, v = _locate(ends, w)
+            check = check._replace(witness=v)
+        elif check.axiom == "edge-coverage":
+            p, u = _locate(ends, w[0])
+            check = check._replace(witness=(u, u + w[1] - w[0]))
+        else:
+            p = None
+        located.append((p, check))
+    named = [pc for pc in located if pc[0] is not None]
+    p, check = min(named, key=lambda pc: pc[0]) if named else located[0]
+    return InternalInvariantError(
+        f"enlarged decomposition invalid: {check.describe()}", p
+    )

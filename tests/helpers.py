@@ -141,13 +141,17 @@ def spine_path(n=40):
     return g, LayeredTreeDecomposition(td, Layering([tuple(range(n))]))
 
 
-def without_vertex_zero(layer_view):
-    """``threecolor._layer_view`` with local vertex 0 dropped from every bag
-    of each view: a view that no longer covers its layer."""
+def without_first_vertex(class_view, part=0):
+    """``threecolor._class_view`` with the first vertex of the given part
+    (layer) dropped from every bag of each class view that has that part: a
+    view that no longer covers that layer."""
 
     def corrupt(*args):
-        edges, bags, *rest = layer_view(*args)
-        return (edges, [bag - {0} for bag in bags], *rest)
+        view = class_view(*args)
+        if part >= len(view.parts):
+            return view
+        first = view.parts[part - 1][0] if part else 0
+        return view._replace(bags=[bag - {first} for bag in view.bags])
 
     return corrupt
 

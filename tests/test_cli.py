@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line frontend."""
 
+import gc
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from clustercolor import (
 from clustercolor import cli, pace
 from clustercolor.cli import GEN_FAMILIES, main
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
-from helpers import spine_path, without_vertex_zero
+from helpers import spine_path, without_first_vertex
 
 
 def read_instance(prefix):
@@ -162,7 +163,7 @@ def test_color3_refuses_a_td_header_for_another_vertex_count(
     assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: line 1: 's td' header declares n = {declared} "
+        f"error: {td}: line 1: 's td' header declares n = {declared} "
         "but the graph has 5 vertices\n"
     )
     assert not (tmp_path / "run.coloring").exists()
@@ -189,18 +190,21 @@ def test_color3_group_budget_overrun_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_color3_corrupted_view_exits_1(tmp_path, monkeypatch, capsys):
-    """A layer view that fails validation is an internal fault (exit 1),
-    not an input error (exit 2), and the error line names where it failed."""
+    """A class view that fails validation is an internal fault (exit 1),
+    not an input error (exit 2), and the error line names the layer where
+    it failed, with the witness in that layer's ids."""
     from clustercolor import threecolor
 
-    monkeypatch.setattr(
-        threecolor, "_layer_view", without_vertex_zero(threecolor._layer_view)
-    )
+    class_view = threecolor._class_view
     inputs = gen_inputs(tmp_path, "trigrid", 6)
-    assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err
-    assert "stage-1 layer 1: " in err
-    assert "vertex-coverage axiom fails at vertex 0" in err
+    for part, layer in ((0, 1), (1, 4)):
+        corrupt = without_first_vertex(class_view, part)
+        monkeypatch.setattr(threecolor, "_class_view", corrupt)
+        assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage-1 layer {layer}: enlarged decomposition invalid: "
+            "vertex-coverage axiom fails at vertex 0\n"
+        )
 
 
 def test_color3_refusal_exits_1_and_names_the_stage(tmp_path, capsys):
@@ -296,16 +300,18 @@ def test_color3_ignores_duplicate_edge_lines(tmp_path, capsys):
     assert outputs[0][1]["edges"] == len(lines)
 
 
-def test_color3_builds_no_objects_and_validates_each_layer_once(
+def test_color3_builds_no_objects_and_validates_each_class_once(
     tmp_path, monkeypatch
 ):
     """color3 runs on the parsed lists: no Graph, TreeDecomposition or
-    Layering is built; the input is validated once and each nonempty
-    layer's view once; one component pass per layer plus the final one."""
+    Layering is built; the input is validated once and each nonempty layer
+    class's view once; one component pass per class plus the final one."""
     from clustercolor import graph, threecolor, twocolor, verify
 
     inputs = gen_inputs(tmp_path, "trigrid", 20)
-    nonempty = sum(1 for row in pace.read_rows(inputs[5]) if row)
+    rows = pace.read_rows(inputs[5])
+    nonempty = len({i % 3 for i, row in enumerate(rows) if row})
+    assert nonempty == 3
     calls = {"validate": 0, "components": 0, "objects": 0}
 
     def counted(key, func):
@@ -407,6 +413,86 @@ def test_color3_output_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(coloring).hexdigest() == TRIGRID_10_COLORING_SHA256
 
 
+# The benchmark's three workloads, as bench/workloads.json generates them,
+# with the clustering and the SHA-256 of the .coloring that color3 gives at
+# seed 1.
+BENCH_INSTANCES = {
+    "trigrid-wide": (
+        lambda: gen_grid(100, triangulated=True),
+        18,
+        "b2466cb758ab91a25dc1c728f303dc43b735cc71b1d88532e9298904080bfc15",
+    ),
+    "path-long": (
+        lambda: gen_path(1000),
+        2,
+        "2e91afe9bee6dbc25cfa7837dcc1b14ecb1bfdea9d3e6c049c0ba24e105b9760",
+    ),
+    "rect-deep": (
+        lambda: gen_rect_grid(6, 300),
+        12,
+        "1b7b4bd67f59e41f17cf1374f11557958c0faab87756d252cae88fa8289d7b97",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_INSTANCES))
+def test_color3_bench_instances_are_pinned(tmp_path, capsys, name):
+    """Each bench instance, its vertex ids permuted by
+    ``random.Random(1).shuffle`` as bench/run.py permutes them at seed 1,
+    colors to pinned bytes and clustering."""
+    build, clustering, digest = BENCH_INSTANCES[name]
+    g, ltd, _ = build()
+    perm = list(range(g.n))
+    random.Random(1).shuffle(perm)
+    td = ltd.td
+    prefix = str(tmp_path / name)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    pace.write_graph(Graph(g.n, edges), f"{prefix}.gr")
+    bags = [[perm[v] for v in bag] for bag in td.bags]
+    pace.write_td(TreeDecomposition(bags, td.edges, td.root), g.n, f"{prefix}.td")
+    rows = [[perm[v] for v in layer] for layer in ltd.layering.layers]
+    pace.write_layering(Layering(rows), f"{prefix}.layers")
+    inputs = ["--gr", f"{prefix}.gr", "--td", f"{prefix}.td"]
+    inputs += ["--layers", f"{prefix}.layers"]
+    assert main(["color3", *inputs, "--out", prefix]) == 0
+    with open(f"{prefix}.report.json", encoding="utf-8") as fh:
+        assert json.load(fh)["clustering"] == clustering
+    with open(f"{prefix}.coloring", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, collecting):
+    """A command runs with the cyclic collector paused, and main leaves it
+    enabled or disabled as it found it, whether the command exits 0, 1 or 2."""
+    inputs = gen_inputs(tmp_path, "path", 5)
+    g, ltd = spine_path(40)
+    spine = str(tmp_path / "spine")
+    pace.write_graph(g, f"{spine}.gr")
+    pace.write_td(ltd.td, g.n, f"{spine}.td")
+    pace.write_layering(ltd.layering, f"{spine}.layers")
+    refused = ["--gr", f"{spine}.gr", "--td", f"{spine}.td"]
+    refused += ["--layers", f"{spine}.layers"]
+    invalid = [*inputs[:5], f"{spine}.layers"]
+    during = []
+    colorer = cli.three_color_lists
+
+    def spying(*args):
+        during.append(gc.isenabled())
+        return colorer(*args)
+
+    monkeypatch.setattr(cli, "three_color_lists", spying)
+    out = ["--out", str(tmp_path / "run")]
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in ((inputs, 0), (refused, 1), (invalid, 2)):
+            assert main(["color3", *argv, *out]) == code
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert during == [False] * 3
+
+
 # SHA-256 of the .gr, .td and .layers files gen writes for each family, at
 # --n 5 and the kst defaults --s 2 --t 3.
 GEN_FILES_SHA256 = {
@@ -504,13 +590,44 @@ def test_verify_reads_the_coloring_file_as_ascii(tmp_path, capsys):
     coloring.write_bytes(b"\xd9\xa0 1\n1 1\n")
     argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"error: line 1: non-ASCII byte 0xd9 in {coloring}\n"
-    )
+    err = capsys.readouterr().err
+    assert err == f"error: {coloring}: line 1: non-ASCII byte 0xd9\n"
     coloring.write_text("0 1\n1 1\n")
     gr.write_bytes(b"p tw 2 1\r1 2\n\xff\n")
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: line 3: non-ASCII byte 0xff in {gr}\n"
+    assert capsys.readouterr().err == f"error: {gr}: line 3: non-ASCII byte 0xff\n"
+
+
+def test_every_parse_error_names_its_file(tmp_path, capsys):
+    """verify reads two files and color3 three, so each parse error names
+    the file as well as the line."""
+    gr = tmp_path / "p3.gr"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    coloring = tmp_path / "c.coloring"
+    coloring.write_text("0 1\n1 x\n2 1\n")
+    argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {coloring}: line 2: expected two integers\n"
+    coloring.write_text("0 1\n1 2\n2 1\n")
+    gr.write_text("p tw 3 2\n1 x\n2 3\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {gr}: line 2: non-integer edge endpoint\n"
+
+    inputs = gen_inputs(tmp_path, "path", 3)
+    layers, td = inputs[5], inputs[3]
+    out = ["--out", str(tmp_path / "run")]
+    with open(layers, "a") as fh:
+        fh.write("x\n")
+    assert main(["color3", *inputs, *out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {layers}: line 4: non-integer vertex id\n"
+    inputs = gen_inputs(tmp_path, "path", 3)
+    with open(td, "a") as fh:
+        fh.write("b\n")
+    assert main(["color3", *inputs, *out]) == 2
+    assert capsys.readouterr().err == f"error: {td}: line 5: bag line missing id\n"
 
 
 def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
@@ -640,7 +757,7 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     )
     assert read.returncode == 1
     assert read.stderr.splitlines()[-1] == (
-        "clustercolor.errors.PaceParseError: "
+        f"clustercolor.errors.PaceParseError: {td}: "
         "line 1: bag 2 of 1..1000000000 is never given"
     )
     verify = _in_512_mb(

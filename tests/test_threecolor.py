@@ -33,7 +33,7 @@ from helpers import (
     permuted,
     rerooted,
     spine_path,
-    without_vertex_zero,
+    without_first_vertex,
 )
 
 
@@ -98,22 +98,31 @@ def _connected_within(g: Graph, verts) -> bool:
 
 def _three_color_with_pairs(monkeypatch, g, ltd):
     """``three_color``'s result, and the distinct fake pairs of each layer
-    class in original ids, read from the groups ``_layer_view`` returns."""
+    class in original ids, read from the groups ``_class_view`` returns.
+    Each group's pairs must join vertices of its own part's layer."""
     from clustercolor import threecolor
 
-    layer_view = threecolor._layer_view
+    class_view = threecolor._class_view
     pairs = {1: set(), 2: set(), 3: set()}
     classes = _layer_classes(ltd.layering)
+    layer_of = layer_index(g.n, ltd.layering.layers)[0]
 
     def capturing(*args):
-        view = layer_view(*args)
-        ids = args[4]
+        view = class_view(*args)
+        ids = view.ids
         cls = classes[ids[0]]
-        for grp in view[4]:
-            pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
+        start = first = 0
+        for end, last in view.parts:
+            layer = layer_of[ids[start]]
+            assert {layer_of[v] for v in ids[start:end]} == {layer}
+            for grp in view.groups[first:last]:
+                assert all(start <= a < end and start <= b < end for a, b in grp.pairs)
+                pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
+            start, first = end, last
+        assert first == len(view.groups)
         return view
 
-    monkeypatch.setattr(threecolor, "_layer_view", capturing)
+    monkeypatch.setattr(threecolor, "_class_view", capturing)
     return three_color(g, ltd), pairs
 
 
@@ -331,10 +340,11 @@ def test_three_color_golden_outputs(name):
     assert result.per_color_max == measured.per_color_max
 
 
-def test_three_color_two_colors_sparse_layer_views(monkeypatch):
-    """Each layer is two-colored over its own sparse view, so the nodes
-    handed to the two-colorer in one call sum to at most twice the total bag
-    size; a whole tree per layer would give about n^2 on a path."""
+def test_three_color_two_colors_sparse_class_views(monkeypatch):
+    """Each layer class is two-colored in one call, over a sparse view that
+    keeps only the nodes of its own layers and groups, so the nodes handed
+    to the two-colorer sum to at most twice the total bag size; a whole tree
+    per layer would give about n^2 on a path."""
     from clustercolor import threecolor
 
     node_counts = []
@@ -347,21 +357,24 @@ def test_three_color_two_colors_sparse_layer_views(monkeypatch):
     monkeypatch.setattr(threecolor, "band_color", counting)
     g, ltd, _ = gen_path(2000)
     three_color(g, ltd)
-    assert len(node_counts) == 2000
+    assert len(node_counts) == 3
     assert sum(node_counts) <= 2 * sum(len(bag) for bag in ltd.td.bags)
 
 
-def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
-    """One validation of the input, then one per nonempty layer's view
-    (enlarged or not); one component pass per layer plus the final check;
-    two degree scans per layer whose groups carry pairs, both in the
+def _nonempty_classes(ly):
+    return len({i % 3 for i, layer in enumerate(ly.layers) if layer})
+
+
+def test_three_color_validates_and_measures_each_class_once(monkeypatch):
+    """One validation of the input, then one per nonempty layer class's view
+    (enlarged or not); one component pass per class plus the final check;
+    two degree scans per class whose groups carry pairs, both in the
     enlargement's degree check; and no Graph or TreeDecomposition built
-    along the way."""
+    along the way. The path's two layers leave class 3 empty."""
     from clustercolor import graph, threecolor, twocolor, verify
 
-    calls = dict.fromkeys(
-        ("validate", "components", "enlarge", "degree", "enlarged", "objects"), 0
-    )
+    keys = ("validate", "components", "enlarge", "degree", "enlarged", "objects")
+    calls = dict.fromkeys(keys, 0)
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -370,7 +383,6 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
 
         return wrapper
 
-    g, ltd, _ = gen_grid(20, triangulated=True)
     validate = counted("validate", graph.check_decomposition)
     components = counted("components", verify.edge_components)
     for module in (graph, twocolor, threecolor):
@@ -379,30 +391,50 @@ def test_three_color_validates_and_measures_each_layer_once(monkeypatch):
         monkeypatch.setattr(module, "edge_components", components)
     enlarge = counted("enlarge", threecolor.enlarge_lists)
 
-    def enlarge_counting_pairs(n, edges, bags, tree_edges, groups, budget):
-        calls["enlarged"] += any(group.pairs for group in groups)
-        return enlarge(n, edges, bags, tree_edges, groups, budget)
+    def enlarge_counting_pairs(*args):
+        calls["enlarged"] += any(group.pairs for group in args[4])
+        return enlarge(*args)
 
     monkeypatch.setattr(threecolor, "enlarge_lists", enlarge_counting_pairs)
-    monkeypatch.setattr(
-        twocolor, "_max_degree", counted("degree", twocolor._max_degree)
-    )
+    monkeypatch.setattr(twocolor, "_degrees", counted("degree", twocolor._degrees))
     for cls in (graph.Graph, graph.TreeDecomposition):
         monkeypatch.setattr(cls, "__init__", counted("objects", cls.__init__))
-    three_color(g, ltd)
-    nonempty = sum(1 for layer in ltd.layering.layers if layer)
-    assert calls["enlarge"] > 0
-    assert calls["validate"] == 1 + nonempty
-    assert calls["components"] == nonempty + 1
-    assert calls["enlarged"] > 0
-    assert calls["degree"] == 2 * calls["enlarged"]
-    assert calls["objects"] == 0
+    for build, classes, enlarged in (
+        (lambda: gen_grid(20, triangulated=True), 3, 2),
+        (lambda: gen_path(2), 2, 0),
+    ):
+        g, ltd, _ = build()
+        calls.update(dict.fromkeys(keys, 0))
+        three_color(g, ltd)
+        assert _nonempty_classes(ltd.layering) == classes
+        assert calls == {
+            "validate": 1 + classes,
+            "components": classes + 1,
+            "enlarge": classes,
+            "enlarged": enlarged,
+            "degree": 2 * enlarged,
+            "objects": 0,
+        }
+
+
+def _with_groups(view, part, extra, at_start=False):
+    """The class view with the groups ``extra`` added to the given part,
+    before its own groups or after them, and the later parts' group ends
+    moved along."""
+    first = view.parts[part - 1][1] if part else 0
+    at = first if at_start else view.parts[part][1]
+    groups = view.groups[:at] + list(extra) + view.groups[at:]
+    parts = [
+        (end, last + len(extra) * (p >= part))
+        for p, (end, last) in enumerate(view.parts)
+    ]
+    return view._replace(groups=groups, parts=parts)
 
 
 def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
-    """A group without pairs enlarges nothing, and the layer it lands on
-    still has its view validated once, by the enlargement that returns its
-    input as it stands."""
+    """A group without pairs enlarges nothing, and the class whose layer it
+    lands on still has its view validated once, by the enlargement that
+    returns its input as it stands."""
     from clustercolor import graph, threecolor, twocolor
 
     g, ltd, _ = gen_grid(20, triangulated=True)
@@ -416,19 +448,18 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
 
     for module in (graph, twocolor, threecolor):
         monkeypatch.setattr(module, "check_decomposition", validate)
-    layer_view = threecolor._layer_view
+    class_view = threecolor._class_view
 
     def with_idle_group(*args):
-        *view, groups, pours = layer_view(*args)
-        # The first view node holding the layer's smallest vertex.
-        nodes = frozenset({next(t for t, bag in enumerate(view[1]) if 0 in bag)})
+        view = class_view(*args)
+        # The first view node holding the class's first vertex.
+        nodes = frozenset({next(t for t, bag in enumerate(view.bags) if 0 in bag)})
         idle = EdgeGroup(subtree=nodes, pairs=frozenset())
-        return (*view, groups + [idle], pours)
+        return _with_groups(view, 0, [idle])
 
-    monkeypatch.setattr(threecolor, "_layer_view", with_idle_group)
+    monkeypatch.setattr(threecolor, "_class_view", with_idle_group)
     result = three_color(g, ltd)
-    nonempty = sum(1 for layer in ltd.layering.layers if layer)
-    assert calls[0] == 1 + nonempty
+    assert calls[0] == 1 + _nonempty_classes(ltd.layering)
     assert result.coloring == expected
 
 
@@ -451,33 +482,34 @@ def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance
         for v in bag:
             held[v].add(t)
     original = {v: frozenset(nodes) for v, nodes in held.items()}
-    layer_view = threecolor._layer_view
+    class_view = threecolor._class_view
     groups = [0]
     widened = [0]
 
-    def replaying(adj, holders, parent, depth, ids, guards):
-        view = layer_view(adj, holders, parent, depth, ids, guards)
-        layer = set(ids)
-        guarded = [
-            comp
-            for comp in sorted(guards, key=min)
-            if len({u for c in comp for u in g.neighbors(c) if u in layer}) >= 2
-        ]
+    def replaying(adj, holders, parent, depth, layers):
+        view = class_view(adj, holders, parent, depth, layers)
+        guarded = []
+        for ids, guards in layers:
+            layer = set(ids)
+            guarded += [
+                comp
+                for comp in sorted(guards, key=min)
+                if len({u for c in comp for u in g.neighbors(c) if u in layer}) >= 2
+            ]
         expected = [set().union(*(held[c] for c in comp)) for comp in guarded]
-        pours = view[5]
-        assert [set(subtree) for _, subtree in pours] == expected
-        assert [len(grp.subtree) for grp in view[4]] == list(map(len, expected))
+        assert [set(subtree) for _, subtree in view.pours] == expected
+        assert [len(grp.subtree) for grp in view.groups] == list(map(len, expected))
         groups[0] += len(guarded)
         widened[0] += sum(
             expected[i] != set().union(*(original[c] for c in comp))
             for i, comp in enumerate(guarded)
         )
-        for ends, subtree in pours:
+        for ends, subtree in view.pours:
             for v in ends:
                 held[v] |= subtree
         return view
 
-    monkeypatch.setattr(threecolor, "_layer_view", replaying)
+    monkeypatch.setattr(threecolor, "_class_view", replaying)
     three_color(g, ltd)
     assert groups[0] > 0
     assert widened[0] > 0 or not widens
@@ -485,60 +517,65 @@ def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance
 
 def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
     """An over-budget group on a stage-2 layer stops the run with the
-    violated budget field and the stage and layer in the message."""
+    violated budget field and the stage and layer in the message. The budget
+    counts a node's groups per layer: the over-budget layer is the class's
+    second, layer 5, on a node that a group of layer 2 also covers, and
+    that group does not count with layer 5's."""
     from clustercolor import threecolor
 
     g, ltd, _ = gen_grid(6, triangulated=True)
-    layer_of = layer_index(g.n, ltd.layering.layers)[0]
-    layer_view = threecolor._layer_view
+    class_view = threecolor._class_view
     hit = []
 
     def over_budget(*args):
-        *view, groups, pours = layer_view(*args)
-        li = layer_of[args[4][0]]
-        if li % 3 != 2 or hit:
-            return (*view, groups, pours)
-        # One more group on the same node than a stage-2 budget allows:
-        # w + 1 = 3 subtrees per node, so four copies of a valid group.
-        bags = view[1]
-        t = next(t for t, bag in enumerate(bags) if len(bag) >= 2)
-        a, b = sorted(bags[t])[:2]
-        node = frozenset({t})
-        extra = EdgeGroup(subtree=node, pairs=frozenset({(a, b)}))
-        hit.append(li)
-        return (*view, groups + [extra] * 4, pours)
+        view = class_view(*args)
+        if hit or len(view.parts) < 2 or not view.groups:
+            return view
+        # One more group on one node than a stage-2 budget allows: w + 1 = 3
+        # subtrees per node, so four copies of a valid group in layer 5.
+        start, end = view.parts[0][0], view.parts[1][0]
+        covered = set().union(*(grp.subtree for grp in view.groups[: view.parts[0][1]]))
+        t, a, b = next(
+            (t, *sorted(v for v in view.bags[t] if start <= v < end)[:2])
+            for t in sorted(covered)
+            if len([v for v in view.bags[t] if start <= v < end]) >= 2
+        )
+        extra = EdgeGroup(subtree=frozenset({t}), pairs=frozenset({(a, b)}))
+        own = view.groups[view.parts[0][1] : view.parts[1][1]]
+        hit.append((t, 4 + sum(t in grp.subtree for grp in own)))
+        return _with_groups(view, 1, [extra] * 4)
 
-    monkeypatch.setattr(threecolor, "_layer_view", over_budget)
+    monkeypatch.setattr(threecolor, "_class_view", over_budget)
     with pytest.raises(GroupBudgetError) as err:
         three_color(g, ltd)
-    assert hit == [2]
+    ((t, count),) = hit
     assert err.value.budget == "max_groups_per_node"
     assert str(err.value) == (
-        "max_groups_per_node: stage-2 layer 2: node 0 covered by 4 group subtrees"
+        f"max_groups_per_node: stage-2 layer 5: node {t} covered by {count} "
+        "group subtrees"
     )
 
 
 def test_stage_one_takes_no_groups(monkeypatch):
     """Class-1 layers have no colored neighbors, so their budget allows no
-    pairs: a stray group there is a named budget error."""
+    pairs: a stray group there is a named budget error, numbered within its
+    layer."""
     from clustercolor import threecolor
 
     g, ltd, _ = gen_grid(6, triangulated=True)
-    layer_view = threecolor._layer_view
+    class_view = threecolor._class_view
 
     def stray(*args):
-        *view, groups, pours = layer_view(*args)
-        node = frozenset({0})
-        a, b = sorted(view[1][0])[:2]
-        extra = EdgeGroup(subtree=node, pairs=frozenset({(a, b)}))
-        return (*view, groups + [extra], pours)
+        view = class_view(*args)
+        a, b = sorted(view.bags[0])[:2]
+        extra = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(a, b)}))
+        return _with_groups(view, len(view.parts) - 1, [extra], at_start=True)
 
-    monkeypatch.setattr(threecolor, "_layer_view", stray)
+    monkeypatch.setattr(threecolor, "_class_view", stray)
     with pytest.raises(GroupBudgetError) as err:
         three_color(g, ltd)
     assert err.value.budget == "max_pairs_per_group"
-    assert str(err.value) == "max_pairs_per_group: stage-1 layer 1: group 0 has 1 pairs"
-
+    assert str(err.value) == "max_pairs_per_group: stage-1 layer 4: group 0 has 1 pairs"
 
 
 def test_each_stage_enlarges_under_its_budget(monkeypatch):
@@ -547,6 +584,7 @@ def test_each_stage_enlarges_under_its_budget(monkeypatch):
     from clustercolor import threecolor
 
     g, ltd, _ = gen_grid(6, triangulated=True)
+    assert _nonempty_classes(ltd.layering) == 3
     enlarge = threecolor.enlarge_lists
     budgets = []
 
@@ -562,15 +600,7 @@ def test_each_stage_enlarges_under_its_budget(monkeypatch):
         2: GroupBudget(c.f1**2 * d**2, c.f1 * d**2, w + 1),
         3: GroupBudget(c.f2**2 * d**2, c.f2 * d**2, 2 * (c.w2 + 1)),
     }
-    layers = ltd.layering.layers
-    classes = [
-        cls
-        for cls in (1, 2, 3)
-        for li in range(cls, len(layers) + 1, 3)
-        if layers[li - 1]
-    ]
-    assert set(classes) == {1, 2, 3}
-    assert budgets == [expected[cls] for cls in classes]
+    assert budgets == [expected[cls] for cls in (1, 2, 3)]
 
 def test_three_color_refuses_spine_path_in_stage_one():
     g, ltd = spine_path(40)
@@ -603,22 +633,96 @@ def test_refusal_witness_is_the_largest_component_in_the_callers_ids():
     assert err.value.witness == tuple(range(1, n))
 
 
+def _spines(*lengths, wide=0):
+    """Paths, each with its first vertex in every bag of its own chain of
+    bags {first, i, i+1}, and then ``wide`` isolated vertices in one bag;
+    the chains are joined end to end. Path k is layer 3k + 1, so all lie
+    in class 1, and the isolated vertices are the next class-1 layer."""
+    edges, bags, rows = [], [], []
+    first = 0
+    for n in lengths:
+        path = range(first, first + n)
+        edges += [(i, i + 1) for i in path[:-1]]
+        bags += [frozenset({first, i, i + 1}) for i in path[1:-1]]
+        rows += [tuple(path), (), ()]
+        first += n
+    if wide:
+        bags.append(frozenset(range(first, first + wide)))
+        rows.append(tuple(range(first, first + wide)))
+    tree = [(t, t + 1) for t in range(len(bags) - 1)]
+    return first + wide, edges, bags, tree, rows
+
+
+def test_each_layer_of_a_class_keeps_its_own_clustering_bound():
+    """A class is banded in one call, yet each layer is checked against the
+    bound for its own enlarged width. The spine path of 40, width 2, in
+    layer 1 is refused at 4 * 3 * 2 = 24, although layer 4 beside it holds
+    thirty isolated vertices in one bag, so that the class is 29 wide and
+    its bound would be 240. The spine path of 10 is colored: its component
+    of 10 is above 4Δ = 8, where the layers' widths are first needed, and
+    within 24."""
+    with pytest.raises(ClusteringBoundError) as err:
+        three_color_lists(*_spines(40, wide=30))
+    assert str(err.value) == "stage-1 layer 1: measured clustering 40 exceeds bound 24"
+    assert err.value.witness == tuple(range(40))
+    assert three_color_lists(*_spines(10, wide=30)).clustering == 10
+
+
+def test_a_class_refuses_its_lowest_layer_first(monkeypatch):
+    """With spine paths in layers 1 and 4, both refused, the refusal names
+    layer 1 and carries layer 1's witness. A budget fault in layer 4 is
+    raised before layer 1's refusal, since the class is enlarged before it
+    is banded."""
+    from clustercolor import threecolor
+
+    instance = _spines(40, 40)
+    with pytest.raises(ClusteringBoundError) as err:
+        three_color_lists(*instance)
+    assert str(err.value) == "stage-1 layer 1: measured clustering 40 exceeds bound 24"
+    assert err.value.witness == tuple(range(40))
+
+    class_view = threecolor._class_view
+
+    def stray(*args):
+        view = class_view(*args)
+        start, end = view.parts[0][0], view.parts[1][0]
+        pair = frozenset({(start, start + 1)})
+        extra = EdgeGroup(subtree=frozenset({len(view.bags) - 1}), pairs=pair)
+        return _with_groups(view, 1, [extra])
+
+    monkeypatch.setattr(threecolor, "_class_view", stray)
+    with pytest.raises(GroupBudgetError) as err:
+        three_color_lists(*instance)
+    assert str(err.value) == "max_pairs_per_group: stage-1 layer 4: group 0 has 1 pairs"
+
+
 def test_corrupted_view_is_an_internal_fault(monkeypatch):
     """A view that the input's validation cannot explain is the pipeline's
-    fault, not the input's: the error names the stage, the layer, the axiom
-    and its witness."""
+    fault, not the input's: the error names the stage, the lowest layer
+    that fails, the axiom and its witness in that layer's ids. A broken
+    tree belongs to no layer, so it names the stage alone."""
     from clustercolor import InternalInvariantError, threecolor
 
     g, ltd, _ = gen_grid(6, triangulated=True)
-    monkeypatch.setattr(
-        threecolor, "_layer_view", without_vertex_zero(threecolor._layer_view)
-    )
+    class_view = threecolor._class_view
+    for part, layer in ((0, 1), (1, 4)):
+        corrupt = without_first_vertex(class_view, part)
+        monkeypatch.setattr(threecolor, "_class_view", corrupt)
+        with pytest.raises(InternalInvariantError) as err:
+            three_color(g, ltd)
+        assert str(err.value) == (
+            f"stage-1 layer {layer}: enlarged decomposition invalid: "
+            "vertex-coverage axiom fails at vertex 0"
+        )
+
+    def treeless(*args):
+        view = class_view(*args)
+        return view._replace(tree_edges=view.tree_edges[1:])
+
+    monkeypatch.setattr(threecolor, "_class_view", treeless)
     with pytest.raises(InternalInvariantError) as err:
         three_color(g, ltd)
-    assert str(err.value) == (
-        "stage-1 layer 1: enlarged decomposition invalid: "
-        "vertex-coverage axiom fails at vertex 0"
-    )
+    assert str(err.value) == "stage-1: enlarged decomposition invalid: tree axiom fails"
 
 
 def _certified(g, ltd):
@@ -704,16 +808,20 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
     assert [set(layer) for layer in ly.layers] == [
         {i, (n - i) % n} for i in range(n // 2 + 1)
     ]
-    layer_view = threecolor._layer_view
+    class_view = threecolor._class_view
     tops = []
 
-    def capturing(g, holders, parent, depth, ids, guards):
-        view = layer_view(g, holders, parent, depth, ids, guards)
-        kept = {t for v in ids for t in holders[v]}
-        kept = kept.union(*(subtree for _, subtree in view[5]))
-        tops.append(sum(1 for t in kept if parent[t] not in kept))
+    def capturing(g, holders, parent, depth, layers):
+        view = class_view(g, holders, parent, depth, layers)
+        # The nodes each layer's own part keeps: its vertices' and groups'.
+        first = 0
+        for (ids, _), (_, last) in zip(layers, view.parts):
+            kept = {t for v in ids for t in holders[v]}
+            kept = kept.union(*(subtree for _, subtree in view.pours[first:last]))
+            tops.append(sum(1 for t in kept if parent[t] not in kept))
+            first = last
         return view
 
-    monkeypatch.setattr(threecolor, "_layer_view", capturing)
+    monkeypatch.setattr(threecolor, "_class_view", capturing)
     _certified(g, LayeredTreeDecomposition(td, ly))
     assert max(tops) >= 2

@@ -21,6 +21,7 @@ from clustercolor import (
     two_color_bounded_treewidth,
 )
 
+from clustercolor.twocolor import band_color
 from helpers import connected, random_decomposition, random_groups, random_subtree
 
 
@@ -272,6 +273,54 @@ def test_enlarge_with_groups_skips_a_tree_pair_that_names_no_node():
         with pytest.raises(InternalInvariantError) as err:
             enlarge_lists(2, [], bags, tree, groups, GroupBudget(5, 5, 5))
         assert str(err.value) == "enlarged decomposition invalid: tree axiom fails"
+
+
+def test_enlarge_counts_budgets_and_growth_per_part():
+    """With parts, the budget and the growth are per part. One group of each
+    part on nodes 0 and 1 passes a budget of one group per node and one pair
+    per group, and pours four ends into node 1's empty bag: 2hk = 2 in each
+    part, four in all. As one part the two groups exceed the budget. Errors
+    name vertices and groups by their positions within their part, and carry
+    the part's index."""
+    bags, tree = [{0, 1, 2, 3}, set()], [(0, 1)]
+    groups = [
+        EdgeGroup(frozenset({0, 1}), frozenset({(0, 1)})),
+        EdgeGroup(frozenset({0, 1}), frozenset({(2, 3)})),
+    ]
+    budget = GroupBudget(1, 1, 1)
+    parts = [(2, 1), (4, 2)]
+    edges, new_bags = enlarge_lists(4, [], bags, tree, groups, budget, parts)
+    assert sorted(edges) == [(0, 1), (2, 3)]
+    assert new_bags == [{0, 1, 2, 3}] * 2
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(4, [], bags, tree, groups, budget)
+    assert str(err.value) == "max_groups_per_node: node 0 covered by 2 group subtrees"
+    assert err.value.part == 0
+    cases = {
+        ((2, 2),): "group-structure: group 0 has invalid pair (0, 0)",
+        ((1, 2),): "group-structure: group 0 has invalid pair (-1, 0)",
+        ((2, 3), (3, 2)): "max_pairs_per_group: group 0 has 2 pairs",
+    }
+    for pairs, message in cases.items():
+        bad = [groups[0], EdgeGroup(frozenset({0}), frozenset(pairs))]
+        with pytest.raises(GroupBudgetError) as err:
+            enlarge_lists(4, [], bags, tree, bad, budget, parts)
+        assert (str(err.value), err.value.part) == (message, 1)
+    twice = [groups[0], EdgeGroup(frozenset({0}), frozenset({(2, 3), (3, 2)}))]
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(4, [], bags, tree, twice, GroupBudget(2, 1, 1), parts)
+    assert str(err.value) == "max_pair_uses_per_vertex: vertex 0 used by 2 pairs"
+    assert err.value.part == 1
+
+
+def test_band_color_bands_each_part_by_its_own_length():
+    """Vertex 0 spans depths 0 to 3, so one part bands by length 4 and
+    colors all four vertices alike; as parts {0, 1} and {2, 3}, the second
+    bands by its own length 1 and vertices 2 and 3 part."""
+    bags = [{0, 1, 2}, {0, 3}, {0}, {0}]
+    depth = [0, 1, 2, 3]
+    assert band_color(4, [], bags, depth, 1)[0] == [1, 1, 1, 1]
+    assert band_color(4, [], bags, depth, 1, [2, 4])[0] == [1, 1, 1, 2]
 
 
 def test_enlarge_random_instances_keep_bounds():
