@@ -43,7 +43,6 @@ from .threecolor import (
     ThreeColorConstants,
     ThreeColorResult,
     compute_constants,
-    three_color,
     three_color_lists,
 )
 from .twocolor import (
@@ -92,7 +91,6 @@ __all__ = [
     "gen_kst_instance",
     "gen_path",
     "gen_rect_grid",
-    "three_color",
     "three_color_lists",
     "trigrid_path_oracle",
     "two_color_bounded_treewidth",

@@ -111,7 +111,7 @@ def _read_coloring(path: str, n: int) -> dict[int, int]:
         coloring[v] = c
     for v in range(n):
         if v not in coloring:
-            raise ValueError(f"coloring file is missing vertex {v}")
+            raise ValueError(f"{path}: coloring file is missing vertex {v}")
     return coloring
 
 

@@ -161,14 +161,8 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self._edges
 
     def vertices(self) -> range:
         return range(self.n)
@@ -187,7 +181,7 @@ class Layering:
     constructor rejects repeats outright since no graph could make them valid.
     """
 
-    __slots__ = ("layers", "_index")
+    __slots__ = ("layers",)
 
     def __init__(self, layers: Iterable[Iterable[int]]):
         packed = []
@@ -200,21 +194,16 @@ class Layering:
                 index[v] = i
             packed.append(row)
         self.layers = tuple(packed)
-        self._index = index
 
     @property
     def m(self) -> int:
         return len(self.layers)
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._index)
-
     def __eq__(self, other):
         return isinstance(other, Layering) and self.layers == other.layers
 
     def __repr__(self):
-        return f"Layering(m={self.m}, n={len(self._index)})"
+        return f"Layering(m={self.m}, n={sum(map(len, self.layers))})"
 
 
 def _search(
@@ -247,7 +236,7 @@ class TreeDecomposition:
     given graph is the validator's business, not the constructor's.
     """
 
-    __slots__ = ("bags", "edges", "root", "_adj")
+    __slots__ = ("bags", "edges", "root")
 
     def __init__(
         self,
@@ -259,8 +248,7 @@ class TreeDecomposition:
         nn = len(self.bags)
         if nn == 0:
             raise ValueError("a tree-decomposition needs at least one node")
-        edges, adj = _pair_index(nn, edges, _bad_tree_pair)
-        self.edges, self._adj = frozenset(edges), tuple(map(tuple, map(sorted, adj)))
+        self.edges = frozenset(_pair_index(nn, edges, _bad_tree_pair)[0])
         if not (0 <= root < nn):
             raise ValueError(f"root {root} out of range")
         self.root = root
@@ -268,9 +256,6 @@ class TreeDecomposition:
     @property
     def node_count(self) -> int:
         return len(self.bags)
-
-    def node_neighbors(self, t: int) -> tuple[int, ...]:
-        return self._adj[t]
 
     def width(self) -> int:
         """Largest bag size minus one (-1 when every bag is empty)."""

@@ -35,8 +35,6 @@ from .errors import (
     InvalidLayering,
 )
 from .graph import (
-    Graph,
-    LayeredTreeDecomposition,
     ValidationReport,
     _bad_edge,
     _induce,
@@ -228,15 +226,6 @@ def _stage(cls: int, layers: Sequence[int], part: int | None) -> str:
     """The name of class ``cls``'s stage, and of the layer that is the given
     part of its view, when there is one."""
     return f"stage-{cls}" if part is None else f"stage-{cls} layer {layers[part]}"
-
-
-def three_color(g: Graph, ltd: LayeredTreeDecomposition) -> ThreeColorResult:
-    """``three_color_lists`` of ``g``'s vertices and edges, ``ltd``'s bags
-    and tree, its layers, and its decomposition's root."""
-    td = ltd.td
-    return three_color_lists(
-        g.n, g.edges, td.bags, td.edges, ltd.layering.layers, td.root
-    )
 
 
 def three_color_lists(

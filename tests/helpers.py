@@ -81,14 +81,24 @@ def connected(adj, nodes):
     return len(seen) == len(nodes)
 
 
+def tree_neighbors(td):
+    """Each node's neighbors in ``td``'s tree, in ascending order."""
+    adj = [[] for _ in range(td.node_count)]
+    for a, b in td.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(nbrs) for nbrs in adj]
+
+
 def random_subtree(rng, td, grow_prob=0.6):
     """Connected node set grown from a random start."""
+    adj = tree_neighbors(td)
     start = rng.randrange(td.node_count)
     nodes = {start}
     frontier = [start]
     while frontier:
         t = frontier.pop()
-        for u in td.node_neighbors(t):
+        for u in adj[t]:
             if u not in nodes and rng.random() < grow_prob:
                 nodes.add(u)
                 frontier.append(u)
@@ -128,6 +138,14 @@ def random_groups(rng, g, td, max_groups=3):
         max_groups_per_node=max(cover_count.values(), default=1),
     )
     return groups, budget
+
+
+def lists_of(g, ltd):
+    """The six arguments of ``three_color_lists`` for a graph and its layered
+    decomposition: the vertex count, the edges, the bags, the tree edges,
+    the layers and the root."""
+    td = ltd.td
+    return g.n, g.edges, td.bags, td.edges, ltd.layering.layers, td.root
 
 
 def spine_path(n=40):

@@ -22,14 +22,14 @@ from clustercolor import (
     gen_kst_instance,
     gen_path,
     gen_rect_grid,
-    three_color,
+    three_color_lists,
     trigrid_path_oracle,
     two_color_bounded_treewidth,
 )
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
 from clustercolor import pace
 
-from helpers import random_decomposition, random_groups
+from helpers import lists_of, random_decomposition, random_groups
 
 
 def _report(num, ok, detail):
@@ -43,7 +43,7 @@ def test_criterion_01_trigrid_clustering_plateau():
         values = {}
         for n in (10, 20, 30, 40):
             g, ltd, _ = gen_grid(n, triangulated=True)
-            values[n] = three_color(g, ltd).clustering
+            values[n] = three_color_lists(*lists_of(g, ltd)).clustering
     except Exception as exc:
         _report(1, False, f"raised {type(exc).__name__}: {exc}")
         raise
@@ -73,12 +73,12 @@ def test_criterion_02_palette_respects_layer_classes():
     try:
         violations = 0
         for g, ltd, _ in instances:
-            result = three_color(g, ltd)
+            result = three_color_lists(*lists_of(g, ltd))
             ly = ltd.layering
             assert set().union(*ly.layers) == set(g.vertices())
             layer_of = layer_index(g.n, ly.layers)[0]
-            for v in ly.vertices:
-                if result.coloring[v] not in allowed[(layer_of[v] - 1) % 3 + 1]:
+            for v, i in layer_of.items():
+                if result.coloring[v] not in allowed[(i - 1) % 3 + 1]:
                     violations += 1
     except Exception as exc:
         _report(2, False, f"raised {type(exc).__name__}: {exc}")

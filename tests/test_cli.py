@@ -24,12 +24,12 @@ from clustercolor import (
     gen_grid,
     gen_path,
     gen_rect_grid,
-    three_color,
+    three_color_lists,
 )
 from clustercolor import cli, pace
 from clustercolor.cli import GEN_FAMILIES, main
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
-from helpers import spine_path, without_first_vertex
+from helpers import lists_of, permuted, spine_path, without_first_vertex
 
 
 def read_instance(prefix):
@@ -383,7 +383,7 @@ def test_color3_colors_as_three_color_does(tmp_path, capsys, build, every_root, 
     for root in roots:
         pg, pltd = _shuffled_files(g, ltd, seed, prefix, root)
         assert main(argv) == 0
-        expected = three_color(pg, pltd).coloring
+        expected = three_color_lists(*lists_of(pg, pltd)).coloring
         with open(f"{prefix}.coloring") as fh:
             assert fh.read() == "".join(
                 f"{v} {c}\n" for v, c in sorted(expected.items())
@@ -459,6 +459,18 @@ def test_color3_bench_instances_are_pinned(tmp_path, capsys, name):
         assert json.load(fh)["clustering"] == clustering
     with open(f"{prefix}.coloring", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("name", sorted(BENCH_INSTANCES))
+def test_bench_instances_cluster_alike_at_other_seeds(name, seed):
+    """Banding reads only node depths, so each bench instance keeps its
+    clustering whatever its vertex ids: at seeds 2 and 3, permuted as
+    bench/run.py permutes them, it clusters as at seed 1."""
+    build, clustering, _ = BENCH_INSTANCES[name]
+    g, ltd, _ = build()
+    result = three_color_lists(*lists_of(*permuted(g, ltd, seed)))
+    assert result.clustering == clustering
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
@@ -609,6 +621,10 @@ def test_every_parse_error_names_its_file(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {coloring}: line 2: expected two integers\n"
+    coloring.write_text("0 1\n1 2\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {coloring}: coloring file is missing vertex 2\n"
     coloring.write_text("0 1\n1 2\n2 1\n")
     gr.write_text("p tw 3 2\n1 x\n2 3\n")
     assert main(argv) == 2
@@ -765,7 +781,7 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
         "--coloring", str(coloring), "--k", "1"
     )
     assert (verify.returncode, verify.stderr) == (
-        2, "error: coloring file is missing vertex 1\n"
+        2, f"error: {coloring}: coloring file is missing vertex 1\n"
     )
     small_td = tmp_path / "one.td"
     small_td.write_text("s td 1 1 1000000000\nb 1 1\n")

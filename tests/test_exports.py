@@ -5,12 +5,16 @@ import clustercolor
 from test_imports import ROOT, _unreferenced_helpers
 
 # The exported names that no code of the package or the benchmark names:
-# the library's own entry points, which only callers outside it reach.
+# the library's own entry points, which only callers outside it reach. Each
+# is kept for the user named beside it.
 LIBRARY_ONLY = {
+    # tests/corpus.py builds instances with it.
     "bfs_layering",
+    # README's constants chain, and the bound g of criterion 01.
     "compute_constants",
-    "three_color",
+    # Criterion 07's reference oracle.
     "trigrid_path_oracle",
+    # The library's only 2-colorer: README's first bullet, criterion 10.
     "two_color_bounded_treewidth",
 }
 

@@ -37,7 +37,7 @@ def test_triangulated_grid_shape():
     assert g.n == 9
     assert len(g.edges) == 16
     assert delta == 6
-    assert g.has_edge(0, 4)
+    assert (0, 4) in g.edges
     assert _checked_width(g, ltd) == 2
 
 
@@ -51,7 +51,7 @@ def test_grid_single_vertex():
 
 def test_triangulated_grid_degrees():
     g, _, delta = gen_grid(5, triangulated=True)
-    assert max(g.degree(v) for v in g.vertices()) == 6 == delta
+    assert g.max_degree() == 6 == delta
 
 
 def test_rect_grid():

@@ -97,7 +97,7 @@ def test_readme_library_tour_names_only_what_each_module_has():
 
 def test_readme_object_entry_points_exist():
     text = README.read_text(encoding="utf-8")
-    listed = re.search(r"object entry points\s*\(([^)]*)\)", text).group(1)
+    listed = re.search(r"object entry points?\s*\(([^)]*)\)", text).group(1)
     names = re.findall(r"`(\w+)`", listed)
     assert names
     for name in names:

@@ -22,13 +22,13 @@ from clustercolor import (
     gen_kst_instance,
     gen_path,
     gen_rect_grid,
-    three_color,
     three_color_lists,
 )
 from clustercolor.graph import edge_span, layer_index
 from helpers import (
     branching,
     folded_path,
+    lists_of,
     nodes_permuted,
     permuted,
     rerooted,
@@ -66,7 +66,7 @@ def test_constants_reject_degenerate_inputs():
 
 def _layer_classes(ly):
     """Each vertex's layer class: layers 1, 4, 7, ... are class 1, and so on."""
-    layer_of = layer_index(len(ly.vertices), ly.layers)[0]
+    layer_of = layer_index(sum(map(len, ly.layers)), ly.layers)[0]
     return {v: (i - 1) % 3 + 1 for v, i in layer_of.items()}
 
 
@@ -75,7 +75,7 @@ def _palette_violations(result, ly):
     classes = _layer_classes(ly)
     return [
         (v, result.coloring[v])
-        for v in sorted(ly.vertices)
+        for v in sorted(classes)
         if result.coloring[v] not in palettes[classes[v]]
     ]
 
@@ -97,9 +97,10 @@ def _connected_within(g: Graph, verts) -> bool:
 
 
 def _three_color_with_pairs(monkeypatch, g, ltd):
-    """``three_color``'s result, and the distinct fake pairs of each layer
-    class in original ids, read from the groups ``_class_view`` returns.
-    Each group's pairs must join vertices of its own part's layer."""
+    """``three_color_lists``'s result, and the distinct fake pairs of each
+    layer class in original ids, read from the groups ``_class_view``
+    returns. Each group's pairs must join vertices of its own part's
+    layer."""
     from clustercolor import threecolor
 
     class_view = threecolor._class_view
@@ -123,7 +124,7 @@ def _three_color_with_pairs(monkeypatch, g, ltd):
         return view
 
     monkeypatch.setattr(threecolor, "_class_view", capturing)
-    return three_color(g, ltd), pairs
+    return three_color_lists(*lists_of(g, ltd)), pairs
 
 
 def _stage2_comps_are_respected(g, ly, result, stage2_pairs):
@@ -153,27 +154,27 @@ def test_three_color_trigrid(monkeypatch):
 
 def test_three_color_is_deterministic():
     g, ltd, _ = gen_grid(7, triangulated=True)
-    first = three_color(g, ltd)
-    second = three_color(g, ltd)
+    first = three_color_lists(*lists_of(g, ltd))
+    second = three_color_lists(*lists_of(g, ltd))
     assert first.coloring == second.coloring
     assert first.clustering == second.clustering
 
 
 def test_three_color_path_and_kst():
     g, ltd, _ = gen_path(30)
-    result = three_color(g, ltd)
+    result = three_color_lists(*lists_of(g, ltd))
     assert result.clustering <= result.constants.g
     assert _palette_violations(result, ltd.layering) == []
 
     g, ltd, _ = gen_kst_instance(2, 3)
-    result = three_color(g, ltd)
+    result = three_color_lists(*lists_of(g, ltd))
     assert _palette_violations(result, ltd.layering) == []
     assert result.clustering <= result.constants.g
 
 
 def test_three_color_single_vertex():
     g, ltd, _ = gen_grid(1)
-    result = three_color(g, ltd)
+    result = three_color_lists(*lists_of(g, ltd))
     assert result.coloring == {0: 1}
     assert result.clustering == 1
 
@@ -181,7 +182,7 @@ def test_three_color_single_vertex():
 def test_three_color_empty_graph():
     g = Graph(0, [])
     ltd = LayeredTreeDecomposition(TreeDecomposition([frozenset()]), Layering([]))
-    result = three_color(g, ltd)
+    result = three_color_lists(*lists_of(g, ltd))
     assert result.coloring == {} and result.clustering == 0
 
 
@@ -191,7 +192,7 @@ def test_three_color_rejects_bad_inputs():
         TreeDecomposition([frozenset({0})]), ltd.layering
     )
     with pytest.raises(InvalidDecomposition):
-        three_color(g, broken)
+        three_color_lists(*lists_of(g, broken))
 
 
 def test_three_color_lists_rejects_bad_edge_lines():
@@ -330,7 +331,7 @@ GOLDEN = {
 def test_three_color_golden_outputs(name):
     build, digest, clustering, stage2, stage3 = GOLDEN[name]
     g, ltd = build()[:2]
-    result = three_color(g, ltd)
+    result = three_color_lists(*lists_of(g, ltd))
     text = "".join(f"{v} {result.coloring[v]}\n" for v in sorted(result.coloring))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert result.clustering == clustering
@@ -356,7 +357,7 @@ def test_three_color_two_colors_sparse_class_views(monkeypatch):
 
     monkeypatch.setattr(threecolor, "band_color", counting)
     g, ltd, _ = gen_path(2000)
-    three_color(g, ltd)
+    three_color_lists(*lists_of(g, ltd))
     assert len(node_counts) == 3
     assert sum(node_counts) <= 2 * sum(len(bag) for bag in ltd.td.bags)
 
@@ -405,7 +406,7 @@ def test_three_color_validates_and_measures_each_class_once(monkeypatch):
     ):
         g, ltd, _ = build()
         calls.update(dict.fromkeys(keys, 0))
-        three_color(g, ltd)
+        three_color_lists(*lists_of(g, ltd))
         assert _nonempty_classes(ltd.layering) == classes
         assert calls == {
             "validate": 1 + classes,
@@ -438,7 +439,7 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
     from clustercolor import graph, threecolor, twocolor
 
     g, ltd, _ = gen_grid(20, triangulated=True)
-    expected = three_color(g, ltd).coloring
+    expected = three_color_lists(*lists_of(g, ltd)).coloring
     calls = [0]
     check_once = graph.check_decomposition
 
@@ -458,7 +459,7 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
         return _with_groups(view, 0, [idle])
 
     monkeypatch.setattr(threecolor, "_class_view", with_idle_group)
-    result = three_color(g, ltd)
+    result = three_color_lists(*lists_of(g, ltd))
     assert calls[0] == 1 + _nonempty_classes(ltd.layering)
     assert result.coloring == expected
 
@@ -510,7 +511,7 @@ def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance
         return view
 
     monkeypatch.setattr(threecolor, "_class_view", replaying)
-    three_color(g, ltd)
+    three_color_lists(*lists_of(g, ltd))
     assert groups[0] > 0
     assert widened[0] > 0 or not widens
 
@@ -547,7 +548,7 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
 
     monkeypatch.setattr(threecolor, "_class_view", over_budget)
     with pytest.raises(GroupBudgetError) as err:
-        three_color(g, ltd)
+        three_color_lists(*lists_of(g, ltd))
     ((t, count),) = hit
     assert err.value.budget == "max_groups_per_node"
     assert str(err.value) == (
@@ -573,7 +574,7 @@ def test_stage_one_takes_no_groups(monkeypatch):
 
     monkeypatch.setattr(threecolor, "_class_view", stray)
     with pytest.raises(GroupBudgetError) as err:
-        three_color(g, ltd)
+        three_color_lists(*lists_of(g, ltd))
     assert err.value.budget == "max_pairs_per_group"
     assert str(err.value) == "max_pairs_per_group: stage-1 layer 4: group 0 has 1 pairs"
 
@@ -593,7 +594,7 @@ def test_each_stage_enlarges_under_its_budget(monkeypatch):
         return enlarge(*args)
 
     monkeypatch.setattr(threecolor, "enlarge_lists", recording)
-    c = three_color(g, ltd).constants
+    c = three_color_lists(*lists_of(g, ltd)).constants
     w, d = c.width, c.degree
     expected = {
         1: GroupBudget(0, 0, 0),
@@ -605,7 +606,7 @@ def test_each_stage_enlarges_under_its_budget(monkeypatch):
 def test_three_color_refuses_spine_path_in_stage_one():
     g, ltd = spine_path(40)
     with pytest.raises(ClusteringBoundError) as err:
-        three_color(g, ltd)
+        three_color_lists(*lists_of(g, ltd))
     assert err.value.stage == "stage-1 layer 1"
     assert err.value.measured == 40
     assert err.value.bound == 24
@@ -617,7 +618,7 @@ def test_refusal_witness_is_the_largest_component_in_the_callers_ids():
     names layer 4 and its witness is mapped back from the layer's own ids."""
     g, ltd = spine_path(40)
     with pytest.raises(ClusteringBoundError) as err:
-        three_color(g, ltd)
+        three_color_lists(*lists_of(g, ltd))
     assert err.value.witness == tuple(range(40))
 
     n = 41
@@ -709,7 +710,7 @@ def test_corrupted_view_is_an_internal_fault(monkeypatch):
         corrupt = without_first_vertex(class_view, part)
         monkeypatch.setattr(threecolor, "_class_view", corrupt)
         with pytest.raises(InternalInvariantError) as err:
-            three_color(g, ltd)
+            three_color_lists(*lists_of(g, ltd))
         assert str(err.value) == (
             f"stage-1 layer {layer}: enlarged decomposition invalid: "
             "vertex-coverage axiom fails at vertex 0"
@@ -721,15 +722,15 @@ def test_corrupted_view_is_an_internal_fault(monkeypatch):
 
     monkeypatch.setattr(threecolor, "_class_view", treeless)
     with pytest.raises(InternalInvariantError) as err:
-        three_color(g, ltd)
+        three_color_lists(*lists_of(g, ltd))
     assert str(err.value) == "stage-1: enlarged decomposition invalid: tree axiom fails"
 
 
 def _certified(g, ltd):
-    """``three_color``'s coloring, after checking it independently: every
-    vertex colored from its class's palette, and the clustering measured
-    again and within the bound."""
-    result = three_color(g, ltd)
+    """``three_color_lists``'s coloring, after checking it independently:
+    every vertex colored from its class's palette, and the clustering
+    measured again and within the bound."""
+    result = three_color_lists(*lists_of(g, ltd))
     assert set(result.coloring) == set(range(g.n))
     assert _palette_violations(result, ltd.layering) == []
     measured = edge_components(g.n, g.edges, result.coloring)
