@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -136,8 +137,9 @@ class _ClassView(NamedTuple):
     ``bags``, ``tree_edges`` and ``depth`` are the class's edges and its
     sparse decomposition, with each node's original depth. ``groups`` holds
     the edge groups, layer after layer, and ``parts`` each layer's vertex
-    and group ends in ``ids`` and ``groups``. ``pours`` gives each group's
-    endpoints and subtree in original ids."""
+    and group ends in ``ids`` and ``groups``; a group is a clique on its
+    ends, in local ids, over a subtree of view nodes. ``nodes`` gives each
+    view node's original id."""
 
     ids: list[int]
     edges: list[tuple[int, int]]
@@ -146,7 +148,7 @@ class _ClassView(NamedTuple):
     depth: list[int]
     groups: list[EdgeGroup]
     parts: list[tuple[int, int]]
-    pours: list[tuple[list[int], frozenset[int]]]
+    nodes: list[int]
 
 
 def _class_view(
@@ -164,7 +166,7 @@ def _class_view(
     disjoint union of the layers' own views, each layer one part.
     ``holders`` gives each vertex's nodes, including for a colored layer's
     vertex the subtrees it was poured into. Each guard component with at
-    least two neighbors in its layer gives one group: all pairs of those
+    least two neighbors in its layer gives one group: the clique on those
     neighbors, and as subtree the nodes whose (possibly enlarged) bags meet
     the component, those holding one of its vertices, which hold each
     neighbor with it.
@@ -208,17 +210,11 @@ def _class_view(
             tree_edges.append((i, up))
     tree_edges += zip(tops, tops[1:])
     groups = [
-        EdgeGroup(
-            subtree=frozenset(local[t] for t in subtree),
-            pairs=frozenset(
-                (a, b) for k, a in enumerate(ends) for b in ends[k + 1 :]
-            ),
-        )
+        EdgeGroup(frozenset(local[t] for t in subtree), tuple(ends))
         for ends, subtree in found
     ]
-    pours = [([ids[i] for i in ends], subtree) for ends, subtree in found]
     return _ClassView(
-        ids, edges, bags, tree_edges, [depth[t] for t in nodes], groups, parts, pours
+        ids, edges, bags, tree_edges, [depth[t] for t in nodes], groups, parts, nodes
     )
 
 
@@ -334,13 +330,15 @@ def three_color_lists(
                     tuple(map(ids.__getitem__, local_comp))
                 )
         # Pairs repeat across the groups of one layer, never across layers.
-        fake_edges[cls] += len(set().union(*(grp.pairs for grp in view.groups)))
+        pairs = {pair for grp in view.groups for pair in combinations(grp.ends, 2)}
+        fake_edges[cls] += len(pairs)
         # The later layers this class guards see its poured bags.
-        for pair_ends, subtree in view.pours:
-            for v in pair_ends:
-                holders[v].extend(subtree)
+        for grp in view.groups:
+            subtree = [view.nodes[t] for t in grp.subtree]
+            for v in grp.ends:
+                holders[ids[v]] += subtree
         # Free this class's lists before the next class's are built.
-        del view, view_edges, view_bags, colors, clusters
+        del view, view_edges, view_bags, colors, clusters, pairs
 
     report = edge_components(n, edges, coloring)
     if report.max_size > constants.g:

@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, combinations, pairwise, repeat
 from operator import sub
 
 from .errors import (
@@ -134,12 +134,13 @@ def two_color_bounded_treewidth(
 
 @dataclass(frozen=True)
 class EdgeGroup:
-    """A batch of vertex pairs to add, together with the tree region that
-    absorbs their endpoints: ``subtree``, a connected set of decomposition
-    nodes whose bags hold every pair endpoint."""
+    """A clique to add, every pair of the strictly ascending vertices
+    ``ends``, together with the tree region that absorbs them: ``subtree``,
+    a connected set of decomposition nodes some bag of which holds each
+    end; no one bag need hold them all."""
 
     subtree: frozenset[int]
-    pairs: frozenset[tuple[int, int]]
+    ends: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -170,35 +171,39 @@ def enlarge_lists(
     budget: GroupBudget,
     parts: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]]]:
-    """Add the groups' pairs as edges and widen the decomposition to match,
-    over plain lists: the graph on 0..n-1 by its distinct edges (u, v) with
-    u < v, one bag per node, and the tree by its node pairs.
+    """Add each group's clique as edges and widen the decomposition to
+    match, over plain lists: the graph on 0..n-1 by its distinct edges
+    (u, v) with u < v, one bag per node, and the tree by its node pairs.
 
     The vertices and the groups fall into parts, the ith holding the
     vertices and the groups before ``parts[i] = (vertex end, group end)``
-    and from the previous part's ends on; one part of everything when none
-    is given. A part's groups must pair its own vertices only. The budget
-    holds per part: a node may be covered by h groups of each part. Errors
-    name a part's vertices and groups by their positions within it, and
-    carry the part's index as ``part``.
+    and from the previous part's ends on, neither end decreasing; one part
+    of everything when none is given. A group of k ends, strictly ascending
+    in its own part, adds k(k - 1)/2 pairs and k - 1 uses of each end. The
+    budget holds per part: a node may be covered by h groups of each part.
+    Errors name a part's vertices and groups by their positions within it,
+    and carry the part's index as ``part``.
 
-    A group's subtree must be a nonempty connected set of nodes whose bags
-    hold each end of each of its pairs; it is taken as connected by the
-    count that ``check_decomposition`` applies to a vertex's nodes, which
-    is exact on a tree. Every group's endpoints are poured into each bag
-    of its subtree, which preserves all decomposition axioms,
-    and under the budget each node's bag grows by at most 2hk vertices of
-    each part and each vertex's degree by at most d, the lemma's growth
-    that ``_enlarged`` states. Budget and group-structure violations raise
-    GroupBudgetError naming the field. The output is validated and both
-    growths are re-checked on it; a failure raises InternalInvariantError,
-    for the lowest part that fails when the failure names a vertex.
-    Returns the new edges and bags; when no group carries pairs, the
-    input's own, validated as they stand.
+    A group of two or more ends needs a nonempty connected subtree, some
+    bag of which holds each end: the ends are checked against the union of
+    the subtree's bags, not against any one bag. The subtree is taken as
+    connected by the count that ``check_decomposition`` applies to a
+    vertex's nodes, which is exact on a tree. Every group's ends are
+    poured into each bag of its subtree, which preserves all decomposition
+    axioms, and under the budget each node's bag grows by at most 2hk
+    vertices of each part and each vertex's degree by at most d, the
+    lemma's growth that ``_enlarged`` states. Budget and group-structure
+    violations raise GroupBudgetError naming the field. The output is
+    validated and both growths are re-checked on it; a failure raises
+    InternalInvariantError, for the lowest part that fails when the
+    failure names a vertex. Returns the new edges and bags; when no group
+    has two ends, the input's own, validated as they stand.
     """
     parts = parts or ((n, len(groups)),)
     if tuple(parts[-1]) != (n, len(groups)):
         raise ValueError("the last part must end at n and at the last group")
+    if any(a > b for column in zip(*parts) for a, b in pairwise((0, *column))):
+        raise ValueError("the parts' vertex and group ends must not decrease")
     ends = [end for end, _ in parts]
     nn = len(bags)
     tree_adj = _tree_index(nn, tree_edges)[1] if groups else []
@@ -210,13 +215,13 @@ def enlarge_lists(
         covers: dict[int, int] = {}
         for idx in range(last - first):
             group = groups[first + idx]
-            if len(group.pairs) > budget.max_pairs_per_group:
+            k = len(group.ends)
+            pairs = k * (k - 1) // 2
+            if pairs > budget.max_pairs_per_group:
                 raise GroupBudgetError(
-                    "max_pairs_per_group",
-                    f"group {idx} has {len(group.pairs)} pairs",
-                    p,
+                    "max_pairs_per_group", f"group {idx} has {pairs} pairs", p
                 )
-            if not group.pairs:
+            if not pairs:
                 continue
             subtree = group.subtree
             for t in subtree:
@@ -231,30 +236,24 @@ def enlarge_lists(
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} subtree is not connected", p
                 )
-            for u, v in group.pairs:
-                if u == v or not (lo <= u < hi and lo <= v < hi):
-                    raise GroupBudgetError(
-                        "group-structure",
-                        f"group {idx} has invalid pair ({u - lo}, {v - lo})",
-                        p,
-                    )
-                uses[u - lo] = uses.get(u - lo, 0) + 1
-                uses[v - lo] = uses.get(v - lo, 0) + 1
-            pair_ends = {v for pair in group.pairs for v in pair}
-            missing = pair_ends.difference(*map(bags.__getitem__, subtree))
+            local = [v - lo for v in group.ends]
+            if not all(a < b for a, b in pairwise((-1, *local, hi - lo))):
+                detail = f"group {idx} has invalid ends {tuple(local)}"
+                raise GroupBudgetError("group-structure", detail, p)
+            for v in local:
+                uses[v] = uses.get(v, 0) + k - 1
+            missing = set(group.ends).difference(*map(bags.__getitem__, subtree))
             if missing:
-                u, v = min(q for q in group.pairs if not missing.isdisjoint(q))
                 raise GroupBudgetError(
                     "group-structure",
-                    f"group {idx} pair ({u - lo}, {v - lo}) has an end in no bag "
-                    "of its subtree",
+                    f"group {idx} end {min(missing) - lo} is in no bag of its subtree",
                     p,
                 )
             for t in subtree:
                 covers[t] = covers.get(t, 0) + 1
-            live.append((group, pair_ends))
+            live.append(group)
         # Each per-item budget names its smallest violator; a part whose
-        # groups carry no pairs uses none.
+        # groups add no pairs uses none.
         if uses:
             for field, count, what in (
                 ("max_pair_uses_per_vertex", uses, "vertex {} used by {} pairs"),
@@ -269,11 +268,11 @@ def enlarge_lists(
     new_edges, new_bags = edges, bags
     if live:
         new_edges = set(edges)
-        poured: dict[int, list[set[int]]] = {}
-        for grp, pair_ends in live:
-            new_edges.update((u, v) if u < v else (v, u) for u, v in grp.pairs)
+        poured: dict[int, list[tuple[int, ...]]] = {}
+        for grp in live:
+            new_edges.update(combinations(grp.ends, 2))
             for t in grp.subtree:
-                poured.setdefault(t, []).append(pair_ends)
+                poured.setdefault(t, []).append(grp.ends)
         # Pour into each node once, since a bag may hold every part.
         new_bags = list(bags)
         grow, spread = _enlarged(budget, 0, 0)

@@ -106,34 +106,30 @@ def random_subtree(rng, td, grow_prob=0.6):
 
 
 def random_groups(rng, g, td, max_groups=3):
-    """Edge groups with a budget measured from the groups themselves, so
-    the budget always admits them."""
+    """Edge groups, each a clique of up to four ends, with a budget measured
+    from the groups themselves, so the budget always admits them."""
     groups = []
     for _ in range(rng.randint(1, max_groups)):
         subtree = random_subtree(rng, td)
-        # Pairs are drawn from the bags of a random part of the subtree.
+        # Ends are drawn from the bags of a random part of the subtree.
         cover = frozenset(
             rng.sample(sorted(subtree), rng.randint(1, len(subtree)))
         )
         pool = sorted(set().union(*(td.bags[t] for t in cover)))
-        pairs = set()
-        if len(pool) >= 2:
-            for _ in range(rng.randint(0, 4)):
-                a, b = rng.sample(pool, 2)
-                pairs.add((min(a, b), max(a, b)))
-        groups.append(EdgeGroup(subtree=subtree, pairs=frozenset(pairs)))
-    live = [grp for grp in groups if grp.pairs]
+        ends = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        groups.append(EdgeGroup(subtree=subtree, ends=tuple(ends)))
+    live = [grp for grp in groups if len(grp.ends) >= 2]
     uses = {}
-    for grp in live:
-        for a, b in grp.pairs:
-            uses[a] = uses.get(a, 0) + 1
-            uses[b] = uses.get(b, 0) + 1
     cover_count = {}
     for grp in live:
+        for v in grp.ends:
+            uses[v] = uses.get(v, 0) + len(grp.ends) - 1
         for t in grp.subtree:
             cover_count[t] = cover_count.get(t, 0) + 1
     budget = GroupBudget(
-        max_pairs_per_group=max((len(grp.pairs) for grp in live), default=1),
+        max_pairs_per_group=max(
+            (len(grp.ends) * (len(grp.ends) - 1) // 2 for grp in live), default=1
+        ),
         max_pair_uses_per_vertex=max(uses.values(), default=1),
         max_groups_per_node=max(cover_count.values(), default=1),
     )

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -99,8 +100,7 @@ def _connected_within(g: Graph, verts) -> bool:
 def _three_color_with_pairs(monkeypatch, g, ltd):
     """``three_color_lists``'s result, and the distinct fake pairs of each
     layer class in original ids, read from the groups ``_class_view``
-    returns. Each group's pairs must join vertices of its own part's
-    layer."""
+    returns. Each group's ends must ascend within its own part's layer."""
     from clustercolor import threecolor
 
     class_view = threecolor._class_view
@@ -117,8 +117,11 @@ def _three_color_with_pairs(monkeypatch, g, ltd):
             layer = layer_of[ids[start]]
             assert {layer_of[v] for v in ids[start:end]} == {layer}
             for grp in view.groups[first:last]:
-                assert all(start <= a < end and start <= b < end for a, b in grp.pairs)
-                pairs[cls].update((ids[a], ids[b]) for a, b in grp.pairs)
+                assert start <= grp.ends[0] and grp.ends[-1] < end
+                assert list(grp.ends) == sorted(set(grp.ends))
+                pairs[cls].update(
+                    (ids[a], ids[b]) for a, b in combinations(grp.ends, 2)
+                )
             start, first = end, last
         assert first == len(view.groups)
         return view
@@ -393,7 +396,7 @@ def test_three_color_validates_and_measures_each_class_once(monkeypatch):
     enlarge = counted("enlarge", threecolor.enlarge_lists)
 
     def enlarge_counting_pairs(*args):
-        calls["enlarged"] += any(group.pairs for group in args[4])
+        calls["enlarged"] += any(len(group.ends) > 1 for group in args[4])
         return enlarge(*args)
 
     monkeypatch.setattr(threecolor, "enlarge_lists", enlarge_counting_pairs)
@@ -433,9 +436,9 @@ def _with_groups(view, part, extra, at_start=False):
 
 
 def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
-    """A group without pairs enlarges nothing, and the class whose layer it
-    lands on still has its view validated once, by the enlargement that
-    returns its input as it stands."""
+    """A group without pairs, of no end or of one, enlarges nothing, and the
+    class whose layer they land on still has its view validated once, by the
+    enlargement that returns its input as it stands."""
     from clustercolor import graph, threecolor, twocolor
 
     g, ltd, _ = gen_grid(20, triangulated=True)
@@ -455,8 +458,8 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
         view = class_view(*args)
         # The first view node holding the class's first vertex.
         nodes = frozenset({next(t for t, bag in enumerate(view.bags) if 0 in bag)})
-        idle = EdgeGroup(subtree=nodes, pairs=frozenset())
-        return _with_groups(view, 0, [idle])
+        idle = [EdgeGroup(nodes, ()), EdgeGroup(nodes, (0,))]
+        return _with_groups(view, 0, idle)
 
     monkeypatch.setattr(threecolor, "_class_view", with_idle_group)
     result = three_color_lists(*lists_of(g, ltd))
@@ -470,11 +473,13 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
     ids=["trigrid-12", "rect-4x40"],
 )
 def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance, widens):
-    """Replayed from the bags and the pours alone, each group's subtree is
-    the set of nodes that hold one of its guard component's vertices,
-    either in the original bags or because an earlier layer's enlargement
-    poured that vertex into them. On the rectangular grid some pours reach
-    nodes whose original bags lack the vertex, so the replay needs them."""
+    """Replayed from the bags and the groups alone, each group's ends are
+    its guard component's neighbors in the layer, and its subtree, mapped
+    through the view's node list, is the set of nodes that hold one of the
+    component's vertices, either in the original bags or because an
+    earlier layer's enlargement poured that vertex into them. On the
+    rectangular grid some pours reach nodes whose original bags lack the
+    vertex, so the replay needs them."""
     from clustercolor import threecolor
 
     g, ltd, _ = instance()
@@ -492,22 +497,24 @@ def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance
         guarded = []
         for ids, guards in layers:
             layer = set(ids)
-            guarded += [
-                comp
-                for comp in sorted(guards, key=min)
-                if len({u for c in comp for u in g.neighbors(c) if u in layer}) >= 2
-            ]
-        expected = [set().union(*(held[c] for c in comp)) for comp in guarded]
-        assert [set(subtree) for _, subtree in view.pours] == expected
-        assert [len(grp.subtree) for grp in view.groups] == list(map(len, expected))
+            for comp in sorted(guards, key=min):
+                ends = {u for c in comp for u in g.neighbors(c) if u in layer}
+                if len(ends) >= 2:
+                    guarded.append((comp, sorted(ends)))
+        subtrees = [{view.nodes[t] for t in grp.subtree} for grp in view.groups]
+        expected = [set().union(*(held[c] for c in comp)) for comp, _ in guarded]
+        assert subtrees == expected
+        assert [[view.ids[v] for v in grp.ends] for grp in view.groups] == [
+            ends for _, ends in guarded
+        ]
         groups[0] += len(guarded)
         widened[0] += sum(
             expected[i] != set().union(*(original[c] for c in comp))
-            for i, comp in enumerate(guarded)
+            for i, (comp, _) in enumerate(guarded)
         )
-        for ends, subtree in view.pours:
-            for v in ends:
-                held[v] |= subtree
+        for grp, subtree in zip(view.groups, subtrees):
+            for v in grp.ends:
+                held[view.ids[v]] |= subtree
         return view
 
     monkeypatch.setattr(threecolor, "_class_view", replaying)
@@ -541,7 +548,7 @@ def test_stage_two_budget_overrun_names_the_stage_and_layer(monkeypatch):
             for t in sorted(covered)
             if len([v for v in view.bags[t] if start <= v < end]) >= 2
         )
-        extra = EdgeGroup(subtree=frozenset({t}), pairs=frozenset({(a, b)}))
+        extra = EdgeGroup(subtree=frozenset({t}), ends=(a, b))
         own = view.groups[view.parts[0][1] : view.parts[1][1]]
         hit.append((t, 4 + sum(t in grp.subtree for grp in own)))
         return _with_groups(view, 1, [extra] * 4)
@@ -569,7 +576,7 @@ def test_stage_one_takes_no_groups(monkeypatch):
     def stray(*args):
         view = class_view(*args)
         a, b = sorted(view.bags[0])[:2]
-        extra = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(a, b)}))
+        extra = EdgeGroup(subtree=frozenset({0}), ends=(a, b))
         return _with_groups(view, len(view.parts) - 1, [extra], at_start=True)
 
     monkeypatch.setattr(threecolor, "_class_view", stray)
@@ -687,8 +694,8 @@ def test_a_class_refuses_its_lowest_layer_first(monkeypatch):
     def stray(*args):
         view = class_view(*args)
         start, end = view.parts[0][0], view.parts[1][0]
-        pair = frozenset({(start, start + 1)})
-        extra = EdgeGroup(subtree=frozenset({len(view.bags) - 1}), pairs=pair)
+        ends = (start, start + 1)
+        extra = EdgeGroup(subtree=frozenset({len(view.bags) - 1}), ends=ends)
         return _with_groups(view, 1, [extra])
 
     monkeypatch.setattr(threecolor, "_class_view", stray)
@@ -818,7 +825,8 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
         first = 0
         for (ids, _), (_, last) in zip(layers, view.parts):
             kept = {t for v in ids for t in holders[v]}
-            kept = kept.union(*(subtree for _, subtree in view.pours[first:last]))
+            for grp in view.groups[first:last]:
+                kept |= {view.nodes[t] for t in grp.subtree}
             tops.append(sum(1 for t in kept if parent[t] not in kept))
             first = last
         return view

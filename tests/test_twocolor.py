@@ -109,29 +109,52 @@ def _two_bag_instance():
 
 def test_enlarge_adds_edges_and_bounds_width():
     g, td = _two_bag_instance()
-    group = EdgeGroup(
-        subtree=frozenset({0, 1}),
-        pairs=frozenset({(0, 3), (1, 3), (0, 4)}),
-    )
-    budget = GroupBudget(3, 3, 1)
+    group = EdgeGroup(subtree=frozenset({0, 1}), ends=(0, 3, 4))
+    budget = GroupBudget(3, 2, 1)
     edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
     g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
-    assert {(0, 3), (1, 3), (0, 4)} <= g2.edges
+    assert {(0, 3), (0, 4), (3, 4)} <= g2.edges
     assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
     assert td2.width() <= td.width() + 2 * 1 * 3 == 8
-    assert g2.max_degree() <= g.max_degree() + 3
+    assert g2.max_degree() <= g.max_degree() + 2
     assert (0, 3) not in g.edges
 
 
+def test_enlarge_adds_each_clique_and_counts_its_uses():
+    """The enlarged edges are the input's plus every pair of each group's
+    ends, and a vertex's pair uses are the sum of len(ends) - 1 over the
+    groups that hold it, a pair repeated across groups counting in each:
+    vertices 0 to 3 are used 1, 2, 3 and 4 times, so a budget of d uses
+    names vertex d, the smallest over it, with its d + 1 uses."""
+    bags, tree = [{0, 1, 2, 3}, {3}], [(0, 1)]
+    groups = [
+        EdgeGroup(frozenset({0}), (0, 3)),
+        EdgeGroup(frozenset({0}), (1, 2, 3)),
+        EdgeGroup(frozenset({0, 1}), (2, 3)),
+    ]
+    budget = GroupBudget(3, 4, 3)
+    edges, new_bags = enlarge_lists(4, [(1, 2)], bags, tree, groups, budget)
+    cliques = {pair for grp in groups for pair in combinations(grp.ends, 2)}
+    assert set(edges) == {(1, 2)} | cliques == {(0, 3), (1, 2), (1, 3), (2, 3)}
+    assert new_bags == [{0, 1, 2, 3}, {2, 3}]
+    for d in range(4):
+        with pytest.raises(GroupBudgetError) as err:
+            enlarge_lists(4, [(1, 2)], bags, tree, groups, GroupBudget(3, d, 3))
+        assert str(err.value) == (
+            f"max_pair_uses_per_vertex: vertex {d} used by {d + 1} pairs"
+        )
+
+
 def test_enlarge_validates_an_input_with_nothing_to_add():
-    """With no pairs to add, the input comes back as the same objects, but
-    only after it is validated: an invalid one is an internal fault that
-    names the failed axiom and its witness."""
+    """With no pairs to add, whether there is no group or each has fewer
+    than two ends, the input comes back as the same objects, but only after
+    it is validated: an invalid one is an internal fault that names the
+    failed axiom and its witness."""
     edges, bags, tree = [(0, 1)], [{0, 1}, {1}], [(0, 1)]
     g, td = _two_bag_instance()
-    idle = EdgeGroup(subtree=frozenset(), pairs=frozenset())
+    idle = [EdgeGroup(subtree=frozenset(), ends=()), EdgeGroup(frozenset(), (1,))]
     none = GroupBudget(0, 0, 0)
-    for groups in ([], [idle]):
+    for groups in ([], idle):
         out_edges, out_bags = enlarge_lists(2, edges, bags, tree, groups, none)
         assert out_edges is edges and out_bags is bags
         out_edges, out_bags = enlarge_lists(
@@ -153,15 +176,14 @@ def test_enlarge_budget_errors_name_the_smallest_violator():
     bags = [set(range(6))] * 3
     tree = [(0, 1), (1, 2)]
 
-    def group(node, *pairs):
-        nodes = frozenset({node})
-        return EdgeGroup(subtree=nodes, pairs=frozenset(pairs))
+    def group(node, *ends):
+        return EdgeGroup(subtree=frozenset({node}), ends=ends)
 
-    uses = [group(0, (4, 5), (3, 4)), group(0, (1, 2), (0, 2))]
+    uses = [group(0, 4, 5), group(0, 2, 4), group(0, 1, 2)]
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(6, [], bags, tree, uses, GroupBudget(9, 1, 9))
     assert str(err.value) == "max_pair_uses_per_vertex: vertex 2 used by 2 pairs"
-    covers = [group(2, (0, 1)), group(2, (2, 3)), group(1, (4, 5)), group(1, (0, 5))]
+    covers = [group(2, 0, 1), group(2, 2, 3), group(1, 4, 5), group(1, 0, 5)]
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(6, [], bags, tree, covers, GroupBudget(9, 9, 1))
     assert str(err.value) == "max_groups_per_node: node 1 covered by 2 group subtrees"
@@ -169,10 +191,7 @@ def test_enlarge_budget_errors_name_the_smallest_violator():
 
 def test_enlarge_budget_violations():
     g, td = _two_bag_instance()
-    group = EdgeGroup(
-        subtree=frozenset({0, 1}),
-        pairs=frozenset({(0, 3), (1, 3), (0, 4)}),
-    )
+    group = EdgeGroup(subtree=frozenset({0, 1}), ends=(0, 3, 4))
     instance = (g.n, g.edges, td.bags, td.edges)
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(*instance, [group], GroupBudget(2, 9, 9))
@@ -186,27 +205,30 @@ def test_enlarge_budget_violations():
 
 
 def test_enlarge_rejects_malformed_groups():
+    """Ends that repeat, descend or leave 0..n-1 are refused, as is an end
+    in no bag of the subtree; the lowest such end is named."""
     g, td = _two_bag_instance()
     budget = GroupBudget(9, 9, 9)
-    split = EdgeGroup(subtree=frozenset({0, 3}), pairs=frozenset({(0, 1)}))
+    split = EdgeGroup(subtree=frozenset({0, 3}), ends=(0, 1))
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(g.n, g.edges, td.bags, td.edges, [split], budget)
     assert str(err.value) == "group-structure: group 0 node 3 out of range"
 
-    far_pair = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(3, 4)}))
+    far = EdgeGroup(subtree=frozenset({0}), ends=(1, 3, 4))
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(g.n, g.edges, td.bags, td.edges, [far_pair], budget)
+        enlarge_lists(g.n, g.edges, td.bags, td.edges, [far], budget)
     assert err.value.budget == "group-structure"
     assert str(err.value) == (
-        "group-structure: group 0 pair (3, 4) has an end in no bag of its subtree"
+        "group-structure: group 0 end 3 is in no bag of its subtree"
     )
 
-    loop = EdgeGroup(subtree=frozenset({0}), pairs=frozenset({(1, 1)}))
-    with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(g.n, g.edges, td.bags, td.edges, [loop], budget)
-    assert str(err.value) == "group-structure: group 0 has invalid pair (1, 1)"
+    for ends in ((1, 1), (2, 1), (0, 1, 1), (3, 5), (-1, 0)):
+        bad = EdgeGroup(subtree=frozenset({0}), ends=ends)
+        with pytest.raises(GroupBudgetError) as err:
+            enlarge_lists(g.n, g.edges, td.bags, td.edges, [bad], budget)
+        assert str(err.value) == f"group-structure: group 0 has invalid ends {ends}"
 
-    gap = EdgeGroup(subtree=frozenset({0, 2}), pairs=frozenset({(0, 1)}))
+    gap = EdgeGroup(subtree=frozenset({0, 2}), ends=(0, 1))
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(2, [], [{0, 1}] * 3, [(0, 1), (1, 2)], [gap], budget)
     assert str(err.value) == "group-structure: group 0 subtree is not connected"
@@ -215,7 +237,7 @@ def test_enlarge_rejects_malformed_groups():
 def test_enlarge_rejects_a_group_with_an_empty_subtree():
     """An empty node set is not a connected subtree, even for a pair whose
     ends share a bag."""
-    empty = EdgeGroup(frozenset(), frozenset({(0, 1)}))
+    empty = EdgeGroup(frozenset(), (0, 1))
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(2, [], [{0, 1}], [], [empty], GroupBudget(5, 5, 5))
     assert str(err.value) == "group-structure: group 0 subtree is not connected"
@@ -228,7 +250,7 @@ def test_enlarge_off_a_tree_leaves_the_subtree_to_the_output_check():
     and pass too. The output check then refuses the tree."""
     bags, tree = [{0, 1}, {1}, {1}, {0}], [(0, 1), (1, 2), (0, 2)]
     for nodes in ({0, 1, 2, 3}, {0, 1, 2}):
-        group = EdgeGroup(frozenset(nodes), frozenset({(0, 1)}))
+        group = EdgeGroup(frozenset(nodes), (0, 1))
         with pytest.raises(InternalInvariantError) as err:
             enlarge_lists(2, [], bags, tree, [group], GroupBudget(9, 9, 9))
         assert str(err.value) == "enlarged decomposition invalid: tree axiom fails"
@@ -252,7 +274,7 @@ def test_enlarge_refuses_a_subtree_exactly_when_a_search_finds_it_disconnected()
         pool = sorted(set().union(*bags))
         if len(pool) < 2:
             continue
-        group = EdgeGroup(nodes, frozenset({tuple(sorted(rng.sample(pool, 2)))}))
+        group = EdgeGroup(nodes, tuple(sorted(rng.sample(pool, 2))))
         budget = GroupBudget(1, 1, 1)
         try:
             enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
@@ -273,7 +295,7 @@ def test_enlarge_with_groups_skips_a_tree_pair_that_names_no_node():
     without a group the output fails the tree axiom instead of indexing
     past the nodes."""
     bags, tree = [{0, 1}, {1}], [(0, 5)]
-    group = EdgeGroup(frozenset({0}), frozenset({(0, 1)}))
+    group = EdgeGroup(frozenset({0}), (0, 1))
     for groups in ([], [group]):
         with pytest.raises(InternalInvariantError) as err:
             enlarge_lists(2, [], bags, tree, groups, GroupBudget(5, 5, 5))
@@ -286,11 +308,12 @@ def test_enlarge_counts_budgets_and_growth_per_part():
     per group, and pours four ends into node 1's empty bag: 2hk = 2 in each
     part, four in all. As one part the two groups exceed the budget. Errors
     name vertices and groups by their positions within their part, and carry
-    the part's index."""
+    the part's index. Parts whose vertex or group ends decrease are
+    refused."""
     bags, tree = [{0, 1, 2, 3}, set()], [(0, 1)]
     groups = [
-        EdgeGroup(frozenset({0, 1}), frozenset({(0, 1)})),
-        EdgeGroup(frozenset({0, 1}), frozenset({(2, 3)})),
+        EdgeGroup(frozenset({0, 1}), (0, 1)),
+        EdgeGroup(frozenset({0, 1}), (2, 3)),
     ]
     budget = GroupBudget(1, 1, 1)
     parts = [(2, 1), (4, 2)]
@@ -302,20 +325,26 @@ def test_enlarge_counts_budgets_and_growth_per_part():
     assert str(err.value) == "max_groups_per_node: node 0 covered by 2 group subtrees"
     assert err.value.part == 0
     cases = {
-        ((2, 2),): "group-structure: group 0 has invalid pair (0, 0)",
-        ((1, 2),): "group-structure: group 0 has invalid pair (-1, 0)",
-        ((2, 3), (3, 2)): "max_pairs_per_group: group 0 has 2 pairs",
+        (2, 2): "group-structure: group 0 has invalid ends (0, 0)",
+        (1, 2): "group-structure: group 0 has invalid ends (-1, 0)",
+        (2, 4): "group-structure: group 0 has invalid ends (0, 2)",
+        (1, 2, 3): "max_pairs_per_group: group 0 has 3 pairs",
     }
-    for pairs, message in cases.items():
-        bad = [groups[0], EdgeGroup(frozenset({0}), frozenset(pairs))]
+    for ends, message in cases.items():
+        bad = [groups[0], EdgeGroup(frozenset({0}), ends)]
         with pytest.raises(GroupBudgetError) as err:
             enlarge_lists(4, [], bags, tree, bad, budget, parts)
         assert (str(err.value), err.value.part) == (message, 1)
-    twice = [groups[0], EdgeGroup(frozenset({0}), frozenset({(2, 3), (3, 2)}))]
+    # Part 1's two groups both use its vertex 0 (vertex 2); uses are checked
+    # before the node covers.
+    twice = [groups[0], *[EdgeGroup(frozenset({0}), (2, 3))] * 2]
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(4, [], bags, tree, twice, GroupBudget(2, 1, 1), parts)
+        enlarge_lists(4, [], bags, tree, twice, budget, [(2, 1), (4, 3)])
     assert str(err.value) == "max_pair_uses_per_vertex: vertex 0 used by 2 pairs"
     assert err.value.part == 1
+    for malformed in ([(3, 1), (2, 1), (4, 2)], [(2, 2), (3, 1), (4, 2)]):
+        with pytest.raises(ValueError, match="must not decrease"):
+            enlarge_lists(4, [], bags, tree, groups, budget, malformed)
 
 
 def test_band_color_bands_each_part_by_its_own_length():
@@ -345,17 +374,16 @@ def test_enlarge_random_instances_keep_bounds():
             budget.max_groups_per_node * budget.max_pairs_per_group
         )
         assert g2.max_degree() <= g.max_degree() + budget.max_pair_uses_per_vertex
-        for grp in groups:
-            for u, v in grp.pairs:
-                assert (u, v) in g2.edges
+        cliques = {pair for grp in groups for pair in combinations(grp.ends, 2)}
+        assert g2.edges == set(g.edges) | cliques
         done += 1
 
 
 def test_enlarge_accepts_a_group_exactly_when_some_cover_exists():
     """A group over a connected subtree is accepted exactly when some
-    nonempty set of its nodes has bags that together hold every pair end,
-    checked against every such set; some pairs reach outside the subtree's
-    bags."""
+    nonempty set of its nodes has bags that together hold every end,
+    checked against every such set; some ends, drawn a pair at a time,
+    reach outside the subtree's bags."""
     rng = random.Random(53)
     verdicts = {True: 0, False: 0}
     while sum(verdicts.values()) < 300:
@@ -369,21 +397,22 @@ def test_enlarge_accepts_a_group_exactly_when_some_cover_exists():
             pool = inside if len(inside) >= 2 and rng.random() < 0.8 else range(g.n)
             a, b = sorted(rng.sample(pool, 2))
             pairs.add((a, b))
-        ends = {v for pair in pairs for v in pair}
+        ends = tuple(sorted({v for pair in pairs for v in pair}))
         nodes = sorted(subtree)
         covered = any(
-            ends <= set().union(*(td.bags[t] for t in cover))
+            set(ends) <= set().union(*(td.bags[t] for t in cover))
             for size in range(1, len(nodes) + 1)
             for cover in combinations(nodes, size)
         )
-        group = EdgeGroup(subtree=subtree, pairs=frozenset(pairs))
-        budget = GroupBudget(len(pairs), len(pairs), 1)
+        group = EdgeGroup(subtree=subtree, ends=ends)
+        k = len(ends)
+        budget = GroupBudget(k * (k - 1) // 2, k - 1, 1)
         try:
             enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
             accepted = True
         except GroupBudgetError as exc:
             assert exc.budget == "group-structure"
-            assert "has an end in no bag of its subtree" in exc.detail
+            assert exc.detail.endswith("is in no bag of its subtree")
             accepted = False
         assert accepted == covered
         verdicts[accepted] += 1
