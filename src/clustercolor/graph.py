@@ -346,6 +346,7 @@ def check_decomposition(
     bags: Sequence[AbstractSet[int]],
     tree_edges: Collection[tuple[int, int]],
     root: int = 0,
+    index: tuple[list[tuple[int, int]], list[list[int]]] | None = None,
 ) -> DecompositionReport:
     """Check tree shape, coverage, and connectivity axioms of a decomposition
     given as plain lists: the graph on 0..n-1 by its distinct edges (u, v)
@@ -353,14 +354,16 @@ def check_decomposition(
     (no self-loops). The tree axiom fails when there is no bag, or when the
     root or a tree pair names no node; such a pair joins nothing.
     Connectivity is checked, and reported, only when the tree check passes
-    and every bag holds only vertices of 0..n-1.
+    and every bag holds only vertices of 0..n-1. A caller that has built
+    ``_tree_index(len(bags), tree_edges)`` passes it as ``index``, and the
+    check reads the tree through it instead of building it again.
 
     Each witness is the smallest failing item (node, vertex, or edge): the
     checks scan in any order and keep the minimum failure.
     """
     checks = []
     nn = len(bags)
-    named, tree_adj = _tree_index(nn, tree_edges)
+    named, tree_adj = index or _tree_index(nn, tree_edges)
     depth, parent, reached = _search(tree_adj, root)
     tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))

@@ -58,6 +58,18 @@ def _names(rows: Iterable[Sequence[int]], top: int = 0) -> list[str]:
     return list(map(str, range(1, top + 1)))
 
 
+def _ids(text: str, top: int) -> dict[str, int]:
+    """The reverse of `_names` for the readers: the names ``"1"``, ``"2"``,
+    ... mapped to the ids 0, 1, ..., as many as ``top`` and ``text`` allow.
+    Every token but the last is followed by a space or a line break, so the
+    table has no more names than ``text`` has room for, whatever a header
+    declares. A reader takes each canonical name in range from it; a token
+    that is not in it (a comment, a non-canonical numeral such as ``05``,
+    an id out of range) sends its line through ``int()`` and the checks."""
+    k = min(top, text.count(" ") + text.count("\n") + 1)
+    return dict(zip(map(str, range(1, k + 1)), range(k)))
+
+
 def graph_to_pace(g: Graph) -> str:
     """The ``.gr`` text of ``g``: the header, then each edge once as
     ``u v`` with u < v, in ascending order. The edges are read off the
@@ -76,29 +88,39 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     order; the number of edge lines must be m."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, (n, m) = _header(lines, "p tw <n> <m>")
+    ids = _ids(text, n)
     edges: list[tuple[int, int]] = []
     append = edges.append
-    # A blank or comment line is told apart only when a line fails to parse
-    # as an edge: a first field starting with "c" is never an integer.
+    # A line of two names in range joined by one space is read from the
+    # table. Any other line is split and read as integers; a blank or
+    # comment line is told apart only then: a first field starting with "c"
+    # is never an integer.
     for lineno, raw in lines:
-        fields = raw.split()
-        if len(fields) != 2:
-            if not fields or fields[0][0] == "c":
-                continue
-            raise PaceParseError("expected edge line '<u> <v>'", lineno)
-        a, b = fields
+        a, _, b = raw.partition(" ")
         try:
-            u, v = int(a), int(b)
-        except ValueError:
-            if a[0] == "c":
-                continue
-            raise PaceParseError("non-integer edge endpoint", lineno) from None
-        # Both endpoints in 1..n.
-        if not 0 < u <= n >= v > 0:
-            raise PaceParseError(f"edge endpoint out of range 1..{n}", lineno)
+            u, v = ids[a], ids[b]
+        except KeyError:
+            fields = raw.split()
+            if len(fields) != 2:
+                if not fields or fields[0][0] == "c":
+                    continue
+                raise PaceParseError("expected edge line '<u> <v>'", lineno) from None
+            a, b = fields
+            try:
+                u, v = int(a), int(b)
+            except ValueError:
+                if a[0] == "c":
+                    continue
+                raise PaceParseError("non-integer edge endpoint", lineno) from None
+            # Both endpoints in 1..n.
+            if not 0 < u <= n >= v > 0:
+                raise PaceParseError(
+                    f"edge endpoint out of range 1..{n}", lineno
+                ) from None
+            u, v = u - 1, v - 1
         if u == v:
             raise PaceParseError("self-loop", lineno)
-        append((u - 1, v - 1))
+        append((u, v))
     if len(edges) != m:
         raise PaceParseError(
             f"header declares {m} edges but {len(edges)} edge lines follow",
@@ -140,45 +162,73 @@ def pace_to_bags(
             f"'s td' header declares n = {n} but the graph has {n_graph} vertices",
             header_line,
         )
+    node, vertex = _ids(text, num_nodes), _ids(text, n)
+    # Bags by 0-based node id.
     bags: dict[int, frozenset[int]] = {}
     tree_edges: dict[tuple[int, int], None] = {}
     for lineno, raw in lines:
         fields = raw.split()
         if not fields or fields[0][0] == "c":
             continue
-        if fields[0] == "b":
-            if len(fields) < 2:
-                raise PaceParseError("bag line missing id", lineno)
-            bag_id, *verts = _ints(fields[1:], "non-integer value in bag line", lineno)
-            if not (1 <= bag_id <= num_nodes):
-                raise PaceParseError(f"bag id out of range 1..{num_nodes}", lineno)
-            if bag_id in bags:
-                raise PaceParseError(f"duplicate bag id {bag_id}", lineno)
-            for v in verts:
-                if not (1 <= v <= n):
+        # A line whose ids are all names in range is read from the tables;
+        # any other is read as integers and checked.
+        try:
+            if fields[0] == "b":
+                t = node[fields[1]]
+                verts = list(map(vertex.__getitem__, fields[2:]))
+            else:
+                t = None
+                a, b = fields
+                a, b = node[a], node[b]
+        except (LookupError, ValueError):
+            if fields[0] == "b":
+                if len(fields) < 2:
+                    raise PaceParseError("bag line missing id", lineno) from None
+                bag_id, *verts = _ints(
+                    fields[1:], "non-integer value in bag line", lineno
+                )
+                if not (1 <= bag_id <= num_nodes):
                     raise PaceParseError(
-                        f"bag vertex {v} out of range 1..{n}", lineno
-                    )
-            bag = frozenset(v - 1 for v in verts)
-            if len(bag) < len(verts):
-                again = min(v for v, count in Counter(verts).items() if count > 1)
-                raise PaceParseError(f"vertex {again} repeats in bag {bag_id}", lineno)
-            bags[bag_id] = bag
-        else:
-            if len(fields) != 2:
-                raise PaceParseError("expected tree edge line '<a> <b>'", lineno)
-            a, b = _ints(fields, "non-integer tree edge", lineno)
-            if not (1 <= a <= num_nodes and 1 <= b <= num_nodes):
-                raise PaceParseError(f"tree edge out of range 1..{num_nodes}", lineno)
+                        f"bag id out of range 1..{num_nodes}", lineno
+                    ) from None
+                t = bag_id - 1
+                # A repeated bag id is reported before its vertices.
+                if t not in bags:
+                    for v in verts:
+                        if not (1 <= v <= n):
+                            raise PaceParseError(
+                                f"bag vertex {v} out of range 1..{n}", lineno
+                            ) from None
+                verts = [v - 1 for v in verts]
+            else:
+                if len(fields) != 2:
+                    raise PaceParseError(
+                        "expected tree edge line '<a> <b>'", lineno
+                    ) from None
+                a, b = _ints(fields, "non-integer tree edge", lineno)
+                if not (1 <= a <= num_nodes and 1 <= b <= num_nodes):
+                    raise PaceParseError(
+                        f"tree edge out of range 1..{num_nodes}", lineno
+                    ) from None
+                a, b = a - 1, b - 1
+        if t is None:
             if a == b:
-                raise PaceParseError(f"tree edge is a self-loop at node {a}", lineno)
-            tree_edges[(a - 1, b - 1) if a < b else (b - 1, a - 1)] = None
+                raise PaceParseError(f"tree edge is a self-loop at node {a + 1}", lineno)
+            tree_edges[(a, b) if a < b else (b, a)] = None
+            continue
+        if t in bags:
+            raise PaceParseError(f"duplicate bag id {t + 1}", lineno)
+        bag = frozenset(verts)
+        if len(bag) < len(verts):
+            again = min(v for v, count in Counter(verts).items() if count > 1)
+            raise PaceParseError(f"vertex {again + 1} repeats in bag {t + 1}", lineno)
+        bags[t] = bag
     if num_nodes == 0:
         raise PaceParseError("decomposition must have at least one node", header_line)
-    missing = next((i for i in range(1, num_nodes + 1) if i not in bags), None)
+    missing = next((i for i in range(num_nodes) if i not in bags), None)
     if missing is not None:
         raise PaceParseError(
-            f"bag {missing} of 1..{num_nodes} is never given", header_line
+            f"bag {missing + 1} of 1..{num_nodes} is never given", header_line
         )
     largest = max(len(bag) for bag in bags.values())
     if largest != width_plus:
@@ -186,7 +236,7 @@ def pace_to_bags(
             f"header declares w+1 = {width_plus} but the largest bag has {largest}",
             header_line,
         )
-    return [bags[i] for i in range(1, num_nodes + 1)], list(tree_edges)
+    return [bags[i] for i in range(num_nodes)], list(tree_edges)
 
 
 def layering_to_text(ly: Layering) -> str:
@@ -204,28 +254,37 @@ def text_to_rows(text: str) -> list[tuple[int, ...]]:
     as its 0-based vertex ids in ascending order. No vertex may appear
     twice, on one line or on two; a line that repeats one is reported once
     every line has parsed."""
+    # A layering has no header: the text alone bounds its table.
+    ids = _ids(text, len(text))
     rows: list[tuple[int, ...]] = []
     seen: set[int] = set()
     repeat = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        verts = _ints(raw.split(), "non-integer vertex id", lineno)
-        if verts and min(verts) < 1:
-            v = next(v for v in verts if v < 1)
-            raise PaceParseError(f"vertex id {v} must be positive", lineno)
+        fields = raw.split()
+        try:
+            verts = list(map(ids.__getitem__, fields))
+        except KeyError:
+            verts = _ints(fields, "non-integer vertex id", lineno)
+            if verts and min(verts) < 1:
+                v = next(v for v in verts if v < 1)
+                raise PaceParseError(f"vertex id {v} must be positive", lineno) from None
+            verts = [v - 1 for v in verts]
         row = set(verts)
         if repeat is None and not seen.isdisjoint(row):
             # Name the smallest vertex this line repeats, by its id in the
             # file, and the line (layer) it first appeared on.
             v = min(seen & row)
-            first = next(i for i, r in enumerate(rows, start=1) if v - 1 in r)
+            first = next(i for i, r in enumerate(rows, start=1) if v in r)
             repeat = PaceParseError(
-                f"vertex {v} appears in layers {first} and {lineno}", lineno
+                f"vertex {v + 1} appears in layers {first} and {lineno}", lineno
             )
         elif repeat is None and len(row) < len(verts):
             again = min(v for v, count in Counter(verts).items() if count > 1)
-            repeat = PaceParseError(f"vertex {again} repeats in layer {lineno}", lineno)
+            repeat = PaceParseError(
+                f"vertex {again + 1} repeats in layer {lineno}", lineno
+            )
         seen |= row
-        rows.append(tuple(v - 1 for v in sorted(row)))
+        rows.append(tuple(sorted(row)))
     if repeat is not None:
         raise repeat
     return rows

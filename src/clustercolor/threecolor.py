@@ -332,11 +332,13 @@ def three_color_lists(
         # Pairs repeat across the groups of one layer, never across layers.
         pairs = {pair for grp in view.groups for pair in combinations(grp.ends, 2)}
         fake_edges[cls] += len(pairs)
-        # The later layers this class guards see its poured bags.
-        for grp in view.groups:
-            subtree = [view.nodes[t] for t in grp.subtree]
-            for v in grp.ends:
-                holders[ids[v]] += subtree
+        # The later layers this class guards see its poured bags; the last
+        # class guards none.
+        if guarding:
+            for grp in view.groups:
+                subtree = [view.nodes[t] for t in grp.subtree]
+                for v in grp.ends:
+                    holders[ids[v]] += subtree
         # Free this class's lists before the next class's are built.
         del view, view_edges, view_bags, colors, clusters, pairs
 

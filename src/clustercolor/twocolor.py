@@ -206,10 +206,13 @@ def enlarge_lists(
         raise ValueError("the parts' vertex and group ends must not decrease")
     ends = [end for end, _ in parts]
     nn = len(bags)
-    tree_adj = _tree_index(nn, tree_edges)[1] if groups else []
+    # The output check reads the tree through this index too.
+    index = _tree_index(nn, tree_edges)
+    tree_adj = index[1]
     live = []
-    lo = first = 0
-    for p, (hi, last) in enumerate(parts):
+    for p, ((lo, first), (hi, last)) in enumerate(pairwise(((0, 0), *parts))):
+        if first == last:
+            continue
         # Pair uses by position in the part, and group subtrees by node.
         uses: dict[int, int] = {}
         covers: dict[int, int] = {}
@@ -263,7 +266,6 @@ def enlarge_lists(
                 x = min((x for x, c in count.items() if c > limit), default=None)
                 if x is not None:
                     raise GroupBudgetError(field, what.format(x, count[x]), p)
-        lo, first = hi, last
 
     new_edges, new_bags = edges, bags
     if live:
@@ -296,7 +298,7 @@ def enlarge_lists(
                 f"enlarged degree of vertex {v} grows by more than d", p
             )
 
-    report = check_decomposition(n, new_edges, new_bags, tree_edges)
+    report = check_decomposition(n, new_edges, new_bags, tree_edges, 0, index)
     if not report.ok:
         raise _view_fault(report.failures(), ends)
     return new_edges, new_bags

@@ -796,6 +796,23 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     )
 
 
+def test_a_huge_header_over_an_edge_line_sizes_no_name_table_by_it(tmp_path):
+    """The ``.gr`` reader's name table is bounded by the file, not by the
+    header: a billion-vertex header over one edge line still reaches the
+    coloring check in 512 MB."""
+    gr = tmp_path / "huge.gr"
+    gr.write_text("p tw 1000000000 1\n1 2\n")
+    coloring = tmp_path / "one.coloring"
+    coloring.write_text("0 1\n")
+    verify = _in_512_mb(
+        "-m", "clustercolor", "verify", "--gr", str(gr),
+        "--coloring", str(coloring), "--k", "1"
+    )
+    assert (verify.returncode, verify.stderr) == (
+        2, f"error: {coloring}: coloring file is missing vertex 1\n"
+    )
+
+
 COMMANDS_IN_ONE_PROCESS = """
 import json, sys
 from clustercolor.cli import main
