@@ -92,26 +92,19 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     edges: list[tuple[int, int]] = []
     append = edges.append
     # A line of two names in range joined by one space is read from the
-    # table. Any other line is split and read as integers; a blank or
-    # comment line is told apart only then: a first field starting with "c"
-    # is never an integer.
+    # table. Any other line is split: a blank or comment line is skipped,
+    # and the rest are read as integers and checked.
     for lineno, raw in lines:
         a, _, b = raw.partition(" ")
         try:
             u, v = ids[a], ids[b]
         except KeyError:
             fields = raw.split()
+            if not fields or fields[0][0] == "c":
+                continue
             if len(fields) != 2:
-                if not fields or fields[0][0] == "c":
-                    continue
                 raise PaceParseError("expected edge line '<u> <v>'", lineno) from None
-            a, b = fields
-            try:
-                u, v = int(a), int(b)
-            except ValueError:
-                if a[0] == "c":
-                    continue
-                raise PaceParseError("non-integer edge endpoint", lineno) from None
+            u, v = _ints(fields, "non-integer edge endpoint", lineno)
             # Both endpoints in 1..n.
             if not 0 < u <= n >= v > 0:
                 raise PaceParseError(
@@ -172,50 +165,42 @@ def pace_to_bags(
             continue
         # A line whose ids are all names in range is read from the tables;
         # any other is read as integers and checked.
-        try:
-            if fields[0] == "b":
-                t = node[fields[1]]
-                verts = list(map(vertex.__getitem__, fields[2:]))
-            else:
-                t = None
-                a, b = fields
-                a, b = node[a], node[b]
-        except (LookupError, ValueError):
-            if fields[0] == "b":
-                if len(fields) < 2:
-                    raise PaceParseError("bag line missing id", lineno) from None
-                bag_id, *verts = _ints(
-                    fields[1:], "non-integer value in bag line", lineno
-                )
-                if not (1 <= bag_id <= num_nodes):
-                    raise PaceParseError(
-                        f"bag id out of range 1..{num_nodes}", lineno
-                    ) from None
-                t = bag_id - 1
-                # A repeated bag id is reported before its vertices.
-                if t not in bags:
-                    for v in verts:
-                        if not (1 <= v <= n):
-                            raise PaceParseError(
-                                f"bag vertex {v} out of range 1..{n}", lineno
-                            ) from None
-                verts = [v - 1 for v in verts]
-            else:
-                if len(fields) != 2:
-                    raise PaceParseError(
-                        "expected tree edge line '<a> <b>'", lineno
-                    ) from None
+        if fields[0] != "b":
+            if len(fields) != 2:
+                raise PaceParseError("expected tree edge line '<a> <b>'", lineno)
+            try:
+                a, b = node[fields[0]], node[fields[1]]
+            except KeyError:
                 a, b = _ints(fields, "non-integer tree edge", lineno)
                 if not (1 <= a <= num_nodes and 1 <= b <= num_nodes):
                     raise PaceParseError(
                         f"tree edge out of range 1..{num_nodes}", lineno
                     ) from None
                 a, b = a - 1, b - 1
-        if t is None:
             if a == b:
                 raise PaceParseError(f"tree edge is a self-loop at node {a + 1}", lineno)
             tree_edges[(a, b) if a < b else (b, a)] = None
             continue
+        if len(fields) < 2:
+            raise PaceParseError("bag line missing id", lineno)
+        try:
+            t = node[fields[1]]
+            verts = list(map(vertex.__getitem__, fields[2:]))
+        except KeyError:
+            bag_id, *verts = _ints(fields[1:], "non-integer value in bag line", lineno)
+            if not (1 <= bag_id <= num_nodes):
+                raise PaceParseError(
+                    f"bag id out of range 1..{num_nodes}", lineno
+                ) from None
+            t = bag_id - 1
+            # A repeated bag id is reported before its vertices.
+            if t not in bags:
+                for v in verts:
+                    if not (1 <= v <= n):
+                        raise PaceParseError(
+                            f"bag vertex {v} out of range 1..{n}", lineno
+                        ) from None
+            verts = [v - 1 for v in verts]
         if t in bags:
             raise PaceParseError(f"duplicate bag id {t + 1}", lineno)
         bag = frozenset(verts)

@@ -119,7 +119,9 @@ def _constant_chain(
 class ThreeColorResult:
     """Coloring, in vertex order, with its measured clustering (overall and
     per color), the constants used, the number of fake edges stages 2 and 3
-    added, and the number of distinct edges of the colored graph."""
+    added, and the number of distinct edges of the colored graph. A fake
+    edge is a distinct group pair, counted even when it is already an edge
+    of the graph."""
 
     coloring: dict[int, int]
     clustering: int

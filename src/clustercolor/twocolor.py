@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
+from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, pairwise, repeat
@@ -46,15 +46,6 @@ def cluster_bound(width: int, degree: int) -> int:
     return CLUSTER_FACTOR * (max(width, 0) + 1) * max(degree, 1)
 
 
-def _degrees(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Each vertex's degree in the graph on 0..n-1 with these distinct edges."""
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    return degree
-
-
 def band_color(
     n: int,
     edges: Collection[tuple[int, int]],
@@ -75,9 +66,14 @@ def band_color(
     against cluster_bound(width, delta) for the width of its own share of
     the bags. Returns each vertex's color and the monochromatic components;
     a violation raises ClusteringBoundError for the lowest failing part,
-    instead of returning an unbounded coloring.
+    instead of returning an unbounded coloring. Parts whose ends decrease,
+    or whose last end is not n, raise ValueError.
     """
     ends = parts or (n,)
+    if ends[-1] != n:
+        raise ValueError("the last part must end at n")
+    if any(a > b for a, b in pairwise((0, *ends))):
+        raise ValueError("the parts' ends must not decrease")
     lo = [None] * n
     hi = [None] * n
     for t, bag in enumerate(bags):
@@ -196,7 +192,8 @@ def enlarge_lists(
     violations raise GroupBudgetError naming the field. The output is
     validated and both growths are re-checked on it; a failure raises
     InternalInvariantError, for the lowest part that fails when the
-    failure names a vertex. Returns the new edges and bags; when no group
+    failure names a vertex. Returns the edges, the input's followed by the
+    group pairs that are not among them, and the new bags; when no group
     has two ends, the input's own, validated as they stand.
     """
     parts = parts or ((n, len(groups)),)
@@ -232,6 +229,7 @@ def enlarge_lists(
                     raise GroupBudgetError(
                         "group-structure", f"group {idx} node {t} out of range", p
                     )
+                covers[t] = covers.get(t, 0) + 1
             # On a tree, k nodes are connected exactly when k - 1 tree edges
             # join two of them; the adjacency sees each such edge twice.
             joins = sum(u in subtree for t in subtree for u in tree_adj[t])
@@ -252,8 +250,6 @@ def enlarge_lists(
                     f"group {idx} end {min(missing) - lo} is in no bag of its subtree",
                     p,
                 )
-            for t in subtree:
-                covers[t] = covers.get(t, 0) + 1
             live.append(group)
         # Each per-item budget names its smallest violator; a part whose
         # groups add no pairs uses none.
@@ -269,18 +265,20 @@ def enlarge_lists(
 
     new_edges, new_bags = edges, bags
     if live:
-        new_edges = set(edges)
+        # The pairs that are new edges; the degree growth is theirs alone.
+        added = set(chain.from_iterable(combinations(grp.ends, 2) for grp in live))
+        added.difference_update(edges)
+        new_edges = [*edges, *added]
         poured: dict[int, list[tuple[int, ...]]] = {}
         for grp in live:
-            new_edges.update(combinations(grp.ends, 2))
             for t in grp.subtree:
                 poured.setdefault(t, []).append(grp.ends)
         # Pour into each node once, since a bag may hold every part.
         new_bags = list(bags)
         grow, spread = _enlarged(budget, 0, 0)
         grown = []
-        for t, added in poured.items():
-            bag = new_bags[t] = set().union(bags[t], *added)
+        for t, cliques in poured.items():
+            bag = new_bags[t] = set().union(bags[t], *cliques)
             # A bag that grows by at most 2hk in all grows so in each part.
             if len(bag) - len(bags[t]) > grow:
                 fresh = bag.difference(bags[t])
@@ -291,12 +289,15 @@ def enlarge_lists(
             raise InternalInvariantError(
                 f"enlarged bag of node {t} grows by more than 2hk", p
             )
-        growth = list(map(sub, _degrees(n, new_edges), _degrees(n, edges)))
-        if max(growth) > spread:
-            p, v = _locate(ends, next(x for x, g in enumerate(growth) if g > spread))
+        growth = Counter(chain.from_iterable(added))
+        over = [v for v, c in growth.items() if c > spread]
+        if over:
+            p, v = _locate(ends, min(over))
             raise InternalInvariantError(
                 f"enlarged degree of vertex {v} grows by more than d", p
             )
+        # Free the pours and the new pairs, which the output check does not read.
+        del poured, added, growth
 
     report = check_decomposition(n, new_edges, new_bags, tree_edges, 0, index)
     if not report.ok:

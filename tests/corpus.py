@@ -27,6 +27,7 @@ from clustercolor import (
 from helpers import (
     branching,
     folded_path,
+    lists_of,
     nodes_permuted,
     permuted,
     random_decomposition,
@@ -35,12 +36,6 @@ from helpers import (
 )
 
 DIGESTS = Path(__file__).resolve().parent / "corpus_digests.txt"
-
-
-def flat(g, ltd):
-    """An object instance as ``three_color_lists``' arguments."""
-    td = ltd.td
-    return g.n, g.edges, td.bags, td.edges, ltd.layering.layers, td.root
 
 
 def families():
@@ -96,7 +91,8 @@ def random_instances(count=100, seed=17):
 def broken_instances(count=12, seed=29):
     """Inputs that break one rule each: a fixed list on the triangulated
     4-grid, then seeded random decompositions with one corruption each."""
-    n, edges, bags, tree_edges, rows, root = flat(*gen_grid(4, triangulated=True)[:2])
+    grid = gen_grid(4, triangulated=True)
+    n, edges, bags, tree_edges, rows, root = lists_of(*grid[:2])
     last = len(bags) - 1
     yield "broken-self-loop", (n, [*edges, (3, 3)], bags, tree_edges, rows, root)
     yield "broken-edge-range", (n, [*edges, (0, n)], bags, tree_edges, rows, root)
@@ -172,14 +168,14 @@ def spine_cycle(n):
 def spanning_rect(cols):
     """The 6 x cols rect grid, one row per layer, with vertex 0 added to
     every bag of its decomposition."""
-    n, edges, bags, tree_edges, _, root = flat(*gen_rect_grid(6, cols)[:2])
+    n, edges, bags, tree_edges, _, root = lists_of(*gen_rect_grid(6, cols)[:2])
     rows = [tuple(range(r * cols, (r + 1) * cols)) for r in range(6)]
     return n, edges, [bag | {0} for bag in bags], tree_edges, rows, root
 
 
 def refusals():
     """The valid inputs that banding refuses, one row each."""
-    yield "spine-path-40", flat(*spine_path(40))
+    yield "spine-path-40", lists_of(*spine_path(40))
     yield "cycle-40-one-layer", spine_cycle(40)
     yield "rect-6x300-rows-spanning", spanning_rect(300)
     for depth in (7, 9):
@@ -189,7 +185,7 @@ def refusals():
 def instances():
     """(name, three_color_lists arguments) for every corpus instance."""
     for name, built in (*families(), *perturbations()):
-        yield name, flat(*built[:2])
+        yield name, lists_of(*built[:2])
     yield from random_instances()
     yield from broken_instances()
     yield from refusals()

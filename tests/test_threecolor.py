@@ -372,12 +372,11 @@ def _nonempty_classes(ly):
 def test_three_color_validates_and_measures_each_class_once(monkeypatch):
     """One validation of the input, then one per nonempty layer class's view
     (enlarged or not); one component pass per class plus the final check;
-    two degree scans per class whose groups carry pairs, both in the
-    enlargement's degree check; and no Graph or TreeDecomposition built
-    along the way. The path's two layers leave class 3 empty."""
+    and no Graph or TreeDecomposition built along the way. The path's two
+    layers leave class 3 empty."""
     from clustercolor import graph, threecolor, twocolor, verify
 
-    keys = ("validate", "components", "enlarge", "degree", "enlarged", "objects")
+    keys = ("validate", "components", "enlarge", "enlarged", "objects")
     calls = dict.fromkeys(keys, 0)
 
     def counted(key, func):
@@ -400,7 +399,6 @@ def test_three_color_validates_and_measures_each_class_once(monkeypatch):
         return enlarge(*args)
 
     monkeypatch.setattr(threecolor, "enlarge_lists", enlarge_counting_pairs)
-    monkeypatch.setattr(twocolor, "_degrees", counted("degree", twocolor._degrees))
     for cls in (graph.Graph, graph.TreeDecomposition):
         monkeypatch.setattr(cls, "__init__", counted("objects", cls.__init__))
     for build, classes, enlarged in (
@@ -416,7 +414,6 @@ def test_three_color_validates_and_measures_each_class_once(monkeypatch):
             "components": classes + 1,
             "enlarge": classes,
             "enlarged": enlarged,
-            "degree": 2 * enlarged,
             "objects": 0,
         }
 
@@ -731,6 +728,47 @@ def test_corrupted_view_is_an_internal_fault(monkeypatch):
     with pytest.raises(InternalInvariantError) as err:
         three_color_lists(*lists_of(g, ltd))
     assert str(err.value) == "stage-1: enlarged decomposition invalid: tree axiom fails"
+
+
+def test_final_check_names_the_first_largest_component(monkeypatch):
+    """The whole coloring is checked against g at the end. With g = 1 every
+    stage still passes its own bound and the final check refuses: it names
+    the stage ``three-color``, the bound 1, and the first component of the
+    largest size by smallest vertex, found here by a search of its own."""
+    from dataclasses import replace
+
+    from clustercolor import threecolor
+
+    g, ltd, _ = gen_grid(6, triangulated=True)
+    coloring = three_color_lists(*lists_of(g, ltd)).coloring
+    seen, comps = set(), []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [], deque([start])
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for u in g.neighbors(v):
+                if u not in seen and coloring[u] == coloring[v]:
+                    seen.add(u)
+                    queue.append(u)
+        comps.append(tuple(sorted(comp)))
+    size = max(map(len, comps))
+    assert sum(len(comp) == size for comp in comps) > 1
+
+    chain = threecolor._constant_chain
+
+    def g_of_one(*args):
+        constants, *budgets = chain(*args)
+        return replace(constants, g=1), *budgets
+
+    monkeypatch.setattr(threecolor, "_constant_chain", g_of_one)
+    with pytest.raises(ClusteringBoundError) as err:
+        three_color_lists(*lists_of(g, ltd))
+    assert (err.value.stage, err.value.bound) == ("three-color", 1)
+    assert err.value.witness == next(c for c in comps if len(c) == size)
 
 
 def _certified(g, ltd):

@@ -15,8 +15,8 @@ from clustercolor import (
     edge_components,
     three_color_lists,
 )
-from corpus import flat, halin, spanning_rect, spine_cycle
-from helpers import nodes_permuted, permuted, spine_path
+from corpus import halin, spanning_rect, spine_cycle
+from helpers import lists_of, nodes_permuted, permuted, spine_path
 
 
 def sliding_window(seed):
@@ -36,7 +36,7 @@ def sliding_window(seed):
 
 def instances():
     for n in (30, 45, 60, 100):
-        yield f"spine-path-{n}", flat(*spine_path(n))
+        yield f"spine-path-{n}", lists_of(*spine_path(n))
         yield f"spine-cycle-{n}", spine_cycle(n)
     for depth in range(5, 9):
         yield f"halin-{depth}", halin(depth)
@@ -52,7 +52,7 @@ def relabeled(args, seed):
     n, edges, bags, tree_edges, rows, root = args
     td = TreeDecomposition(bags, tree_edges, root)
     ltd = LayeredTreeDecomposition(td, Layering(rows))
-    return flat(*nodes_permuted(*permuted(Graph(n, edges), ltd, seed), seed))
+    return lists_of(*nodes_permuted(*permuted(Graph(n, edges), ltd, seed), seed))
 
 
 def outcome(args):

@@ -308,8 +308,8 @@ def test_enlarge_counts_budgets_and_growth_per_part():
     per group, and pours four ends into node 1's empty bag: 2hk = 2 in each
     part, four in all. As one part the two groups exceed the budget. Errors
     name vertices and groups by their positions within their part, and carry
-    the part's index. Parts whose vertex or group ends decrease are
-    refused."""
+    the part's index. Parts whose vertex or group ends decrease, or whose
+    last ends are not n and the group count, are refused."""
     bags, tree = [{0, 1, 2, 3}, set()], [(0, 1)]
     groups = [
         EdgeGroup(frozenset({0, 1}), (0, 1)),
@@ -345,6 +345,10 @@ def test_enlarge_counts_budgets_and_growth_per_part():
     for malformed in ([(3, 1), (2, 1), (4, 2)], [(2, 2), (3, 1), (4, 2)]):
         with pytest.raises(ValueError, match="must not decrease"):
             enlarge_lists(4, [], bags, tree, groups, budget, malformed)
+    for malformed in ([(2, 1)], [(4, 1)], [(2, 1), (4, 2), (5, 2)]):
+        with pytest.raises(ValueError) as err:
+            enlarge_lists(4, [], bags, tree, groups, budget, malformed)
+        assert str(err.value) == "the last part must end at n and at the last group"
 
 
 def test_band_color_bands_each_part_by_its_own_length():
@@ -355,6 +359,61 @@ def test_band_color_bands_each_part_by_its_own_length():
     depth = [0, 1, 2, 3]
     assert band_color(4, [], bags, depth, 1)[0] == [1, 1, 1, 1]
     assert band_color(4, [], bags, depth, 1, [2, 4])[0] == [1, 1, 1, 2]
+
+
+def test_band_color_refuses_malformed_parts():
+    """Parts must not decrease and must end at n, as in ``enlarge_lists``:
+    otherwise the band lengths come from the wrong slices, or a vertex past
+    the last part goes uncolored."""
+    edges = [(0, 1), (1, 2), (2, 3)]
+    bags, depth = [{0, 1}, {1, 2}, {2, 3}], [0, 1, 2]
+    cases = {
+        (3, 2, 4): "the parts' ends must not decrease",
+        (2, 4, 6): "the last part must end at n",
+        (2,): "the last part must end at n",
+    }
+    for parts, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            band_color(4, edges, bags, depth, 1, list(parts))
+        assert str(err.value) == message
+
+
+def _growing_in_two_parts():
+    """A path of three nodes, and one group in each of two parts: part 0's
+    pair (0, 1) grows node 2's bag, and part 1's pair (2, 3) grows node 0's.
+    The input edge (0, 1) leaves part 1's pair the only new edge."""
+    bags, tree = [{0, 1}, {0, 1, 2, 3}, {2, 3}], [(0, 1), (1, 2)]
+    groups = [
+        EdgeGroup(frozenset({1, 2}), (0, 1)),
+        EdgeGroup(frozenset({0, 1}), (2, 3)),
+    ]
+    return 4, [(0, 1)], bags, tree, groups, GroupBudget(1, 1, 1), [(2, 1), (4, 2)]
+
+
+def test_enlarge_bag_growth_check_names_the_lowest_part(monkeypatch):
+    """The growth checks sit behind the budget checks, so only a lemma that
+    states no growth reaches them. With no bag growth allowed, part 0's
+    node 2 is named before part 1's lower node 0."""
+    from clustercolor import twocolor
+
+    monkeypatch.setattr(twocolor, "_enlarged", lambda *args: (0, 10**9))
+    with pytest.raises(InternalInvariantError) as err:
+        enlarge_lists(*_growing_in_two_parts())
+    assert str(err.value) == "enlarged bag of node 2 grows by more than 2hk"
+    assert err.value.part == 0
+
+
+def test_enlarge_degree_growth_check_counts_only_new_edges(monkeypatch):
+    """With no degree growth allowed, part 0's pair is already an edge and
+    grows no degree, so the witness is part 1's vertex 2, named as that
+    part's vertex 0."""
+    from clustercolor import twocolor
+
+    monkeypatch.setattr(twocolor, "_enlarged", lambda *args: (10**9, 0))
+    with pytest.raises(InternalInvariantError) as err:
+        enlarge_lists(*_growing_in_two_parts())
+    assert str(err.value) == "enlarged degree of vertex 0 grows by more than d"
+    assert err.value.part == 1
 
 
 def test_enlarge_random_instances_keep_bounds():
