@@ -61,8 +61,9 @@ def cmd_color3(args) -> int:
     result = three_color_lists(n, edges, bags, tree_edges, rows)
 
     coloring_path = f"{args.out}.coloring"
-    with open(coloring_path, "w") as fh:
-        fh.writelines(f"{v} {color}\n" for v, color in result.coloring.items())
+    pace._write(
+        coloring_path, "".join(f"{v} {c}\n" for v, c in result.coloring.items())
+    )
 
     report = {
         "command": "color3",
@@ -80,9 +81,7 @@ def cmd_color3(args) -> int:
         "coloring_file": coloring_path,
     }
     report_path = f"{args.out}.report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pace._write(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(
         f"clustering {result.clustering} (bound {result.constants.g}) "
         f"over {n} vertices"

@@ -22,10 +22,8 @@ components that guard the next classes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Collection, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -167,10 +165,10 @@ def _class_view(
     them and no guard component has neighbors in two; the view is the
     disjoint union of the layers' own views, each layer one part.
     ``holders`` gives each vertex's nodes, including for a colored layer's
-    vertex the subtrees it was poured into. Each guard component with at
-    least two neighbors in its layer gives one group: the clique on those
-    neighbors, and as subtree the nodes whose (possibly enlarged) bags meet
-    the component, those holding one of its vertices, which hold each
+    vertex the nodes whose bags it was poured into. Each guard component
+    with at least two neighbors in its layer gives one group: the clique on
+    those neighbors, and as subtree the nodes whose (possibly enlarged) bags
+    meet the component, those holding one of its vertices, which hold each
     neighbor with it.
 
     The view keeps the nodes that hold a class vertex and the nodes of every
@@ -238,7 +236,7 @@ def three_color_lists(
     at most ``constants.g`` vertices, over plain lists: the graph by its
     edge lines (either orientation, repeats allowed), one bag per node, the
     tree by its distinct node pairs (no self-loops), and the layering by its
-    rows, layer i being ``rows[i - 1]`` in ascending order.
+    rows, layer i being ``rows[i - 1]`` in any order.
 
     The input is validated first. Rows that are not disjoint or do not
     cover 0..n-1 exactly raise InvalidLayering before anything is sized by
@@ -251,8 +249,8 @@ def three_color_lists(
     and the lowest failing layer of the class (a broken view tree, which no
     layer owns, names the stage alone); the final clustering is measured
     and checked before returning.
-    Each vertex's nodes (``holders``) grow, once its layer is colored, by
-    the group subtrees it was poured into.
+    Once a layer is colored, each vertex poured into an enlarged bag gains
+    that bag's node among its nodes (``holders``).
     """
     # Graph's pair index over the edge lines and one pass over the bags
     # build the index every layer shares: each vertex's neighbors and nodes,
@@ -291,7 +289,7 @@ def three_color_lists(
         guarding = {color for _, later, *_ in stages[k + 1 :] for color in later}
         guarded = [
             (
-                rows[li - 1],
+                sorted(rows[li - 1]),
                 [
                     comp
                     for lj in (li - 1, li + 1)
@@ -305,7 +303,7 @@ def three_color_lists(
         ids, ends = view.ids, [end for end, _ in view.parts]
         # enlarge_lists validates the view, with or without pairs to add.
         try:
-            view_edges, view_bags = enlarge_lists(
+            view_edges, view_bags, pairs = enlarge_lists(
                 len(ids), view.edges, view.bags, view.tree_edges, view.groups,
                 budget, view.parts,
             )
@@ -327,22 +325,18 @@ def three_color_lists(
         for color, local_comp in clusters.components:
             color = palette[color - 1]
             if color in guarding:
-                li = lis[bisect_right(ends, local_comp[0])]
-                comps.setdefault((li, color), []).append(
-                    tuple(map(ids.__getitem__, local_comp))
-                )
-        # Pairs repeat across the groups of one layer, never across layers.
-        pairs = {pair for grp in view.groups for pair in combinations(grp.ends, 2)}
-        fake_edges[cls] += len(pairs)
-        # The later layers this class guards see its poured bags; the last
-        # class guards none.
+                comp = tuple(map(ids.__getitem__, local_comp))
+                comps.setdefault((layer_of[comp[0]], color), []).append(comp)
+        fake_edges[cls] = pairs
+        # The later layers this class guards see its enlarged bags: each
+        # vertex new in a bag gains its node. The last class guards none.
         if guarding:
-            for grp in view.groups:
-                subtree = [view.nodes[t] for t in grp.subtree]
-                for v in grp.ends:
-                    holders[ids[v]] += subtree
+            for t, old, new in zip(view.nodes, view.bags, view_bags):
+                if len(new) > len(old):
+                    for v in new.difference(old):
+                        holders[ids[v]].append(t)
         # Free this class's lists before the next class's are built.
-        del view, view_edges, view_bags, colors, clusters, pairs
+        del view, view_edges, view_bags, colors, clusters
 
     report = edge_components(n, edges, coloring)
     if report.max_size > constants.g:

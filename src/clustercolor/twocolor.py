@@ -166,7 +166,7 @@ def enlarge_lists(
     groups: Sequence[EdgeGroup],
     budget: GroupBudget,
     parts: Sequence[tuple[int, int]] | None = None,
-) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]]]:
+) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]], int]:
     """Add each group's clique as edges and widen the decomposition to
     match, over plain lists: the graph on 0..n-1 by its distinct edges
     (u, v) with u < v, one bag per node, and the tree by its node pairs.
@@ -193,8 +193,9 @@ def enlarge_lists(
     validated and both growths are re-checked on it; a failure raises
     InternalInvariantError, for the lowest part that fails when the
     failure names a vertex. Returns the edges, the input's followed by the
-    group pairs that are not among them, and the new bags; when no group
-    has two ends, the input's own, validated as they stand.
+    group pairs that are not among them, the new bags, and the number of
+    distinct group pairs, those already edges included; when no group has
+    two ends, the input's own, validated as they stand, and 0.
     """
     parts = parts or ((n, len(groups)),)
     if tuple(parts[-1]) != (n, len(groups)):
@@ -263,10 +264,11 @@ def enlarge_lists(
                 if x is not None:
                     raise GroupBudgetError(field, what.format(x, count[x]), p)
 
-    new_edges, new_bags = edges, bags
+    new_edges, new_bags, pairs = edges, bags, 0
     if live:
         # The pairs that are new edges; the degree growth is theirs alone.
         added = set(chain.from_iterable(combinations(grp.ends, 2) for grp in live))
+        pairs = len(added)
         added.difference_update(edges)
         new_edges = [*edges, *added]
         poured: dict[int, list[tuple[int, ...]]] = {}
@@ -302,7 +304,7 @@ def enlarge_lists(
     report = check_decomposition(n, new_edges, new_bags, tree_edges, 0, index)
     if not report.ok:
         raise _view_fault(report.failures(), ends)
-    return new_edges, new_bags
+    return new_edges, new_bags, pairs
 
 
 def _locate(ends: Sequence[int], v: int) -> tuple[int, int]:

@@ -97,7 +97,7 @@ def test_criterion_03_enlargement_stays_within_budget():
         for _ in range(200):
             g, td = random_decomposition(rng)
             groups, budget = random_groups(rng, g, td)
-            edges, bags = enlarge_lists(
+            edges, bags, _ = enlarge_lists(
                 g.n, g.edges, td.bags, td.edges, groups, budget
             )
             g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)

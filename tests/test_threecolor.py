@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from collections import deque
 from itertools import combinations
@@ -606,6 +607,58 @@ def test_each_stage_enlarges_under_its_budget(monkeypatch):
         3: GroupBudget(c.f2**2 * d**2, c.f2 * d**2, 2 * (c.w2 + 1)),
     }
     assert budgets == [expected[cls] for cls in (1, 2, 3)]
+
+def test_rows_in_any_order_color_alike(monkeypatch):
+    """A layer's row may list its vertices in any order: descending and
+    shuffled rows give the result of ascending rows, and every view reaches
+    the enlargement with its edges as (u, v), u < v, and leaves it with no
+    edge twice."""
+    from clustercolor import threecolor
+
+    g, ltd, _ = gen_grid(30, triangulated=True)
+    n, edges, bags, tree_edges, rows, root = lists_of(g, ltd)
+    rng = random.Random(7)
+    orders = (
+        [sorted(row) for row in rows],
+        [sorted(row, reverse=True) for row in rows],
+        [rng.sample(list(row), len(row)) for row in rows],
+    )
+    enlarge = threecolor.enlarge_lists
+    seen = []
+
+    def spying(*args):
+        out = enlarge(*args)
+        seen.append((args[1], out[0]))
+        return out
+
+    monkeypatch.setattr(threecolor, "enlarge_lists", spying)
+    results = [
+        three_color_lists(n, edges, bags, tree_edges, order, root) for order in orders
+    ]
+    assert results[1] == results[0] and results[2] == results[0]
+    assert len(seen) == 9
+    assert all(u < v for view_edges, _ in seen for u, v in view_edges)
+    assert all(len(set(out)) == len(out) for _, out in seen)
+
+
+def test_holders_grow_without_repeats(monkeypatch):
+    """After the two guarding classes, each vertex's nodes, which stage 3's
+    view reads, list no node twice."""
+    from clustercolor import threecolor
+
+    class_view = threecolor._class_view
+    repeats = []
+
+    def spying(adj, holders, *args):
+        repeats.append(sum(len(h) - len(set(h)) for h in holders))
+        return class_view(adj, holders, *args)
+
+    monkeypatch.setattr(threecolor, "_class_view", spying)
+    for g, ltd, _ in (gen_grid(30, triangulated=True), gen_rect_grid(6, 40)):
+        repeats.clear()
+        three_color_lists(*lists_of(g, ltd))
+        assert repeats == [0, 0, 0]
+
 
 def test_three_color_refuses_spine_path_in_stage_one():
     g, ltd = spine_path(40)

@@ -111,8 +111,11 @@ def test_enlarge_adds_edges_and_bounds_width():
     g, td = _two_bag_instance()
     group = EdgeGroup(subtree=frozenset({0, 1}), ends=(0, 3, 4))
     budget = GroupBudget(3, 2, 1)
-    edges, bags = enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
+    edges, bags, pairs = enlarge_lists(
+        g.n, g.edges, td.bags, td.edges, [group], budget
+    )
     g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
+    assert pairs == 3
     assert {(0, 3), (0, 4), (3, 4)} <= g2.edges
     assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
     assert td2.width() <= td.width() + 2 * 1 * 3 == 8
@@ -122,8 +125,11 @@ def test_enlarge_adds_edges_and_bounds_width():
 
 def test_enlarge_adds_each_clique_and_counts_its_uses():
     """The enlarged edges are the input's plus every pair of each group's
-    ends, and a vertex's pair uses are the sum of len(ends) - 1 over the
-    groups that hold it, a pair repeated across groups counting in each:
+    ends, each once, and the returned count is of distinct pairs: (2, 3),
+    which two groups hold, counts once, and (1, 2), an input edge, counts
+    but is not added again. A vertex's pair uses are the sum of
+    len(ends) - 1 over the groups that hold it, a pair repeated across
+    groups counting in each:
     vertices 0 to 3 are used 1, 2, 3 and 4 times, so a budget of d uses
     names vertex d, the smallest over it, with its d + 1 uses."""
     bags, tree = [{0, 1, 2, 3}, {3}], [(0, 1)]
@@ -133,9 +139,10 @@ def test_enlarge_adds_each_clique_and_counts_its_uses():
         EdgeGroup(frozenset({0, 1}), (2, 3)),
     ]
     budget = GroupBudget(3, 4, 3)
-    edges, new_bags = enlarge_lists(4, [(1, 2)], bags, tree, groups, budget)
+    edges, new_bags, pairs = enlarge_lists(4, [(1, 2)], bags, tree, groups, budget)
     cliques = {pair for grp in groups for pair in combinations(grp.ends, 2)}
     assert set(edges) == {(1, 2)} | cliques == {(0, 3), (1, 2), (1, 3), (2, 3)}
+    assert pairs == len(cliques) == len(edges) == 4
     assert new_bags == [{0, 1, 2, 3}, {2, 3}]
     for d in range(4):
         with pytest.raises(GroupBudgetError) as err:
@@ -147,20 +154,20 @@ def test_enlarge_adds_each_clique_and_counts_its_uses():
 
 def test_enlarge_validates_an_input_with_nothing_to_add():
     """With no pairs to add, whether there is no group or each has fewer
-    than two ends, the input comes back as the same objects, but only after
-    it is validated: an invalid one is an internal fault that names the
-    failed axiom and its witness."""
+    than two ends, the input comes back as the same objects with no pair
+    counted, but only after it is validated: an invalid one is an internal
+    fault that names the failed axiom and its witness."""
     edges, bags, tree = [(0, 1)], [{0, 1}, {1}], [(0, 1)]
     g, td = _two_bag_instance()
     idle = [EdgeGroup(subtree=frozenset(), ends=()), EdgeGroup(frozenset(), (1,))]
     none = GroupBudget(0, 0, 0)
     for groups in ([], idle):
-        out_edges, out_bags = enlarge_lists(2, edges, bags, tree, groups, none)
-        assert out_edges is edges and out_bags is bags
-        out_edges, out_bags = enlarge_lists(
+        out_edges, out_bags, pairs = enlarge_lists(2, edges, bags, tree, groups, none)
+        assert out_edges is edges and out_bags is bags and pairs == 0
+        out_edges, out_bags, pairs = enlarge_lists(
             g.n, g.edges, td.bags, td.edges, groups, GroupBudget(1, 1, 1)
         )
-        assert out_edges is g.edges and out_bags is td.bags
+        assert out_edges is g.edges and out_bags is td.bags and pairs == 0
         with pytest.raises(InternalInvariantError) as err:
             enlarge_lists(2, edges, [{0}, {1}], tree, groups, none)
         assert str(err.value) == (
@@ -317,8 +324,8 @@ def test_enlarge_counts_budgets_and_growth_per_part():
     ]
     budget = GroupBudget(1, 1, 1)
     parts = [(2, 1), (4, 2)]
-    edges, new_bags = enlarge_lists(4, [], bags, tree, groups, budget, parts)
-    assert sorted(edges) == [(0, 1), (2, 3)]
+    edges, new_bags, pairs = enlarge_lists(4, [], bags, tree, groups, budget, parts)
+    assert sorted(edges) == [(0, 1), (2, 3)] and pairs == 2
     assert new_bags == [{0, 1, 2, 3}] * 2
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(4, [], bags, tree, groups, budget)
@@ -424,7 +431,7 @@ def test_enlarge_random_instances_keep_bounds():
         if g.n < 2:
             continue
         groups, budget = random_groups(rng, g, td)
-        edges, bags = enlarge_lists(
+        edges, bags, pairs = enlarge_lists(
             g.n, g.edges, td.bags, td.edges, groups, budget
         )
         g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
@@ -435,6 +442,7 @@ def test_enlarge_random_instances_keep_bounds():
         assert g2.max_degree() <= g.max_degree() + budget.max_pair_uses_per_vertex
         cliques = {pair for grp in groups for pair in combinations(grp.ends, 2)}
         assert g2.edges == set(g.edges) | cliques
+        assert pairs == len(cliques)
         done += 1
 
 
