@@ -55,9 +55,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_color3(args) -> int:
-    n, edges = pace.read_edges(args.gr)
-    bags, tree_edges = pace.read_bags(args.td, n)
-    rows = pace.read_rows(args.layers)
+    n, edges, bags, tree_edges, rows = pace._read_color3_input(
+        args.gr, args.td, args.layers
+    )
     result = three_color_lists(n, edges, bags, tree_edges, rows)
 
     coloring_path = f"{args.out}.coloring"

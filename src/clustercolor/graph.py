@@ -58,22 +58,6 @@ def _pair_index(
     return distinct, adj
 
 
-def _induce(
-    adj: Sequence[Sequence[int]], ids: Sequence[int]
-) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """The edges among the distinct vertices ``ids`` of the graph with
-    adjacency ``adj``, each once as (i, j) in local ids (positions in
-    ``ids``) with ``ids[i] < ids[j]``, and the map from id to position."""
-    index = {v: i for i, v in enumerate(ids)}
-    edges = [
-        (i, index[u])
-        for i, v in enumerate(ids)
-        for u in adj[v]
-        if u > v and u in index
-    ]
-    return edges, index
-
-
 def _tree_index(
     nn: int, tree_edges: Iterable[tuple[int, int]]
 ) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -311,11 +295,14 @@ def layer_index(
     return layer_of, AxiomCheck("partition", witness is None, witness)
 
 
-def edge_span(edges: Iterable[tuple[int, int]], layer_of: Mapping[int, int]) -> AxiomCheck:
+def edge_span(
+    edges: Iterable[tuple[int, int]], layer_of: Mapping[int, int] | Sequence[int]
+) -> AxiomCheck:
     """The edge-span check, over distinct edges (u, v) with u < v, of the
-    layering given by ``layer_of`` (see ``layer_index``). An edge with an
-    end in no layer is not checked; the witness is the smallest edge whose
-    ends lie two or more layers apart."""
+    layering given by ``layer_of``: the map of ``layer_index`` or, once its
+    partition check passes, the same layers as a list indexed by vertex.
+    An edge with an end in no layer is not checked; the witness is the
+    smallest edge whose ends lie two or more layers apart."""
     bad = min(
         (
             (u, v)
@@ -415,10 +402,10 @@ def check_decomposition(
 
 
 def bags_layered_width(
-    bags: Iterable[Iterable[int]], layer_of: Mapping[int, int]
+    bags: Iterable[Iterable[int]], layer_of: Mapping[int, int] | Sequence[int]
 ) -> int:
     """The largest number of vertices any bag shares with one layer of the
-    layering given by ``layer_of`` (see ``layer_index``); a vertex in no
+    layering given by ``layer_of``, as in ``edge_span``; a vertex in no
     layer counts for none."""
     best = 0
     for bag in bags:

@@ -86,6 +86,12 @@ def graph_to_pace(g: Graph) -> str:
 def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse a ``p tw n m`` graph into n and its 0-based edge lines, in file
     order; the number of edge lines must be m."""
+    return _edges_and_ids(text)[:2]
+
+
+def _edges_and_ids(text: str) -> tuple[int, list[tuple[int, int]], dict[str, int]]:
+    """`pace_to_edges` with the vertex-name table it read the edges
+    through, the names of 1..n that the text has room for."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, (n, m) = _header(lines, "p tw <n> <m>")
     ids = _ids(text, n)
@@ -119,7 +125,7 @@ def pace_to_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
             f"header declares {m} edges but {len(edges)} edge lines follow",
             header_line,
         )
-    return n, edges
+    return n, edges, ids
 
 
 def td_to_pace(td: TreeDecomposition, n_vertices: int) -> str:
@@ -148,6 +154,15 @@ def pace_to_bags(
     the largest bag must have exactly w+1 vertices. When ``n_graph``, the
     vertex count of the graph the decomposition is for, is given, the
     header's n must equal it."""
+    return _bags(text, n_graph, None)
+
+
+def _bags(
+    text: str, n_graph: int | None, vertex: dict[str, int] | None
+) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    """`pace_to_bags`, reading the bags' vertices through ``vertex``, a
+    table of the names of 1..k for some k, when it is given and k is at
+    most the header's n; otherwise through a table of the text's own."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, (num_nodes, width_plus, n) = _header(lines, "s td <N> <w+1> <n>")
     if n_graph is not None and n != n_graph:
@@ -155,7 +170,9 @@ def pace_to_bags(
             f"'s td' header declares n = {n} but the graph has {n_graph} vertices",
             header_line,
         )
-    node, vertex = _ids(text, num_nodes), _ids(text, n)
+    node = _ids(text, num_nodes)
+    if vertex is None or len(vertex) > n:
+        vertex = _ids(text, n)
     # Bags by 0-based node id.
     bags: dict[int, frozenset[int]] = {}
     tree_edges: dict[tuple[int, int], None] = {}
@@ -239,8 +256,15 @@ def text_to_rows(text: str) -> list[tuple[int, ...]]:
     as its 0-based vertex ids in ascending order. No vertex may appear
     twice, on one line or on two; a line that repeats one is reported once
     every line has parsed."""
-    # A layering has no header: the text alone bounds its table.
-    ids = _ids(text, len(text))
+    return _rows(text, None)
+
+
+def _rows(text: str, ids: dict[str, int] | None) -> list[tuple[int, ...]]:
+    """`text_to_rows`, reading the vertices through ``ids``, a table of
+    the names of 1..k for any k, when it is given; a layering has no
+    header, so otherwise the text alone bounds a table of its own."""
+    if ids is None:
+        ids = _ids(text, len(text))
     rows: list[tuple[int, ...]] = []
     seen: set[int] = set()
     repeat = None
@@ -330,3 +354,17 @@ def read_rows(path: str | os.PathLike) -> list[tuple[int, ...]]:
 
 def write_layering(ly: Layering, path: str | os.PathLike) -> None:
     _write(path, layering_to_text(ly))
+
+
+def _read_color3_input(
+    gr: str | os.PathLike, td: str | os.PathLike, layers: str | os.PathLike
+) -> tuple[int, list, list, list, list]:
+    """``read_edges(gr)``, ``read_bags(td, n)`` and ``read_rows(layers)``,
+    in that order, with the values and errors of those calls. The three
+    files name the same vertices, so the bags and the layers are read
+    through the graph's vertex-name table instead of a table each; a
+    vertex that it does not hold goes through ``int()`` and the checks."""
+    n, edges, ids = _parse_file(gr, _edges_and_ids)
+    bags, tree_edges = _parse_file(td, _bags, n, ids)
+    rows = _parse_file(layers, _rows, ids)
+    return n, edges, bags, tree_edges, rows

@@ -337,6 +337,27 @@ def test_color3_builds_no_objects_and_validates_each_class_once(
     }
 
 
+def test_color3_builds_one_vertex_name_table(tmp_path, monkeypatch):
+    """The ``.gr``, ``.td`` and ``.layers`` files name the same vertices, so
+    one color3 builds one vertex-name table, from the ``.gr`` text and
+    bounded by its n; the ``.td`` node table is the only other one."""
+    inputs = gen_inputs(tmp_path, "trigrid", 6)
+    gr, td = pace._read(inputs[1]), pace._read(inputs[3])
+    n, nodes = pace.read_edges(inputs[1])[0], len(pace.read_bags(inputs[3])[0])
+    tables = []
+    build = pace._ids
+
+    def spied(text, top):
+        tables.append((text, top))
+        return build(text, top)
+
+    monkeypatch.setattr(pace, "_ids", spied)
+    assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 0
+    assert (td, nodes) in tables
+    tables.remove((td, nodes))
+    assert tables == [(gr, n)]
+
+
 def _shuffled_files(g, ltd, seed, prefix, root=0):
     """Write the instance rooted at ``root``, with its vertex ids permuted by
     the seed, its edge lines shuffled and some reversed; return the permuted

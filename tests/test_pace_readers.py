@@ -13,13 +13,20 @@ import pytest
 
 from clustercolor import Layering, PaceParseError
 from clustercolor.pace import (
+    _bags,
+    _edges_and_ids,
     _header,
     _ids,
     _ints,
+    _read_color3_input,
+    _rows,
     graph_to_pace,
     layering_to_text,
     pace_to_bags,
     pace_to_edges,
+    read_bags,
+    read_edges,
+    read_rows,
     td_to_pace,
     text_to_rows,
 )
@@ -256,6 +263,69 @@ def test_readers_match_the_plain_readers_on_broken_files(seed):
             refused[reader.__name__] += result[0] == "error"
     # The broken files do reach the error paths of every reader.
     assert len(refused) == 3 and min(refused.values()) >= 10, refused
+
+
+def _table(k):
+    """The vertex-name table of 1..k."""
+    return dict(zip(map(str, range(1, k + 1)), range(k)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_graphs_table_reads_the_td_and_layers_as_the_plain_readers_do(seed):
+    """``color3`` reads the ``.td`` vertices and the ``.layers`` through the
+    ``.gr``'s vertex-name table. Through the table of the graph's own text,
+    one bounded below the files' largest id and one holding ids above n,
+    the two readers give what the plain readers give, values and errors
+    alike; the broken lines put ids above n in both files."""
+    rng = random.Random(300 + seed)
+    refused = Counter()
+    for _ in range(60):
+        gr, td, layers, n, top = random_texts(rng)
+        tables = [_edges_and_ids(gr)[2], _table(rng.randrange(n + 1)), _table(n + 10)]
+        break_prob = rng.choice([0.0, 0.2])
+        td = perturbed(rng, td, top, break_prob=break_prob)
+        layers = perturbed(rng, layers, n, rng.random() < 0.2, break_prob=break_prob)
+        for table in tables:
+            # A table past n is set aside for the .td's own, bounded by n.
+            for n_graph in (n, None):
+                result = outcome(_bags, td, n_graph, table)
+                assert result == outcome(plain_bags, td, n_graph), (td, len(table))
+                refused["bags"] += result[0] == "error"
+            result = outcome(_rows, layers, table)
+            assert result == outcome(plain_rows, layers), (layers, len(table))
+            refused["rows"] += result[0] == "error"
+    assert min(refused.values()) >= 10, refused
+
+
+def test_color3_input_reads_as_the_three_readers_do(tmp_path):
+    """``_read_color3_input`` gives what ``read_edges``, ``read_bags`` against
+    the graph's n and ``read_rows`` give, in that order: their values, or the
+    first one's error, naming its file."""
+    rng = random.Random(7)
+    paths = [tmp_path / name for name in ("g.gr", "g.td", "g.layers")]
+    refused = Counter()
+    for _ in range(40):
+        gr, td, layers, n, top = random_texts(rng)
+        texts = [
+            perturbed(rng, gr, n, break_prob=0.05),
+            perturbed(rng, td, top, break_prob=0.05),
+            perturbed(rng, layers, n, False, break_prob=0.05),
+        ]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="ascii")
+        try:
+            n_read, edges = read_edges(paths[0])
+            expected = ("value", (n_read, edges, *read_bags(paths[1], n_read),
+                                  read_rows(paths[2])))
+        except PaceParseError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("value", _read_color3_input(*paths))
+        except PaceParseError as exc:
+            got = ("error", str(exc))
+        assert got == expected, texts
+        refused[got[0]] += 1
+    assert min(refused.values()) >= 5, refused
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 from collections import deque
@@ -57,6 +58,18 @@ def test_constants_default_factor_and_monotonicity():
     assert c.f1 == 4 * 3 * 6
     assert compute_constants(3, 6).g > c.g
     assert compute_constants(2, 7).g > c.g
+
+
+def test_constants_grow_as_w19_delta37():
+    """The chain's degree as implemented: at w = Δ = 10⁶, where the lower
+    terms no longer show, doubling Δ multiplies g by 2^37 and doubling w
+    by 2^19."""
+    w = d = 10**6
+    log_g = math.log2(compute_constants(w, d).g)
+    delta_step = math.log2(compute_constants(w, 2 * d).g) - log_g
+    width_step = math.log2(compute_constants(2 * w, d).g) - log_g
+    assert delta_step == pytest.approx(37, abs=1e-4)
+    assert width_step == pytest.approx(19, abs=1e-4)
 
 
 def test_constants_reject_degenerate_inputs():
