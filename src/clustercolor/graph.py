@@ -58,19 +58,6 @@ def _pair_index(
     return distinct, adj
 
 
-def _tree_index(
-    nn: int, tree_edges: Iterable[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """The tree pairs that name two nodes of 0..nn-1, and each node's
-    neighbors through them: a pair that names no node joins nothing."""
-    named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in named:
-        adj[a].append(b)
-        adj[b].append(a)
-    return named, adj
-
-
 # What each axiom's witness names. The decomposition's "tree" axiom has no
 # witness; an axiom not listed here gives its witness bare.
 _WITNESS = {
@@ -190,16 +177,13 @@ class Layering:
         return f"Layering(m={self.m}, n={sum(map(len, self.layers))})"
 
 
-def _search(
-    adj: Sequence[Sequence[int]], root: int
-) -> tuple[list[int], list[int], int]:
+def _search(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], int]:
     """Breadth-first search over nodes 0..len(adj)-1 from ``root``: each
-    node's depth and parent (-1 for the root and for nodes it cannot reach),
-    and the number of nodes reached, none when ``root`` names no node."""
+    node's depth (-1 for nodes it cannot reach), and the number of nodes
+    reached, none when ``root`` names no node."""
     depth = [-1] * len(adj)
-    parent = [-1] * len(adj)
     if not 0 <= root < len(adj):
-        return depth, parent, 0
+        return depth, 0
     depth[root] = 0
     queue = [root]
     for t in queue:
@@ -207,9 +191,34 @@ def _search(
         for u in adj[t]:
             if depth[u] < 0:
                 depth[u] = below
-                parent[u] = t
                 queue.append(u)
-    return depth, parent, len(queue)
+    return depth, len(queue)
+
+
+class TreeIndex(NamedTuple):
+    """A tree given by its node pairs, indexed once for every check that
+    reads it: the pairs that name two nodes of 0..nn-1, each node's
+    neighbors through them (a pair that names no node joins nothing), and
+    the breadth-first search from the root, each node's depth and the number
+    of nodes reached."""
+
+    named: list[tuple[int, int]]
+    adj: list[list[int]]
+    depth: list[int]
+    reached: int
+
+
+def _tree_index(
+    nn: int, tree_edges: Iterable[tuple[int, int]], root: int = 0
+) -> TreeIndex:
+    """The index of the tree on nodes 0..nn-1 with these pairs, searched
+    from ``root``."""
+    named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
+    adj: list[list[int]] = [[] for _ in range(nn)]
+    for a, b in named:
+        adj[a].append(b)
+        adj[b].append(a)
+    return TreeIndex(named, adj, *_search(adj, root))
 
 
 class TreeDecomposition:
@@ -318,13 +327,11 @@ def edge_span(
 class DecompositionReport(ValidationReport):
     """A decomposition's validation report together with the index its
     checks built: for each vertex of 0..n-1, a list indexed by vertex, its
-    nodes in ascending order; and each node's depth and parent (-1 for the
-    root and for nodes it cannot reach) in a breadth-first search from the
-    root."""
+    nodes in ascending order; and each node's depth (-1 for nodes it cannot
+    reach) in a breadth-first search from the root."""
 
     holders: list[list[int]] = field(compare=False, repr=False)
     depth: list[int] = field(compare=False, repr=False)
-    parent: list[int] = field(compare=False, repr=False)
 
 
 def check_decomposition(
@@ -333,7 +340,7 @@ def check_decomposition(
     bags: Sequence[AbstractSet[int]],
     tree_edges: Collection[tuple[int, int]],
     root: int = 0,
-    index: tuple[list[tuple[int, int]], list[list[int]]] | None = None,
+    index: TreeIndex | None = None,
 ) -> DecompositionReport:
     """Check tree shape, coverage, and connectivity axioms of a decomposition
     given as plain lists: the graph on 0..n-1 by its distinct edges (u, v)
@@ -342,16 +349,16 @@ def check_decomposition(
     root or a tree pair names no node; such a pair joins nothing.
     Connectivity is checked, and reported, only when the tree check passes
     and every bag holds only vertices of 0..n-1. A caller that has built
-    ``_tree_index(len(bags), tree_edges)`` passes it as ``index``, and the
-    check reads the tree through it instead of building it again.
+    ``_tree_index(len(bags), tree_edges, root)`` passes it as ``index``,
+    and the check reads the tree and its search through it instead of
+    building them again.
 
     Each witness is the smallest failing item (node, vertex, or edge): the
     checks scan in any order and keep the minimum failure.
     """
     checks = []
     nn = len(bags)
-    named, tree_adj = index or _tree_index(nn, tree_edges)
-    depth, parent, reached = _search(tree_adj, root)
+    named, _, depth, reached = index or _tree_index(nn, tree_edges, root)
     tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
     checks.append(AxiomCheck("tree", tree, None))
 
@@ -398,7 +405,7 @@ def check_decomposition(
         failing = compress(range(n), map(gt, map(len, holders), shared))
         bad_vertex = next(failing, None)
         checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
-    return DecompositionReport(tuple(checks), holders, depth, parent)
+    return DecompositionReport(tuple(checks), holders, depth)
 
 
 def bags_layered_width(

@@ -37,6 +37,7 @@ from .graph import (
     ValidationReport,
     _bad_edge,
     _pair_index,
+    _tree_index,
     bags_layered_width,
     check_decomposition,
     edge_span,
@@ -132,35 +133,32 @@ class ThreeColorResult:
 
 
 class _ClassView(NamedTuple):
-    """A layer class as plain lists in local ids, for ``enlarge_lists`` and
-    ``band_color``. ``ids`` holds the class's vertices, layer after layer,
-    each layer ascending; a local id is a position in ``ids``. ``edges``,
-    ``bags``, ``tree_edges`` and ``depth`` are the class's edges and its
-    sparse decomposition, with each node's original depth. ``groups`` holds
-    the edge groups, layer after layer, and ``parts`` each layer's vertex
-    and group ends in ``ids`` and ``groups``; a group is a clique on its
-    ends, in local ids, over a subtree of view nodes. ``nodes`` gives each
-    view node's original id."""
+    """A layer class as plain lists over the input's tree, for
+    ``enlarge_lists`` and ``band_color``. ``ids`` holds the class's
+    vertices, layer after layer, each layer ascending; a local id is a
+    position in ``ids``. ``edges`` are the class's edges in local ids, and
+    ``bags`` the restriction of the input's decomposition to the class: one
+    bag per input node, empty where the node holds no class vertex.
+    ``groups`` holds the edge groups, layer after layer, and ``parts`` each
+    layer's vertex and group ends in ``ids`` and ``groups``; a group is a
+    clique on its ends, in local ids, over a subtree of input nodes."""
 
     ids: list[int]
     edges: list[tuple[int, int]]
     bags: list[set[int]]
-    tree_edges: list[tuple[int, int]]
-    depth: list[int]
     groups: list[EdgeGroup]
     parts: list[tuple[int, int]]
-    nodes: list[int]
 
 
 def _class_view(
     adj: Sequence[Sequence[int]],
     holders: Sequence[Sequence[int]],
-    parent: list[int],
-    depth: list[int],
+    nn: int,
     layers: Sequence[tuple[Sequence[int], list[tuple[int, ...]]]],
 ) -> _ClassView:
-    """The view of one layer class, given each of its layers as its sorted
-    vertices and the guard components of its colored neighbor layers.
+    """The view of one layer class over the input's nn nodes, given each of
+    its layers as its sorted vertices and the guard components of its
+    colored neighbor layers.
 
     The layers of a class lie three or more apart, so no edge joins two of
     them and no guard component has neighbors in two; the view is the
@@ -170,14 +168,9 @@ def _class_view(
     with at least two neighbors in its layer gives one group: the clique on
     those neighbors, and as subtree the nodes whose (possibly enlarged) bags
     meet the component, those holding one of its vertices, which hold each
-    neighbor with it.
-
-    The view keeps the nodes that hold a class vertex and the nodes of every
-    group subtree, in ascending original id, with the original tree edges
-    among them. Every vertex's node set, original and poured, is kept whole
-    and is connected, so chaining the forest's component tops (kept nodes
-    whose parent is not kept) in ascending order yields a valid
-    decomposition of the class.
+    neighbor with it. Restricting every bag to the class keeps each of its
+    vertices' node sets whole, so the view's bags over the input's tree are
+    a decomposition of the class.
     """
     ids = [v for layer, _ in layers for v in layer]
     # Each vertex's local id, -1 off the class. No edge joins two layers of
@@ -189,8 +182,11 @@ def _class_view(
     edges = [
         (i, j) for i, v in enumerate(ids) for u in adj[v] if (j := local_id[u]) > i
     ]
-    kept = {t for v in ids for t in holders[v]}
-    found = []
+    bags: list[set[int]] = [set() for _ in range(nn)]
+    for i, v in enumerate(ids):
+        for t in holders[v]:
+            bags[t].add(i)
+    groups = []
     parts = []
     end = 0
     for layer, guards in layers:
@@ -199,35 +195,12 @@ def _class_view(
             # this layer since the class's other layers lie farther away.
             ends = {local_id[u] for c in comp for u in adj[c]}
             ends.discard(-1)
-            if len(ends) < 2:
-                continue
-            subtree = frozenset(t for c in comp for t in holders[c])
-            kept |= subtree
-            found.append((sorted(ends), subtree))
+            if len(ends) >= 2:
+                subtree = frozenset(t for c in comp for t in holders[c])
+                groups.append(EdgeGroup(subtree, tuple(sorted(ends))))
         end += len(layer)
-        parts.append((end, len(found)))
-    nodes = sorted(kept)
-    local = {t: i for i, t in enumerate(nodes)}
-    bags: list[set[int]] = [set() for _ in nodes]
-    for i, v in enumerate(ids):
-        for t in holders[v]:
-            bags[local[t]].add(i)
-    tree_edges: list[tuple[int, int]] = []
-    tops: list[int] = []
-    for i, t in enumerate(nodes):
-        up = local.get(parent[t])
-        if up is None:
-            tops.append(i)
-        else:
-            tree_edges.append((i, up))
-    tree_edges += zip(tops, tops[1:])
-    groups = [
-        EdgeGroup(frozenset(local[t] for t in subtree), tuple(ends))
-        for ends, subtree in found
-    ]
-    return _ClassView(
-        ids, edges, bags, tree_edges, [depth[t] for t in nodes], groups, parts, nodes
-    )
+        parts.append((end, len(groups)))
+    return _ClassView(ids, edges, bags, groups, parts)
 
 
 def _stage(cls: int, layers: Sequence[int], part: int | None) -> str:
@@ -258,26 +231,30 @@ def three_color_lists(
     layers two or more apart InvalidLayering.
     The constants are computed for the measured layered width and maximum
     degree. Stage failures keep their exception types but name the stage
-    and the lowest failing layer of the class (a broken view tree, which no
-    layer owns, names the stage alone); the final clustering is measured
-    and checked before returning.
-    Once a layer is colored, each vertex poured into an enlarged bag gains
-    that bag's node among its nodes (``holders``).
+    and the lowest failing layer of the class (a fault that no layer owns
+    names the stage alone); the final clustering is measured and checked
+    before returning.
+    Every class is colored over the input's own tree, indexed and searched
+    from the root once. Once a layer is colored, each vertex poured into an
+    enlarged bag gains that bag's node among its nodes (``holders``).
     """
-    # Graph's pair index over the edge lines and one pass over the bags
-    # build the index every layer shares: each vertex's neighbors and nodes,
-    # and each node's depth and parent from the root. The views keep these
-    # original depths, so their bands match the whole tree's.
-    layer_of, partition = layer_index(n, rows)
+    # Graph's pair index over the edge lines, the tree index and one pass
+    # over the bags build what every class shares: each vertex's neighbors
+    # and nodes, and each node's neighbors and depth from the root.
+    partition = layer_index(n, rows)[1]
     ValidationReport((partition,)).require(InvalidLayering)
     # The rows cover 0..n-1: the layers as a list indexed by vertex.
-    layer_of = list(map(layer_of.__getitem__, range(n)))
+    layer_of = [0] * n
+    for i, row in enumerate(rows, start=1):
+        for v in row:
+            layer_of[v] = i
     edges, adj = _pair_index(n, edges, _bad_edge)
-    checked = check_decomposition(n, edges, bags, tree_edges, root)
+    index = _tree_index(len(bags), tree_edges, root)
+    checked = check_decomposition(n, edges, bags, tree_edges, root, index)
     checked.require(InvalidDecomposition)
     ValidationReport((edge_span(edges, layer_of),)).require(InvalidLayering)
     w_eff = max(1, bags_layered_width(bags, layer_of))
-    holders, depth, parent = checked.holders, checked.depth, checked.parent
+    holders = checked.holders
     d_eff = max(1, max(map(len, adj), default=0))
     constants, budget2, budget3 = _constant_chain(w_eff, d_eff)
     # Per class: palette (local colors 1 and 2 map to its entries), degree
@@ -313,16 +290,16 @@ def three_color_lists(
             )
             for li in lis
         ]
-        view = _class_view(adj, holders, parent, depth, guarded)
+        view = _class_view(adj, holders, len(bags), guarded)
         ids, ends = view.ids, [end for end, _ in view.parts]
         # enlarge_lists validates the view, with or without pairs to add.
         try:
             view_edges, view_bags, pairs = enlarge_lists(
-                len(ids), view.edges, view.bags, view.tree_edges, view.groups,
-                budget, view.parts,
+                len(ids), view.edges, view.bags, tree_edges, view.groups,
+                budget, view.parts, index,
             )
             colors, clusters = band_color(
-                len(ids), view_edges, view_bags, view.depth, degree, ends
+                len(ids), view_edges, view_bags, index.depth, degree, ends
             )
         except GroupBudgetError as exc:
             stage = _stage(cls, lis, exc.part)
@@ -345,7 +322,7 @@ def three_color_lists(
         # The later layers this class guards see its enlarged bags: each
         # vertex new in a bag gains its node. The last class guards none.
         if guarding:
-            for t, old, new in zip(view.nodes, view.bags, view_bags):
+            for t, (old, new) in enumerate(zip(view.bags, view_bags)):
                 if len(new) > len(old):
                     for v in new.difference(old):
                         holders[ids[v]].append(t)

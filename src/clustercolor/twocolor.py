@@ -31,6 +31,7 @@ from .graph import (
     AxiomCheck,
     Graph,
     TreeDecomposition,
+    TreeIndex,
     _tree_index,
     check_decomposition,
 )
@@ -166,10 +167,14 @@ def enlarge_lists(
     groups: Sequence[EdgeGroup],
     budget: GroupBudget,
     parts: Sequence[tuple[int, int]] | None = None,
+    index: TreeIndex | None = None,
 ) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]], int]:
     """Add each group's clique as edges and widen the decomposition to
     match, over plain lists: the graph on 0..n-1 by its distinct edges
-    (u, v) with u < v, one bag per node, and the tree by its node pairs.
+    (u, v) with u < v, one bag per node, and the tree by its node pairs. A
+    caller that has built ``_tree_index(len(bags), tree_edges, root)``
+    passes it as ``index``, and the group count and the output check read
+    the tree and its search through it instead of building them again.
 
     The vertices and the groups fall into parts, the ith holding the
     vertices and the groups before ``parts[i] = (vertex end, group end)``
@@ -205,8 +210,8 @@ def enlarge_lists(
     ends = [end for end, _ in parts]
     nn = len(bags)
     # The output check reads the tree through this index too.
-    index = _tree_index(nn, tree_edges)
-    tree_adj = index[1]
+    index = index or _tree_index(nn, tree_edges)
+    tree_adj = index.adj
     live = []
     for p, ((lo, first), (hi, last)) in enumerate(pairwise(((0, 0), *parts))):
         if first == last:

@@ -358,11 +358,11 @@ def test_three_color_golden_outputs(name):
     assert result.per_color_max == measured.per_color_max
 
 
-def test_three_color_two_colors_sparse_class_views(monkeypatch):
-    """Each layer class is two-colored in one call, over a sparse view that
-    keeps only the nodes of its own layers and groups, so the nodes handed
-    to the two-colorer sum to at most twice the total bag size; a whole tree
-    per layer would give about n^2 on a path."""
+def test_three_color_two_colors_each_class_over_the_input_tree(monkeypatch):
+    """Each layer class is two-colored in one call, over the input's own
+    tree: the two-colorer gets one bag per input node for each class, so
+    three trees in all, never one per layer, which would give about n^2 on
+    a path."""
     from clustercolor import threecolor
 
     node_counts = []
@@ -375,8 +375,7 @@ def test_three_color_two_colors_sparse_class_views(monkeypatch):
     monkeypatch.setattr(threecolor, "band_color", counting)
     g, ltd, _ = gen_path(2000)
     three_color_lists(*lists_of(g, ltd))
-    assert len(node_counts) == 3
-    assert sum(node_counts) <= 2 * sum(len(bag) for bag in ltd.td.bags)
+    assert node_counts == [ltd.td.node_count] * 3
 
 
 def _nonempty_classes(ly):
@@ -485,12 +484,11 @@ def test_layer_with_only_pairless_groups_is_still_validated_once(monkeypatch):
 )
 def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance, widens):
     """Replayed from the bags and the groups alone, each group's ends are
-    its guard component's neighbors in the layer, and its subtree, mapped
-    through the view's node list, is the set of nodes that hold one of the
-    component's vertices, either in the original bags or because an
-    earlier layer's enlargement poured that vertex into them. On the
-    rectangular grid some pours reach nodes whose original bags lack the
-    vertex, so the replay needs them."""
+    its guard component's neighbors in the layer, and its subtree is the
+    set of input nodes that hold one of the component's vertices, either in
+    the original bags or because an earlier layer's enlargement poured that
+    vertex into them. On the rectangular grid some pours reach nodes whose
+    original bags lack the vertex, so the replay needs them."""
     from clustercolor import threecolor
 
     g, ltd, _ = instance()
@@ -503,8 +501,8 @@ def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance
     groups = [0]
     widened = [0]
 
-    def replaying(adj, holders, parent, depth, layers):
-        view = class_view(adj, holders, parent, depth, layers)
+    def replaying(adj, holders, nn, layers):
+        view = class_view(adj, holders, nn, layers)
         guarded = []
         for ids, guards in layers:
             layer = set(ids)
@@ -512,7 +510,7 @@ def test_group_subtrees_replay_original_and_poured_holders(monkeypatch, instance
                 ends = {u for c in comp for u in g.neighbors(c) if u in layer}
                 if len(ends) >= 2:
                     guarded.append((comp, sorted(ends)))
-        subtrees = [{view.nodes[t] for t in grp.subtree} for grp in view.groups]
+        subtrees = [set(grp.subtree) for grp in view.groups]
         expected = [set().union(*(held[c] for c in comp)) for comp, _ in guarded]
         assert subtrees == expected
         assert [[view.ids[v] for v in grp.ends] for grp in view.groups] == [
@@ -654,6 +652,38 @@ def test_rows_in_any_order_color_alike(monkeypatch):
     assert all(len(set(out)) == len(out) for _, out in seen)
 
 
+def test_three_color_indexes_and_searches_the_tree_once(monkeypatch):
+    """One call builds one tree index and runs one breadth-first search,
+    from the input's root, and hands that index to the enlargement of each
+    of the three classes."""
+    from clustercolor import graph, threecolor, twocolor
+
+    built, searches, handed = [], [0], []
+    tree_index, search = graph._tree_index, graph._search
+    enlarge = threecolor.enlarge_lists
+
+    def indexing(*args):
+        built.append(tree_index(*args))
+        return built[-1]
+
+    def searching(*args):
+        searches[0] += 1
+        return search(*args)
+
+    def enlarging(*args):
+        handed.append(args[-1])
+        return enlarge(*args)
+
+    for module in (graph, twocolor, threecolor):
+        monkeypatch.setattr(module, "_tree_index", indexing)
+    monkeypatch.setattr(graph, "_search", searching)
+    monkeypatch.setattr(threecolor, "enlarge_lists", enlarging)
+    g, ltd, _ = gen_grid(10, triangulated=True)
+    three_color_lists(*lists_of(g, ltd))
+    assert len(built) == 1 and searches[0] == 1
+    assert len(handed) == 3 and all(index is built[0] for index in handed)
+
+
 def test_holders_grow_without_repeats(monkeypatch):
     """After the two guarding classes, each vertex's nodes, which stage 3's
     view reads, list no node twice."""
@@ -770,8 +800,9 @@ def test_a_class_refuses_its_lowest_layer_first(monkeypatch):
 def test_corrupted_view_is_an_internal_fault(monkeypatch):
     """A view that the input's validation cannot explain is the pipeline's
     fault, not the input's: the error names the stage, the lowest layer
-    that fails, the axiom and its witness in that layer's ids. A broken
-    tree belongs to no layer, so it names the stage alone."""
+    that fails, the axiom and its witness in that layer's ids. A bag that
+    holds an id outside the class belongs to no layer, so it names the
+    stage alone, with the input node and the id."""
     from clustercolor import InternalInvariantError, threecolor
 
     g, ltd, _ = gen_grid(6, triangulated=True)
@@ -786,14 +817,19 @@ def test_corrupted_view_is_an_internal_fault(monkeypatch):
             "vertex-coverage axiom fails at vertex 0"
         )
 
-    def treeless(*args):
+    def stray(*args):
         view = class_view(*args)
-        return view._replace(tree_edges=view.tree_edges[1:])
+        bags = list(view.bags)
+        bags[2] = bags[2] | {len(view.ids)}
+        return view._replace(bags=bags)
 
-    monkeypatch.setattr(threecolor, "_class_view", treeless)
+    monkeypatch.setattr(threecolor, "_class_view", stray)
     with pytest.raises(InternalInvariantError) as err:
         three_color_lists(*lists_of(g, ltd))
-    assert str(err.value) == "stage-1: enlarged decomposition invalid: tree axiom fails"
+    assert str(err.value) == (
+        "stage-1: enlarged decomposition invalid: bag-contents axiom fails at "
+        "node and vertex (2, 12)"
+    )
 
 
 def test_final_check_names_the_first_largest_component(monkeypatch):
@@ -904,10 +940,12 @@ def test_three_color_ignores_empty_leaf_bags():
     assert _certified(g, padded) == _certified(g, ltd)
 
 
-def test_three_color_chains_forest_shaped_views(monkeypatch):
+def test_three_color_colors_layers_whose_nodes_form_a_forest(monkeypatch):
     """On the 40-cycle with bags {0, i, i+1}, layered from vertex 0, each
-    layer {i, 40-i} meets two far-apart stretches of the path, so its view
-    is a forest whose tops are chained; the coloring is still certified."""
+    layer {i, 40-i} meets two far-apart stretches of the path, so the nodes
+    of a layer's own part form two or more components of the input's tree;
+    the class is colored over that whole tree, and the coloring is still
+    certified."""
     from clustercolor import threecolor
 
     n = 40
@@ -921,20 +959,22 @@ def test_three_color_chains_forest_shaped_views(monkeypatch):
         {i, (n - i) % n} for i in range(n // 2 + 1)
     ]
     class_view = threecolor._class_view
-    tops = []
+    pieces = []
 
-    def capturing(g, holders, parent, depth, layers):
-        view = class_view(g, holders, parent, depth, layers)
-        # The nodes each layer's own part keeps: its vertices' and groups'.
+    def capturing(adj, holders, nn, layers):
+        view = class_view(adj, holders, nn, layers)
+        # The nodes each layer's own part holds: its vertices' and groups'.
+        # In a forest, the components are the nodes less the edges.
         first = 0
         for (ids, _), (_, last) in zip(layers, view.parts):
-            kept = {t for v in ids for t in holders[v]}
+            own = {t for v in ids for t in holders[v]}
             for grp in view.groups[first:last]:
-                kept |= {view.nodes[t] for t in grp.subtree}
-            tops.append(sum(1 for t in kept if parent[t] not in kept))
+                own |= grp.subtree
+            joined = sum(a in own and b in own for a, b in td.edges)
+            pieces.append(len(own) - joined)
             first = last
         return view
 
     monkeypatch.setattr(threecolor, "_class_view", capturing)
     _certified(g, LayeredTreeDecomposition(td, ly))
-    assert max(tops) >= 2
+    assert max(pieces) >= 2

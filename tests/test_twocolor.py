@@ -21,6 +21,7 @@ from clustercolor import (
     two_color_bounded_treewidth,
 )
 
+from clustercolor.graph import _tree_index
 from clustercolor.twocolor import band_color
 from helpers import (
     connected,
@@ -434,6 +435,12 @@ def test_enlarge_random_instances_keep_bounds():
         edges, bags, pairs = enlarge_lists(
             g.n, g.edges, td.bags, td.edges, groups, budget
         )
+        # The same from a tree index built beforehand, searched from the
+        # last node.
+        index = _tree_index(td.node_count, td.edges, td.node_count - 1)
+        assert enlarge_lists(
+            g.n, g.edges, td.bags, td.edges, groups, budget, None, index
+        ) == (edges, bags, pairs)
         g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
         assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
         assert td2.width() <= td.width() + 2 * (
