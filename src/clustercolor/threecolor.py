@@ -267,29 +267,27 @@ def three_color_lists(
     )
 
     coloring = [0] * n
-    # Monochromatic components of each colored layer, as original ids,
-    # keyed by (layer index, final color); only those in a color that a
-    # later class's palette shares, the ones that guard a later layer.
-    comps: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # The guard components of each layer, as original ids, by layer index:
+    # a colored layer's component in a color that a later class's palette
+    # shares guards the one neighbor layer of that class. Those of the first
+    # and last layers may aim at the absent layers 0 and len(rows) + 1.
+    guards: list[list[tuple[int, ...]]] = [[] for _ in range(len(rows) + 2)]
     fake_edges = {cls: 0 for cls, *_ in stages}
 
     for k, (cls, palette, degree, budget) in enumerate(stages):
         lis = [li for li in range(cls, len(rows) + 1, 3) if rows[li - 1]]
         if not lis:
             continue
-        guarding = {color for _, later, *_ in stages[k + 1 :] for color in later}
-        guarded = [
-            (
-                sorted(rows[li - 1]),
-                [
-                    comp
-                    for lj in (li - 1, li + 1)
-                    for color in palette
-                    for comp in comps.get((lj, color), ())
-                ],
-            )
-            for li in lis
-        ]
+        # The color this class shares with each later class, and the step
+        # from a layer of this class to that class's neighbor layer: +1 to
+        # the next class, -1 to the one after it.
+        step = {
+            color: 1 if later == cls % 3 + 1 else -1
+            for later, other, *_ in stages[k + 1 :]
+            for color in palette
+            if color in other
+        }
+        guarded = [(sorted(rows[li - 1]), guards[li]) for li in lis]
         view = _class_view(adj, holders, len(bags), guarded)
         ids, ends = view.ids, [end for end, _ in view.parts]
         # enlarge_lists validates the view, with or without pairs to add.
@@ -314,14 +312,14 @@ def three_color_lists(
         for v, color in zip(ids, colors):
             coloring[v] = palette[color - 1]
         for color, local_comp in clusters.components:
-            color = palette[color - 1]
-            if color in guarding:
+            if (d := step.get(palette[color - 1])) is not None:
                 comp = tuple(map(ids.__getitem__, local_comp))
-                comps.setdefault((layer_of[comp[0]], color), []).append(comp)
+                guards[layer_of[comp[0]] + d].append(comp)
         fake_edges[cls] = pairs
         # The later layers this class guards see its enlarged bags: each
-        # vertex new in a bag gains its node. The last class guards none.
-        if guarding:
+        # vertex new in a bag gains its node. The last class guards none,
+        # and a class that added no pair keeps its view's own bags.
+        if step and pairs:
             for t, (old, new) in enumerate(zip(view.bags, view_bags)):
                 if len(new) > len(old):
                     for v in new.difference(old):

@@ -19,7 +19,7 @@ from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, pairwise, repeat
-from operator import sub
+from operator import gt, sub
 
 from .errors import (
     ClusteringBoundError,
@@ -73,7 +73,7 @@ def band_color(
     ends = parts or (n,)
     if ends[-1] != n:
         raise ValueError("the last part must end at n")
-    if any(a > b for a, b in pairwise((0, *ends))):
+    if any(map(gt, (0, *ends), ends)):
         raise ValueError("the parts' ends must not decrease")
     lo = [None] * n
     hi = [None] * n
@@ -205,7 +205,7 @@ def enlarge_lists(
     parts = parts or ((n, len(groups)),)
     if tuple(parts[-1]) != (n, len(groups)):
         raise ValueError("the last part must end at n and at the last group")
-    if any(a > b for column in zip(*parts) for a, b in pairwise((0, *column))):
+    if any(any(map(gt, (0, *column), column)) for column in zip(*parts)):
         raise ValueError("the parts' vertex and group ends must not decrease")
     ends = [end for end, _ in parts]
     nn = len(bags)

@@ -77,7 +77,7 @@ def test_every_gen_family_colors_and_verifies(tmp_path, capsys):
         inputs = gen_inputs(tmp_path, family, 4)
         out = str(tmp_path / f"run-{family}")
         assert main(["color3", *inputs, "--out", out]) == 0, family
-        with open(f"{out}.report.json") as fh:
+        with open(f"{out}.report.json", encoding="utf-8") as fh:
             k = json.load(fh)["clustering"]
         argv = ["verify", "--gr", inputs[1], "--coloring", f"{out}.coloring",
                 "--k", str(k)]
@@ -90,12 +90,12 @@ def test_color3_family_report_matches_independent_recheck(tmp_path, capsys):
     inputs = gen_inputs(tmp_path, "trigrid", 6)
     capsys.readouterr()
     assert main(["color3", *inputs, "--out", str(prefix)]) == 0
-    with open(f"{prefix}.report.json") as fh:
+    with open(f"{prefix}.report.json", encoding="utf-8") as fh:
         report = json.load(fh)
     assert report["vertices"] == 36
     assert report["clustering"] <= report["bound"]
     coloring = {}
-    with open(f"{prefix}.coloring") as fh:
+    with open(f"{prefix}.coloring", encoding="utf-8") as fh:
         for line in fh:
             v, c = line.split()
             coloring[int(v)] = int(c)
@@ -125,7 +125,7 @@ def test_color3_accepts_pace_files(tmp_path):
         ]
     )
     assert code == 0
-    with open(tmp_path / "run.report.json") as fh:
+    with open(tmp_path / "run.report.json", encoding="utf-8") as fh:
         report = json.load(fh)
     assert report["vertices"] == 25
 
@@ -157,9 +157,10 @@ def test_color3_refuses_a_td_header_for_another_vertex_count(
     monkeypatch.setattr(cli, "three_color_lists", colorer_reached)
     inputs = gen_inputs(tmp_path, "path", 5)
     td = tmp_path / "path5.td"
-    text = td.read_text()
+    text = td.read_text(encoding="utf-8")
     assert text.startswith("s td 4 2 5\n")
-    td.write_text(text.replace("s td 4 2 5", f"s td 4 2 {declared}", 1))
+    declared_text = text.replace("s td 4 2 5", f"s td 4 2 {declared}", 1)
+    td.write_text(declared_text, encoding="utf-8")
     assert main(["color3", *inputs, "--out", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
@@ -226,15 +227,15 @@ def test_color3_names_the_failed_axiom(tmp_path, capsys):
     prefix = tmp_path / "p"
     assert main(["gen", "path", "--n", "5", "--out", str(prefix)]) == 0
     gr, td, layers = f"{prefix}.gr", f"{prefix}.td", f"{prefix}.layers"
-    with open(layers) as fh:
+    with open(layers, encoding="utf-8") as fh:
         lines = fh.readlines()
     short = tmp_path / "short.layers"
-    short.write_text("".join(lines[:-1]))
-    with open(gr) as fh:
+    short.write_text("".join(lines[:-1]), encoding="utf-8")
+    with open(gr, encoding="utf-8") as fh:
         header, *edges = fh.readlines()
     assert header == "p tw 5 4\n"
     chord = tmp_path / "chord.gr"
-    chord.write_text("p tw 5 5\n" + "".join(edges) + "1 5\n")
+    chord.write_text("p tw 5 5\n" + "".join(edges) + "1 5\n", encoding="utf-8")
     out = str(tmp_path / "run")
     for graph, layering, line in (
         (gr, short, "error: invalid layering: partition axiom fails at vertex 4\n"),
@@ -266,7 +267,7 @@ def test_color3_names_a_stray_layering_id(tmp_path, capsys, rows, witness):
     prefix = tmp_path / "p"
     assert main(["gen", "path", "--n", "5", "--out", str(prefix)]) == 0
     layers = tmp_path / "stray.layers"
-    layers.write_text("".join(f"{row}\n" for row in rows))
+    layers.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
     argv = ["color3", "--gr", f"{prefix}.gr", "--td", f"{prefix}.td",
             "--layers", str(layers), "--out", str(tmp_path / "run")]
     capsys.readouterr()
@@ -281,18 +282,21 @@ def test_color3_ignores_duplicate_edge_lines(tmp_path, capsys):
     the clean file gives them, with the distinct edges counted."""
     inputs = gen_inputs(tmp_path, "trigrid", 6)
     gr = inputs[1]
-    with open(gr) as fh:
+    with open(gr, encoding="utf-8") as fh:
         header, *lines = fh.readlines()
     extra = lines[::3] + [" ".join(line.split()[::-1]) + "\n" for line in lines[::4]]
     noisy = tmp_path / "noisy.gr"
-    noisy.write_text(f"p tw 36 {len(lines) + len(extra)}\n" + "".join(lines + extra))
+    noisy.write_text(
+        f"p tw 36 {len(lines) + len(extra)}\n" + "".join(lines + extra),
+        encoding="utf-8",
+    )
     outputs = []
     for name, graph in (("clean", gr), ("noisy", str(noisy))):
         out = str(tmp_path / name)
         assert main(["color3", "--gr", graph, *inputs[2:], "--out", out]) == 0
         with open(f"{out}.coloring", "rb") as fh:
             coloring = fh.read()
-        with open(f"{out}.report.json") as fh:
+        with open(f"{out}.report.json", encoding="utf-8") as fh:
             report = json.load(fh)
         assert report.pop("coloring_file") == f"{out}.coloring"
         outputs.append((coloring, report))
@@ -372,7 +376,7 @@ def _shuffled_files(g, ltd, seed, prefix, root=0):
         [[perm[v] for v in bag] for bag in ltd.td.bags], ltd.td.edges, root
     )
     ly = Layering([[perm[v] for v in row] for row in ltd.layering.layers])
-    with open(f"{prefix}.gr", "w") as fh:
+    with open(f"{prefix}.gr", "w", encoding="utf-8") as fh:
         fh.write(f"p tw {g.n} {len(edges)}\n")
         fh.writelines(f"{u + 1} {v + 1}\n" for u, v in edges)
     pace.write_td(td, g.n, f"{prefix}.td")
@@ -405,7 +409,7 @@ def test_color3_colors_as_three_color_does(tmp_path, capsys, build, every_root, 
         pg, pltd = _shuffled_files(g, ltd, seed, prefix, root)
         assert main(argv) == 0
         expected = three_color_lists(*lists_of(pg, pltd)).coloring
-        with open(f"{prefix}.coloring") as fh:
+        with open(f"{prefix}.coloring", encoding="utf-8") as fh:
             assert fh.read() == "".join(
                 f"{v} {c}\n" for v, c in sorted(expected.items())
             ), root
@@ -567,7 +571,7 @@ def test_verify_exit_codes_and_detail(tmp_path, capsys):
     gr = tmp_path / "p3.gr"
     pace.write_graph(Graph(3, [(0, 1), (1, 2)]), gr)
     coloring = tmp_path / "p3.coloring"
-    coloring.write_text("0 1\n1 1\n2 1\n")
+    coloring.write_text("0 1\n1 1\n2 1\n", encoding="utf-8")
 
     assert main(["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "3"]) == 0
     detail = json.loads(capsys.readouterr().out)
@@ -587,7 +591,7 @@ def test_verify_skips_blank_lines_and_padding_in_the_coloring_file(tmp_path, cap
         ("padded", "\n  0 1\n\n1\t2  \n   \n2 1\n\n"),
     ):
         coloring = tmp_path / f"{name}.coloring"
-        coloring.write_text(text)
+        coloring.write_text(text, encoding="utf-8")
         argv = ["verify", "--gr", inputs[1], "--coloring", str(coloring), "--k", "1"]
         assert main(argv) == 0, name
         details.append(capsys.readouterr().out)
@@ -601,7 +605,7 @@ def test_verify_rejects_malformed_coloring_files(tmp_path, capsys):
 
     def run(text):
         path = tmp_path / "c.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return main(["verify", "--gr", str(gr), "--coloring", str(path), "--k", "1"])
 
     assert run("0 1 2\n") == 2
@@ -618,14 +622,14 @@ def test_verify_reads_the_coloring_file_as_ascii(tmp_path, capsys):
     error names the file and the line of the first non-ASCII byte, with
     lines counted as the parsers count them."""
     gr = tmp_path / "p2.gr"
-    gr.write_text("p tw 2 1\n1 2\n")
+    gr.write_text("p tw 2 1\n1 2\n", encoding="utf-8")
     coloring = tmp_path / "c.coloring"
     coloring.write_bytes(b"\xd9\xa0 1\n1 1\n")
     argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {coloring}: line 1: non-ASCII byte 0xd9\n"
-    coloring.write_text("0 1\n1 1\n")
+    coloring.write_text("0 1\n1 1\n", encoding="utf-8")
     gr.write_bytes(b"p tw 2 1\r1 2\n\xff\n")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {gr}: line 3: non-ASCII byte 0xff\n"
@@ -635,19 +639,19 @@ def test_every_parse_error_names_its_file(tmp_path, capsys):
     """verify reads two files and color3 three, so each parse error names
     the file as well as the line."""
     gr = tmp_path / "p3.gr"
-    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    gr.write_text("p tw 3 2\n1 2\n2 3\n", encoding="utf-8")
     coloring = tmp_path / "c.coloring"
-    coloring.write_text("0 1\n1 x\n2 1\n")
+    coloring.write_text("0 1\n1 x\n2 1\n", encoding="utf-8")
     argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {coloring}: line 2: expected two integers\n"
-    coloring.write_text("0 1\n1 2\n")
+    coloring.write_text("0 1\n1 2\n", encoding="utf-8")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {coloring}: coloring file is missing vertex 2\n"
-    coloring.write_text("0 1\n1 2\n2 1\n")
-    gr.write_text("p tw 3 2\n1 x\n2 3\n")
+    coloring.write_text("0 1\n1 2\n2 1\n", encoding="utf-8")
+    gr.write_text("p tw 3 2\n1 x\n2 3\n", encoding="utf-8")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {gr}: line 2: non-integer edge endpoint\n"
@@ -655,13 +659,13 @@ def test_every_parse_error_names_its_file(tmp_path, capsys):
     inputs = gen_inputs(tmp_path, "path", 3)
     layers, td = inputs[5], inputs[3]
     out = ["--out", str(tmp_path / "run")]
-    with open(layers, "a") as fh:
+    with open(layers, "a", encoding="utf-8") as fh:
         fh.write("x\n")
     assert main(["color3", *inputs, *out]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {layers}: line 4: non-integer vertex id\n"
     inputs = gen_inputs(tmp_path, "path", 3)
-    with open(td, "a") as fh:
+    with open(td, "a", encoding="utf-8") as fh:
         fh.write("b\n")
     assert main(["color3", *inputs, *out]) == 2
     assert capsys.readouterr().err == f"error: {td}: line 5: bag line missing id\n"
@@ -669,7 +673,7 @@ def test_every_parse_error_names_its_file(tmp_path, capsys):
 
 def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
     coloring = tmp_path / "c.coloring"
-    coloring.write_text("0 1\n1 2\n2 1\n")
+    coloring.write_text("0 1\n1 2\n2 1\n", encoding="utf-8")
     malformed = {
         "header": "p td 3 2\n1 2\n2 3\n",
         "endpoint": "p tw 3 2\n1 2\n2 x\n",
@@ -679,7 +683,7 @@ def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
     }
     for name, text in malformed.items():
         gr = tmp_path / f"{name}.gr"
-        gr.write_text(text)
+        gr.write_text(text, encoding="utf-8")
         with pytest.raises(PaceParseError) as err:
             pace.read_edges(gr)
         argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "3"]
@@ -689,14 +693,14 @@ def test_verify_rejects_malformed_graph_files_like_read_edges(tmp_path, capsys):
 
 def test_verify_ignores_duplicate_edge_lines(tmp_path, capsys):
     coloring = tmp_path / "c.coloring"
-    coloring.write_text("0 1\n1 1\n2 2\n3 1\n")
+    coloring.write_text("0 1\n1 1\n2 2\n3 1\n", encoding="utf-8")
     details = []
     for name, text in (
         ("plain", "p tw 4 2\n1 2\n2 3\n"),
         ("repeated", "p tw 4 4\n1 2\n2 3\n2 1\n1 2\n"),
     ):
         gr = tmp_path / f"{name}.gr"
-        gr.write_text(text)
+        gr.write_text(text, encoding="utf-8")
         argv = ["verify", "--gr", str(gr), "--coloring", str(coloring), "--k", "2"]
         assert main(argv) == 0, name
         details.append(json.loads(capsys.readouterr().out))
@@ -717,6 +721,7 @@ def test_module_entry_point(tmp_path):
          "--out", str(prefix)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     g, td, ly = read_instance(prefix)
@@ -735,6 +740,7 @@ def test_closed_stdout_exits_141_quietly(tmp_path, unbuffered):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            encoding="utf-8",
             env=env,
         )
     finally:
@@ -746,7 +752,7 @@ def test_verify_with_a_closed_stdout_exits_141_quietly(tmp_path, capsys):
     """The reader is gone before ``verify`` prints its JSON verdict."""
     inputs = gen_inputs(tmp_path, "path", 3)
     coloring = tmp_path / "p3.coloring"
-    coloring.write_text("0 1\n1 2\n2 1\n")
+    coloring.write_text("0 1\n1 2\n2 1\n", encoding="utf-8")
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -756,6 +762,7 @@ def test_verify_with_a_closed_stdout_exits_141_quietly(tmp_path, capsys):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            encoding="utf-8",
         )
     finally:
         os.close(write_end)
@@ -771,6 +778,7 @@ def _in_512_mb(*argv):
         [sys.executable, *argv],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
     )
@@ -783,11 +791,11 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
     sizes anything from the header count before the lines that follow
     confirm it."""
     td = tmp_path / "huge.td"
-    td.write_text("s td 1000000000 1 1\nb 1 1\n")
+    td.write_text("s td 1000000000 1 1\nb 1 1\n", encoding="utf-8")
     gr = tmp_path / "huge.gr"
-    gr.write_text("p tw 1000000000 0\n")
+    gr.write_text("p tw 1000000000 0\n", encoding="utf-8")
     coloring = tmp_path / "one.coloring"
-    coloring.write_text("0 1\n")
+    coloring.write_text("0 1\n", encoding="utf-8")
     read = _in_512_mb(
         "-c", "import sys; from clustercolor.pace import read_bags; "
         "read_bags(sys.argv[1])", str(td)
@@ -805,9 +813,9 @@ def test_header_counts_are_not_trusted_before_the_lines_confirm_them(tmp_path):
         2, f"error: {coloring}: coloring file is missing vertex 1\n"
     )
     small_td = tmp_path / "one.td"
-    small_td.write_text("s td 1 1 1000000000\nb 1 1\n")
+    small_td.write_text("s td 1 1 1000000000\nb 1 1\n", encoding="utf-8")
     layers = tmp_path / "one.layers"
-    layers.write_text("1\n")
+    layers.write_text("1\n", encoding="utf-8")
     color3 = _in_512_mb(
         "-m", "clustercolor", "color3", "--gr", str(gr), "--td", str(small_td),
         "--layers", str(layers), "--out", str(tmp_path / "run")
@@ -822,9 +830,9 @@ def test_a_huge_header_over_an_edge_line_sizes_no_name_table_by_it(tmp_path):
     header: a billion-vertex header over one edge line still reaches the
     coloring check in 512 MB."""
     gr = tmp_path / "huge.gr"
-    gr.write_text("p tw 1000000000 1\n1 2\n")
+    gr.write_text("p tw 1000000000 1\n1 2\n", encoding="utf-8")
     coloring = tmp_path / "one.coloring"
-    coloring.write_text("0 1\n")
+    coloring.write_text("0 1\n", encoding="utf-8")
     verify = _in_512_mb(
         "-m", "clustercolor", "verify", "--gr", str(gr),
         "--coloring", str(coloring), "--k", "1"
@@ -861,6 +869,7 @@ def test_the_commands_load_every_module_of_the_package(tmp_path):
         [sys.executable, "-c", COMMANDS_IN_ONE_PROCESS, str(tmp_path / "tri")],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr

@@ -55,7 +55,7 @@ def test_library_only_exports_are_pinned():
     """A new exported name that nothing in the package or the benchmark
     calls joins ``LIBRARY_ONLY`` on purpose."""
     sources = {
-        f"{path.parent.name}.{path.stem}": path.read_text()
+        f"{path.parent.name}.{path.stem}": path.read_text(encoding="utf-8")
         for folder in ("src/clustercolor", "bench")
         for path in (ROOT / folder).glob("*.py")
         if path.name != "__init__.py"

@@ -54,7 +54,7 @@ def test_finds_an_unused_import():
     "path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES]
 )
 def test_module_uses_every_import(path):
-    assert _unused_imports(path.read_text()) == []
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _unreferenced_helpers(
@@ -101,7 +101,7 @@ def test_finds_an_unreferenced_helper():
 
 
 def test_package_uses_every_private_helper():
-    sources = {path.stem: path.read_text() for path in PACKAGE}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert _unreferenced_helpers(sources) == []
 
 
@@ -118,10 +118,10 @@ def test_finds_a_shared_test_helper_that_no_other_module_names():
 
 
 def test_every_shared_test_helper_is_named_by_another_test_module():
-    sources = {path.stem: path.read_text() for path in TESTS}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TESTS}
     assert _unreferenced_helpers(sources, owner="helpers") == []
 
 
 def test_tests_use_every_private_helper():
-    sources = {path.stem: path.read_text() for path in TESTS}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TESTS}
     assert _unreferenced_helpers(sources) == []

@@ -47,7 +47,7 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
     # The README says verify rechecks against the clustering color3 reported.
     for argv in verifies:
         prefix = option(argv, "--coloring").removesuffix(".coloring")
-        with open(f"{prefix}.report.json") as fh:
+        with open(f"{prefix}.report.json", encoding="utf-8") as fh:
             assert int(option(argv, "--k")) == json.load(fh)["clustering"]
 
 

@@ -34,6 +34,7 @@ from helpers import (
     lists_of,
     nodes_permuted,
     permuted,
+    random_decomposition,
     rerooted,
     spine_path,
     without_first_vertex,
@@ -978,3 +979,127 @@ def test_three_color_colors_layers_whose_nodes_form_a_forest(monkeypatch):
     monkeypatch.setattr(threecolor, "_class_view", capturing)
     _certified(g, LayeredTreeDecomposition(td, ly))
     assert max(pieces) >= 2
+
+
+PALETTES = {1: (1, 2), 2: (2, 3), 3: (1, 3)}
+
+
+def _class_of(li):
+    """The class of layer li, also for the absent layers 0 and m + 1."""
+    return (li - 1) % 3 + 1
+
+
+def _spy_hand_offs(monkeypatch):
+    """Spy on ``_class_view`` and ``band_color``. Returns a function that
+    runs ``three_color_lists`` on its arguments and gives the coloring, the
+    guard components each layer receives, by layer index, and each
+    monochromatic component ``band_color`` finds, as (layer index, final
+    color, original ids)."""
+    from clustercolor import threecolor
+
+    class_view, band_color = threecolor._class_view, threecolor.band_color
+    layer_of, received, found, ids = {}, {}, [], []
+
+    def viewing(adj, holders, nn, layers):
+        view = class_view(adj, holders, nn, layers)
+        for layer, guards in layers:
+            received[layer_of[layer[0]]] = list(guards)
+        ids[:] = view.ids
+        return view
+
+    def coloring(*args, **kwargs):
+        colors, report = band_color(*args, **kwargs)
+        palette = PALETTES[_class_of(layer_of[ids[0]])]
+        for color, comp in report.components:
+            comp = tuple(ids[v] for v in comp)
+            found.append((layer_of[comp[0]], palette[color - 1], comp))
+        return colors, report
+
+    monkeypatch.setattr(threecolor, "_class_view", viewing)
+    monkeypatch.setattr(threecolor, "band_color", coloring)
+
+    def run(args):
+        layer_of.clear()
+        layer_of.update((v, li) for li, row in enumerate(args[4], start=1) for v in row)
+        received.clear()
+        found.clear()
+        return three_color_lists(*args).coloring, dict(received), list(found)
+
+    return run
+
+
+def _hand_off_instances():
+    """The grids, the path, the folded path, and seeded random
+    decompositions layered by distance from vertex 0, with the empty layer
+    between components that the layering puts in."""
+    yield lists_of(*gen_grid(12, triangulated=True)[:2])
+    yield lists_of(*gen_rect_grid(4, 40)[:2])
+    yield lists_of(*gen_path(60)[:2])
+    yield lists_of(*folded_path(41))
+    rng = random.Random(23)
+    for _ in range(40):
+        g, td = random_decomposition(rng, max_nodes=30, max_bag=4)
+        if g.n:
+            yield lists_of(g, LayeredTreeDecomposition(td, bfs_layering(g, [0])))
+
+
+def test_each_guard_component_reaches_the_one_layer_it_guards(monkeypatch):
+    """A layer receives as guards only components lying wholly in one
+    neighbor layer, all of whose vertices carry the one color the two
+    layers' palettes share. Each component of a colored layer in a color
+    that a later class shares reaches exactly one guard list, that of its
+    neighbor layer in that class, unless that layer is empty or absent;
+    every other component reaches none."""
+    run = _spy_hand_offs(monkeypatch)
+    handed = 0
+    for args in _hand_off_instances():
+        rows = args[4]
+        layer_of = {v: li for li, row in enumerate(rows, start=1) for v in row}
+        coloring, received, found = run(args)
+        for li, guards in received.items():
+            for comp in guards:
+                (lj,) = {layer_of[v] for v in comp}
+                assert abs(lj - li) == 1
+                palettes = PALETTES[_class_of(li)], PALETTES[_class_of(lj)]
+                (shared,) = set(palettes[0]).intersection(palettes[1])
+                assert {coloring[v] for v in comp} == {shared}
+        aimed = 0
+        for lj, color, comp in found:
+            expected = [
+                li
+                for li in (lj - 1, lj + 1)
+                if 1 <= li <= len(rows)
+                and rows[li - 1]
+                and _class_of(li) > _class_of(lj)
+                and color in PALETTES[_class_of(li)]
+            ]
+            reached = [li for li, guards in received.items() if comp in guards]
+            assert reached == expected
+            aimed += len(expected)
+        # Every guard component received is one that band_color found.
+        assert sum(map(len, received.values())) == aimed
+        handed += aimed
+    assert handed > 0
+
+
+def test_guards_of_the_first_and_last_layers_aim_past_them():
+    """A component of layer 1 in color 1 guards layer 0, and one of the last
+    layer m, of class 1 or 2, in the color it shares with the next class
+    guards layer m + 1; neither layer exists. Paths of m = 3 to 11
+    singleton layers, as they are and between an empty first and last
+    layer, color certified; layer 0 is aimed at for every m (mod 3), and
+    layer m + 1 for m = 1 and 2 (mod 3), where the last layer is of class
+    1 or 2."""
+    aims = set()
+    onward = {1: 2, 2: 3}
+    for m in range(3, 12):
+        g, ltd, _ = gen_path(m)
+        for rows in (ltd.layering.layers, ((), *ltd.layering.layers, ())):
+            layered = LayeredTreeDecomposition(ltd.td, Layering(rows))
+            coloring = _certified(g, layered)
+            if any(coloring[v] == 1 for v in rows[0]):
+                aims.add(("first", len(rows) % 3))
+            last = _class_of(len(rows))
+            if any(coloring[v] == onward.get(last) for v in rows[-1]):
+                aims.add(("last", len(rows) % 3))
+    assert aims == {("first", 0), ("first", 1), ("first", 2), ("last", 1), ("last", 2)}

@@ -386,6 +386,35 @@ def test_band_color_refuses_malformed_parts():
         assert str(err.value) == message
 
 
+def test_equal_ends_are_an_empty_part_that_is_accepted():
+    """Equal ends make an empty part, before, between or after the others:
+    ``band_color`` and ``enlarge_lists`` accept it, give what they give
+    without it, and count it when they name a part."""
+    bags, depth = [{0, 1, 2}, {0, 3}, {0}, {0}], [0, 1, 2, 3]
+    for parts in ([0, 2, 4], [2, 2, 4], [2, 4, 4], [0, 0, 2, 2, 4, 4]):
+        assert band_color(4, [], bags, depth, 1, parts)[0] == [1, 1, 1, 2]
+    bags, tree = [{0, 1, 2, 3}, set()], [(0, 1)]
+    groups = [
+        EdgeGroup(frozenset({0, 1}), (0, 1)),
+        EdgeGroup(frozenset({0, 1}), (2, 3)),
+    ]
+    budget = GroupBudget(1, 1, 1)
+    expected = enlarge_lists(4, [], bags, tree, groups, budget, [(2, 1), (4, 2)])
+    for parts in (
+        [(0, 0), (2, 1), (4, 2)],
+        [(2, 1), (2, 1), (4, 2)],
+        [(2, 1), (4, 2), (4, 2)],
+    ):
+        assert enlarge_lists(4, [], bags, tree, groups, budget, parts) == expected
+    bad = [groups[0], EdgeGroup(frozenset({0}), (1, 2, 3))]
+    with pytest.raises(GroupBudgetError) as err:
+        enlarge_lists(4, [], bags, tree, bad, budget, [(2, 1), (2, 1), (4, 2)])
+    assert (str(err.value), err.value.part) == (
+        "max_pairs_per_group: group 0 has 3 pairs",
+        2,
+    )
+
+
 def _growing_in_two_parts():
     """A path of three nodes, and one group in each of two parts: part 0's
     pair (0, 1) grows node 2's bag, and part 1's pair (2, 3) grows node 0's.
