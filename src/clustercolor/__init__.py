@@ -38,6 +38,7 @@ from .graph import (
     ValidationReport,
     bfs_layering,
     check_decomposition,
+    tree_index,
 )
 from .threecolor import (
     ThreeColorConstants,
@@ -92,6 +93,7 @@ __all__ = [
     "gen_path",
     "gen_rect_grid",
     "three_color_lists",
+    "tree_index",
     "trigrid_path_oracle",
     "two_color_bounded_treewidth",
 ]

@@ -8,8 +8,8 @@ shared; the index lists of a DecompositionReport are its caller's to extend.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections import deque
+from collections.abc import Callable, Collection, Iterable, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import compress
@@ -85,6 +85,12 @@ class AxiomCheck(NamedTuple):
         at = self.witness if noun is None else f"{noun} {self.witness}"
         return f"{self.axiom} axiom fails at {at}"
 
+    def require(self, error: type[InvalidDecomposition | InvalidLayering]) -> None:
+        """Raise ``error`` naming its subject, this check's axiom and its
+        witness, if the check failed."""
+        if not self.passed:
+            raise error(f"invalid {error.subject}: {self.describe()}")
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -98,11 +104,10 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def require(self, error: type[InvalidDecomposition | InvalidLayering]) -> None:
-        """Raise ``error`` naming its subject and the first failed check's
-        axiom and witness, if any check failed."""
+        """Raise ``error`` for the first failed check, if any, as
+        ``AxiomCheck.require`` does."""
         for c in self.checks:
-            if not c.passed:
-                raise error(f"invalid {error.subject}: {c.describe()}")
+            c.require(error)
 
 
 class Graph:
@@ -198,27 +203,32 @@ def _search(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], int]:
 class TreeIndex(NamedTuple):
     """A tree given by its node pairs, indexed once for every check that
     reads it: the pairs that name two nodes of 0..nn-1, each node's
-    neighbors through them (a pair that names no node joins nothing), and
-    the breadth-first search from the root, each node's depth and the number
-    of nodes reached."""
+    neighbors through them (a pair that names no node joins nothing), each
+    node's depth in the breadth-first search from the root (-1 for nodes it
+    cannot reach), and the tree axiom's verdict."""
 
     named: list[tuple[int, int]]
     adj: list[list[int]]
     depth: list[int]
-    reached: int
+    is_tree: bool
 
 
-def _tree_index(
-    nn: int, tree_edges: Iterable[tuple[int, int]], root: int = 0
+def tree_index(
+    nn: int, tree_edges: Collection[tuple[int, int]], root: int = 0
 ) -> TreeIndex:
-    """The index of the tree on nodes 0..nn-1 with these pairs, searched
-    from ``root``."""
+    """The index of the tree on nodes 0..nn-1 with these distinct pairs (no
+    self-loops), searched from ``root``. The tree axiom holds when every
+    pair names two nodes, there are nn - 1 pairs, and the search from the
+    root reaches all nn nodes; it fails when there is no node, or when the
+    root or a pair names none."""
     named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
     adj: list[list[int]] = [[] for _ in range(nn)]
     for a, b in named:
         adj[a].append(b)
         adj[b].append(a)
-    return TreeIndex(named, adj, *_search(adj, root))
+    depth, reached = _search(adj, root)
+    is_tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
+    return TreeIndex(named, adj, depth, is_tree)
 
 
 class TreeDecomposition:
@@ -276,42 +286,46 @@ class LayeredTreeDecomposition:
 
 def layer_index(
     n: int, rows: Sequence[Sequence[int]]
-) -> tuple[defaultdict[int, int], AxiomCheck]:
+) -> tuple[list[int] | None, AxiomCheck]:
     """Each vertex's layer, and the partition check of the layering whose
     layer i is ``rows[i - 1]``: the rows must be disjoint and cover
     0..n-1 exactly.
 
-    ``layer_of`` maps each listed vertex of 0..n-1 to the first row holding
-    it and reads 0 for any other id, so it holds fewer than n entries
-    exactly when the rows leave a vertex out. The witness is the smallest
-    vertex of 0..n-1 in no row or in two rows, else the smallest id outside
-    0..n-1; both are found in O(sum of row sizes).
+    The layers come as a list indexed by vertex, and only when the check
+    passes; None otherwise. The witness is the smallest vertex of 0..n-1 in
+    no row or in two rows, else the smallest id outside 0..n-1. Both come
+    from one pass over the rows into min(n, s + 1) slots, s the sum of the
+    row sizes: when n exceeds s, a vertex of 0..s is in no row, and it is
+    smaller than any vertex the slots leave out.
     """
-    layer_of: defaultdict[int, int] = defaultdict(int)
+    size = min(n, sum(map(len, rows)) + 1)
+    layer_of = [0] * size
     bad, stray = set(), []
     for i, row in enumerate(rows, start=1):
         for v in row:
-            if not 0 <= v < n:
-                stray.append(v)
-            elif v in layer_of:
+            if not 0 <= v < size:
+                # A vertex of size..n-1 lies above the witness.
+                if not 0 <= v < n:
+                    stray.append(v)
+            elif layer_of[v]:
                 bad.add(v)
             else:
                 layer_of[v] = i
-    if len(layer_of) < n:
-        # At most len(layer_of) vertices lie below the smallest one left out.
-        bad.add(next(v for v in range(n) if v not in layer_of))
+    if 0 in layer_of:
+        bad.add(layer_of.index(0))
     witness = min(bad) if bad else min(stray, default=None)
-    return layer_of, AxiomCheck("partition", witness is None, witness)
+    partition = AxiomCheck("partition", witness is None, witness)
+    return layer_of if partition.passed else None, partition
 
 
 def edge_span(
-    edges: Iterable[tuple[int, int]], layer_of: Mapping[int, int] | Sequence[int]
+    edges: Iterable[tuple[int, int]], layer_of: Sequence[int]
 ) -> AxiomCheck:
     """The edge-span check, over distinct edges (u, v) with u < v, of the
-    layering given by ``layer_of``: the map of ``layer_index`` or, once its
-    partition check passes, the same layers as a list indexed by vertex.
-    An edge with an end in no layer is not checked; the witness is the
-    smallest edge whose ends lie two or more layers apart."""
+    layering given by ``layer_of``, each vertex's layer as a list indexed by
+    vertex, 0 for a vertex in no layer. An edge with an end in no layer is
+    not checked; the witness is the smallest edge whose ends lie two or
+    more layers apart."""
     bad = min(
         (
             (u, v)
@@ -327,40 +341,30 @@ def edge_span(
 class DecompositionReport(ValidationReport):
     """A decomposition's validation report together with the index its
     checks built: for each vertex of 0..n-1, a list indexed by vertex, its
-    nodes in ascending order; and each node's depth (-1 for nodes it cannot
-    reach) in a breadth-first search from the root."""
+    nodes in ascending order."""
 
     holders: list[list[int]] = field(compare=False, repr=False)
-    depth: list[int] = field(compare=False, repr=False)
 
 
 def check_decomposition(
     n: int,
     edges: Iterable[tuple[int, int]],
     bags: Sequence[AbstractSet[int]],
-    tree_edges: Collection[tuple[int, int]],
-    root: int = 0,
-    index: TreeIndex | None = None,
+    tree: TreeIndex,
 ) -> DecompositionReport:
     """Check tree shape, coverage, and connectivity axioms of a decomposition
     given as plain lists: the graph on 0..n-1 by its distinct edges (u, v)
-    with u < v, one bag per node, and the tree by its distinct node pairs
-    (no self-loops). The tree axiom fails when there is no bag, or when the
-    root or a tree pair names no node; such a pair joins nothing.
-    Connectivity is checked, and reported, only when the tree check passes
-    and every bag holds only vertices of 0..n-1. A caller that has built
-    ``_tree_index(len(bags), tree_edges, root)`` passes it as ``index``,
-    and the check reads the tree and its search through it instead of
-    building them again.
+    with u < v, one bag per node, and the tree by its ``tree_index``. The
+    tree axiom is the index's verdict, and fails too when the index is of
+    another node count than the bags'. Connectivity is checked, and
+    reported, only when the tree check passes and every bag holds only
+    vertices of 0..n-1.
 
     Each witness is the smallest failing item (node, vertex, or edge): the
     checks scan in any order and keep the minimum failure.
     """
-    checks = []
-    nn = len(bags)
-    named, _, depth, reached = index or _tree_index(nn, tree_edges, root)
-    tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
-    checks.append(AxiomCheck("tree", tree, None))
+    is_tree = tree.is_tree and len(tree.adj) == len(bags)
+    checks = [AxiomCheck("tree", is_tree, None)]
 
     # Each vertex's nodes in ascending order, and the smallest (node, id)
     # pair whose id lies outside 0..n-1.
@@ -396,20 +400,20 @@ def check_decomposition(
     # Each vertex's nodes must induce a connected subtree, an axiom defined
     # only on a tree whose bags hold only vertices. There a vertex's k nodes
     # are connected exactly when k - 1 tree edges have it in both bags.
-    if tree and stray is None:
+    if is_tree and stray is None:
         # One more than the count: a vertex fails when it has more nodes.
         shared = [1] * n
-        for a, b in named:
+        for a, b in tree.named:
             for v in bags[a] & bags[b]:
                 shared[v] += 1
         failing = compress(range(n), map(gt, map(len, holders), shared))
         bad_vertex = next(failing, None)
         checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
-    return DecompositionReport(tuple(checks), holders, depth)
+    return DecompositionReport(tuple(checks), holders)
 
 
 def bags_layered_width(
-    bags: Iterable[Iterable[int]], layer_of: Mapping[int, int] | Sequence[int]
+    bags: Iterable[Iterable[int]], layer_of: Sequence[int]
 ) -> int:
     """The largest number of vertices any bag shares with one layer of the
     layering given by ``layer_of``, as in ``edge_span``; a vertex in no

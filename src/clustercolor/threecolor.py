@@ -34,14 +34,13 @@ from .errors import (
     InvalidLayering,
 )
 from .graph import (
-    ValidationReport,
     _bad_edge,
     _pair_index,
-    _tree_index,
     bags_layered_width,
     check_decomposition,
     edge_span,
     layer_index,
+    tree_index,
 )
 from .twocolor import (
     CLUSTER_FACTOR,
@@ -241,18 +240,13 @@ def three_color_lists(
     # Graph's pair index over the edge lines, the tree index and one pass
     # over the bags build what every class shares: each vertex's neighbors
     # and nodes, and each node's neighbors and depth from the root.
-    partition = layer_index(n, rows)[1]
-    ValidationReport((partition,)).require(InvalidLayering)
-    # The rows cover 0..n-1: the layers as a list indexed by vertex.
-    layer_of = [0] * n
-    for i, row in enumerate(rows, start=1):
-        for v in row:
-            layer_of[v] = i
+    layer_of, partition = layer_index(n, rows)
+    partition.require(InvalidLayering)
     edges, adj = _pair_index(n, edges, _bad_edge)
-    index = _tree_index(len(bags), tree_edges, root)
-    checked = check_decomposition(n, edges, bags, tree_edges, root, index)
+    tree = tree_index(len(bags), tree_edges, root)
+    checked = check_decomposition(n, edges, bags, tree)
     checked.require(InvalidDecomposition)
-    ValidationReport((edge_span(edges, layer_of),)).require(InvalidLayering)
+    edge_span(edges, layer_of).require(InvalidLayering)
     w_eff = max(1, bags_layered_width(bags, layer_of))
     holders = checked.holders
     d_eff = max(1, max(map(len, adj), default=0))
@@ -293,11 +287,11 @@ def three_color_lists(
         # enlarge_lists validates the view, with or without pairs to add.
         try:
             view_edges, view_bags, pairs = enlarge_lists(
-                len(ids), view.edges, view.bags, tree_edges, view.groups,
-                budget, view.parts, index,
+                len(ids), view.edges, view.bags, tree, view.groups, budget,
+                view.parts,
             )
             colors, clusters = band_color(
-                len(ids), view_edges, view_bags, index.depth, degree, ends
+                len(ids), view_edges, view_bags, tree.depth, degree, ends
             )
         except GroupBudgetError as exc:
             stage = _stage(cls, lis, exc.part)

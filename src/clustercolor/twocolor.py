@@ -32,8 +32,8 @@ from .graph import (
     Graph,
     TreeDecomposition,
     TreeIndex,
-    _tree_index,
     check_decomposition,
+    tree_index,
 )
 from .verify import ClusterReport, edge_components
 
@@ -123,9 +123,9 @@ def two_color_bounded_treewidth(
     the bound for the graph's maximum degree as ``band_color`` does.
     Returns (coloring, measured clustering).
     """
-    checked = check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
-    checked.require(InvalidDecomposition)
-    colors, report = band_color(g.n, g.edges, td.bags, checked.depth, g.max_degree())
+    tree = tree_index(td.node_count, td.edges, td.root)
+    check_decomposition(g.n, g.edges, td.bags, tree).require(InvalidDecomposition)
+    colors, report = band_color(g.n, g.edges, td.bags, tree.depth, g.max_degree())
     return dict(enumerate(colors)), report.max_size
 
 
@@ -163,18 +163,16 @@ def enlarge_lists(
     n: int,
     edges: Collection[tuple[int, int]],
     bags: Sequence[AbstractSet[int]],
-    tree_edges: Collection[tuple[int, int]],
+    tree: TreeIndex,
     groups: Sequence[EdgeGroup],
     budget: GroupBudget,
     parts: Sequence[tuple[int, int]] | None = None,
-    index: TreeIndex | None = None,
 ) -> tuple[Collection[tuple[int, int]], Sequence[AbstractSet[int]], int]:
     """Add each group's clique as edges and widen the decomposition to
     match, over plain lists: the graph on 0..n-1 by its distinct edges
-    (u, v) with u < v, one bag per node, and the tree by its node pairs. A
-    caller that has built ``_tree_index(len(bags), tree_edges, root)``
-    passes it as ``index``, and the group count and the output check read
-    the tree and its search through it instead of building them again.
+    (u, v) with u < v, one bag per node, and the tree by its
+    ``tree_index``, which the group count and the output check read. An
+    index of another node count than the bags' raises ValueError.
 
     The vertices and the groups fall into parts, the ith holding the
     vertices and the groups before ``parts[i] = (vertex end, group end)``
@@ -207,11 +205,10 @@ def enlarge_lists(
         raise ValueError("the last part must end at n and at the last group")
     if any(any(map(gt, (0, *column), column)) for column in zip(*parts)):
         raise ValueError("the parts' vertex and group ends must not decrease")
-    ends = [end for end, _ in parts]
     nn = len(bags)
-    # The output check reads the tree through this index too.
-    index = index or _tree_index(nn, tree_edges)
-    tree_adj = index.adj
+    if len(tree.adj) != nn:
+        raise ValueError(f"the tree index has {len(tree.adj)} nodes, not {nn}")
+    ends = [end for end, _ in parts]
     live = []
     for p, ((lo, first), (hi, last)) in enumerate(pairwise(((0, 0), *parts))):
         if first == last:
@@ -238,7 +235,7 @@ def enlarge_lists(
                 covers[t] = covers.get(t, 0) + 1
             # On a tree, k nodes are connected exactly when k - 1 tree edges
             # join two of them; the adjacency sees each such edge twice.
-            joins = sum(u in subtree for t in subtree for u in tree_adj[t])
+            joins = sum(u in subtree for t in subtree for u in tree.adj[t])
             if not subtree or joins < 2 * (len(subtree) - 1):
                 raise GroupBudgetError(
                     "group-structure", f"group {idx} subtree is not connected", p
@@ -306,7 +303,7 @@ def enlarge_lists(
         # Free the pours and the new pairs, which the output check does not read.
         del poured, added, growth
 
-    report = check_decomposition(n, new_edges, new_bags, tree_edges, 0, index)
+    report = check_decomposition(n, new_edges, new_bags, tree)
     if not report.ok:
         raise _view_fault(report.failures(), ends)
     return new_edges, new_bags, pairs

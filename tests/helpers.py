@@ -15,6 +15,7 @@ from clustercolor import (
     TreeDecomposition,
     bfs_layering,
     gen_path,
+    tree_index,
 )
 
 
@@ -134,6 +135,12 @@ def random_groups(rng, g, td, max_groups=3):
         max_groups_per_node=max(cover_count.values(), default=1),
     )
     return groups, budget
+
+
+def indexed(td):
+    """The tree index of ``td``'s tree, searched from its root, as
+    ``check_decomposition`` and ``enlarge_lists`` take the tree."""
+    return tree_index(td.node_count, td.edges, td.root)
 
 
 def lists_of(g, ltd):

@@ -29,7 +29,7 @@ from clustercolor import (
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
 from clustercolor import pace
 
-from helpers import lists_of, random_decomposition, random_groups
+from helpers import indexed, lists_of, random_decomposition, random_groups
 
 
 def _report(num, ok, detail):
@@ -77,7 +77,7 @@ def test_criterion_02_palette_respects_layer_classes():
             ly = ltd.layering
             assert set().union(*ly.layers) == set(g.vertices())
             layer_of = layer_index(g.n, ly.layers)[0]
-            for v, i in layer_of.items():
+            for v, i in enumerate(layer_of):
                 if result.coloring[v] not in allowed[(i - 1) % 3 + 1]:
                     violations += 1
     except Exception as exc:
@@ -98,10 +98,10 @@ def test_criterion_03_enlargement_stays_within_budget():
             g, td = random_decomposition(rng)
             groups, budget = random_groups(rng, g, td)
             edges, bags, _ = enlarge_lists(
-                g.n, g.edges, td.bags, td.edges, groups, budget
+                g.n, g.edges, td.bags, indexed(td), groups, budget
             )
             g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
-            assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
+            assert check_decomposition(g2.n, g2.edges, td2.bags, indexed(td2)).ok
             growth = 2 * budget.max_groups_per_node * budget.max_pairs_per_group
             assert td2.width() <= td.width() + growth
             assert g2.max_degree() <= g.max_degree() + budget.max_pair_uses_per_vertex
@@ -165,7 +165,7 @@ def test_criterion_11_file_formats_round_trip_exactly():
     try:
         for name, (g, ltd, delta), advertised in suite:
             td = ltd.td
-            assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok, name
+            assert check_decomposition(g.n, g.edges, td.bags, indexed(td)).ok, name
             layer_of, partition = layer_index(g.n, ltd.layering.layers)
             assert partition.passed and edge_span(g.edges, layer_of).passed, name
             assert bags_layered_width(td.bags, layer_of) == advertised, name

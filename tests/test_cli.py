@@ -29,7 +29,7 @@ from clustercolor import (
 from clustercolor import cli, pace
 from clustercolor.cli import GEN_FAMILIES, main
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
-from helpers import lists_of, permuted, spine_path, without_first_vertex
+from helpers import indexed, lists_of, permuted, spine_path, without_first_vertex
 
 
 def read_instance(prefix):
@@ -53,7 +53,7 @@ def test_gen_grid_writes_parseable_files(tmp_path, capsys):
     assert main(["gen", "grid", "--n", "4", "--out", str(prefix)]) == 0
     g, td, ly = read_instance(prefix)
     assert g.n == 16
-    assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+    assert check_decomposition(g.n, g.edges, td.bags, indexed(td)).ok
     layer_of, partition = layer_index(g.n, ly.layers)
     assert partition.passed and edge_span(g.edges, layer_of).passed
     assert bags_layered_width(td.bags, layer_of) == 2
@@ -67,7 +67,7 @@ def test_gen_every_family_round_trips(tmp_path):
         prefix = tmp_path / family
         assert main(["gen", family, "--n", "4", "--out", str(prefix)]) == 0
         g, td, ly = read_instance(prefix)
-        assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+        assert check_decomposition(g.n, g.edges, td.bags, indexed(td)).ok
         layer_of, partition = layer_index(g.n, ly.layers)
         assert partition.passed and edge_span(g.edges, layer_of).passed
 

@@ -13,12 +13,14 @@ from clustercolor import (
 from clustercolor import pace
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
 
+from helpers import indexed
+
 
 def _checked_width(g, ltd):
     """The layered width of ``ltd``, after asserting that its decomposition
     and its layering are valid for ``g``."""
     td = ltd.td
-    assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+    assert check_decomposition(g.n, g.edges, td.bags, indexed(td)).ok
     layer_of, partition = layer_index(g.n, ltd.layering.layers)
     assert partition.passed and edge_span(g.edges, layer_of).passed
     return bags_layered_width(td.bags, layer_of)

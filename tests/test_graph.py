@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,10 +15,11 @@ from clustercolor import (
     bfs_layering,
     check_decomposition,
     three_color_lists,
+    tree_index,
 )
 from clustercolor.graph import bags_layered_width, edge_span, layer_index
 
-from helpers import lists_of, random_decomposition
+from helpers import indexed, lists_of, random_decomposition
 
 
 def test_graph_basics():
@@ -81,6 +83,78 @@ def test_layer_index_and_edge_span_axioms():
     assert edge_span(edges, layer_of) == AxiomCheck("edge-span", False, (0, 1))
 
 
+def _reference_layer_index(n, rows):
+    """``layer_index`` by a map of each listed vertex of 0..n-1 to its first
+    row, which holds fewer than n entries exactly when a vertex is left
+    out: the witness is the smallest vertex of 0..n-1 in no row or in two
+    rows, else the smallest id outside 0..n-1, and the layers come as a
+    list only when there is none."""
+    first_row, bad, stray = {}, set(), []
+    for i, row in enumerate(rows, start=1):
+        for v in row:
+            if not 0 <= v < n:
+                stray.append(v)
+            elif v in first_row:
+                bad.add(v)
+            else:
+                first_row[v] = i
+    if len(first_row) < n:
+        bad.add(next(v for v in range(n) if v not in first_row))
+    witness = min(bad) if bad else min(stray, default=None)
+    layers = None if bad or stray else [first_row[v] for v in range(n)]
+    return layers, AxiomCheck("partition", witness is None, witness)
+
+
+def test_layer_index_matches_a_first_row_map():
+    """Random rows of 0..n-1, split with empty rows among them, then given
+    strays, repeats (in one row or in two) and gaps, some with n beyond the
+    rows' total size: the list and the check are the reference's."""
+    rng = random.Random(43)
+    seen = dict.fromkeys(("passed", "stray", "repeat", "gap", "beyond"), 0)
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.choices(range(n + 1), k=rng.randint(0, 4)))
+        rows = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            row = rng.choice(rows)
+            kind = rng.choice(("stray", "repeat", "gap"))
+            if kind == "stray":
+                row.append(rng.choice((-1, -7, n, n + 3)))
+            elif kind == "repeat" and n:
+                row.append(rng.randrange(n))
+            elif kind == "gap" and row:
+                row.remove(rng.choice(row))
+            seen[kind] += 1
+        if rng.random() < 0.2:
+            n += rng.randint(1, 3)
+            seen["beyond"] += 1
+        expected = _reference_layer_index(n, rows)
+        assert layer_index(n, rows) == expected, (n, rows)
+        seen["passed"] += expected[1].passed
+    assert min(seen.values()) >= 50, seen
+
+
+def test_layer_index_sizes_nothing_by_n():
+    """Short rows over n = 10**9 leave vertices out, and the check finds the
+    smallest one with memory for the rows alone."""
+    n = 10**9
+    for rows, witness in (
+        ([(0, 2), (n - 1, 1)], 3),
+        ([(1, n + 5), (0, 0)], 0),
+        ([(0,), (n, -2), (1, n - 1)], 2),
+    ):
+        tracemalloc.start()
+        try:
+            got = layer_index(n, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _reference_layer_index(n, rows)
+        assert got == (None, AxiomCheck("partition", False, witness))
+        assert peak < 1 << 16, peak
+
+
 def test_tree_decomposition_accessors():
     td = TreeDecomposition(
         [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})],
@@ -89,9 +163,9 @@ def test_tree_decomposition_accessors():
     assert td.node_count == 3
     assert td.width() == 1
     assert td.edges == frozenset({(0, 1), (1, 2)})
-    report = check_decomposition(3, [(0, 1), (1, 2)], td.bags, td.edges)
+    report = check_decomposition(3, [(0, 1), (1, 2)], td.bags, indexed(td))
     assert report.holders == [[0], [0, 1], [1, 2]]
-    assert report.depth == [0, 1, 2]
+    assert indexed(td).depth == [0, 1, 2]
     assert TreeDecomposition([frozenset()]).width() == -1
 
 
@@ -99,7 +173,7 @@ def test_check_decomposition_axioms():
     """Each decomposition of the path 0-1-2 below fails the axiom named
     with it; the first fails none."""
     edges = [(0, 1), (1, 2)]
-    assert check_decomposition(3, edges, [{0, 1}, {1, 2}], [(0, 1)]).ok
+    assert check_decomposition(3, edges, [{0, 1}, {1, 2}], tree_index(2, [(0, 1)])).ok
     for axiom, bags, tree in [
         ("tree", [{0, 1}, {1, 2}, {2}], [(0, 1), (1, 2), (2, 0)]),
         ("vertex-coverage", [{0, 1}], []),
@@ -107,6 +181,7 @@ def test_check_decomposition_axioms():
         ("connectivity", [{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)]),
         ("bag-contents", [{0, 1, 7}], []),
     ]:
+        tree = tree_index(len(bags), tree)
         failures = check_decomposition(3, edges, bags, tree).failures()
         assert axiom in {check.axiom for check in failures}, axiom
 
@@ -126,7 +201,7 @@ def test_tree_axiom_fails_when_the_tree_names_no_node(bags, tree, root):
     tree axiom; it neither wraps round to a node counted from the end nor
     raises IndexError."""
     edges, rows = [(0, 1), (1, 2)], [[0], [1], [2]]
-    report = check_decomposition(3, edges, bags, tree, root)
+    report = check_decomposition(3, edges, bags, tree_index(len(bags), tree, root))
     assert report.checks[0] == AxiomCheck("tree", False)
     with pytest.raises(
         InvalidDecomposition, match=r"^invalid decomposition: tree axiom fails$"
@@ -216,6 +291,39 @@ def test_an_axiom_with_no_witness_noun_gives_its_witness_bare():
         report.require(InvalidLayering)
 
 
+def test_a_single_check_raises_for_itself():
+    """A failed check raises the given error with the message its report
+    would give; a passed check raises nothing."""
+    failed = AxiomCheck("partition", False, 3)
+    AxiomCheck("partition", True).require(InvalidLayering)
+    report = ValidationReport((AxiomCheck("edge-span", True), failed))
+    for require in (failed.require, report.require):
+        with pytest.raises(
+            InvalidLayering,
+            match=r"^invalid layering: partition axiom fails at vertex 3$",
+        ):
+            require(InvalidLayering)
+
+
+def test_an_index_of_another_node_count_fails_the_tree_axiom():
+    """An index built for fewer or more nodes than there are bags is no
+    index of their tree, even when it is a tree itself: the tree axiom
+    fails and connectivity is not reported."""
+    edges, bags = [(0, 1)], [{0, 1}, {1}, {1}]
+    for nn in (2, 4):
+        tree = tree_index(nn, [(t, t + 1) for t in range(nn - 1)])
+        assert tree.is_tree
+        report = check_decomposition(2, edges, bags, tree)
+        assert [(c.axiom, c.passed) for c in report.checks] == [
+            ("tree", False),
+            ("bag-contents", True),
+            ("vertex-coverage", True),
+            ("edge-coverage", True),
+        ]
+    path = tree_index(3, [(0, 1), (1, 2)])
+    assert check_decomposition(2, edges, bags, path).ok
+
+
 def test_bfs_layering_spans_edges_and_restarts():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
     ly = bfs_layering(g, [0])
@@ -250,7 +358,7 @@ def test_random_decompositions_validate():
     rng = random.Random(7)
     for _ in range(50):
         g, td = random_decomposition(rng)
-        assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+        assert check_decomposition(g.n, g.edges, td.bags, indexed(td)).ok
 
 
 def _reference_checks(g, td):
@@ -354,9 +462,7 @@ def test_validator_matches_brute_force_on_broken_decompositions():
             edges = list(td.edges)
             breaker(rng, g, bags, edges)
             broken = TreeDecomposition(bags, edges, td.root)
-            report = check_decomposition(
-                g.n, g.edges, broken.bags, broken.edges, broken.root
-            )
+            report = check_decomposition(g.n, g.edges, broken.bags, indexed(broken))
             got = [(c.axiom, c.passed, c.witness) for c in report.checks]
             assert got == _reference_checks(g, broken)
             # A check left out of the report has caught nothing.
@@ -375,9 +481,7 @@ def test_validator_witnesses_are_smallest_among_several_failures():
         for _ in range(rng.randint(2, 4)):
             rng.choice(list(BREAKERS.values()))(rng, g, bags, edges)
         broken = TreeDecomposition(bags, edges, td.root)
-        report = check_decomposition(
-            g.n, g.edges, broken.bags, broken.edges, broken.root
-        )
+        report = check_decomposition(g.n, g.edges, broken.bags, indexed(broken))
         got = [(c.axiom, c.passed, c.witness) for c in report.checks]
         assert got == _reference_checks(g, broken)
 
@@ -392,7 +496,7 @@ def test_connectivity_on_a_cyclic_decomposition():
     td = TreeDecomposition(
         [{0, 1}, {0}, {0}, {1}, {0}], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
     )
-    report = check_decomposition(g.n, g.edges, td.bags, td.edges, td.root)
+    report = check_decomposition(g.n, g.edges, td.bags, indexed(td))
     got = [(c.axiom, c.passed, c.witness) for c in report.checks]
     assert got == _reference_checks(g, td)
     assert [(c.axiom, c.passed) for c in report.checks] == [
@@ -435,7 +539,7 @@ def test_connectivity_check_is_linear_on_a_star():
     )
     td.bags = tuple(CountingBag(bag) for bag in td.bags)
     td.edges = CountingPairs(td.edges)
-    assert check_decomposition(g.n, g.edges, td.bags, td.edges, td.root).ok
+    assert check_decomposition(g.n, g.edges, td.bags, indexed(td)).ok
     assert pairs_read[0] >= len(td.edges)
     bag_sum = sum(len(bag) for bag in td.bags)
     assert work[0] + pairs_read[0] <= 8 * bag_sum
@@ -520,9 +624,17 @@ def test_layering_validator_matches_reference_on_broken_layerings():
             rng.choice(breakers)(rng, g, layers)
         broken = Layering(layers)
         layer_of, partition = layer_index(g.n, broken.layers)
+        # Rows that are no partition give no list, so edge-span is checked
+        # on each vertex's first row, 0 for a vertex in none.
+        first_row = [0] * g.n
+        for i, row in enumerate(broken.layers, start=1):
+            for v in row:
+                if 0 <= v < g.n and not first_row[v]:
+                    first_row[v] = i
+        assert layer_of == (first_row if partition.passed else None)
         got = [
             (c.axiom, c.passed, c.witness)
-            for c in (partition, edge_span(g.edges, layer_of))
+            for c in (partition, edge_span(g.edges, first_row))
         ]
         assert got == _reference_layering_checks(g, broken)
         for axiom, passed, _ in got:

@@ -83,7 +83,7 @@ def test_constants_reject_degenerate_inputs():
 def _layer_classes(ly):
     """Each vertex's layer class: layers 1, 4, 7, ... are class 1, and so on."""
     layer_of = layer_index(sum(map(len, ly.layers)), ly.layers)[0]
-    return {v: (i - 1) % 3 + 1 for v, i in layer_of.items()}
+    return {v: (i - 1) % 3 + 1 for v, i in enumerate(layer_of)}
 
 
 def _palette_violations(result, ly):
@@ -660,7 +660,7 @@ def test_three_color_indexes_and_searches_the_tree_once(monkeypatch):
     from clustercolor import graph, threecolor, twocolor
 
     built, searches, handed = [], [0], []
-    tree_index, search = graph._tree_index, graph._search
+    tree_index, search = graph.tree_index, graph._search
     enlarge = threecolor.enlarge_lists
 
     def indexing(*args):
@@ -672,11 +672,11 @@ def test_three_color_indexes_and_searches_the_tree_once(monkeypatch):
         return search(*args)
 
     def enlarging(*args):
-        handed.append(args[-1])
+        handed.append(args[3])
         return enlarge(*args)
 
     for module in (graph, twocolor, threecolor):
-        monkeypatch.setattr(module, "_tree_index", indexing)
+        monkeypatch.setattr(module, "tree_index", indexing)
     monkeypatch.setattr(graph, "_search", searching)
     monkeypatch.setattr(threecolor, "enlarge_lists", enlarging)
     g, ltd, _ = gen_grid(10, triangulated=True)

@@ -18,13 +18,14 @@ from clustercolor import (
     gen_grid,
     gen_path,
     gen_rect_grid,
+    tree_index,
     two_color_bounded_treewidth,
 )
 
-from clustercolor.graph import _tree_index
 from clustercolor.twocolor import band_color
 from helpers import (
     connected,
+    indexed,
     random_decomposition,
     random_groups,
     random_subtree,
@@ -113,12 +114,12 @@ def test_enlarge_adds_edges_and_bounds_width():
     group = EdgeGroup(subtree=frozenset({0, 1}), ends=(0, 3, 4))
     budget = GroupBudget(3, 2, 1)
     edges, bags, pairs = enlarge_lists(
-        g.n, g.edges, td.bags, td.edges, [group], budget
+        g.n, g.edges, td.bags, indexed(td), [group], budget
     )
     g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
     assert pairs == 3
     assert {(0, 3), (0, 4), (3, 4)} <= g2.edges
-    assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
+    assert check_decomposition(g2.n, g2.edges, td2.bags, indexed(td2)).ok
     assert td2.width() <= td.width() + 2 * 1 * 3 == 8
     assert g2.max_degree() <= g.max_degree() + 2
     assert (0, 3) not in g.edges
@@ -133,7 +134,7 @@ def test_enlarge_adds_each_clique_and_counts_its_uses():
     groups counting in each:
     vertices 0 to 3 are used 1, 2, 3 and 4 times, so a budget of d uses
     names vertex d, the smallest over it, with its d + 1 uses."""
-    bags, tree = [{0, 1, 2, 3}, {3}], [(0, 1)]
+    bags, tree = [{0, 1, 2, 3}, {3}], tree_index(2, [(0, 1)])
     groups = [
         EdgeGroup(frozenset({0}), (0, 3)),
         EdgeGroup(frozenset({0}), (1, 2, 3)),
@@ -158,7 +159,7 @@ def test_enlarge_validates_an_input_with_nothing_to_add():
     than two ends, the input comes back as the same objects with no pair
     counted, but only after it is validated: an invalid one is an internal
     fault that names the failed axiom and its witness."""
-    edges, bags, tree = [(0, 1)], [{0, 1}, {1}], [(0, 1)]
+    edges, bags, tree = [(0, 1)], [{0, 1}, {1}], tree_index(2, [(0, 1)])
     g, td = _two_bag_instance()
     idle = [EdgeGroup(subtree=frozenset(), ends=()), EdgeGroup(frozenset(), (1,))]
     none = GroupBudget(0, 0, 0)
@@ -166,7 +167,7 @@ def test_enlarge_validates_an_input_with_nothing_to_add():
         out_edges, out_bags, pairs = enlarge_lists(2, edges, bags, tree, groups, none)
         assert out_edges is edges and out_bags is bags and pairs == 0
         out_edges, out_bags, pairs = enlarge_lists(
-            g.n, g.edges, td.bags, td.edges, groups, GroupBudget(1, 1, 1)
+            g.n, g.edges, td.bags, indexed(td), groups, GroupBudget(1, 1, 1)
         )
         assert out_edges is g.edges and out_bags is td.bags and pairs == 0
         with pytest.raises(InternalInvariantError) as err:
@@ -175,14 +176,16 @@ def test_enlarge_validates_an_input_with_nothing_to_add():
             "enlarged decomposition invalid: edge-coverage axiom fails at edge (0, 1)"
         )
     with pytest.raises(InternalInvariantError, match="tree axiom fails$"):
-        enlarge_lists(g.n, g.edges, td.bags, (), [], GroupBudget(1, 1, 1))
+        enlarge_lists(
+            g.n, g.edges, td.bags, tree_index(2, ()), [], GroupBudget(1, 1, 1)
+        )
 
 
 def test_enlarge_budget_errors_name_the_smallest_violator():
     """Two vertices over their pair uses and two nodes over their group
     count, each first met at the larger id: the smaller one is named."""
     bags = [set(range(6))] * 3
-    tree = [(0, 1), (1, 2)]
+    tree = tree_index(3, [(0, 1), (1, 2)])
 
     def group(node, *ends):
         return EdgeGroup(subtree=frozenset({node}), ends=ends)
@@ -200,7 +203,7 @@ def test_enlarge_budget_errors_name_the_smallest_violator():
 def test_enlarge_budget_violations():
     g, td = _two_bag_instance()
     group = EdgeGroup(subtree=frozenset({0, 1}), ends=(0, 3, 4))
-    instance = (g.n, g.edges, td.bags, td.edges)
+    instance = (g.n, g.edges, td.bags, indexed(td))
     with pytest.raises(GroupBudgetError) as err:
         enlarge_lists(*instance, [group], GroupBudget(2, 9, 9))
     assert err.value.budget == "max_pairs_per_group"
@@ -219,12 +222,12 @@ def test_enlarge_rejects_malformed_groups():
     budget = GroupBudget(9, 9, 9)
     split = EdgeGroup(subtree=frozenset({0, 3}), ends=(0, 1))
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(g.n, g.edges, td.bags, td.edges, [split], budget)
+        enlarge_lists(g.n, g.edges, td.bags, indexed(td), [split], budget)
     assert str(err.value) == "group-structure: group 0 node 3 out of range"
 
     far = EdgeGroup(subtree=frozenset({0}), ends=(1, 3, 4))
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(g.n, g.edges, td.bags, td.edges, [far], budget)
+        enlarge_lists(g.n, g.edges, td.bags, indexed(td), [far], budget)
     assert err.value.budget == "group-structure"
     assert str(err.value) == (
         "group-structure: group 0 end 3 is in no bag of its subtree"
@@ -233,12 +236,13 @@ def test_enlarge_rejects_malformed_groups():
     for ends in ((1, 1), (2, 1), (0, 1, 1), (3, 5), (-1, 0)):
         bad = EdgeGroup(subtree=frozenset({0}), ends=ends)
         with pytest.raises(GroupBudgetError) as err:
-            enlarge_lists(g.n, g.edges, td.bags, td.edges, [bad], budget)
+            enlarge_lists(g.n, g.edges, td.bags, indexed(td), [bad], budget)
         assert str(err.value) == f"group-structure: group 0 has invalid ends {ends}"
 
     gap = EdgeGroup(subtree=frozenset({0, 2}), ends=(0, 1))
+    tree = tree_index(3, [(0, 1), (1, 2)])
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(2, [], [{0, 1}] * 3, [(0, 1), (1, 2)], [gap], budget)
+        enlarge_lists(2, [], [{0, 1}] * 3, tree, [gap], budget)
     assert str(err.value) == "group-structure: group 0 subtree is not connected"
 
 
@@ -247,7 +251,7 @@ def test_enlarge_rejects_a_group_with_an_empty_subtree():
     ends share a bag."""
     empty = EdgeGroup(frozenset(), (0, 1))
     with pytest.raises(GroupBudgetError) as err:
-        enlarge_lists(2, [], [{0, 1}], [], [empty], GroupBudget(5, 5, 5))
+        enlarge_lists(2, [], [{0, 1}], tree_index(1, []), [empty], GroupBudget(5, 5, 5))
     assert str(err.value) == "group-structure: group 0 subtree is not connected"
 
 
@@ -256,7 +260,7 @@ def test_enlarge_off_a_tree_leaves_the_subtree_to_the_output_check():
     nodes 0-2 and a lone node 3 give four nodes three joining edges. The
     cycle's three nodes have one joining edge more than a tree gives them,
     and pass too. The output check then refuses the tree."""
-    bags, tree = [{0, 1}, {1}, {1}, {0}], [(0, 1), (1, 2), (0, 2)]
+    bags, tree = [{0, 1}, {1}, {1}, {0}], tree_index(4, [(0, 1), (1, 2), (0, 2)])
     for nodes in ({0, 1, 2, 3}, {0, 1, 2}):
         group = EdgeGroup(frozenset(nodes), (0, 1))
         with pytest.raises(InternalInvariantError) as err:
@@ -285,7 +289,7 @@ def test_enlarge_refuses_a_subtree_exactly_when_a_search_finds_it_disconnected()
         group = EdgeGroup(nodes, tuple(sorted(rng.sample(pool, 2))))
         budget = GroupBudget(1, 1, 1)
         try:
-            enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
+            enlarge_lists(g.n, g.edges, td.bags, indexed(td), [group], budget)
             refused = False
         except GroupBudgetError as exc:
             assert str(exc) == "group-structure: group 0 subtree is not connected"
@@ -302,12 +306,24 @@ def test_enlarge_with_groups_skips_a_tree_pair_that_names_no_node():
     """Such a pair joins nothing, as in the decomposition check, so with or
     without a group the output fails the tree axiom instead of indexing
     past the nodes."""
-    bags, tree = [{0, 1}, {1}], [(0, 5)]
+    bags, tree = [{0, 1}, {1}], tree_index(2, [(0, 5)])
     group = EdgeGroup(frozenset({0}), (0, 1))
     for groups in ([], [group]):
         with pytest.raises(InternalInvariantError) as err:
             enlarge_lists(2, [], bags, tree, groups, GroupBudget(5, 5, 5))
         assert str(err.value) == "enlarged decomposition invalid: tree axiom fails"
+
+
+def test_enlarge_refuses_an_index_of_another_node_count():
+    """An index of fewer or more nodes than there are bags raises
+    ValueError before the group count reads it."""
+    bags = [{0, 1}, {1}]
+    group = EdgeGroup(frozenset({0, 1}), (0, 1))
+    for nn in (1, 3):
+        tree = tree_index(nn, [(t, t + 1) for t in range(nn - 1)])
+        with pytest.raises(ValueError) as err:
+            enlarge_lists(2, [(0, 1)], bags, tree, [group], GroupBudget(1, 1, 1))
+        assert str(err.value) == f"the tree index has {nn} nodes, not 2"
 
 
 def test_enlarge_counts_budgets_and_growth_per_part():
@@ -318,7 +334,7 @@ def test_enlarge_counts_budgets_and_growth_per_part():
     name vertices and groups by their positions within their part, and carry
     the part's index. Parts whose vertex or group ends decrease, or whose
     last ends are not n and the group count, are refused."""
-    bags, tree = [{0, 1, 2, 3}, set()], [(0, 1)]
+    bags, tree = [{0, 1, 2, 3}, set()], tree_index(2, [(0, 1)])
     groups = [
         EdgeGroup(frozenset({0, 1}), (0, 1)),
         EdgeGroup(frozenset({0, 1}), (2, 3)),
@@ -393,7 +409,7 @@ def test_equal_ends_are_an_empty_part_that_is_accepted():
     bags, depth = [{0, 1, 2}, {0, 3}, {0}, {0}], [0, 1, 2, 3]
     for parts in ([0, 2, 4], [2, 2, 4], [2, 4, 4], [0, 0, 2, 2, 4, 4]):
         assert band_color(4, [], bags, depth, 1, parts)[0] == [1, 1, 1, 2]
-    bags, tree = [{0, 1, 2, 3}, set()], [(0, 1)]
+    bags, tree = [{0, 1, 2, 3}, set()], tree_index(2, [(0, 1)])
     groups = [
         EdgeGroup(frozenset({0, 1}), (0, 1)),
         EdgeGroup(frozenset({0, 1}), (2, 3)),
@@ -419,7 +435,7 @@ def _growing_in_two_parts():
     """A path of three nodes, and one group in each of two parts: part 0's
     pair (0, 1) grows node 2's bag, and part 1's pair (2, 3) grows node 0's.
     The input edge (0, 1) leaves part 1's pair the only new edge."""
-    bags, tree = [{0, 1}, {0, 1, 2, 3}, {2, 3}], [(0, 1), (1, 2)]
+    bags, tree = [{0, 1}, {0, 1, 2, 3}, {2, 3}], tree_index(3, [(0, 1), (1, 2)])
     groups = [
         EdgeGroup(frozenset({1, 2}), (0, 1)),
         EdgeGroup(frozenset({0, 1}), (2, 3)),
@@ -462,16 +478,10 @@ def test_enlarge_random_instances_keep_bounds():
             continue
         groups, budget = random_groups(rng, g, td)
         edges, bags, pairs = enlarge_lists(
-            g.n, g.edges, td.bags, td.edges, groups, budget
+            g.n, g.edges, td.bags, indexed(td), groups, budget
         )
-        # The same from a tree index built beforehand, searched from the
-        # last node.
-        index = _tree_index(td.node_count, td.edges, td.node_count - 1)
-        assert enlarge_lists(
-            g.n, g.edges, td.bags, td.edges, groups, budget, None, index
-        ) == (edges, bags, pairs)
         g2, td2 = Graph(g.n, edges), TreeDecomposition(bags, td.edges)
-        assert check_decomposition(g2.n, g2.edges, td2.bags, td2.edges).ok
+        assert check_decomposition(g2.n, g2.edges, td2.bags, indexed(td2)).ok
         assert td2.width() <= td.width() + 2 * (
             budget.max_groups_per_node * budget.max_pairs_per_group
         )
@@ -511,7 +521,7 @@ def test_enlarge_accepts_a_group_exactly_when_some_cover_exists():
         k = len(ends)
         budget = GroupBudget(k * (k - 1) // 2, k - 1, 1)
         try:
-            enlarge_lists(g.n, g.edges, td.bags, td.edges, [group], budget)
+            enlarge_lists(g.n, g.edges, td.bags, indexed(td), [group], budget)
             accepted = True
         except GroupBudgetError as exc:
             assert exc.budget == "group-structure"
