@@ -8,12 +8,12 @@ shared; the index lists of a DecompositionReport are its caller's to extend.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Collection, Iterable, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import gt
+from itertools import chain
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidDecomposition, InvalidLayering
@@ -182,34 +182,41 @@ class Layering:
         return f"Layering(m={self.m}, n={sum(map(len, self.layers))})"
 
 
-def _search(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], int]:
+def _search(
+    adj: Sequence[Sequence[int]], root: int
+) -> tuple[list[int], list[int], int]:
     """Breadth-first search over nodes 0..len(adj)-1 from ``root``: each
-    node's depth (-1 for nodes it cannot reach), and the number of nodes
-    reached, none when ``root`` names no node."""
+    node's depth and parent (-1 both for nodes it cannot reach; the root is
+    its own parent), and the number of nodes reached, none when ``root``
+    names no node."""
     depth = [-1] * len(adj)
+    parent = [-1] * len(adj)
     if not 0 <= root < len(adj):
-        return depth, 0
+        return depth, parent, 0
     depth[root] = 0
+    parent[root] = root
     queue = [root]
     for t in queue:
         below = depth[t] + 1
         for u in adj[t]:
             if depth[u] < 0:
                 depth[u] = below
+                parent[u] = t
                 queue.append(u)
-    return depth, len(queue)
+    return depth, parent, len(queue)
 
 
 class TreeIndex(NamedTuple):
     """A tree given by its node pairs, indexed once for every check that
-    reads it: the pairs that name two nodes of 0..nn-1, each node's
-    neighbors through them (a pair that names no node joins nothing), each
-    node's depth in the breadth-first search from the root (-1 for nodes it
-    cannot reach), and the tree axiom's verdict."""
+    reads it: each node's neighbors through the pairs that name two nodes
+    of 0..nn-1 (a pair that names no node joins nothing), each node's depth
+    and parent in the breadth-first search from the root (-1 both for nodes
+    it cannot reach; the root is its own parent), and the tree axiom's
+    verdict."""
 
-    named: list[tuple[int, int]]
     adj: list[list[int]]
     depth: list[int]
+    parent: list[int]
     is_tree: bool
 
 
@@ -221,14 +228,16 @@ def tree_index(
     pair names two nodes, there are nn - 1 pairs, and the search from the
     root reaches all nn nodes; it fails when there is no node, or when the
     root or a pair names none."""
-    named = [(a, b) for a, b in tree_edges if 0 <= a < nn and 0 <= b < nn]
     adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in named:
-        adj[a].append(b)
-        adj[b].append(a)
-    depth, reached = _search(adj, root)
-    is_tree = len(tree_edges) == len(named) == nn - 1 and reached == nn
-    return TreeIndex(named, adj, depth, is_tree)
+    named = 0
+    for a, b in tree_edges:
+        if 0 <= a < nn and 0 <= b < nn:
+            adj[a].append(b)
+            adj[b].append(a)
+            named += 1
+    depth, parent, reached = _search(adj, root)
+    is_tree = len(tree_edges) == named == nn - 1 and reached == nn
+    return TreeIndex(adj, depth, parent, is_tree)
 
 
 class TreeDecomposition:
@@ -360,6 +369,15 @@ def check_decomposition(
     reported, only when the tree check passes and every bag holds only
     vertices of 0..n-1.
 
+    Connectivity is decided by top nodes. On the tree rooted at r a
+    vertex's nodes induce a forest, and each component of it has exactly
+    one node whose parent lies outside it, its top; r, its own parent,
+    tops the component that holds it. So a held vertex has at least one
+    top, and its nodes are connected exactly when it has one. A node tops
+    the vertices of its bag that its parent's bag lacks, and r its whole
+    bag, so the axiom holds when the tops number the held vertices; only
+    when they do not are the tops counted per vertex.
+
     Each witness is the smallest failing item (node, vertex, or edge): the
     checks scan in any order and keep the minimum failure.
     """
@@ -398,35 +416,40 @@ def check_decomposition(
     checks.append(AxiomCheck("edge-coverage", bad_edge is None, bad_edge))
 
     # Each vertex's nodes must induce a connected subtree, an axiom defined
-    # only on a tree whose bags hold only vertices. There a vertex's k nodes
-    # are connected exactly when k - 1 tree edges have it in both bags.
+    # only on a tree whose bags hold only vertices; the root is the node of
+    # depth 0.
     if is_tree and stray is None:
-        # One more than the count: a vertex fails when it has more nodes.
-        shared = [1] * n
-        for a, b in tree.named:
-            for v in bags[a] & bags[b]:
-                shared[v] += 1
-        failing = compress(range(n), map(gt, map(len, holders), shared))
-        bad_vertex = next(failing, None)
+        parent = tree.parent
+        tops = sum(map(len, map(sub, bags, map(bags.__getitem__, parent))))
+        tops += len(bags[tree.depth.index(0)])
+        bad_vertex = None
+        if tops != n - holders.count([]):
+            # The smallest vertex with two or more tops.
+            count = [0] * n
+            for t, p in enumerate(parent):
+                for v in bags[t] - bags[p] if p != t else bags[t]:
+                    count[v] += 1
+            bad_vertex = next(v for v, k in enumerate(count) if k > 1)
         checks.append(AxiomCheck("connectivity", bad_vertex is None, bad_vertex))
     return DecompositionReport(tuple(checks), holders)
 
 
-def bags_layered_width(
-    bags: Iterable[Iterable[int]], layer_of: Sequence[int]
+def layered_width(
+    rows: Sequence[Collection[int]], holders: Sequence[Iterable[int]]
 ) -> int:
-    """The largest number of vertices any bag shares with one layer of the
-    layering given by ``layer_of``, as in ``edge_span``; a vertex in no
-    layer counts for none."""
+    """The layered width: the largest number of vertices any bag shares
+    with one layer, given the layers as rows of vertices and each vertex's
+    nodes as ``holders``, as ``check_decomposition`` reports them. Each
+    layer counts, through its vertices' nodes, every node's share of it.
+    A bag shares no more vertices with a layer than the layer has, so the
+    layers are visited largest first, and the count stops at the first
+    layer no larger than the largest share found."""
     best = 0
-    for bag in bags:
-        per_layer: dict[int, int] = {}
-        for v in bag:
-            i = layer_of[v]
-            per_layer[i] = per_layer.get(i, 0) + 1
-        per_layer.pop(0, None)
-        if per_layer:
-            best = max(best, max(per_layer.values()))
+    for row in sorted(rows, key=len, reverse=True):
+        if len(row) <= best:
+            break
+        shares = Counter(chain.from_iterable(map(holders.__getitem__, row)))
+        best = max(best, max(shares.values(), default=0))
     return best
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import islice
 
 from .errors import PaceParseError
 from .graph import Graph, Layering, TreeDecomposition
@@ -162,7 +163,9 @@ def _bags(
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
     """`pace_to_bags`, reading the bags' vertices through ``vertex``, a
     table of the names of 1..k for some k, when it is given and k is at
-    most the header's n; otherwise through a table of the text's own."""
+    most the header's n; otherwise through a table of the text's own. The
+    node ids are read through that vertex table's first N names when it
+    has that many, and otherwise through a table of the text's own."""
     lines = enumerate(text.splitlines(), start=1)
     header_line, (num_nodes, width_plus, n) = _header(lines, "s td <N> <w+1> <n>")
     if n_graph is not None and n != n_graph:
@@ -170,9 +173,12 @@ def _bags(
             f"'s td' header declares n = {n} but the graph has {n_graph} vertices",
             header_line,
         )
-    node = _ids(text, num_nodes)
     if vertex is None or len(vertex) > n:
         vertex = _ids(text, n)
+    if len(vertex) >= num_nodes:
+        node = dict(islice(vertex.items(), num_nodes))
+    else:
+        node = _ids(text, num_nodes)
     # Bags by 0-based node id.
     bags: dict[int, frozenset[int]] = {}
     tree_edges: dict[tuple[int, int], None] = {}

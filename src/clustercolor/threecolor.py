@@ -36,10 +36,10 @@ from .errors import (
 from .graph import (
     _bad_edge,
     _pair_index,
-    bags_layered_width,
     check_decomposition,
     edge_span,
     layer_index,
+    layered_width,
     tree_index,
 )
 from .twocolor import (
@@ -247,8 +247,8 @@ def three_color_lists(
     checked = check_decomposition(n, edges, bags, tree)
     checked.require(InvalidDecomposition)
     edge_span(edges, layer_of).require(InvalidLayering)
-    w_eff = max(1, bags_layered_width(bags, layer_of))
     holders = checked.holders
+    w_eff = max(1, layered_width(rows, holders))
     d_eff = max(1, max(map(len, adj), default=0))
     constants, budget2, budget3 = _constant_chain(w_eff, d_eff)
     # Per class: palette (local colors 1 and 2 map to its entries), degree

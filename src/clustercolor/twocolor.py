@@ -186,19 +186,19 @@ def enlarge_lists(
     A group of two or more ends needs a nonempty connected subtree, some
     bag of which holds each end: the ends are checked against the union of
     the subtree's bags, not against any one bag. The subtree is taken as
-    connected by the count that ``check_decomposition`` applies to a
-    vertex's nodes, which is exact on a tree. Every group's ends are
-    poured into each bag of its subtree, which preserves all decomposition
-    axioms, and under the budget each node's bag grows by at most 2hk
-    vertices of each part and each vertex's degree by at most d, the
-    lemma's growth that ``_enlarged`` states. Budget and group-structure
-    violations raise GroupBudgetError naming the field. The output is
-    validated and both growths are re-checked on it; a failure raises
-    InternalInvariantError, for the lowest part that fails when the
-    failure names a vertex. Returns the edges, the input's followed by the
-    group pairs that are not among them, the new bags, and the number of
-    distinct group pairs, those already edges included; when no group has
-    two ends, the input's own, validated as they stand, and 0.
+    connected by the join count, which is exact on a tree: k nodes of a
+    tree are connected exactly when k - 1 tree edges join two of them.
+    Every group's ends are poured into each bag of its subtree, which
+    preserves all decomposition axioms, and under the budget each node's
+    bag grows by at most 2hk vertices of each part and each vertex's
+    degree by at most d, the lemma's growth that ``_enlarged`` states.
+    Budget and group-structure violations raise GroupBudgetError naming
+    the field. The output is validated and both growths are re-checked on
+    it; a failure raises InternalInvariantError, for the lowest part that
+    fails when the failure names a vertex. Returns the edges, the input's
+    followed by the group pairs that are not among them, the new bags, and
+    the number of distinct group pairs, those already edges included; when
+    no group has two ends, the input's own, validated as they stand, and 0.
     """
     parts = parts or ((n, len(groups)),)
     if tuple(parts[-1]) != (n, len(groups)):

@@ -65,6 +65,23 @@ def random_decomposition(
     return g, td
 
 
+def bags_layered_width(bags, layer_of):
+    """The largest number of vertices any bag shares with one layer of the
+    layering given by ``layer_of``, each vertex's layer as a list indexed by
+    vertex, 0 for a vertex in no layer, which counts for none: the per-bag
+    reference for ``graph.layered_width``."""
+    best = 0
+    for bag in bags:
+        per_layer = {}
+        for v in bag:
+            i = layer_of[v]
+            per_layer[i] = per_layer.get(i, 0) + 1
+        per_layer.pop(0, None)
+        if per_layer:
+            best = max(best, max(per_layer.values()))
+    return best
+
+
 def connected(adj, nodes):
     """Whether ``nodes`` is nonempty and connected by its members' links in
     the list adjacency ``adj``, by breadth-first search: the reference for

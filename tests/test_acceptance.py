@@ -26,10 +26,16 @@ from clustercolor import (
     trigrid_path_oracle,
     two_color_bounded_treewidth,
 )
-from clustercolor.graph import bags_layered_width, edge_span, layer_index
+from clustercolor.graph import edge_span, layer_index
 from clustercolor import pace
 
-from helpers import indexed, lists_of, random_decomposition, random_groups
+from helpers import (
+    bags_layered_width,
+    indexed,
+    lists_of,
+    random_decomposition,
+    random_groups,
+)
 
 
 def _report(num, ok, detail):

@@ -11,9 +11,9 @@ from clustercolor import (
     gen_rect_grid,
 )
 from clustercolor import pace
-from clustercolor.graph import bags_layered_width, edge_span, layer_index
+from clustercolor.graph import edge_span, layer_index
 
-from helpers import indexed
+from helpers import bags_layered_width, indexed
 
 
 def _checked_width(g, ltd):

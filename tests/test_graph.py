@@ -17,9 +17,9 @@ from clustercolor import (
     three_color_lists,
     tree_index,
 )
-from clustercolor.graph import bags_layered_width, edge_span, layer_index
+from clustercolor.graph import edge_span, layer_index, layered_width
 
-from helpers import indexed, lists_of, random_decomposition
+from helpers import bags_layered_width, indexed, lists_of, random_decomposition
 
 
 def test_graph_basics():
@@ -166,6 +166,9 @@ def test_tree_decomposition_accessors():
     report = check_decomposition(3, [(0, 1), (1, 2)], td.bags, indexed(td))
     assert report.holders == [[0], [0, 1], [1, 2]]
     assert indexed(td).depth == [0, 1, 2]
+    assert indexed(td).parent == [0, 0, 1]
+    # A node the search cannot reach has depth and parent -1.
+    assert tree_index(3, [(1, 2)], 2)[1:] == ([-1, 1, 0], [-1, 2, 2], False)
     assert TreeDecomposition([frozenset()]).width() == -1
 
 
@@ -235,6 +238,8 @@ def test_bags_layered_width_measures_bag_layer_overlap():
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     td = TreeDecomposition([frozenset({0, 1, 2, 3})])
     ly = Layering([(0, 1), (2, 3)])
+    holders = check_decomposition(4, g.edges, td.bags, indexed(td)).holders
+    assert layered_width(ly.layers, holders) == 2
     assert bags_layered_width(td.bags, layer_index(4, ly.layers)[0]) == 2
     bad = LayeredTreeDecomposition(td, Layering([(0, 1), (2,)]))
     with pytest.raises(
@@ -252,6 +257,63 @@ def test_bags_layered_width_measures_bag_layer_overlap():
         InvalidDecomposition, match=r"^invalid decomposition: tree axiom fails$"
     ):
         three_color_lists(*lists_of(g, LayeredTreeDecomposition(forest, ly)))
+
+
+def _random_rows(rng, n):
+    """A partition of 0..n-1 into shuffled rows in shuffled order, with
+    empty rows and rows of tied sizes likely."""
+    rows = [[] for _ in range(rng.randint(1, n + 2))]
+    for v in range(n):
+        rows[rng.randrange(len(rows))].append(v)
+    for row in rows:
+        rng.shuffle(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_layered_width_matches_the_per_bag_count():
+    """``layered_width``, layer by layer and largest first, against the
+    per-bag reference, on partitions where small layers follow a larger
+    share than they can hold."""
+    rng = random.Random(41)
+    for _ in range(300):
+        g, td = random_decomposition(rng, max_nodes=12, max_bag=6)
+        holders = check_decomposition(g.n, g.edges, td.bags, indexed(td)).holders
+        rows = _random_rows(rng, g.n)
+        expected = bags_layered_width(td.bags, layer_index(g.n, rows)[0])
+        assert layered_width(rows, holders) == expected, rows
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (12, 2), (30, 5), (31, 7)])
+def test_layered_width_counts_every_layer_when_none_stops_it(n, k):
+    """The path decomposition {i, i+1} of a path, layered by the residues
+    mod k: every layer has two or more vertices and no bag holds two of one
+    layer, so no layer is small enough to stop the count early."""
+    bags = [frozenset({i, i + 1}) for i in range(n - 1)]
+    td = TreeDecomposition(bags, [(t, t + 1) for t in range(n - 2)])
+    edges = [(i, i + 1) for i in range(n - 1)]
+    holders = check_decomposition(n, edges, td.bags, indexed(td)).holders
+    rows = [list(range(r, n, k)) for r in range(k)]
+    width = bags_layered_width(td.bags, layer_index(n, rows)[0])
+    assert layered_width(rows, holders) == width == 1
+    assert min(map(len, rows)) > width
+
+
+def test_layered_width_stops_at_a_layer_no_larger_than_the_best_share():
+    """One bag holds the whole largest layer, so the count reads that
+    layer's vertices and no other's."""
+    read = []
+
+    class Holders(list):
+        def __getitem__(self, v):
+            read.append(v)
+            return list.__getitem__(self, v)
+
+    n = 40
+    rows = [[v] for v in range(n - 3)] + [[n - 3, n - 2, n - 1]]
+    holders = Holders([[0]] * (n - 3) + [[1]] * 3)
+    assert layered_width(rows, holders) == 3
+    assert sorted(read) == [n - 3, n - 2, n - 1]
 
 
 @pytest.mark.parametrize(
@@ -453,6 +515,8 @@ BREAKERS = {
 
 
 def test_validator_matches_brute_force_on_broken_decompositions():
+    """Each decomposition is rooted at a random node and its bags are given
+    as sets, as the class views give them."""
     rng = random.Random(23)
     caught = dict.fromkeys(BREAKERS, 0)
     for _ in range(150):
@@ -461,8 +525,8 @@ def test_validator_matches_brute_force_on_broken_decompositions():
             bags = [set(bag) for bag in td.bags]
             edges = list(td.edges)
             breaker(rng, g, bags, edges)
-            broken = TreeDecomposition(bags, edges, td.root)
-            report = check_decomposition(g.n, g.edges, broken.bags, indexed(broken))
+            broken = TreeDecomposition(bags, edges, rng.randrange(len(bags)))
+            report = check_decomposition(g.n, g.edges, bags, indexed(broken))
             got = [(c.axiom, c.passed, c.witness) for c in report.checks]
             assert got == _reference_checks(g, broken)
             # A check left out of the report has caught nothing.
@@ -472,7 +536,8 @@ def test_validator_matches_brute_force_on_broken_decompositions():
 
 def test_validator_witnesses_are_smallest_among_several_failures():
     """Two to four breaks per decomposition, so an axiom can fail at several
-    items and the witness must be the smallest of them."""
+    items and the witness must be the smallest of them; rooted at a random
+    node, with set bags."""
     rng = random.Random(31)
     for _ in range(150):
         g, td = random_decomposition(rng, max_nodes=12, max_bag=5)
@@ -480,10 +545,24 @@ def test_validator_witnesses_are_smallest_among_several_failures():
         edges = list(td.edges)
         for _ in range(rng.randint(2, 4)):
             rng.choice(list(BREAKERS.values()))(rng, g, bags, edges)
-        broken = TreeDecomposition(bags, edges, td.root)
-        report = check_decomposition(g.n, g.edges, broken.bags, indexed(broken))
+        broken = TreeDecomposition(bags, edges, rng.randrange(len(bags)))
+        report = check_decomposition(g.n, g.edges, bags, indexed(broken))
         got = [(c.axiom, c.passed, c.witness) for c in report.checks]
         assert got == _reference_checks(g, broken)
+
+
+@pytest.mark.parametrize("root", range(3))
+def test_connectivity_fails_for_a_vertex_split_between_the_root_and_a_leaf(root):
+    """On the path of nodes 0 - 1 - 2, vertex 0 sits in the bags of nodes 0
+    and 2 but not of node 1. Rooted at node 2, node 2's whole bag and node
+    0's vertex 0 are tops: three tops for two vertices. Counting node 0's
+    bag in place of the root's would find two. Every root finds vertex 0
+    split."""
+    bags = [{0}, {1}, {0, 1}]
+    tree = tree_index(3, [(0, 1), (1, 2)], root)
+    report = check_decomposition(2, [(0, 1)], bags, tree)
+    assert report.checks[-1] == AxiomCheck("connectivity", False, 0)
+    assert report.failures() == (report.checks[-1],)
 
 
 def test_connectivity_on_a_cyclic_decomposition():

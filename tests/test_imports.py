@@ -1,6 +1,8 @@
 """Every name a module imports is used in that module, every private
-helper of the package, and of the tests, is used somewhere in it, and
-every function of ``tests/helpers.py`` is named by another test module.
+helper of the package, and of the tests, is used somewhere in it, every
+public function or class of the package is exported or named by the
+package or the benchmark, and every function of ``tests/helpers.py`` is
+named by another test module.
 
 The package's ``__init__.py`` is left out of the import check: its imports
 are re-exports, checked against ``__all__`` by ``test_exports.py``.
@@ -10,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import clustercolor
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -58,15 +62,15 @@ def test_module_uses_every_import(path):
 
 
 def _unreferenced_helpers(
-    sources: dict[str, str], owner: str | None = None
+    sources: dict[str, str], owner: str | None = None, public: bool = False
 ) -> list[str]:
     """The module-level functions and classes, as "module.name", that no code
     of ``sources`` (module name -> source) names outside their own
     definition. Without ``owner`` these are the private ones of every
-    module; with it, all those of module ``owner``, which only the other
-    modules' code can name. Any name or attribute of the same spelling
-    counts, so a helper it reports is one that nothing in ``sources`` can
-    reach."""
+    module, or the public ones with ``public``; with it, all those of
+    module ``owner``, which only the other modules' code can name. Any name
+    or attribute of the same spelling counts, so a helper it reports is one
+    that nothing in ``sources`` can reach."""
     helpers = []
     named: set[str] = set()
     for module, source in sources.items():
@@ -75,7 +79,7 @@ def _unreferenced_helpers(
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 own = top.name
                 private = own.startswith("_") and not own.startswith("__")
-                if (module == owner) if owner else private:
+                if (module == owner) if owner else private != public:
                     helpers.append((module, own))
             if module == owner:
                 continue
@@ -103,6 +107,44 @@ def test_finds_an_unreferenced_helper():
 def test_package_uses_every_private_helper():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert _unreferenced_helpers(sources) == []
+
+
+# The public names of the package's modules that it does not export and
+# that no code of the package or the benchmark names: the file readers that
+# README's library tour gives its users beside ``read_edges``.
+LIBRARY_ONLY = {"clustercolor.pace.read_bags", "clustercolor.pace.read_rows"}
+
+
+def _unexported_public_code() -> list[str]:
+    """The public functions and classes of the package, as "module.name",
+    that its ``__all__`` leaves out and that no code of the package or the
+    benchmark names: code that only the tests, or users, can reach."""
+    sources = {
+        f"{path.parent.name}.{path.stem}": path.read_text(encoding="utf-8")
+        for path in [*PACKAGE, *(ROOT / "bench").glob("*.py")]
+    }
+    exported = set(clustercolor.__all__)
+    return [
+        name
+        for name in _unreferenced_helpers(sources, public=True)
+        if name.startswith("clustercolor.") and name.split(".")[-1] not in exported
+    ]
+
+
+def test_finds_an_unreferenced_public_name():
+    sources = {
+        "a": "def used():\n    pass\n\ndef alone():\n    return alone()\n\n"
+        "def _private():\n    pass\n",
+        "b": "from a import used\nused()\n",
+    }
+    assert _unreferenced_helpers(sources, public=True) == ["a.alone"]
+
+
+def test_package_has_no_public_code_that_only_tests_reach():
+    """A public name of the package is exported, or the package or the
+    benchmark names it; one kept only for the tests belongs in them, and
+    one kept for users joins ``LIBRARY_ONLY`` on purpose."""
+    assert set(_unexported_public_code()) == LIBRARY_ONLY
 
 
 def test_finds_a_shared_test_helper_that_no_other_module_names():
